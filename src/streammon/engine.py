@@ -87,9 +87,10 @@ __all__ = ["Event", "Verdict", "Monitor", "run"]
 class Event:
     """One trace record: at least one input stream gets a value at time ts.
 
-    Every key of `bindings` must name a declared input stream that is not the
-    `time input` (that one is fed from ts). Otherwise `Monitor.process`
-    raises EngineError and leaves the monitor's state unchanged.
+    ts must be finite, and every key of `bindings` must name a declared input
+    stream that is not the `time input` (that one is fed from ts). Otherwise
+    `Monitor.process` raises EngineError and leaves the monitor's state
+    unchanged.
     """
 
     ts: float
@@ -425,11 +426,11 @@ class Monitor:
     def process(self, event: Event) -> list[Verdict]:
         """Run all due clock ticks, then the event's variable-rate step.
 
-        Every binding must name a declared input other than the `time input`;
-        otherwise this raises EngineError before any tick or extension, and
-        the monitor's state is unchanged.
+        The timestamp must be finite and every binding must name a declared
+        input other than the `time input`; otherwise this raises EngineError
+        before any tick or extension, and the monitor's state is unchanged.
         """
-        self._check_bindings(event)
+        self._check_event(event)
         out: list[Verdict] = []
         for tick in self._ticks_until(event.ts):
             out.extend(self.fixed_rate_step(tick))
@@ -451,7 +452,11 @@ class Monitor:
                     counter[1] = k + 1
             yield due
 
-    def _check_bindings(self, event: Event) -> None:
+    def _check_event(self, event: Event) -> None:
+        # NaN would pass every later order check and make _ticks_until yield
+        # ticks forever, as would +inf
+        if not -math.inf < event.ts < math.inf:
+            raise EngineError([Diagnostic(f"non-finite timestamp {event.ts}")])
         if not self._bindable.issuperset(event.bindings):
             unknown = ", ".join(sorted(set(event.bindings) - self._bindable))
             raise EngineError(
@@ -479,7 +484,7 @@ class Monitor:
 
     def var_rate_step(self, event: Event) -> list[Verdict]:
         """Process one trace event."""
-        self._check_bindings(event)
+        self._check_event(event)
         ts = event.ts
         self._begin_step(ts)
         self.events_processed += 1

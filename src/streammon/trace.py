@@ -9,6 +9,7 @@ stream is fed from the time column itself and must not appear in the header.
 from __future__ import annotations
 
 import csv
+import math
 from typing import Iterator, Sequence
 
 from .ast import ValueType
@@ -38,7 +39,7 @@ def read_trace(path: str, tspec: TypedSpec) -> Iterator[Event]:
     """Stream events from a CSV file, validating as it goes.
 
     Raises TraceError with the offending row number for malformed cells,
-    header mismatches, and decreasing timestamps.
+    header mismatches, and non-finite, negative or decreasing timestamps.
     """
     with open(path, newline="", encoding="utf-8") as handle:
         reader = csv.reader(handle)
@@ -69,6 +70,8 @@ def read_trace(path: str, tspec: TypedSpec) -> Iterator[Event]:
                 ts = float(row[0])
             except ValueError:
                 raise _row_error(f"bad timestamp {row[0]!r}", lineno)
+            if not math.isfinite(ts):
+                raise _row_error(f"non-finite timestamp {row[0]!r}", lineno)
             if ts < 0:
                 raise _row_error(f"negative timestamp {ts}", lineno)
             if last_ts is not None and ts < last_ts:

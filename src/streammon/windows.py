@@ -8,12 +8,32 @@ retained panes tile the window exactly and consecutive windows of width
 equal to the evaluation period never double-count a boundary value.
 
 Registering a value folds it into its pane's summary only; evaluating a
-window combines the summaries of all retained panes and lowers the combined
+window combines the summaries of the retained panes and lowers the combined
 summary to a value. At non-aligned evaluation times the oldest, partially
 covered pane is included whole, an approximation of at most z.
 
 Retained panes never exceed ceil(r / z) + 1: registration and evaluation both
 evict panes whose entire span lies at or before ts - r.
+
+Cost model, in summary merges (Li et al., "No pane, no gain", SIGMOD Record
+2005, for the panes; Tangwongsan, Hirzel and Schneider, "General Incremental
+Sliding-Window Aggregation", PVLDB 2015, for their aggregation):
+
+- register: O(1), one `add` into the newest pane, plus one merge when it
+  opens a new pane.
+- evaluate: O(1) amortized, independent of r / z. The panes form a FIFO
+  aggregated with Two-Stacks: a "front" stack of suffix aggregates over the
+  oldest closed panes, one running "back" aggregate of the closed panes
+  after them, and the newest, still open pane. An evaluation merges these
+  three in time order. Eviction pops the front; when the front runs empty,
+  the back panes are re-aggregated into a new front, once per pane. Merges
+  are only ever applied to adjacent ranges, earlier on the left, so
+  summaries need to be associative but neither invertible nor commutative
+  (the integral is not commutative), and nothing is ever subtracted.
+- median is the exception: its panes keep raw values, and an evaluation
+  merges all retained panes and sorts them.
+- slot_count: O(1), kept as a running count. A pane of a combinable
+  aggregation is one slot; a median pane holds one slot per value.
 """
 
 from __future__ import annotations
@@ -28,21 +48,6 @@ from .diagnostics import Diagnostic, OutOfOrderError
 from .values import UNDEFINED
 
 
-def _ratio(ts) -> tuple[int, int]:
-    if isinstance(ts, float):
-        return ts.as_integer_ratio()
-    if isinstance(ts, int):
-        return ts, 1
-    return ts.numerator, ts.denominator
-
-
-def pane_index(ts, z: Fraction) -> int:
-    """ceil(ts / z) - 1, exact: the pane whose span (i*z, (i+1)*z] holds ts.
-    Float timestamps are converted losslessly; no Fraction is allocated."""
-    n, d = _ratio(ts)
-    return -((-n * z.denominator) // (d * z.numerator)) - 1
-
-
 class Aggregator:
     """Combinable per-pane summary for one aggregation function.
 
@@ -52,6 +57,8 @@ class Aggregator:
 
     #: value of an empty window, or None when an empty window is undefined
     empty_value: Optional[object] = None
+    #: panes keep raw values: one slot per value, re-merged on evaluation
+    raw = False
 
     def new(self):
         raise NotImplementedError
@@ -64,9 +71,6 @@ class Aggregator:
 
     def lower(self, summary):
         raise NotImplementedError
-
-    def slots(self, summary) -> int:
-        return 1
 
 
 class _Count(Aggregator):
@@ -122,9 +126,19 @@ class _Avg(Aggregator):
         return total / n
 
 
+def _nan_max(a, b):
+    """max(a, b), but NaN whenever either is NaN, so that the result does not
+    depend on the order or grouping of merges; ties keep a."""
+    return b if b > a or b != b else a
+
+
+def _nan_min(a, b):
+    return b if b < a or b != b else a
+
+
 class _Extremum(Aggregator):
     def __init__(self, take_max: bool):
-        self.pick = max if take_max else min
+        self.pick = _nan_max if take_max else _nan_min
 
     def new(self):
         return None
@@ -177,6 +191,8 @@ class _Integral(Aggregator):
 class _Median(Aggregator):
     """Not pane-combinable: each pane keeps its raw values."""
 
+    raw = True
+
     def __init__(self, out_ty: ValueType):
         self.int_result = out_ty is ValueType.INT
 
@@ -194,9 +210,6 @@ class _Median(Aggregator):
         if self.int_result:
             return statistics.median_low(sorted(summary))
         return statistics.median(summary)
-
-    def slots(self, summary) -> int:
-        return len(summary)
 
 
 def make_aggregator(agg: AggFn, target_ty: ValueType) -> Aggregator:
@@ -219,9 +232,29 @@ def make_aggregator(agg: AggFn, target_ty: ValueType) -> Aggregator:
 
 
 class PanedWindow:
-    """Sliding-window state for one (window expression, target instance)."""
+    """Sliding-window state for one (window expression, target instance).
 
-    __slots__ = ("duration", "pane_width", "agg", "panes", "last_ts", "_horizon")
+    `panes` maps pane index to the raw summary of that pane, in ascending
+    index order; the last pane is the open one, the only pane that `register`
+    still folds values into. For a combinable aggregation, the closed panes
+    are also aggregated as Two-Stacks (see the module docstring): `_front`
+    holds (pane index, summary of that pane and every later front pane)
+    with the oldest pane on top, and `_back` is the summary of the closed
+    panes after the front, or None when there are none.
+    """
+
+    __slots__ = (
+        "duration",
+        "pane_width",
+        "agg",
+        "panes",
+        "last_ts",
+        "_horizon",
+        "_open",
+        "_front",
+        "_back",
+        "_slots",
+    )
 
     def __init__(self, duration: Fraction, pane_width: Fraction, agg: Aggregator):
         self.duration = duration
@@ -229,10 +262,14 @@ class PanedWindow:
         self.agg = agg
         self.panes: dict[int, object] = {}  # index -> summary, ascending
         self.last_ts = None
-        # for evict: (ts - r) / z as integer ratio pieces, precomputed
+        # r and z as integer ratio pieces, for exact pane arithmetic
         rn, rd = duration.numerator, duration.denominator
         zn, zd = pane_width.numerator, pane_width.denominator
         self._horizon = (rn, rd, zn, zd)
+        self._open: Optional[int] = None  # index of the newest pane
+        self._front: list[tuple[int, object]] = []
+        self._back = None
+        self._slots = 0
 
     def register(self, value, ts) -> None:
         """Fold a value into its pane; no window-level aggregation happens.
@@ -243,27 +280,80 @@ class PanedWindow:
                 [Diagnostic(f"window registration at {ts} after {self.last_ts}")]
             )
         self.last_ts = ts
-        idx = pane_index(ts, self.pane_width)
-        summary = self.panes.get(idx)
-        if summary is None:
-            self.panes[idx] = self.agg.add(self.agg.new(), ts, value)
-            self.evict(ts)
-        else:
-            self.panes[idx] = self.agg.add(summary, ts, value)
+        agg = self.agg
+        panes = self.panes
+        # the pane (idx*z, (idx+1)*z] that holds ts: ceil(ts / z) - 1, exact;
+        # float timestamps are converted losslessly, no Fraction is allocated
+        n, d = ts.as_integer_ratio()
+        _, _, zn, zd = self._horizon
+        idx = -((-n * zd) // (d * zn)) - 1
+        opened = self._open
+        if idx == opened:
+            panes[idx] = agg.add(panes[idx], ts, value)
+            if agg.raw:
+                self._slots += 1
+            return
+        if opened is not None and not agg.raw:
+            closed = panes[opened]
+            back = self._back
+            self._back = closed if back is None else agg.merge(back, closed)
+        panes[idx] = agg.add(agg.new(), ts, value)
+        self._open = idx
+        self._slots += 1
+        self._evict(n, d)
 
     def evict(self, ts) -> None:
         """Drop every pane whose entire span lies at or before ts - r:
         (i+1)*z <= ts - r, i.e. i + 1 <= floor((ts - r) / z), exactly."""
-        n, d = _ratio(ts)
+        n, d = ts.as_integer_ratio()
+        self._evict(n, d)
+
+    def _evict(self, n: int, d: int) -> None:
+        """evict(ts) for ts = n / d."""
+        panes = self.panes
+        if not panes:
+            return
         rn, rd, zn, zd = self._horizon
         kill = ((n * rd - rn * d) * zd) // (d * rd * zn)
-        panes = self.panes
-        while panes:
-            first = next(iter(panes))  # insertion order = ascending index
-            if first + 1 <= kill:
-                del panes[first]
-            else:
-                break
+        if self.agg.raw:
+            while panes:
+                first = next(iter(panes))  # insertion order = ascending index
+                if first + 1 > kill:
+                    return
+                self._slots -= len(panes.pop(first))
+            self._open = None
+            return
+        front = self._front
+        while True:
+            if not front:
+                if self._back is None:
+                    # only the open pane is left
+                    if self._open + 1 <= kill:
+                        panes.clear()
+                        self._open = None
+                        self._slots = 0
+                    return
+                self._flip()
+            idx = front[-1][0]
+            if idx + 1 > kill:
+                return
+            front.pop()
+            del panes[idx]
+            self._slots -= 1
+
+    def _flip(self) -> None:
+        """Move the back panes to the front as suffix aggregates, newest
+        first, so that the oldest pane ends on top. Runs only on an empty
+        front, so every pane is flipped at most once."""
+        closed = list(self.panes.items())
+        closed.pop()  # the open pane
+        merge = self.agg.merge
+        front = self._front
+        suffix = None
+        for idx, summary in reversed(closed):
+            suffix = summary if suffix is None else merge(summary, suffix)
+            front.append((idx, suffix))
+        self._back = None
 
     def evaluate(self, ts):
         """Combine the panes overlapping (ts - r, ts] and lower the result.
@@ -275,14 +365,23 @@ class PanedWindow:
             raise OutOfOrderError(
                 [Diagnostic(f"window evaluated at {ts} before {self.last_ts}")]
             )
-        self.evict(ts)
-        if not self.panes:
+        n, d = ts.as_integer_ratio()
+        self._evict(n, d)
+        panes = self.panes
+        if not panes:
             empty = self.agg.empty_value
             return UNDEFINED if empty is None else empty
-        combined = None
-        for idx in self.panes:  # ascending
-            summary = self.panes[idx]
-            combined = summary if combined is None else self.agg.merge(combined, summary)
+        merge = self.agg.merge
+        if self.agg.raw:
+            combined = None
+            for summary in panes.values():  # ascending
+                combined = summary if combined is None else merge(combined, summary)
+            return self.agg.lower(combined)
+        combined = panes[self._open]
+        if self._back is not None:
+            combined = merge(self._back, combined)
+        if self._front:
+            combined = merge(self._front[-1][1], combined)
         return self.agg.lower(combined)
 
     @property
@@ -291,7 +390,7 @@ class PanedWindow:
 
     @property
     def slot_count(self) -> int:
-        return sum(self.agg.slots(s) for s in self.panes.values())
+        return self._slots
 
     def max_panes(self) -> int:
         return math.ceil(self.duration / self.pane_width) + 1

@@ -438,10 +438,10 @@ def _aggregate(agg, samples, out_ty):
     if agg is AggFn.AVG:
         total = sum(values)
         return total // len(values) if out_ty is ValueType.INT else total / len(values)
-    if agg is AggFn.MIN:
-        return min(values)
-    if agg is AggFn.MAX:
-        return max(values)
+    if agg in (AggFn.MIN, AggFn.MAX):
+        if any(v != v for v in values):
+            return float("nan")  # NaN anywhere in the window wins
+        return min(values) if agg is AggFn.MIN else max(values)
     if agg is AggFn.MEDIAN:
         if out_ty is ValueType.INT:
             return statistics.median_low(sorted(values))

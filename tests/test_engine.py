@@ -1,3 +1,5 @@
+import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -320,6 +322,43 @@ def test_rejected_event_leaves_state_unchanged():
     assert m.clock_ts == 2.0
     assert m.streams["a"].instances[()].buf[-1] == (2.0, 7)
     assert m.streams["x"].instances[()].buf[-1] == (2.0, 7)
+
+
+def _bounded_ticks(m, limit=100):
+    """Cap the monitor's tick generator, so that a timestamp that would make
+    it yield forever fails the test instead of hanging it."""
+    ticks = m._ticks_until
+    m._ticks_until = lambda ts: itertools.islice(ticks(ts), limit)
+
+
+@pytest.mark.parametrize("ts", [math.nan, math.inf, -math.inf])
+def test_non_finite_timestamp_rejected_with_clock(ts):
+    m = Monitor(typed("input int a\noutput int x := a?0\noutput int c : 1Hz := a?0"))
+    _bounded_ticks(m)
+    m.process(Event(1.0, {"a": 1}))
+    before = _state(m)
+    with pytest.raises(EngineError):
+        m.process(Event(ts, {"a": 7}))
+    assert _state(m) == before
+    with pytest.raises(EngineError):
+        m.var_rate_step(Event(ts, {"a": 7}))
+    assert _state(m) == before
+    m.process(Event(2.0, {"a": 7}))
+    assert m.clock_ts == 2.0
+
+
+def test_nan_timestamp_cannot_reopen_the_past():
+    """Without clocks no tick loop hangs, but a NaN clock would let a later,
+    earlier-dated event pass the out-of-order check."""
+    m = Monitor(typed("input int a\noutput int x := a"))
+    m.process(Event(5.0, {"a": 1}))
+    before = _state(m)
+    with pytest.raises(EngineError):
+        m.process(Event(math.nan, {"a": 2}))
+    assert _state(m) == before
+    with pytest.raises(OutOfOrderError):
+        m.process(Event(1.0, {"a": 3}))
+    assert m.clock_ts == 5.0
 
 
 def test_unbounded_refusal_and_override():

@@ -50,6 +50,15 @@ def test_read_trace_rejects_decreasing_ts(tmp_path, pid_tspec):
     assert "row 3" in str(err.value)
 
 
+@pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "Infinity"])
+def test_read_trace_rejects_non_finite_ts(tmp_path, pid_tspec, cell):
+    path = tmp_path / "t.csv"
+    path.write_text(f"time,temperature,reference\n1.0,20.0,\n{cell},20.0,\n")
+    with pytest.raises(TraceError) as err:
+        list(read_trace(str(path), pid_tspec))
+    assert "row 3" in str(err.value) and "non-finite" in str(err.value)
+
+
 def test_read_trace_rejects_bad_header(tmp_path, pid_tspec):
     path = tmp_path / "t.csv"
     path.write_text("time,temperature,wrong\n1.0,20.0,1\n")

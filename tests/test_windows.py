@@ -1,4 +1,5 @@
 import math
+import random
 import statistics
 from fractions import Fraction
 
@@ -63,10 +64,10 @@ def _aggregate(agg, kept):
         return UNDEFINED
     if agg is AggFn.AVG:
         return sum(values) / len(values)
-    if agg is AggFn.MIN:
-        return min(values)
-    if agg is AggFn.MAX:
-        return max(values)
+    if agg in (AggFn.MIN, AggFn.MAX):
+        if any(math.isnan(v) for v in values):
+            return math.nan  # NaN anywhere in the window wins
+        return min(values) if agg is AggFn.MIN else max(values)
     if agg is AggFn.MEDIAN:
         return statistics.median(values)
     if agg is AggFn.INTEGRAL:
@@ -86,6 +87,8 @@ def _close(a, b, tol=1e-9):
         return a is b
     if isinstance(a, bool) or isinstance(b, bool):
         return a == b
+    if a != a or b != b:
+        return a != a and b != b  # both NaN
     return math.isclose(a, b, rel_tol=tol, abs_tol=tol)
 
 
@@ -334,3 +337,146 @@ def test_no_double_count_across_period_windows():
         v = w.evaluate(tick)
         total += v
     assert total == 5.0
+
+
+# -- NaN in min/max -----------------------------------------------------------
+
+
+@given(_traces(), st.sampled_from([AggFn.MIN, AggFn.MAX]), st.data())
+@settings(max_examples=200, deadline=None)
+def test_extremum_nan_wins_wherever_it_arrives(trace, agg, data):
+    """A NaN anywhere in the window makes min/max NaN, whatever its position,
+    so the result does not depend on how the panes are grouped."""
+    events, r, z = trace
+    nans = data.draw(st.sets(st.integers(0, len(events) - 1)))
+    events = [(t, math.nan if i in nans else v) for i, (t, v) in enumerate(events)]
+    w = PanedWindow(r, z, make_aggregator(agg, ValueType.DOUBLE))
+    for i, (t, v) in enumerate(events):
+        w.register(v, t)
+        got, want = w.evaluate(t), _oracle(agg, events[: i + 1], t, r, z)
+        assert _close(got, want), (agg, t, got, want)
+    last = events[-1][0]
+    for ts in (last + float(r) / 2, last + float(r) + 1):
+        assert _close(w.evaluate(ts), _oracle(agg, events, ts, r, z))
+
+
+# -- Two-Stacks against a left-fold re-merge ----------------------------------
+
+#: (aggregation, value type, exact): exact results must match the left fold
+#: bit for bit; the others only reassociate float additions
+_DIFFERENTIAL = [
+    (AggFn.COUNT, ValueType.INT, True),
+    (AggFn.SUM, ValueType.INT, True),
+    (AggFn.SUM, ValueType.DOUBLE, False),
+    (AggFn.AVG, ValueType.INT, True),
+    (AggFn.AVG, ValueType.DOUBLE, False),
+    (AggFn.MIN, ValueType.DOUBLE, True),
+    (AggFn.MAX, ValueType.DOUBLE, True),
+    (AggFn.INTEGRAL, ValueType.DOUBLE, False),
+    (AggFn.MEDIAN, ValueType.DOUBLE, True),
+    (AggFn.MEDIAN, ValueType.INT, True),
+]
+
+_STEP = st.one_of(
+    st.just(0.0),  # bursts into one pane
+    st.floats(0.0, 0.1),  # several values per pane at r/z = 256
+    st.floats(0.0, 3.0),
+    st.floats(0.0, 20.0),  # jumps past the whole window
+)
+
+
+def _left_fold(agg, summaries):
+    combined = None
+    for summary in summaries:
+        combined = summary if combined is None else agg.merge(combined, summary)
+    return combined
+
+
+def _magnitude(agg, kept):
+    """The aggregate of the absolute values: float reassociation error is
+    relative to this, not to a result that cancellation can bring near 0."""
+    if agg is AggFn.INTEGRAL:
+        return sum(
+            (t1 - t0) * (abs(v0) + abs(v1)) / 2.0
+            for (t0, v0), (t1, v1) in zip(kept, kept[1:])
+        )
+    total = sum(abs(v) for _, v in kept)
+    return total / len(kept) if agg is AggFn.AVG else total
+
+
+@given(
+    st.sampled_from(_DIFFERENTIAL),
+    st.sampled_from([1, 4, 256]),
+    st.lists(
+        st.tuples(
+            st.sampled_from(["register", "register", "evaluate", "evict"]),
+            _STEP,
+            st.integers(-10**6, 10**6),
+        ),
+        min_size=1,
+        max_size=150,
+    ),
+)
+@settings(max_examples=300, deadline=None)
+def test_two_stacks_equals_left_fold(case, ratio, ops):
+    agg_fn, ty, exact = case
+    r = Fraction(8)
+    z = r / ratio
+    agg = make_aggregator(agg_fn, ty)
+    w = PanedWindow(r, z, agg)
+    events = []
+    now = 0.0
+    for op, dt, raw in ops:
+        now += dt
+        value = raw if ty is ValueType.INT else raw / 7.0
+        if op == "register":
+            w.register(value, now)
+            events.append((now, value))
+        elif op == "evaluate":
+            w.evaluate(now)
+        else:
+            w.evict(now)
+        got = w.evaluate(now)
+        assert w.pane_count <= w.max_panes()
+        per_pane = [len(s) if agg.raw else 1 for s in w.panes.values()]
+        assert w.slot_count == sum(per_pane)
+        if not w.panes:
+            assert got == (0 if agg_fn in (AggFn.COUNT, AggFn.SUM) else UNDEFINED)
+            continue
+        want = agg.lower(_left_fold(agg, w.panes.values()))
+        if exact:
+            assert got == want and type(got) is type(want), (op, got, want)
+        else:
+            kept = _retained(events, now, r, z)
+            scale = max(1.0, abs(want), _magnitude(agg_fn, kept))
+            assert abs(got - want) <= 1e-12 * scale, (op, got, want, scale)
+
+
+# -- evaluation cost does not grow with r/z -----------------------------------
+
+
+@pytest.mark.parametrize("ratio", [4, 256])
+def test_evaluate_merges_do_not_grow_with_panes(ratio):
+    """20k events at about 4 per second into a 10 s avg window, evaluated
+    after every registration: a re-merge of the retained panes would take
+    about 40 merges per evaluation at r/z = 256."""
+    r = Fraction(10)
+    agg = make_aggregator(AggFn.AVG, ValueType.DOUBLE)
+    merges = 0
+    merge = agg.merge
+
+    def counting_merge(left, right):
+        nonlocal merges
+        merges += 1
+        return merge(left, right)
+
+    agg.merge = counting_merge
+    w = PanedWindow(r, r / ratio, agg)
+    rng = random.Random(7)
+    t = 0.0
+    n = 20_000
+    for _ in range(n):
+        t += rng.expovariate(4.0)
+        w.register(rng.uniform(-50.0, 50.0), t)
+        w.evaluate(t)
+    assert merges / n <= 5, merges / n
