@@ -516,7 +516,6 @@ class BufferPlan:
 
     count_keep: int = 1
     time_keep: Optional[Fraction] = None  # seconds into the past
-    unbounded: bool = False  # real-time offset into a variable-rate stream
 
 
 def buffer_plans(adg: AnnotatedDependencyGraph) -> dict[str, BufferPlan]:
@@ -530,8 +529,6 @@ def buffer_plans(adg: AnnotatedDependencyGraph) -> dict[str, BufferPlan]:
                 keep = -d
                 if plan.time_keep is None or keep > plan.time_keep:
                     plan.time_keep = keep
-                if adg.rate[e.target].is_var:
-                    plan.unbounded = True
     return plans
 
 

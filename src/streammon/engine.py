@@ -25,17 +25,27 @@ at the evaluation instant never see the simultaneous event.
 Verdicts are emitted in non-decreasing timestamp order. Output values are
 reported for fixed-rate extensions; variable-rate steps report triggers and
 warnings only.
+
+Every template, lifecycle and trigger expression is compiled once, when the
+Monitor is built, into a closure over the monitor's streams (see
+`compiler`); a step runs those closures and walks no syntax tree. Parameters
+travel as the instance's alpha tuple, indexed by position.
+
+Clock ticks are integers on a grid of 1/D seconds, D being the least common
+multiple of the clock frequencies' numerators, so a clock of p/q Hz ticks
+every D*q/p grid units. The scheduler compares and advances integers only. A
+tick becomes an instant once, when its step begins: the float tick / D when D
+is a power of two (which is exact), a Fraction otherwise. Windows, buffers
+and verdicts see that instant.
 """
 
 from __future__ import annotations
 
-import copy
 import itertools
 import math
-from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from typing import Iterable, Iterator, Optional
+from typing import Callable, Iterable, Iterator, Optional
 
 from .analysis import (
     AnnotatedDependencyGraph,
@@ -50,32 +60,27 @@ from .analysis import (
 from .ast import (
     AggFn,
     Binary,
-    Const,
-    Default,
     DiscreteOffset,
     Expr,
-    FnCall,
-    IfThenElse,
     ParamRef,
-    RealTimeOffset,
     StreamAccess,
     StreamTemplate,
     TriggerDecl,
     TriggerKind,
-    TupleExpr,
-    Unary,
     ValueType,
     WindowAccess,
     accesses,
     template_expressions,
     walk,
 )
+from .compiler import OPERATORS, Compiled, Compiler
 from .diagnostics import (
     AnalysisRefusal,
     Diagnostic,
     EngineError,
     OutOfOrderError,
 )
+from .parser import _expr_str
 from .typecheck import TypedSpec
 from .values import UNDEFINED, saturate_i64
 from .windows import PanedWindow, make_aggregator
@@ -147,7 +152,7 @@ class _WindowPlan:
 @dataclass
 class _Disjunct:
     positions: tuple[int, ...]  # parameter positions bound by this disjunct
-    inputs: tuple[str, ...]  # input stream bound to each position
+    bufs: tuple[list, ...]  # value buffer of the input bound to each position
     full: bool
 
 
@@ -164,86 +169,72 @@ _MAX_DISJUNCTS = 64
 
 
 class _StreamRT:
-    """Per-stream runtime state and precomputed plans."""
+    """Per-stream runtime state, precomputed plans and compiled expressions."""
 
     __slots__ = (
         "name",
-        "is_input",
         "tpl",
         "value_ty",
         "buffer_plan",
         "window_plans",
         "instances",
         "indexes",
-        "index_subsets",
         "efficient",
         "ext_plan",
         "ter_plan",
         "expr_gate",
         "eta_bound",
         "eta_warned",
+        "period",
+        "invokes",
+        "invoke_fn",
+        "extend_fn",
+        "terminate_fn",
+        "expr_fn",
     )
 
-    def __init__(self, name: str, is_input: bool, tpl, value_ty):
+    def __init__(self, name: str, tpl, value_ty):
         self.name = name
-        self.is_input = is_input
-        self.tpl: Optional[StreamTemplate] = tpl
+        self.tpl: Optional[StreamTemplate] = tpl  # None for an input
         self.value_ty: ValueType = value_ty
         self.buffer_plan = BufferPlan()
         self.window_plans: list[_WindowPlan] = []
         self.instances: dict[tuple, Instance] = {}
+        #: parameter positions -> their values -> alphas of live instances
         self.indexes: dict[tuple, dict] = {}
-        self.index_subsets: list[tuple[int, ...]] = []
         self.efficient = True
         self.ext_plan: Optional[_CondPlan] = None
         self.ter_plan: Optional[_CondPlan] = None
         self.expr_gate: frozenset[str] = frozenset()
         self.eta_bound: Optional[int] = None
         self.eta_warned = False
+        self.period: Optional[int] = None  # clock period in grid ticks
+        #: templates whose invoke expression reads this stream
+        self.invokes: list[_StreamRT] = []
+        #: compiled invoke, extend, terminate and value expressions; invoke
+        #: yields the parameter tuple of the instance to invoke
+        self.invoke_fn: Optional[Compiled] = None
+        self.extend_fn: Optional[Compiled] = None
+        self.terminate_fn: Optional[Compiled] = None
+        self.expr_fn: Optional[Compiled] = None
 
     def new_instance(self, alpha: tuple) -> Instance:
         inst = Instance(alpha, {p.wkey: p.new_state() for p in self.window_plans})
         self.instances[alpha] = inst
-        for subset in self.index_subsets:
-            key = tuple(alpha[i] for i in subset)
-            self.indexes[subset].setdefault(key, set()).add(alpha)
+        for subset, index in self.indexes.items():
+            index.setdefault(tuple(alpha[i] for i in subset), set()).add(alpha)
         return inst
 
     def drop_instance(self, alpha: tuple) -> Instance:
         inst = self.instances.pop(alpha)
-        for subset in self.index_subsets:
+        for subset, index in self.indexes.items():
             key = tuple(alpha[i] for i in subset)
-            bucket = self.indexes[subset].get(key)
+            bucket = index.get(key)
             if bucket:
                 bucket.discard(alpha)
                 if not bucket:
-                    del self.indexes[subset][key]
+                    del index[key]
         return inst
-
-
-class _Env:
-    __slots__ = ("alpha", "ts", "scope_name", "scope_inst", "self_key")
-
-    def __init__(
-        self, alpha=None, ts=0.0, scope_name=None, scope_inst=None, self_key=None
-    ):
-        self.alpha = alpha or {}
-        self.ts = ts
-        self.scope_name = scope_name
-        self.scope_inst = scope_inst
-        #: (stream, alpha) whose value is being computed right now; its own
-        #: in-flight value counts as the latest for self-offsets
-        self.self_key = self_key
-
-
-_CMP = {
-    "=": lambda a, b: a == b,
-    "!=": lambda a, b: a != b,
-    "<": lambda a, b: a < b,
-    "<=": lambda a, b: a <= b,
-    ">": lambda a, b: a > b,
-    ">=": lambda a, b: a >= b,
-}
 
 
 class Monitor:
@@ -268,11 +259,8 @@ class Monitor:
             raise EngineError([Diagnostic(f"unknown mode {mode!r}")])
         if mode == "fixed" and frequency is None:
             raise EngineError([Diagnostic("fixed mode needs a frequency")])
-        tspec = copy.deepcopy(tspec)
         if mode == "fixed":
-            for tpl in tspec.spec.outputs:
-                if tpl.clock is None:
-                    tpl.clock = Fraction(frequency)
+            tspec = _with_clock(tspec, Fraction(frequency))
         self.tspec = tspec
         self.mode = mode
         self.adg: AnnotatedDependencyGraph = build_adg(tspec)
@@ -297,12 +285,6 @@ class Monitor:
             d.name for d in tspec.spec.inputs if not d.is_time
         )
 
-        # Tick schedule: one counter per distinct clock frequency.
-        freqs = sorted(
-            {tpl.clock for tpl in tspec.spec.outputs if tpl.clock is not None}
-        )
-        self._tick_counters: list[list] = [[f, 1] for f in freqs]
-
         # per-step scratch
         self._step_extended: dict[str, list[tuple]] = {}
         self._step_invoked: dict[str, list[tuple]] = {}
@@ -316,17 +298,13 @@ class Monitor:
         tspec = self.tspec
         plans = buffer_plans(self.adg)
         self.streams: dict[str, _StreamRT] = {}
-        self.stream_order: list[str] = []
         for decl in tspec.spec.inputs:
-            rt = _StreamRT(decl.name, True, None, decl.ty)
-            self.streams[decl.name] = rt
-            self.stream_order.append(decl.name)
+            self.streams[decl.name] = _StreamRT(decl.name, None, decl.ty)
         for tpl in tspec.spec.outputs:
-            rt = _StreamRT(tpl.name, False, tpl, tpl.ty)
+            rt = _StreamRT(tpl.name, tpl, tpl.ty)
             rt.efficient = classify_efficiently_bound(tpl, tspec)
             rt.eta_bound = instance_bounds.get(tpl.name)
             self.streams[tpl.name] = rt
-            self.stream_order.append(tpl.name)
         for name, rt in self.streams.items():
             rt.buffer_plan = plans[name]
 
@@ -346,58 +324,65 @@ class Monitor:
                             )
                         )
 
-        # invoke table and lifecycle plans
-        self.invoked_by: dict[str, list[str]] = {name: [] for name in self.streams}
+        # inputs and plain outputs exist from the start of the trace
+        for rt in self.streams.values():
+            if rt.tpl is None or not rt.tpl.params:
+                rt.new_instance(())
+        #: (stream, its instance, binding name or None for the time input),
+        #: in declaration order
+        self._inputs = []
+        for decl in tspec.spec.inputs:
+            rt = self.streams[decl.name]
+            name = None if decl.is_time else decl.name
+            self._inputs.append((rt, rt.instances[()], name))
+
+        # invoke table, lifecycle plans and compiled expressions
         for tpl in tspec.spec.outputs:
             rt = self.streams[tpl.name]
             if tpl.invoke is not None:
                 for node in accesses(tpl.invoke):
                     if isinstance(node, StreamAccess):
-                        self.invoked_by[node.stream].append(tpl.name)
-            if tpl.extend is not None and tpl.params:
-                rt.ext_plan = self._cond_plan(tpl, tpl.extend)
+                        self.streams[node.stream].invokes.append(rt)
+                rt.invoke_fn = Compiler(self).compile_invoke(tpl.invoke)
+            if tpl.extend is not None:
+                rt.extend_fn = Compiler(self, tpl.params).compile(tpl.extend)
+                if tpl.params:
+                    rt.ext_plan = self._cond_plan(tpl, tpl.extend)
             if tpl.terminate is not None:
+                rt.terminate_fn = Compiler(self, tpl.params).compile(tpl.terminate)
                 rt.ter_plan = self._cond_plan(tpl, tpl.terminate)
-            rt.expr_gate = frozenset(
-                node.stream for node in accesses(tpl.expr)
-            )
-            for subset in {
-                d.positions
-                for plan in (rt.ext_plan, rt.ter_plan)
-                if plan is not None
-                for d in plan.disjuncts
-                if not d.full
-            }:
-                rt.index_subsets.append(subset)
-                rt.indexes[subset] = {}
+            rt.expr_fn = Compiler(self, tpl.params, own=tpl.name).compile(tpl.expr)
+            rt.expr_gate = frozenset(node.stream for node in accesses(tpl.expr))
+            for plan in (rt.ext_plan, rt.ter_plan):
+                if plan is not None:
+                    for d in plan.disjuncts:
+                        if not d.full:
+                            rt.indexes[d.positions] = {}
 
-        # evaluation orders
-        order = self.adg.template_order()
+        # evaluation orders: unclocked templates that can extend on an
+        # event, clocked templates, and templates that can terminate
+        order = [self.streams[name] for name in self.adg.template_order()]
         self._var_order = [
-            name for name in order if self.streams[name].tpl.clock is None
+            rt
+            for rt in order
+            if rt.tpl.clock is None
+            and (not rt.tpl.params or (rt.efficient and rt.ext_plan is not None))
         ]
-        self._clocked_order = [
-            name for name in order if self.streams[name].tpl.clock is not None
-        ]
-        self._with_terminate = [
-            name for name in order if self.streams[name].tpl.terminate is not None
+        self._clocked_order = [rt for rt in order if rt.tpl.clock is not None]
+        self._with_terminate = [rt for rt in order if rt.tpl.terminate is not None]
+
+        # the tick grid: one [next tick, period] counter per distinct clock
+        clocks = {rt.tpl.clock for rt in self._clocked_order}
+        self._grid = math.lcm(*(f.numerator for f in clocks))
+        self._dyadic = self._grid & (self._grid - 1) == 0
+        for rt in self._clocked_order:
+            clock = rt.tpl.clock
+            rt.period = self._grid * clock.denominator // clock.numerator
+        self._clocks = [
+            [p, p] for p in sorted({rt.period for rt in self._clocked_order})
         ]
 
-        # trigger dependency sets
-        self._trigger_gates: list[frozenset[str]] = []
-        for trig in tspec.spec.triggers:
-            if trig.kind is TriggerKind.COUNT:
-                self._trigger_gates.append(frozenset([trig.count_stream]))
-            else:
-                self._trigger_gates.append(
-                    frozenset(node.stream for node in accesses(trig.condition))
-                )
-
-        # inputs and plain outputs exist from the start of the trace
-        for name in self.stream_order:
-            rt = self.streams[name]
-            if rt.is_input or not rt.tpl.params:
-                rt.new_instance(())
+        self._triggers = [self._compile_trigger(t) for t in tspec.spec.triggers]
 
     def _cond_plan(self, tpl: StreamTemplate, cond: Expr) -> _CondPlan:
         gate = frozenset(node.stream for node in accesses(cond))
@@ -416,10 +401,61 @@ class Monitor:
             if not bound:
                 return _CondPlan(gate, "scan")
             pos = tuple(sorted(bound))
-            disjuncts.append(
-                _Disjunct(pos, tuple(bound[i] for i in pos), len(bound) == k)
-            )
+            bufs = tuple(self.streams[bound[i]].instances[()].buf for i in pos)
+            disjuncts.append(_Disjunct(pos, bufs, len(bound) == k))
         return _CondPlan(gate, "lookup", disjuncts)
+
+    def _compile_trigger(self, trig: TriggerDecl) -> tuple[frozenset, Callable]:
+        """The trigger's gate, the streams whose change in a step makes it
+        checked, and its check(ts, extended) -> Verdict or None, with the
+        message fixed here."""
+        if trig.kind is TriggerKind.COUNT:
+            counted = self.streams[trig.count_stream]
+            holds, bound = OPERATORS[trig.count_cmp], trig.count_value
+            message = trig.message or (
+                f"count({trig.count_stream}) {trig.count_cmp} {trig.count_value}"
+            )
+
+            def count(ts, extended):
+                n = len(counted.instances)
+                if holds(n, bound):
+                    return Verdict(float(ts), "trigger", counted.name, None, n, message)
+                return None
+
+            return frozenset([trig.count_stream]), count
+
+        gate = frozenset(node.stream for node in accesses(trig.condition))
+        text = _expr_str(trig.condition)
+        if trig.kind is TriggerKind.ANY:
+            scope = self.streams[trig.scope]
+            cond = Compiler(self, scope.tpl.params, scope=scope.name).compile(
+                trig.condition
+            )
+            message = trig.message or f"any({text})"
+
+            def any_instance(ts, extended):
+                alphas = extended.get(scope.name)
+                if not alphas:
+                    return None
+                instances = scope.instances
+                for alpha in sorted(set(alphas)):
+                    if alpha in instances and cond(alpha, ts) is True:
+                        return Verdict(
+                            float(ts), "trigger", scope.name, alpha, True, message
+                        )
+                return None
+
+            return gate, any_instance
+
+        cond = Compiler(self).compile(trig.condition)
+        message = trig.message or text
+
+        def plain(ts, extended):
+            if cond((), ts) is True:
+                return Verdict(float(ts), "trigger", None, None, True, message)
+            return None
+
+        return gate, plain
 
     # -- public API -----------------------------------------------------------
 
@@ -432,8 +468,9 @@ class Monitor:
         """
         self._check_event(event)
         out: list[Verdict] = []
-        for tick in self._ticks_until(event.ts):
-            out.extend(self.fixed_rate_step(tick))
+        if self._clocks:
+            for tick in self._ticks_until(event.ts):
+                out.extend(self.fixed_rate_step(tick))
         out.extend(self.var_rate_step(event))
         return out
 
@@ -441,15 +478,18 @@ class Monitor:
         for event in events:
             yield from self.process(event)
 
-    def _ticks_until(self, ts) -> Iterator[Fraction]:
-        while self._tick_counters:
-            due = min(k / f for f, k in self._tick_counters)
-            if due > ts:
+    def _ticks_until(self, ts) -> Iterator[int]:
+        """The grid ticks at or before instant ts, in order."""
+        clocks = self._clocks
+        n, d = ts.as_integer_ratio()
+        last = n * self._grid // d
+        while clocks:
+            due = min([c[0] for c in clocks])
+            if due > last:
                 return
-            for counter in self._tick_counters:
-                f, k = counter
-                if k / f == due:
-                    counter[1] = k + 1
+            for counter in clocks:
+                if counter[0] == due:
+                    counter[0] = due + counter[1]
             yield due
 
     def _check_event(self, event: Event) -> None:
@@ -490,111 +530,98 @@ class Monitor:
         self.events_processed += 1
 
         # 1: extend bound inputs, register into depending windows
-        for name in self.stream_order:
-            rt = self.streams[name]
-            if not rt.is_input:
-                continue
-            if self.tspec.time_input == name:
+        bindings = event.bindings
+        for rt, inst, name in self._inputs:
+            if name is None:
                 value = float(ts)
-            elif name in event.bindings:
-                value = event.bindings[name]
+            elif name in bindings:
+                value = bindings[name]
             else:
                 continue
-            self._extend(rt, rt.instances[()], ts, value, emit=False)
+            self._extend(rt, inst, ts, value, False)
 
         # 2 + 3: extend unclocked templates in dependency order; invocations
         # happen inside _extend, so invoked instances of later templates are
         # picked up within the same pass
-        for name in self._var_order:
-            rt = self.streams[name]
-            tpl = rt.tpl
-            if tpl.params:
-                if not rt.efficient or rt.ext_plan is None:
+        extended, done = self._step_extended, self._step_done
+        for rt in self._var_order:
+            plan = rt.ext_plan
+            if plan is None:  # a plain stream
+                if rt.expr_gate.isdisjoint(extended):
                     continue
-                plan = rt.ext_plan
-                if not (plan.gate & self._step_extended.keys()):
+                if rt.extend_fn is not None and rt.extend_fn((), ts) is not True:
                     continue
-                for alpha in self._candidates(rt, plan):
-                    inst = rt.instances.get(alpha)
-                    if inst is None or (name, alpha) in self._step_done:
-                        continue
-                    env = _Env(dict(zip((p.name for p in tpl.params), alpha)), ts)
-                    if self._eval(tpl.extend, env) is not True:
-                        continue
-                    self._compute_and_extend(rt, inst, ts, env, emit=False)
-            else:
-                if not (rt.expr_gate & self._step_extended.keys()):
-                    continue
-                if tpl.extend is not None:
-                    if self._eval(tpl.extend, _Env({}, ts)) is not True:
-                        continue
                 inst = rt.instances.get(())
-                if inst is not None and (name, ()) not in self._step_done:
-                    self._compute_and_extend(rt, inst, ts, _Env({}, ts), emit=False)
+                if inst is not None and (rt.name, ()) not in done:
+                    self._compute_and_extend(rt, inst, ts, (), False)
+                continue
+            if plan.gate.isdisjoint(extended):
+                continue
+            instances = rt.instances
+            for alpha in self._candidates(rt, plan):
+                inst = instances.get(alpha)
+                if inst is None or (rt.name, alpha) in done:
+                    continue
+                if rt.extend_fn(alpha, ts) is not True:
+                    continue
+                self._compute_and_extend(rt, inst, ts, alpha, False)
 
         # 4: terminations of unclocked templates whose condition deps ticked
-        self._run_terminations(ts, due=None)
+        self._run_terminations(ts, None)
 
         # 5: triggers
         self._verdicts.extend(self.evaluate_triggers(ts))
         self.verdicts_emitted += len(self._verdicts)
         return self._verdicts
 
-    def fixed_rate_step(self, ts: Fraction) -> list[Verdict]:
-        """Evaluate every clocked stream due at tick time ts (= k/y)."""
+    def fixed_rate_step(self, tick: int) -> list[Verdict]:
+        """Evaluate every clocked stream due at grid tick `tick`, the instant
+        tick / D seconds (see the module docstring)."""
+        grid = self._grid
+        ts = tick / grid if self._dyadic else Fraction(tick, grid)
         self._begin_step(ts)
-        due = [name for name in self._clocked_order if self._due(name, ts)]
+        due = [rt for rt in self._clocked_order if tick % rt.period == 0]
+        done = self._step_done
         undefined_skips: list[tuple[_StreamRT, Instance]] = []
         progress = True
         while progress:
             progress = False
-            for name in due:
-                rt = self.streams[name]
-                tpl = rt.tpl
-                for alpha in list(rt.instances.keys()):
-                    if (name, alpha) in self._step_done:
+            for rt in due:
+                name, extend_fn, instances = rt.name, rt.extend_fn, rt.instances
+                for alpha in list(instances):
+                    if (name, alpha) in done:
                         continue
-                    inst = rt.instances.get(alpha)
+                    inst = instances.get(alpha)
                     if inst is None:
                         continue
-                    env = _Env(
-                        dict(zip((p.name for p in tpl.params), alpha)), ts
-                    )
-                    if tpl.extend is not None and self._eval(tpl.extend, env) is not True:
+                    if extend_fn is not None and extend_fn(alpha, ts) is not True:
                         continue
-                    if self._compute_and_extend(rt, inst, ts, env, emit=True):
+                    if self._compute_and_extend(rt, inst, ts, alpha, True):
                         progress = True
                     else:
                         undefined_skips.append((rt, inst))
         for rt, inst in undefined_skips:
-            if (rt.name, inst.alpha) not in self._step_done:
-                self._step_done.add((rt.name, inst.alpha))
+            if (rt.name, inst.alpha) not in done:
+                done.add((rt.name, inst.alpha))
                 self._warn(
                     ts,
                     f"{_instance_name(rt.name, inst.alpha)}: undefined access "
                     "without a default; value skipped for this tick",
                 )
-        self._run_terminations(ts, due=set(due))
+        self._run_terminations(ts, due)
         self._verdicts.extend(self.evaluate_triggers(ts))
         self.verdicts_emitted += len(self._verdicts)
         return self._verdicts
 
-    def _due(self, name: str, ts: Fraction) -> bool:
-        clock = self.streams[name].tpl.clock
-        k = Fraction(ts) * clock
-        return k.denominator == 1 and k >= 1
-
     # -- extension ---------------------------------------------------------------
 
     def _compute_and_extend(
-        self, rt: _StreamRT, inst: Instance, ts, env: _Env, emit: bool
+        self, rt: _StreamRT, inst: Instance, ts, alpha: tuple, emit: bool
     ) -> bool:
         """Evaluate the template expression and extend; returns False when the
         value is undefined (variable-rate steps warn immediately, fixed-rate
         steps retry until the tick's fixpoint)."""
-        env.self_key = (rt.name, inst.alpha)
-        value = self._eval(rt.tpl.expr, env)
-        env.self_key = None
+        value = rt.expr_fn(alpha, ts)
         if value is UNDEFINED:
             if not emit:
                 self._step_done.add((rt.name, inst.alpha))
@@ -609,81 +636,44 @@ class Monitor:
         return True
 
     def _extend(self, rt: _StreamRT, inst: Instance, ts, value, emit: bool) -> None:
-        value = self._coerce(rt, ts, value)
-        inst.buf.append((ts, value))
+        ty = rt.value_ty
+        if ty is ValueType.DOUBLE:
+            value = float(value)
+        elif ty is ValueType.INT:
+            value, overflowed = saturate_i64(value)
+            if overflowed:
+                self._warn(ts, f"{rt.name}: integer overflow, value saturated")
+        buf = inst.buf
+        buf.append((ts, value))
         inst.ext_count += 1
-        self.slots += 1
-        self._prune_buffer(rt, inst, ts)
-        for plan in rt.window_plans:
-            w = inst.windows[plan.wkey]
+        plan = rt.buffer_plan
+        if plan.time_keep is None:
+            drop = len(buf) - plan.count_keep
+            if drop > 0:
+                del buf[:drop]
+                slots = self.slots + 1 - drop
+            else:
+                slots = self.slots + 1
+        else:
+            slots = self.slots + 1 - _prune_by_time(plan, buf, ts)
+        for w in inst.windows.values():
             before = w.slot_count
             w.register(value, ts)
-            self.slots += w.slot_count - before
-        if self.slots > self.peak_slots:
-            self.peak_slots = self.slots
+            slots += w.slot_count - before
+        self.slots = slots
+        if slots > self.peak_slots:
+            self.peak_slots = slots
         self._step_extended.setdefault(rt.name, []).append(inst.alpha)
         if emit:
             self._verdicts.append(
                 Verdict(float(ts), "output", rt.name, inst.alpha, value)
             )
-        for dependent in self.invoked_by[rt.name]:
-            self._try_invoke(self.streams[dependent], ts)
-
-    def _coerce(self, rt: _StreamRT, ts, value):
-        if rt.value_ty is ValueType.DOUBLE:
-            return float(value)
-        if rt.value_ty is ValueType.INT:
-            clamped, overflowed = saturate_i64(value)
-            if overflowed:
-                self._warn(
-                    ts, f"{rt.name}: integer overflow, value saturated"
-                )
-            return clamped
-        return value
-
-    def _prune_buffer(self, rt: _StreamRT, inst: Instance, ts) -> None:
-        plan = rt.buffer_plan
-        buf = inst.buf
-        keep = plan.count_keep
-        horizon = None
-        if plan.time_keep is not None:
-            horizon = Fraction(ts) - plan.time_keep
-        drop = 0
-        n = len(buf)
-        while n - drop > keep:
-            if horizon is None:
-                drop += 1
-                continue
-            # buf[drop] may be dropped only if the *next* entry still covers
-            # the horizon (sample-and-hold needs one value at or before it)
-            if buf[drop + 1][0] <= horizon:
-                drop += 1
-            else:
-                break
-        if drop:
-            del buf[:drop]
-            self.slots -= drop
+        for dependent in rt.invokes:
+            self._try_invoke(dependent, ts)
 
     def _try_invoke(self, rt: _StreamRT, ts) -> None:
-        tpl = rt.tpl
-        if tpl is None or tpl.invoke is None:
-            return
-        invoke = tpl.invoke
-        env = _Env({}, ts)
-        if isinstance(invoke, TupleExpr):
-            values = []
-            for item in invoke.items:
-                v = self._eval(item, env)
-                if v is UNDEFINED:
-                    return
-                values.append(v)
-            alpha = tuple(values)
-        else:
-            v = self._eval(invoke, env)
-            if v is UNDEFINED:
-                return
-            alpha = (v,)
-        if alpha in rt.instances:
+        alpha = rt.invoke_fn((), ts)
+        if alpha is UNDEFINED or alpha in rt.instances:
             return
         rt.new_instance(alpha)
         self._step_invoked.setdefault(rt.name, []).append(alpha)
@@ -701,293 +691,107 @@ class Monitor:
 
     # -- termination ---------------------------------------------------------------
 
-    def _run_terminations(self, ts, due: Optional[set[str]]) -> None:
-        for name in self._with_terminate:
-            rt = self.streams[name]
-            tpl = rt.tpl
-            plan = rt.ter_plan
-            if due is not None and tpl.clock is not None:
-                # fixed-rate step: a clocked template checks terminate on its
-                # own ticks
-                if name not in due:
+    def _run_terminations(self, ts, due: Optional[list[_StreamRT]]) -> None:
+        """`due` holds the clocked streams due at this tick; None in a
+        variable-rate step."""
+        extended = self._step_extended
+        for rt in self._with_terminate:
+            if rt.period is not None:
+                # a clocked template checks terminate on its own ticks only
+                if due is None or rt not in due:
                     continue
-                candidates = sorted(rt.instances.keys())
-            elif tpl.clock is not None:
-                continue  # clocked templates terminate on ticks only
+                candidates = sorted(rt.instances)
             else:
-                if not (plan.gate & self._step_extended.keys()):
+                plan = rt.ter_plan
+                if plan.gate.isdisjoint(extended):
                     continue
                 if plan.mode == "scan":
-                    candidates = sorted(rt.instances.keys())
+                    candidates = sorted(rt.instances)
                 else:
                     candidates = self._candidates(rt, plan)
             for alpha in candidates:
-                inst = rt.instances.get(alpha)
-                if inst is None:
-                    continue
-                env = _Env(dict(zip((p.name for p in tpl.params), alpha)), ts)
-                if self._eval(tpl.terminate, env) is True:
+                if alpha in rt.instances and rt.terminate_fn(alpha, ts) is True:
                     dropped = rt.drop_instance(alpha)
                     self.slots -= len(dropped.buf)
                     self.slots -= sum(
                         w.slot_count for w in dropped.windows.values()
                     )
-                    self._step_terminated.setdefault(name, []).append(alpha)
+                    self._step_terminated.setdefault(rt.name, []).append(alpha)
 
-    def _candidates(self, rt: _StreamRT, plan: _CondPlan) -> list[tuple]:
+    @staticmethod
+    def _candidates(rt: _StreamRT, plan: _CondPlan) -> list[tuple]:
         """Instances a lifecycle condition can currently select, found without
         iterating the instance map."""
-        k = len(rt.tpl.params)
         found: set[tuple] = set()
         for d in plan.disjuncts:
             values = []
-            ok = True
-            for inp in d.inputs:
-                v = self._latest(inp)
-                if v is UNDEFINED:
-                    ok = False
+            for buf in d.bufs:
+                if not buf:
                     break
-                values.append(v)
-            if not ok:
-                continue
-            if d.full:
-                alpha_parts = [None] * k
-                for pos, v in zip(d.positions, values):
-                    alpha_parts[pos] = v
-                alpha = tuple(alpha_parts)
-                if alpha in rt.instances:
-                    found.add(alpha)
+                values.append(buf[-1][1])
             else:
-                bucket = rt.indexes[d.positions].get(tuple(values))
-                if bucket:
-                    found.update(bucket)
+                # a full disjunct binds positions 0..k-1: the key is the alpha
+                key = tuple(values)
+                if d.full:
+                    if key in rt.instances:
+                        found.add(key)
+                else:
+                    bucket = rt.indexes[d.positions].get(key)
+                    if bucket:
+                        found.update(bucket)
         return sorted(found)
-
-    def _latest(self, stream: str):
-        inst = self.streams[stream].instances.get(())
-        if inst is None or not inst.buf:
-            return UNDEFINED
-        return inst.buf[-1][1]
 
     # -- triggers --------------------------------------------------------------------
 
     def evaluate_triggers(self, ts) -> list[Verdict]:
         """Check triggers whose targets were touched during the current step."""
-        touched = (
-            self._step_extended.keys()
-            | self._step_invoked.keys()
-            | self._step_terminated.keys()
-        )
+        extended = self._step_extended
+        invoked = self._step_invoked
+        terminated = self._step_terminated
         out: list[Verdict] = []
-        for trig, gate in zip(self.tspec.spec.triggers, self._trigger_gates):
-            if not (gate & touched):
+        for gate, check in self._triggers:
+            if (
+                gate.isdisjoint(extended)
+                and gate.isdisjoint(invoked)
+                and gate.isdisjoint(terminated)
+            ):
                 continue
-            verdict = self._check_trigger(trig, ts)
+            verdict = check(ts, extended)
             if verdict is not None:
                 out.append(verdict)
         return out
 
-    def _check_trigger(self, trig: TriggerDecl, ts) -> Optional[Verdict]:
-        if trig.kind is TriggerKind.COUNT:
-            rt = self.streams[trig.count_stream]
-            n = len(rt.instances)
-            if _CMP[trig.count_cmp](n, trig.count_value):
-                message = trig.message or (
-                    f"count({trig.count_stream}) {trig.count_cmp} "
-                    f"{trig.count_value}"
-                )
-                return Verdict(float(ts), "trigger", trig.count_stream, None, n, message)
-            return None
-        if trig.kind is TriggerKind.ANY:
-            scope_rt = self.streams[trig.scope]
-            extended = self._step_extended.get(trig.scope, ())
-            for alpha in sorted(set(extended)):
-                inst = scope_rt.instances.get(alpha)
-                if inst is None:
-                    continue
-                env = _Env(
-                    dict(zip((p.name for p in scope_rt.tpl.params), alpha)),
-                    ts,
-                    scope_name=trig.scope,
-                    scope_inst=inst,
-                )
-                if self._eval(trig.condition, env) is True:
-                    return Verdict(
-                        float(ts),
-                        "trigger",
-                        trig.scope,
-                        alpha,
-                        True,
-                        trig.message or self._describe_trigger(trig),
-                    )
-            return None
-        if self._eval(trig.condition, _Env({}, ts)) is True:
-            return Verdict(
-                float(ts),
-                "trigger",
-                None,
-                None,
-                True,
-                trig.message or self._describe_trigger(trig),
-            )
-        return None
-
-    def _describe_trigger(self, trig: TriggerDecl) -> str:
-        from .parser import _expr_str
-
-        text = _expr_str(trig.condition)
-        if trig.kind is TriggerKind.ANY:
-            return f"any({text})"
-        return text
-
     def _warn(self, ts, message: str) -> None:
         self._verdicts.append(Verdict(float(ts), "warning", message=message))
 
-    # -- expression evaluation ----------------------------------------------------------
 
-    def _eval(self, expr: Expr, env: _Env):
-        match expr:
-            case Const(value=v):
-                return v
-            case ParamRef(name=name):
-                return env.alpha[name]
-            case StreamAccess():
-                return self._eval_access(expr, env)
-            case WindowAccess():
-                return self._eval_window(expr, env)
-            case Default(inner=inner, fallback=fb):
-                v = self._eval(inner, env)
-                if v is UNDEFINED:
-                    return self._eval(fb, env)
-                return v
-            case Unary(op=op, operand=operand):
-                v = self._eval(operand, env)
-                if v is UNDEFINED:
-                    return UNDEFINED
-                return (not v) if op == "!" else -v
-            case Binary():
-                return self._eval_binary(expr, env)
-            case IfThenElse(cond=c, then_branch=t, else_branch=e):
-                cv = self._eval(c, env)
-                if cv is UNDEFINED:
-                    return UNDEFINED
-                return self._eval(t if cv else e, env)
-            case FnCall(fn=fn, args=args):
-                values = []
-                for a in args:
-                    v = self._eval(a, env)
-                    if v is UNDEFINED:
-                        return UNDEFINED
-                    values.append(v)
-                return self._eval_fn(expr, fn, values)
-        raise EngineError([Diagnostic(f"cannot evaluate {expr!r}")])
+def _prune_by_time(plan: BufferPlan, buf: list, ts) -> int:
+    """Drop buffered values older than the plan's horizon ts - time_keep and
+    return how many. A value goes only if the next one still lies at or
+    before the horizon (sample-and-hold needs one value there), and at least
+    count_keep values stay."""
+    keep = plan.count_keep
+    horizon = Fraction(ts) - plan.time_keep
+    drop = 0
+    while len(buf) - drop > keep and buf[drop + 1][0] <= horizon:
+        drop += 1
+    if drop:
+        del buf[:drop]
+    return drop
 
-    def _resolve_instance(self, stream: str, args: list[Expr], env: _Env):
-        rt = self.streams[stream]
-        if args:
-            alpha = []
-            for a in args:
-                v = self._eval(a, env)
-                if v is UNDEFINED:
-                    return rt, None
-                alpha.append(v)
-            return rt, rt.instances.get(tuple(alpha))
-        if env.scope_name == stream and rt.tpl is not None and rt.tpl.params:
-            return rt, env.scope_inst
-        return rt, rt.instances.get(())
 
-    def _eval_access(self, access: StreamAccess, env: _Env):
-        rt, inst = self._resolve_instance(access.stream, access.args, env)
-        if inst is None:
-            return UNDEFINED
-        buf = inst.buf
-        match access.offset:
-            case DiscreteOffset(steps=0):
-                return buf[-1][1] if buf else UNDEFINED
-            case DiscreteOffset(steps=n):
-                back = -n
-                if env.self_key == (access.stream, inst.alpha):
-                    # the value being computed occupies the latest slot
-                    back -= 1
-                if inst.ext_count <= back or len(buf) <= back:
-                    return UNDEFINED
-                return buf[-1 - back][1]
-            case RealTimeOffset(seconds=d):
-                cutoff = Fraction(env.ts) + d  # d is negative
-                i = bisect_right(buf, cutoff, key=lambda entry: entry[0])
-                if i == 0:
-                    return UNDEFINED
-                return buf[i - 1][1]
-        raise EngineError([Diagnostic(f"bad offset {access.offset!r}")])
-
-    def _eval_window(self, window: WindowAccess, env: _Env):
-        rt, inst = self._resolve_instance(window.stream, window.args, env)
-        if inst is None:
-            return UNDEFINED
-        w = inst.windows[window.wkey]
-        before = w.slot_count
-        value = w.evaluate(env.ts)
-        self.slots += w.slot_count - before
-        return value
-
-    def _eval_binary(self, expr: Binary, env: _Env):
-        op = expr.op
-        if op == "&":
-            left = self._eval(expr.left, env)
-            if left is False:
-                return False
-            right = self._eval(expr.right, env)
-            if left is UNDEFINED or right is UNDEFINED:
-                return UNDEFINED
-            return left and right
-        if op == "|":
-            left = self._eval(expr.left, env)
-            if left is True:
-                return True
-            right = self._eval(expr.right, env)
-            if left is UNDEFINED or right is UNDEFINED:
-                return UNDEFINED
-            return left or right
-        left = self._eval(expr.left, env)
-        if left is UNDEFINED:
-            return UNDEFINED
-        right = self._eval(expr.right, env)
-        if right is UNDEFINED:
-            return UNDEFINED
-        if op in _CMP:
-            return _CMP[op](left, right)
-        if op == "+":
-            return left + right
-        if op == "-":
-            return left - right
-        if op == "*":
-            return left * right
-        if op == "/":
-            if expr.ty is ValueType.INT:
-                return left // right if right != 0 else UNDEFINED
-            left, right = float(left), float(right)
-            if right == 0.0:
-                if left == 0.0:
-                    return math.nan
-                return math.copysign(math.inf, left) * math.copysign(1.0, right)
-            return left / right
-        if op == "%":
-            if right == 0:
-                return UNDEFINED
-            return left % right
-        raise EngineError([Diagnostic(f"unknown operator {op!r}")])
-
-    @staticmethod
-    def _eval_fn(node: FnCall, fn: str, values: list):
-        if fn == "abs":
-            return abs(values[0])
-        if fn == "sqrt":
-            x = float(values[0])
-            return math.sqrt(x) if x >= 0 else math.nan
-        result = min(values) if fn == "min" else max(values)
-        if node.ty is ValueType.DOUBLE:
-            return float(result)
-        return result
+def _with_clock(tspec: TypedSpec, clock: Fraction) -> TypedSpec:
+    """The spec with `clock` on every unclocked output: shallow copies of
+    those templates, sharing their expression nodes, in a new TypedSpec."""
+    outputs = [
+        tpl if tpl.clock is not None else replace(tpl, clock=clock)
+        for tpl in tspec.spec.outputs
+    ]
+    return replace(
+        tspec,
+        spec=replace(tspec.spec, outputs=outputs),
+        templates={tpl.name: tpl for tpl in outputs},
+    )
 
 
 def _instance_name(stream: str, alpha: tuple) -> str:

@@ -56,17 +56,6 @@ class TypedSpec:
     time_input: Optional[str]
     window_count: int
 
-    @property
-    def stream_order(self) -> list[str]:
-        return self.spec.stream_names
-
-    def is_input(self, name: str) -> bool:
-        return name in self.inputs
-
-    def params_of(self, name: str) -> tuple:
-        tpl = self.templates.get(name)
-        return tuple(tpl.params) if tpl else ()
-
 
 @dataclass
 class _Ctx:

@@ -1,4 +1,5 @@
-"""Runtime value helpers: the undefined sentinel and 64-bit integer clamping."""
+"""Runtime value helpers: the undefined sentinel, 64-bit integer clamping and
+the NaN-propagating extrema shared by windows and expression functions."""
 
 from __future__ import annotations
 
@@ -34,3 +35,14 @@ def saturate_i64(value: int) -> tuple[int, bool]:
     if value < INT64_MIN:
         return INT64_MIN, True
     return value, False
+
+
+def nan_max(a, b):
+    """max(a, b), but NaN whenever either is NaN, so that the result does not
+    depend on the order or grouping of the operands; ties keep a."""
+    return b if b > a or b != b else a
+
+
+def nan_min(a, b):
+    """min(a, b) under the same NaN rule as nan_max."""
+    return b if b < a or b != b else a

@@ -31,7 +31,8 @@ Sliding-Window Aggregation", PVLDB 2015, for their aggregation):
   summaries need to be associative but neither invertible nor commutative
   (the integral is not commutative), and nothing is ever subtracted.
 - median is the exception: its panes keep raw values, and an evaluation
-  merges all retained panes and sorts them.
+  concatenates all retained panes once and sorts them; a NaN anywhere in
+  the window makes the median NaN, as it does min and max.
 - slot_count: O(1), kept as a running count. A pane of a combinable
   aggregation is one slot; a median pane holds one slot per value.
 """
@@ -41,11 +42,12 @@ from __future__ import annotations
 import math
 import statistics
 from fractions import Fraction
+from itertools import chain
 from typing import Optional
 
 from .ast import AggFn, ValueType
 from .diagnostics import Diagnostic, OutOfOrderError
-from .values import UNDEFINED
+from .values import UNDEFINED, nan_max, nan_min
 
 
 class Aggregator:
@@ -126,19 +128,9 @@ class _Avg(Aggregator):
         return total / n
 
 
-def _nan_max(a, b):
-    """max(a, b), but NaN whenever either is NaN, so that the result does not
-    depend on the order or grouping of merges; ties keep a."""
-    return b if b > a or b != b else a
-
-
-def _nan_min(a, b):
-    return b if b < a or b != b else a
-
-
 class _Extremum(Aggregator):
     def __init__(self, take_max: bool):
-        self.pick = _nan_max if take_max else _nan_min
+        self.pick = nan_max if take_max else nan_min
 
     def new(self):
         return None
@@ -208,7 +200,10 @@ class _Median(Aggregator):
 
     def lower(self, summary):
         if self.int_result:
-            return statistics.median_low(sorted(summary))
+            return statistics.median_low(summary)
+        # sorting with NaN depends on the input order; NaN wins as in min/max
+        if any(map(math.isnan, summary)):
+            return math.nan
         return statistics.median(summary)
 
 
@@ -371,12 +366,9 @@ class PanedWindow:
         if not panes:
             empty = self.agg.empty_value
             return UNDEFINED if empty is None else empty
-        merge = self.agg.merge
         if self.agg.raw:
-            combined = None
-            for summary in panes.values():  # ascending
-                combined = summary if combined is None else merge(combined, summary)
-            return self.agg.lower(combined)
+            return self.agg.lower(list(chain.from_iterable(panes.values())))
+        merge = self.agg.merge
         combined = panes[self._open]
         if self._back is not None:
             combined = merge(self._back, combined)

@@ -10,6 +10,7 @@ a precomputed evaluation order.
 from __future__ import annotations
 
 import copy
+import math
 import statistics
 from bisect import bisect_right
 from fractions import Fraction
@@ -385,6 +386,8 @@ class RefMonitor:
                     return abs(vals[0])
                 if fn == "sqrt":
                     return vals[0] ** 0.5 if vals[0] >= 0 else float("nan")
+                if any(v != v for v in vals):
+                    return float("nan")  # NaN wins, as in window min/max
                 picked = min(vals) if fn == "min" else max(vals)
                 return float(picked) if expr.ty is ValueType.DOUBLE else picked
         raise AssertionError(f"cannot evaluate {expr!r}")
@@ -418,7 +421,11 @@ def _binop(op, a, b, ty):
         if ty is ValueType.INT:
             return a // b if b != 0 else UNDEF
         if float(b) == 0.0:
-            return float("nan") if float(a) == 0.0 else float("inf") * (1 if a > 0 else -1)
+            # IEEE 754: the sign of a zero divisor counts, 0/0 and NaN/0 are NaN
+            if a == 0 or a != a:
+                return float("nan")
+            negative = (a < 0) != (math.copysign(1.0, b) < 0)
+            return float("-inf") if negative else float("inf")
         return a / b
     if op == "%":
         return a % b if b != 0 else UNDEF
@@ -445,6 +452,8 @@ def _aggregate(agg, samples, out_ty):
     if agg is AggFn.MEDIAN:
         if out_ty is ValueType.INT:
             return statistics.median_low(sorted(values))
+        if any(v != v for v in values):
+            return float("nan")  # as for min/max
         return statistics.median(values)
     if agg is AggFn.INTEGRAL:
         area = 0.0

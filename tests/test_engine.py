@@ -380,6 +380,32 @@ def test_int_overflow_saturates_with_warning():
     assert m.streams["x"].instances[()].buf[-1][1] == 2**63 - 1
 
 
+@pytest.mark.parametrize("fn", ["min", "max"])
+def test_min_max_functions_propagate_nan_in_either_order(fn):
+    """Python's min/max keep or drop a NaN by argument order; the functions
+    make it win wherever it stands, as window min/max do."""
+    src = (
+        "input double a\ninput double b\n"
+        f"output double x := {fn}(a, b)\noutput double y := {fn}(b, a)"
+    )
+    events = [
+        Event(1.0, {"a": math.nan, "b": 1.0}),
+        Event(2.0, {"a": 1.0, "b": math.nan}),
+        Event(3.0, {"a": 1.0, "b": 2.0}),
+    ]
+    m = Monitor(typed(src))
+    ref = RefMonitor(typed(src))
+    for ev in events:
+        m.process(ev)
+        ref.run([ev])
+        got = [m.streams[s].instances[()].buf[-1][1] for s in "xy"]
+        want = [ref.live[s][()].history[-1][1] for s in "xy"]
+        if ev.ts < 3.0:
+            assert all(math.isnan(v) for v in got + want), (ev, got, want)
+        else:
+            assert got == want == [1.0 if fn == "min" else 2.0] * 2
+
+
 # -- determinism ---------------------------------------------------------------------
 
 

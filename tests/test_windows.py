@@ -69,6 +69,8 @@ def _aggregate(agg, kept):
             return math.nan  # NaN anywhere in the window wins
         return min(values) if agg is AggFn.MIN else max(values)
     if agg is AggFn.MEDIAN:
+        if any(math.isnan(v) for v in values):
+            return math.nan  # as for min/max
         return statistics.median(values)
     if agg is AggFn.INTEGRAL:
         area = 0.0
@@ -339,14 +341,15 @@ def test_no_double_count_across_period_windows():
     assert total == 5.0
 
 
-# -- NaN in min/max -----------------------------------------------------------
+# -- NaN in min/max/median ----------------------------------------------------
 
 
-@given(_traces(), st.sampled_from([AggFn.MIN, AggFn.MAX]), st.data())
+@given(_traces(), st.sampled_from([AggFn.MIN, AggFn.MAX, AggFn.MEDIAN]), st.data())
 @settings(max_examples=200, deadline=None)
 def test_extremum_nan_wins_wherever_it_arrives(trace, agg, data):
-    """A NaN anywhere in the window makes min/max NaN, whatever its position,
-    so the result does not depend on how the panes are grouped."""
+    """A NaN anywhere in the window makes min/max/median NaN, whatever its
+    position, so the result depends neither on how the panes are grouped nor
+    on the order in which a sort meets the NaN."""
     events, r, z = trace
     nans = data.draw(st.sets(st.integers(0, len(events) - 1)))
     events = [(t, math.nan if i in nans else v) for i, (t, v) in enumerate(events)]
@@ -457,26 +460,31 @@ def test_two_stacks_equals_left_fold(case, ratio, ops):
 
 @pytest.mark.parametrize("ratio", [4, 256])
 def test_evaluate_merges_do_not_grow_with_panes(ratio):
-    """20k events at about 4 per second into a 10 s avg window, evaluated
-    after every registration: a re-merge of the retained panes would take
-    about 40 merges per evaluation at r/z = 256."""
+    """20k events at about 4 per second into 10 s avg and median windows,
+    evaluated after every registration: a re-merge of the retained panes
+    would take about 40 merges per evaluation at r/z = 256. A median
+    concatenates its raw panes once and merges no pair of them."""
     r = Fraction(10)
-    agg = make_aggregator(AggFn.AVG, ValueType.DOUBLE)
-    merges = 0
-    merge = agg.merge
+    merges = {}
+    windows = []
+    for agg_fn in (AggFn.AVG, AggFn.MEDIAN):
+        agg = make_aggregator(agg_fn, ValueType.DOUBLE)
+        merges[agg_fn] = 0
 
-    def counting_merge(left, right):
-        nonlocal merges
-        merges += 1
-        return merge(left, right)
+        def counting_merge(left, right, merge=agg.merge, agg_fn=agg_fn):
+            merges[agg_fn] += 1
+            return merge(left, right)
 
-    agg.merge = counting_merge
-    w = PanedWindow(r, r / ratio, agg)
+        agg.merge = counting_merge
+        windows.append(PanedWindow(r, r / ratio, agg))
     rng = random.Random(7)
     t = 0.0
     n = 20_000
     for _ in range(n):
         t += rng.expovariate(4.0)
-        w.register(rng.uniform(-50.0, 50.0), t)
-        w.evaluate(t)
-    assert merges / n <= 5, merges / n
+        value = rng.uniform(-50.0, 50.0)
+        for w in windows:
+            w.register(value, t)
+            w.evaluate(t)
+    assert merges[AggFn.AVG] / n <= 5, merges[AggFn.AVG] / n
+    assert merges[AggFn.MEDIAN] == 0, merges[AggFn.MEDIAN] / n
