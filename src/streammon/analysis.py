@@ -6,18 +6,29 @@ offset, or a sliding window. Rates are `var` for inputs and anything that
 depends on them, or a fixed frequency in Hz; `var` dominates every fixed
 rate.
 
-Stored-value bounds follow from the edge label and the *target* rate:
+Each edge asks its *target* for stored values. One rule, `_edge_need`,
+gives both numbers from the edge label, the target's rate and, for a window
+of duration r, its pane width z: the paper's table entry, and the slots the
+engine keeps for the edge in every instance of the target. A window keeps
+one boundary pane more, because the evaluation instant and the window start
+may each cut a pane.
 
-    target rate | raw aggregation      | pane-combinable aggregation
-    ------------+----------------------+----------------------------
-    var         | unbounded            | max(1, ceil(r / z))
-    y Hz        | ceil(y * r) values   | min(ceil(r / z), ceil(y * r))
+    edge label             | target | table entry        | slots, boundary pane incl.
+    -----------------------+--------+--------------------+---------------------------
+    discrete offset -n     | any    | n + 1              | n + 1
+    real-time offset -d s  | var    | unbounded          | unbounded
+                           | y Hz   | ceil(d*y) + 1      | ceil(d*y) + 1
+    window r, combinable   | var    | max(1, ceil(r/z))  | ceil(r/z) + 1
+                           | y Hz   | min(ceil(r/z),     | min(ceil(r/z) + 1,
+                           |        |     ceil(y*r))     |     ceil(y*(r+z)) + 1)
+    window r, raw (median) | var    | unbounded          | unbounded
+                           | y Hz   | ceil(y*r)          | ceil(y*(r+z)) + 1
 
-Real-time offsets need ceil(d * y) + 1 retained values against a fixed-rate
-target and are unbounded against a variable-rate one; a discrete offset of
-depth n needs n + 1 values. Per-vertex totals add one boundary pane per
-window (the evaluation instant and the window start may cover partial panes)
-so that the static total is a true upper bound for what the engine retains.
+Offsets share the one value buffer of a target instance, which keeps the
+largest count (n + 1) and the longest time (d seconds) they ask for; each
+window keeps a state of its own. A vertex thus needs mu(v) = max(1, offset
+slots) + the sum of its window slots per instance, a true upper bound for
+what the engine retains.
 
 The total is sum over vertices of mu(v) * eta(v), where eta is the maximal
 instance count: 1 for inputs and plain outputs, user-supplied (default
@@ -29,12 +40,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional, Union
+from typing import NamedTuple, Optional, Union
 
 from .ast import (
     AggFn,
     Binary,
     DiscreteOffset,
+    Expr,
     ParamRef,
     RealTimeOffset,
     StreamAccess,
@@ -108,38 +120,16 @@ class AnnotatedDependencyGraph:
     vertices: list[str]
     edges: list[Edge]
     rate: dict[str, Rate]
+    order: list[str]  # see template_order
 
     @property
     def window_edges(self) -> list[Edge]:
         return [e for e in self.edges if isinstance(e.label, WindowLabel)]
 
-    def edges_into(self, target: str) -> list[Edge]:
-        return [e for e in self.edges if e.target == target]
-
     def template_order(self) -> list[str]:
         """Templates sorted so that every same-instant dependency (offset 0 or
         window, including invoke/extend/terminate accesses) comes first."""
-        templates = [t.name for t in self.tspec.spec.outputs]
-        tset = set(templates)
-        deps: dict[str, set[str]] = {name: set() for name in templates}
-        for e in self.edges:
-            if e.source in tset and e.target in tset and _same_instant(e.label):
-                deps[e.source].add(e.target)
-        order: list[str] = []
-        state: dict[str, int] = {}
-
-        def visit(name: str) -> None:
-            state[name] = 1
-            for dep in sorted(deps[name]):
-                if state.get(dep, 0) == 0:
-                    visit(dep)
-            state[name] = 2
-            order.append(name)
-
-        for name in templates:
-            if state.get(name, 0) == 0:
-                visit(name)
-        return order
+        return list(self.order)
 
 
 def _same_instant(label: EdgeLabel) -> bool:
@@ -177,12 +167,14 @@ def build_adg(tspec: TypedSpec) -> AnnotatedDependencyGraph:
                     )
                 else:
                     continue
+                # every window edge stays, in walk order: the engine builds
+                # one window state per window edge, in this order
                 key = (edge.source, edge.target, edge.label)
                 if isinstance(edge.label, WindowLabel) or key not in seen:
                     seen.add(key)
                     edges.append(edge)
 
-    _reject_same_instant_cycles(tspec, edges)
+    order = _evaluation_order(tspec, edges)
 
     rate: dict[str, Rate] = {}
     for decl in spec.inputs:
@@ -208,39 +200,56 @@ def build_adg(tspec: TypedSpec) -> AnnotatedDependencyGraph:
             if new > rate[tpl.name]:
                 rate[tpl.name] = new
                 changed = True
-    return AnnotatedDependencyGraph(tspec, vertices, edges, rate)
+    return AnnotatedDependencyGraph(tspec, vertices, edges, rate, order)
 
 
-def _reject_same_instant_cycles(tspec: TypedSpec, edges: list[Edge]) -> None:
-    adj: dict[str, list[str]] = {}
+def _evaluation_order(tspec: TypedSpec, edges: list[Edge]) -> list[str]:
+    """Templates in declaration order, each after its same-instant
+    dependencies (visited in sorted order), by one depth-first pass that
+    raises CycleError on a same-instant cycle."""
+    deps: dict[str, set[str]] = {t.name: set() for t in tspec.spec.outputs}
     for e in edges:
-        if _same_instant(e.label) and e.target not in tspec.inputs:
-            adj.setdefault(e.source, []).append(e.target)
-    state: dict[str, int] = {}
-    stack: list[str] = []
+        if e.target in deps and _same_instant(e.label):
+            deps[e.source].add(e.target)
+    order: list[str] = []
+    path: list[str] = []  # the templates being visited, outermost first
+    state: dict[str, int] = {}  # 1 while on the path, 2 once ordered
 
-    def visit(v: str) -> None:
-        state[v] = 1
-        stack.append(v)
-        for w in adj.get(v, ()):
-            if state.get(w, 0) == 1:
-                cycle = stack[stack.index(w) :] + [w]
-                raise CycleError(
-                    [
-                        Diagnostic(
-                            "dependency cycle without a strictly-past offset: "
-                            + " -> ".join(cycle)
-                        )
-                    ]
-                )
-            if state.get(w, 0) == 0:
-                visit(w)
-        stack.pop()
-        state[v] = 2
+    def visit(name: str) -> None:
+        state[name] = 1
+        path.append(name)
+        for dep in sorted(deps[name]):
+            if state.get(dep) == 1:
+                cycle = " -> ".join(path[path.index(dep) :] + [dep])
+                message = f"dependency cycle without a strictly-past offset: {cycle}"
+                raise CycleError([Diagnostic(message)])
+            if dep not in state:
+                visit(dep)
+        path.pop()
+        state[name] = 2
+        order.append(name)
 
-    for v in list(adj):
-        if state.get(v, 0) == 0:
-            visit(v)
+    for name in deps:
+        if name not in state:
+            visit(name)
+    return order
+
+
+def param_input_atom(atom: Expr, tspec: TypedSpec) -> Optional[tuple[str, str]]:
+    """(parameter, input) when `atom` is `parameter = input`, either way
+    round, with a bare current access to an input stream; None otherwise."""
+    if not (isinstance(atom, Binary) and atom.op == "="):
+        return None
+    for a, b in ((atom.left, atom.right), (atom.right, atom.left)):
+        if (
+            isinstance(a, ParamRef)
+            and isinstance(b, StreamAccess)
+            and not b.args
+            and b.offset == DiscreteOffset(0)
+            and b.stream in tspec.inputs
+        ):
+            return a.name, b.stream
+    return None
 
 
 def classify_efficiently_bound(tpl: StreamTemplate, tspec: TypedSpec) -> bool:
@@ -259,19 +268,7 @@ def classify_efficiently_bound(tpl: StreamTemplate, tspec: TypedSpec) -> bool:
         match e:
             case Binary(op="&" | "|", left=l, right=r):
                 return positive(l) and positive(r)
-            case Binary(op="=", left=l, right=r):
-                for a, b in ((l, r), (r, l)):
-                    if (
-                        isinstance(a, ParamRef)
-                        and isinstance(b, StreamAccess)
-                        and not b.args
-                        and b.offset == DiscreteOffset(0)
-                        and b.stream in tspec.inputs
-                    ):
-                        return True
-                return False
-            case _:
-                return False
+        return param_input_atom(e, tspec) is not None
 
     return positive(tpl.extend)
 
@@ -399,6 +396,56 @@ def _json_num(value: float):
     return None if value == UNBOUNDED else int(value)
 
 
+class EdgeNeed(NamedTuple):
+    """What one edge asks of its target stream (see the module docstring)."""
+
+    edge: Edge
+    table: float  # the paper's table entry
+    slots: float  # kept in every target instance, boundary pane included
+    window: bool  # a window state of its own; offsets share the buffer
+    keep: int = 1  # values the target's buffer keeps by count
+    horizon: Optional[Fraction] = None  # seconds it keeps by time
+    reason: Optional[str] = None  # why the need is unbounded
+
+
+def _edge_need(e: Edge, rate: Rate, pane_widths: dict[int, Fraction]) -> EdgeNeed:
+    """The stored values edge `e` needs from its target, whose rate is `rate`."""
+    match e.label:
+        case DiscreteOffset(steps=n):
+            return EdgeNeed(e, abs(n) + 1, abs(n) + 1, False, keep=abs(n) + 1)
+        case RealTimeOffset(seconds=d):
+            if rate.is_var:
+                reason = f"edge {e}: real-time offset into a variable-rate stream"
+                return EdgeNeed(
+                    e, UNBOUNDED, UNBOUNDED, False, horizon=-d, reason=reason
+                )
+            mu = math.ceil(-d * rate.hz) + 1
+            return EdgeNeed(e, mu, mu, False, horizon=-d)
+        case WindowLabel(agg=agg, duration=r, wkey=wkey):
+            z = pane_widths[wkey]
+            panes = math.ceil(r / z)
+            if rate.is_var:
+                if agg.homomorphic:
+                    return EdgeNeed(e, max(1, panes), panes + 1, True)
+                reason = (
+                    f"edge {e}: '{agg}' stores every value of a variable-rate stream"
+                )
+                return EdgeNeed(e, UNBOUNDED, UNBOUNDED, True, reason=reason)
+            values = math.ceil(rate.hz * (r + z)) + 1
+            if agg.homomorphic:
+                return EdgeNeed(
+                    e, min(panes, math.ceil(r * rate.hz)), min(panes + 1, values), True
+                )
+            return EdgeNeed(e, math.ceil(r * rate.hz), values, True)
+    raise TypeError(f"unknown edge label {e.label!r}")
+
+
+def _edge_needs(
+    adg: AnnotatedDependencyGraph, pane_widths: dict[int, Fraction]
+) -> list[EdgeNeed]:
+    return [_edge_need(e, adg.rate[e.target], pane_widths) for e in adg.edges]
+
+
 def compute_memory(
     adg: AnnotatedDependencyGraph,
     pane_widths: dict[int, Fraction],
@@ -410,30 +457,24 @@ def compute_memory(
     templates; without a cap their contribution is unbounded.
     """
     instance_bounds = instance_bounds or {}
-    tspec = adg.tspec
-    per_edge: list[tuple[Edge, float]] = []
-    offenders: list[str] = []
-    for e in adg.edges:
-        mu = _edge_mu(e, adg.rate[e.target], pane_widths)
-        per_edge.append((e, mu))
-        if mu == UNBOUNDED:
-            match e.label:
-                case RealTimeOffset():
-                    offenders.append(
-                        f"edge {e}: real-time offset into a variable-rate stream"
-                    )
-                case WindowLabel(agg=agg):
-                    offenders.append(
-                        f"edge {e}: '{agg}' stores every value of a "
-                        "variable-rate stream"
-                    )
+    needs = _edge_needs(adg, pane_widths)
+    per_edge = [(n.edge, n.table) for n in needs]
+    offenders = [n.reason for n in needs if n.reason is not None]
+    buffer = dict.fromkeys(adg.vertices, 1.0)
+    windows = dict.fromkeys(adg.vertices, 0.0)
+    for n in needs:
+        target = n.edge.target
+        if n.window:
+            windows[target] += n.slots
+        else:
+            buffer[target] = max(buffer[target], n.slots)
 
     per_stream: dict[str, float] = {}
     eta: dict[str, float] = {}
     contribution: dict[str, float] = {}
     for name in adg.vertices:
-        per_stream[name] = _vertex_mu(name, adg, pane_widths)
-        tpl = tspec.templates.get(name)
+        per_stream[name] = buffer[name] + windows[name]
+        tpl = adg.tspec.templates.get(name)
         if tpl is not None and tpl.parameterized:
             eta[name] = instance_bounds.get(name, UNBOUNDED)
             if eta[name] == UNBOUNDED:
@@ -443,71 +484,11 @@ def compute_memory(
                 )
         else:
             eta[name] = 1
-        contribution[name] = (
-            per_stream[name] * eta[name] if per_stream[name] else 0
-        )
+        contribution[name] = per_stream[name] * eta[name]  # mu >= 1
     total = sum(contribution.values())
     return MemoryReport(
         per_edge, per_stream, eta, contribution, total, dict(pane_widths), offenders
     )
-
-
-def _edge_mu(e: Edge, target_rate: Rate, pane_widths: dict[int, Fraction]) -> float:
-    match e.label:
-        case DiscreteOffset(steps=n):
-            return abs(n) + 1
-        case RealTimeOffset(seconds=d):
-            if target_rate.is_var:
-                return UNBOUNDED
-            return math.ceil(-d * target_rate.hz) + 1
-        case WindowLabel(agg=agg, duration=r, wkey=wkey):
-            z = pane_widths[wkey]
-            panes = math.ceil(r / z)
-            if agg.homomorphic:
-                if target_rate.is_var:
-                    return max(1, panes)
-                return min(panes, math.ceil(r * target_rate.hz))
-            if target_rate.is_var:
-                return UNBOUNDED
-            return math.ceil(r * target_rate.hz)
-    raise TypeError(f"unknown edge label {e.label!r}")
-
-
-def _vertex_mu(
-    name: str, adg: AnnotatedDependencyGraph, pane_widths: dict[int, Fraction]
-) -> float:
-    """Values retained on behalf of stream `name`: its shared instance buffer
-    plus one window state per incoming window edge (boundary pane included)."""
-    rate = adg.rate[name]
-    buffer_slots = 1.0
-    window_slots = 0.0
-    for e in adg.edges_into(name):
-        match e.label:
-            case DiscreteOffset(steps=n):
-                buffer_slots = max(buffer_slots, abs(n) + 1)
-            case RealTimeOffset(seconds=d):
-                if rate.is_var:
-                    buffer_slots = UNBOUNDED
-                else:
-                    buffer_slots = max(
-                        buffer_slots, math.ceil(-d * rate.hz) + 1
-                    )
-            case WindowLabel(agg=agg, duration=r, wkey=wkey):
-                z = pane_widths[wkey]
-                panes = math.ceil(r / z) + 1  # +1: boundary pane
-                if agg.homomorphic:
-                    if rate.is_var:
-                        window_slots += panes
-                    else:
-                        window_slots += min(
-                            panes, math.ceil(rate.hz * (r + z)) + 1
-                        )
-                else:
-                    if rate.is_var:
-                        window_slots = UNBOUNDED
-                    else:
-                        window_slots += math.ceil(rate.hz * (r + z)) + 1
-    return buffer_slots + window_slots
 
 
 @dataclass
@@ -518,17 +499,17 @@ class BufferPlan:
     time_keep: Optional[Fraction] = None  # seconds into the past
 
 
-def buffer_plans(adg: AnnotatedDependencyGraph) -> dict[str, BufferPlan]:
+def buffer_plans(
+    adg: AnnotatedDependencyGraph, pane_widths: dict[int, Fraction]
+) -> dict[str, BufferPlan]:
     plans: dict[str, BufferPlan] = {name: BufferPlan() for name in adg.vertices}
-    for e in adg.edges:
-        plan = plans[e.target]
-        match e.label:
-            case DiscreteOffset(steps=n):
-                plan.count_keep = max(plan.count_keep, abs(n) + 1)
-            case RealTimeOffset(seconds=d):
-                keep = -d
-                if plan.time_keep is None or keep > plan.time_keep:
-                    plan.time_keep = keep
+    for n in _edge_needs(adg, pane_widths):
+        plan = plans[n.edge.target]
+        plan.count_keep = max(plan.count_keep, n.keep)
+        if n.horizon is not None and (
+            plan.time_keep is None or n.horizon > plan.time_keep
+        ):
+            plan.time_keep = n.horizon
     return plans
 
 

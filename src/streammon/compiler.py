@@ -20,8 +20,6 @@ from __future__ import annotations
 import math
 import operator
 import weakref
-from bisect import bisect_right
-from fractions import Fraction
 from functools import reduce
 from typing import Callable, Iterable, Optional
 
@@ -203,14 +201,14 @@ class Compiler:
 
                 return past
             case RealTimeOffset(seconds=d):
-                entry_ts = operator.itemgetter(0)
+                dn, dd = d.numerator, d.denominator  # d is negative
 
                 def at_time(alpha, ts):
                     inst = find(alpha, ts)
                     if not inst:
                         return UNDEFINED
-                    cutoff = Fraction(ts) + d  # d is negative
-                    i = bisect_right(inst.buf, cutoff, key=entry_ts)
+                    n, m = ts.as_integer_ratio()
+                    i = count_until(inst.buf, n * dd + dn * m, m * dd)  # ts + d
                     return inst.buf[i - 1][1] if i else UNDEFINED
 
                 return at_time
@@ -230,6 +228,21 @@ class Compiler:
             return value
 
         return window
+
+
+def count_until(buf: list, n: int, d: int) -> int:
+    """How many entries of `buf`, (ts, value) pairs in ascending ts, lie at
+    or before the instant n / d (d > 0). Float and Fraction instants are
+    compared exactly, in integers, as the window layer does."""
+    lo, hi = 0, len(buf)
+    while lo < hi:
+        mid = (lo + hi) // 2
+        tn, td = buf[mid][0].as_integer_ratio()
+        if tn * d > n * td:
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo
 
 
 def _strict(fn: Callable, operands: list[Compiled]) -> Compiled:

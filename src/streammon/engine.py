@@ -56,24 +56,20 @@ from .analysis import (
     compute_memory,
     build_adg,
     default_pane_widths,
+    param_input_atom,
 )
 from .ast import (
     AggFn,
     Binary,
-    DiscreteOffset,
     Expr,
-    ParamRef,
     StreamAccess,
     StreamTemplate,
     TriggerDecl,
     TriggerKind,
     ValueType,
-    WindowAccess,
     accesses,
-    template_expressions,
-    walk,
 )
-from .compiler import OPERATORS, Compiled, Compiler
+from .compiler import OPERATORS, Compiled, Compiler, count_until
 from .diagnostics import (
     AnalysisRefusal,
     Diagnostic,
@@ -296,7 +292,7 @@ class Monitor:
 
     def _build_runtime(self, instance_bounds: dict[str, int]) -> None:
         tspec = self.tspec
-        plans = buffer_plans(self.adg)
+        plans = buffer_plans(self.adg, self.pane_widths)
         self.streams: dict[str, _StreamRT] = {}
         for decl in tspec.spec.inputs:
             self.streams[decl.name] = _StreamRT(decl.name, None, decl.ty)
@@ -309,20 +305,17 @@ class Monitor:
             rt.buffer_plan = plans[name]
 
         # window plans, attached to the *target* stream
-        for tpl in tspec.spec.outputs:
-            for _, expr in template_expressions(tpl):
-                for node in walk(expr):
-                    if isinstance(node, WindowAccess):
-                        target = self.streams[node.stream]
-                        target.window_plans.append(
-                            _WindowPlan(
-                                node.wkey,
-                                node.duration,
-                                self.pane_widths[node.wkey],
-                                node.agg,
-                                target.value_ty,
-                            )
-                        )
+        for e in self.adg.window_edges:
+            target, label = self.streams[e.target], e.label
+            target.window_plans.append(
+                _WindowPlan(
+                    label.wkey,
+                    label.duration,
+                    self.pane_widths[label.wkey],
+                    label.agg,
+                    target.value_ty,
+                )
+            )
 
         # inputs and plain outputs exist from the start of the trace
         for rt in self.streams.values():
@@ -395,9 +388,9 @@ class Monitor:
         for atoms in conjunctions:
             bound: dict[int, str] = {}
             for atom in atoms:
-                pair = _param_input_atom(atom, positions, self.tspec)
-                if pair is not None and pair[0] not in bound:
-                    bound[pair[0]] = pair[1]
+                pair = param_input_atom(atom, self.tspec)
+                if pair is not None and pair[0] in positions:
+                    bound.setdefault(positions[pair[0]], pair[1])
             if not bound:
                 return _CondPlan(gate, "scan")
             pos = tuple(sorted(bound))
@@ -466,9 +459,9 @@ class Monitor:
         input other than the `time input`; otherwise this raises EngineError
         before any tick or extension, and the monitor's state is unchanged.
         """
-        self._check_event(event)
         out: list[Verdict] = []
         if self._clocks:
+            self._check_event(event)  # before any tick; var_rate_step checks too
             for tick in self._ticks_until(event.ts):
                 out.extend(self.fixed_rate_step(tick))
         out.extend(self.var_rate_step(event))
@@ -705,10 +698,7 @@ class Monitor:
                 plan = rt.ter_plan
                 if plan.gate.isdisjoint(extended):
                     continue
-                if plan.mode == "scan":
-                    candidates = sorted(rt.instances)
-                else:
-                    candidates = self._candidates(rt, plan)
+                candidates = self._candidates(rt, plan)
             for alpha in candidates:
                 if alpha in rt.instances and rt.terminate_fn(alpha, ts) is True:
                     dropped = rt.drop_instance(alpha)
@@ -721,7 +711,9 @@ class Monitor:
     @staticmethod
     def _candidates(rt: _StreamRT, plan: _CondPlan) -> list[tuple]:
         """Instances a lifecycle condition can currently select, found without
-        iterating the instance map."""
+        iterating the instance map unless the plan is a scan."""
+        if plan.mode == "scan":
+            return sorted(rt.instances)
         found: set[tuple] = set()
         for d in plan.disjuncts:
             values = []
@@ -770,13 +762,13 @@ def _prune_by_time(plan: BufferPlan, buf: list, ts) -> int:
     return how many. A value goes only if the next one still lies at or
     before the horizon (sample-and-hold needs one value there), and at least
     count_keep values stay."""
-    keep = plan.count_keep
-    horizon = Fraction(ts) - plan.time_keep
-    drop = 0
-    while len(buf) - drop > keep and buf[drop + 1][0] <= horizon:
-        drop += 1
-    if drop:
-        del buf[:drop]
+    n, d = ts.as_integer_ratio()
+    kn, kd = plan.time_keep.numerator, plan.time_keep.denominator
+    held = count_until(buf, n * kd - kn * d, d * kd)  # at or before ts - keep
+    drop = min(held - 1, len(buf) - plan.count_keep)
+    if drop <= 0:
+        return 0
+    del buf[:drop]
     return drop
 
 
@@ -819,24 +811,6 @@ def _dnf(expr: Expr) -> Optional[list[list[Expr]]]:
     if len(result) > _MAX_DISJUNCTS:
         return None
     return result
-
-
-def _param_input_atom(
-    atom: Expr, positions: dict[str, int], tspec: TypedSpec
-) -> Optional[tuple[int, str]]:
-    if not (isinstance(atom, Binary) and atom.op == "="):
-        return None
-    for a, b in ((atom.left, atom.right), (atom.right, atom.left)):
-        if (
-            isinstance(a, ParamRef)
-            and a.name in positions
-            and isinstance(b, StreamAccess)
-            and not b.args
-            and b.offset == DiscreteOffset(0)
-            and b.stream in tspec.inputs
-        ):
-            return positions[a.name], b.stream
-    return None
 
 
 def run(

@@ -3,15 +3,16 @@
 Hypothesis generates output expressions in the shape of
 `test_parser._exprs`, widened to what compilation has to get right:
 arithmetic including int `/` and `%` by zero, `&` and `|` over undefined
-operands, `!` and unary minus, discrete offsets, windows, `if`, `?`
-defaults and the `min`/`max` functions. Each expression that type-checks is
+operands, `!` and unary minus, discrete and real-time offsets, windows,
+`if`, `?` defaults and the `min`/`max` functions. Each expression that type-checks is
 monitored in variable and in fixed mode on a random trace, and every value
 the engine produces must equal the reference monitor's (`tests/oracle.py`).
 
 The trace keeps both sides exact. Timestamps are multiples of 1/4 s and
 windows last 500 ms, 1 s or 2 s, so every evaluation instant is
 pane-aligned and the engine's panes cover exactly the reference's
-(ts - r, ts]. Double inputs are small multiples of 1/2, so window sums are
+(ts - r, ts]; real-time offsets of 250 ms to 1.5 s put cutoffs on event
+instants as well as between them. Double inputs are small multiples of 1/2, so window sums are
 exact in any association order.
 """
 
@@ -46,7 +47,7 @@ def _expr(draw, ty, depth=4):
         return draw(_expr(t, depth - 1))
 
     num = "bool" != ty
-    forms = ["if", "default", "offset"]
+    forms = ["if", "default", "offset", "delay"]
     forms += ["arith", "neg", "window", "call"] if num else ["compare", "logic", "not"]
     form = draw(st.sampled_from(forms))
     if form == "if":
@@ -56,6 +57,10 @@ def _expr(draw, ty, depth=4):
     if form == "offset":
         stream = draw(st.sampled_from(STREAMS[ty]))
         return f"{stream}[-{draw(st.integers(1, 3))}, {sub(ty)}]"
+    if form == "delay":
+        stream = draw(st.sampled_from(STREAMS[ty]))
+        delay = draw(st.sampled_from(["250ms", "500ms", "1s", "1.5s"]))
+        return f"{stream}[-{delay}, {sub(ty)}]"
     if form in ("arith", "call"):
         # an int operand in a double expression exercises the promotion
         other = draw(st.sampled_from(["double", "int"])) if ty == "double" else ty
@@ -122,7 +127,8 @@ def _same(u, v):
 
 
 def _check(tspec, events, **mode):
-    engine = Monitor(tspec, **mode)
+    # a real-time offset into an input needs unbounded memory
+    engine = Monitor(tspec, allow_unbounded=True, **mode)
     ref = RefMonitor(tspec, **mode)
     got = []
     for ev in events:

@@ -190,6 +190,30 @@ def test_buffer_discipline_realtime_offset_fixed_target():
     assert len(buf) <= 7  # ceil(3 * 2) + 1
 
 
+def test_realtime_offset_boundaries_are_exact():
+    """Offset cutoffs fall exactly on instants: on a 2.5 Hz clock (Fraction
+    ticks, a 1/20 s grid) x reads the value s took at the previous tick; y
+    compares 4 Hz ticks with float event times such as 15 * 0.1, and w
+    compares cutoffs such as 8/5 with the float 16 * 0.1, which lies above."""
+    src = (
+        "input double a\n"
+        "output double s : 2.5Hz := a?0.0\n"
+        "output double x : 2.5Hz := s[-0.4sec, -1.0]\n"
+        "output double y : 4Hz := a[-0.75sec, -1.0]\n"
+        "output double w : 2.5Hz := a[-0.4sec, -1.0]"
+    )
+    events = [Event(k * 0.1, {"a": float(k)}) for k in range(1, 246)]
+    m = Monitor(typed(src), allow_unbounded=True)  # y reads a variable-rate input
+    got = [v for v in drain(m, events) if v.kind == "output"]
+    s = [v.value for v in got if v.stream == "s"]
+    x = [v.value for v in got if v.stream == "x"]
+    assert len(s) == 61 and x == [-1.0] + s[:-1]
+    ref = RefMonitor(typed(src))
+    ref.run(events)
+    want = [(v[1], v[2], v[4]) for v in ref.verdicts if v[0] == "output"]
+    assert [(v.ts, v.stream, v.value) for v in got] == want
+
+
 def test_lola_counter_self_reference():
     t = typed("input int tick\noutput int n := n[-1, 0] + 1")
     m = Monitor(t)
@@ -203,6 +227,25 @@ def test_lola_counter_self_reference():
         m.process(Event(float(k), {"tick": 0}))
     assert m.streams["n"].instances[()].ext_count == 5
     assert m.streams["n"].instances[()].buf[-1][1] == 5
+
+
+@pytest.mark.parametrize("repeats", [6, 7])
+def test_extend_with_many_disjuncts_matches_reference(repeats):
+    """7 repeats expand to 128 disjuncts, past the lookup plan's limit: the
+    instances to extend are then found by scanning all of them."""
+    extend = " & ".join(["(p = a | p = b)"] * repeats)
+    t = typed(
+        "input int a\ninput int b\n"
+        f"output int x<int p>\n  invoke: a\n  extend: {extend}\n  := b?0\n"
+        "trigger any(x > 1)"
+    )
+    events = [Event(1.0, {"a": 1, "b": 2}), Event(2.0, {"a": 1, "b": 3})]
+    m = Monitor(t, allow_unbounded=True)
+    got = [(v.kind, v.ts, v.stream, v.params, v.value) for v in drain(m, events)]
+    ref = RefMonitor(t)
+    ref.run(events)
+    assert got == ref.verdicts
+    assert len(got) == 2
 
 
 # -- termination lifecycle -------------------------------------------------------
