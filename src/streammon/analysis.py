@@ -120,16 +120,13 @@ class AnnotatedDependencyGraph:
     vertices: list[str]
     edges: list[Edge]
     rate: dict[str, Rate]
-    order: list[str]  # see template_order
+    #: templates sorted so that every same-instant dependency (offset 0 or
+    #: window, including invoke/extend/terminate accesses) comes first
+    order: list[str]
 
     @property
     def window_edges(self) -> list[Edge]:
         return [e for e in self.edges if isinstance(e.label, WindowLabel)]
-
-    def template_order(self) -> list[str]:
-        """Templates sorted so that every same-instant dependency (offset 0 or
-        window, including invoke/extend/terminate accesses) comes first."""
-        return list(self.order)
 
 
 def _same_instant(label: EdgeLabel) -> bool:

@@ -354,7 +354,7 @@ class Monitor:
 
         # evaluation orders: unclocked templates that can extend on an
         # event, clocked templates, and templates that can terminate
-        order = [self.streams[name] for name in self.adg.template_order()]
+        order = [self.streams[name] for name in self.adg.order]
         self._var_order = [
             rt
             for rt in order
