@@ -3,14 +3,19 @@
 Two cooperating components execute a specification over a timestamped event
 trace:
 
-* the variable-rate step runs once per trace event: it extends the bound
-  input streams, registers their values in depending windows, invokes
-  template instances whose invoke stream produced a fresh parameter value,
-  and extends unclocked templates. Parameterized templates extend here only
-  when they are efficiently bound (their extend condition pins parameters to
-  input values), so the per-event cost is independent of how many instances
-  are alive; plain unclocked streams tick on the union of their
-  dependencies' extension instants.
+* the variable-rate step runs once per trace event, by the schedule of the
+  event's binding set (its bound input names), built from the dependency
+  graph on first use and kept: the bound inputs, the unclocked templates
+  their extensions can reach, in dependency order, and the terminations and
+  triggers the step can touch. A gate naming a bound input or the time
+  input, which extend in every such step, is not checked at run time; any
+  other gate is, as a template in between may not extend (its extend
+  condition may fail or its value be undefined). Plain unclocked streams
+  tick on the union of their dependencies' extension instants.
+  Parameterized templates extend here only when efficiently bound (their
+  extend condition pins parameters to input values; a single such disjunct
+  binding every parameter is one tuple lookup), so the per-event cost is
+  independent of how many instances are alive.
 
 * the fixed-rate step runs at every clock tick k/y: due instances whose
   extend condition holds are computed, extended, and registered, repeating
@@ -31,6 +36,11 @@ Monitor is built, into a closure over the monitor's streams (see
 `compiler`); a step runs those closures and walks no syntax tree. Parameters
 travel as the instance's alpha tuple, indexed by position.
 
+Every stream has one extender, built with the monitor, that appends a value
+to an instance and does what follows; its coercion, pruning (by count, by
+time, or in place for a single slot), windows and invocations are chosen
+once per stream, not per extension.
+
 Clock ticks are integers on a grid of 1/D seconds, D being the least common
 multiple of the clock frequencies' numerators, so a clock of p/q Hz ticks
 every D*q/p grid units. The scheduler compares and advances integers only. A
@@ -45,6 +55,7 @@ import itertools
 import math
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from functools import partial
 from typing import Callable, Iterable, Iterator, Optional
 
 from .analysis import (
@@ -78,7 +89,7 @@ from .diagnostics import (
 )
 from .parser import _expr_str
 from .typecheck import TypedSpec
-from .values import UNDEFINED, saturate_i64
+from .values import INT64_MAX, INT64_MIN, UNDEFINED, saturate_i64
 from .windows import PanedWindow, make_aggregator
 
 __all__ = ["Event", "Verdict", "Monitor", "run"]
@@ -89,9 +100,11 @@ class Event:
     """One trace record: at least one input stream gets a value at time ts.
 
     ts must be finite, and every key of `bindings` must name a declared input
-    stream that is not the `time input` (that one is fed from ts). Otherwise
-    `Monitor.process` raises EngineError and leaves the monitor's state
-    unchanged.
+    stream that is not the `time input` (that one is fed from ts). Each value
+    must be of its input's type, by exact class: bool for a bool input, int
+    for an int input, int or float for a double input (a bool is no int).
+    Otherwise `Monitor.process` raises EngineError and leaves the monitor's
+    state unchanged.
     """
 
     ts: float
@@ -159,60 +172,42 @@ class _CondPlan:
     gate: frozenset[str]  # evaluate only when one of these streams extended
     mode: str  # 'lookup' | 'scan'
     disjuncts: list[_Disjunct] = field(default_factory=list)
+    #: () -> the alphas of the live instances it can select, ascending
+    find: Callable[[], Iterable[tuple]] = None
 
 
 _MAX_DISJUNCTS = 64
 
 
+@dataclass(slots=True, eq=False, repr=False)
 class _StreamRT:
     """Per-stream runtime state, precomputed plans and compiled expressions."""
 
-    __slots__ = (
-        "name",
-        "tpl",
-        "value_ty",
-        "buffer_plan",
-        "window_plans",
-        "instances",
-        "indexes",
-        "efficient",
-        "ext_plan",
-        "ter_plan",
-        "expr_gate",
-        "eta_bound",
-        "eta_warned",
-        "period",
-        "invokes",
-        "invoke_fn",
-        "extend_fn",
-        "terminate_fn",
-        "expr_fn",
-    )
-
-    def __init__(self, name: str, tpl, value_ty):
-        self.name = name
-        self.tpl: Optional[StreamTemplate] = tpl  # None for an input
-        self.value_ty: ValueType = value_ty
-        self.buffer_plan = BufferPlan()
-        self.window_plans: list[_WindowPlan] = []
-        self.instances: dict[tuple, Instance] = {}
-        #: parameter positions -> their values -> alphas of live instances
-        self.indexes: dict[tuple, dict] = {}
-        self.efficient = True
-        self.ext_plan: Optional[_CondPlan] = None
-        self.ter_plan: Optional[_CondPlan] = None
-        self.expr_gate: frozenset[str] = frozenset()
-        self.eta_bound: Optional[int] = None
-        self.eta_warned = False
-        self.period: Optional[int] = None  # clock period in grid ticks
-        #: templates whose invoke expression reads this stream
-        self.invokes: list[_StreamRT] = []
-        #: compiled invoke, extend, terminate and value expressions; invoke
-        #: yields the parameter tuple of the instance to invoke
-        self.invoke_fn: Optional[Compiled] = None
-        self.extend_fn: Optional[Compiled] = None
-        self.terminate_fn: Optional[Compiled] = None
-        self.expr_fn: Optional[Compiled] = None
+    name: str
+    tpl: Optional[StreamTemplate]  # None for an input
+    value_ty: ValueType
+    buffer_plan: BufferPlan = field(default_factory=BufferPlan)
+    window_plans: list[_WindowPlan] = field(default_factory=list)
+    instances: dict[tuple, Instance] = field(default_factory=dict)
+    #: parameter positions -> their values -> alphas of live instances
+    indexes: dict[tuple, dict] = field(default_factory=dict)
+    efficient: bool = True
+    ext_plan: Optional[_CondPlan] = None
+    ter_plan: Optional[_CondPlan] = None
+    expr_gate: frozenset[str] = frozenset()
+    eta_bound: Optional[int] = None
+    eta_warned: bool = False
+    period: Optional[int] = None  # clock period in grid ticks
+    #: templates whose invoke expression reads this stream
+    invokes: list[_StreamRT] = field(default_factory=list)
+    #: compiled invoke, extend, terminate and value expressions; invoke
+    #: yields the parameter tuple of the instance to invoke
+    invoke_fn: Optional[Compiled] = None
+    extend_fn: Optional[Compiled] = None
+    terminate_fn: Optional[Compiled] = None
+    expr_fn: Optional[Compiled] = None
+    #: extend(monitor, instance, ts, value, emit), see `_extender`
+    extend: Optional[Callable] = None
 
     def new_instance(self, alpha: tuple) -> Instance:
         inst = Instance(alpha, {p.wkey: p.new_state() for p in self.window_plans})
@@ -277,15 +272,16 @@ class Monitor:
         self.clock_ts = None  # last processed instant
 
         self._build_runtime(instance_bounds or {})
-        self._bindable = frozenset(
-            d.name for d in tspec.spec.inputs if not d.is_time
-        )
+        #: bindable input -> the classes its values may have
+        self._bindable = {
+            d.name: _CLASSES[d.ty.name] for d in tspec.spec.inputs if not d.is_time
+        }
+        #: binding set -> variable-rate step schedule, see `_schedule`
+        self._schedules: dict[frozenset, tuple] = {}
 
-        # per-step scratch
+        # per-step scratch; touched: streams that invoked or terminated one
         self._step_extended: dict[str, list[tuple]] = {}
-        self._step_invoked: dict[str, list[tuple]] = {}
-        self._step_terminated: dict[str, list[tuple]] = {}
-        self._step_done: set[tuple[str, tuple]] = set()
+        self._step_touched: set[str] = set()
         self._verdicts: list[Verdict] = []
 
     # -- construction -------------------------------------------------------
@@ -321,13 +317,11 @@ class Monitor:
         for rt in self.streams.values():
             if rt.tpl is None or not rt.tpl.params:
                 rt.new_instance(())
-        #: (stream, its instance, binding name or None for the time input),
-        #: in declaration order
-        self._inputs = []
-        for decl in tspec.spec.inputs:
-            rt = self.streams[decl.name]
-            name = None if decl.is_time else decl.name
-            self._inputs.append((rt, rt.instances[()], name))
+        #: (stream, binding name or None for the time input), in declaration order
+        self._inputs = [
+            (self.streams[d.name], None if d.is_time else d.name)
+            for d in tspec.spec.inputs
+        ]
 
         # invoke table, lifecycle plans and compiled expressions
         for tpl in tspec.spec.outputs:
@@ -348,9 +342,12 @@ class Monitor:
             rt.expr_gate = frozenset(node.stream for node in accesses(tpl.expr))
             for plan in (rt.ext_plan, rt.ter_plan):
                 if plan is not None:
+                    plan.find = _finder(rt, plan)
                     for d in plan.disjuncts:
                         if not d.full:
                             rt.indexes[d.positions] = {}
+        for rt in self.streams.values():
+            rt.extend = _extender(rt)
 
         # evaluation orders: unclocked templates that can extend on an
         # event, clocked templates, and templates that can terminate
@@ -382,7 +379,7 @@ class Monitor:
         positions = {p.name: i for i, p in enumerate(tpl.params)}
         k = len(tpl.params)
         conjunctions = _dnf(cond)
-        if conjunctions is None or not tpl.params:
+        if conjunctions is None or not tpl.params or tpl.clock is not None:
             return _CondPlan(gate, "scan")
         disjuncts: list[_Disjunct] = []
         for atoms in conjunctions:
@@ -455,8 +452,9 @@ class Monitor:
     def process(self, event: Event) -> list[Verdict]:
         """Run all due clock ticks, then the event's variable-rate step.
 
-        The timestamp must be finite and every binding must name a declared
-        input other than the `time input`; otherwise this raises EngineError
+        The timestamp must be finite, every binding must name a declared
+        input other than the `time input`, and every bound value must have
+        its input's type (see `Event`); otherwise this raises EngineError
         before any tick or extension, and the monitor's state is unchanged.
         """
         out: list[Verdict] = []
@@ -485,21 +483,61 @@ class Monitor:
                     counter[0] = due + counter[1]
             yield due
 
-    def _check_event(self, event: Event) -> None:
+    def _check_event(self, event: Event) -> tuple:
+        """Reject an invalid event; returns the schedule of its binding set."""
         # NaN would pass every later order check and make _ticks_until yield
         # ticks forever, as would +inf
         if not -math.inf < event.ts < math.inf:
             raise EngineError([Diagnostic(f"non-finite timestamp {event.ts}")])
-        if not self._bindable.issuperset(event.bindings):
-            unknown = ", ".join(sorted(set(event.bindings) - self._bindable))
-            raise EngineError(
-                [
-                    Diagnostic(
-                        f"unknown input stream(s): {unknown} (an event binds "
-                        "declared inputs only, never the time input)"
-                    )
-                ]
-            )
+        bindings = event.bindings
+        bound = frozenset(bindings)
+        schedule = self._schedules.get(bound)
+        if schedule is None:
+            if not bound <= self._bindable.keys():
+                unknown = ", ".join(sorted(bound - self._bindable.keys()))
+                message = (
+                    f"unknown input stream(s): {unknown} (an event binds "
+                    "declared inputs only, never the time input)"
+                )
+                raise EngineError([Diagnostic(message)])
+            schedule = self._schedules[bound] = self._schedule(bound)
+        for name, value in bindings.items():
+            if value.__class__ not in self._bindable[name]:
+                ty = self.streams[name].value_ty.value
+                raise EngineError([Diagnostic(f"input {name} ({ty}) got {value!r}")])
+        return schedule
+
+    def _schedule(self, bound: frozenset) -> tuple:
+        """The step of an event binding the inputs `bound`: the inputs fed as
+        (extender, instance, binding name or None), the templates and the
+        terminations as (template, gate, candidate finder) and the triggers
+        as (gate, check); a gate of None needs no run-time check."""
+        fed = [(rt, name) for rt, name in self._inputs if name in bound or not name]
+        always = frozenset(rt.name for rt, _ in fed)
+        reach = set(always)  # the streams that can extend in such a step
+
+        def dynamic(gate):
+            return None if gate & always else gate
+
+        templates = []
+        for rt in self._var_order:
+            plan = rt.ext_plan
+            gate = rt.expr_gate if plan is None else plan.gate
+            if not gate.isdisjoint(reach):
+                reach.add(rt.name)
+                # a plain template's one candidate is the alpha ()
+                find = ((),).__iter__ if plan is None else plan.find
+                templates.append((rt, dynamic(gate), find))
+        ends = [
+            (rt, dynamic(rt.ter_plan.gate), rt.ter_plan.find)
+            for rt in self._with_terminate
+            if rt.period is None and rt.ter_plan.gate & reach
+        ]
+        touched = reach | {rt.name for rt, _, _ in ends}
+        touched.update(dep.name for s in reach for dep in self.streams[s].invokes)
+        triggers = [(dynamic(g), check) for g, check in self._triggers if g & touched]
+        inputs = [(rt.extend, rt.instances[()], name) for rt, name in fed]
+        return inputs, templates, ends, triggers
 
     # -- step machinery ---------------------------------------------------------
 
@@ -510,60 +548,36 @@ class Monitor:
             )
         self.clock_ts = ts
         self._step_extended = {}
-        self._step_invoked = {}
-        self._step_terminated = {}
-        self._step_done = set()
+        self._step_touched = set()
         self._verdicts = []
 
     def var_rate_step(self, event: Event) -> list[Verdict]:
-        """Process one trace event."""
-        self._check_event(event)
+        """Process one trace event by the schedule of its binding set."""
+        inputs, templates, ends, triggers = self._check_event(event)
         ts = event.ts
         self._begin_step(ts)
         self.events_processed += 1
 
-        # 1: extend bound inputs, register into depending windows
         bindings = event.bindings
-        for rt, inst, name in self._inputs:
-            if name is None:
-                value = float(ts)
-            elif name in bindings:
-                value = bindings[name]
-            else:
-                continue
-            self._extend(rt, inst, ts, value, False)
+        for extend, inst, name in inputs:
+            extend(self, inst, ts, bindings[name] if name else float(ts), False)
 
-        # 2 + 3: extend unclocked templates in dependency order; invocations
-        # happen inside _extend, so invoked instances of later templates are
-        # picked up within the same pass
-        extended, done = self._step_extended, self._step_done
-        for rt in self._var_order:
-            plan = rt.ext_plan
-            if plan is None:  # a plain stream
-                if rt.expr_gate.isdisjoint(extended):
-                    continue
-                if rt.extend_fn is not None and rt.extend_fn((), ts) is not True:
-                    continue
-                inst = rt.instances.get(())
-                if inst is not None and (rt.name, ()) not in done:
-                    self._compute_and_extend(rt, inst, ts, (), False)
+        # invocations happen inside the extenders, so invoked instances of
+        # later templates are picked up within the same pass
+        extended = self._step_extended
+        for rt, gate, find in templates:
+            if gate is not None and gate.isdisjoint(extended):
                 continue
-            if plan.gate.isdisjoint(extended):
-                continue
-            instances = rt.instances
-            for alpha in self._candidates(rt, plan):
+            instances, extend_fn = rt.instances, rt.extend_fn
+            for alpha in find():
+                if extend_fn is not None and extend_fn(alpha, ts) is not True:
+                    continue
                 inst = instances.get(alpha)
-                if inst is None or (rt.name, alpha) in done:
-                    continue
-                if rt.extend_fn(alpha, ts) is not True:
-                    continue
-                self._compute_and_extend(rt, inst, ts, alpha, False)
+                if inst is not None:
+                    self._compute_and_extend(rt, inst, ts, alpha, False)
 
-        # 4: terminations of unclocked templates whose condition deps ticked
-        self._run_terminations(ts, None)
-
-        # 5: triggers
-        self._verdicts.extend(self.evaluate_triggers(ts))
+        self._run_terminations(ts, ends)
+        self._verdicts.extend(self.evaluate_triggers(ts, triggers))
         self.verdicts_emitted += len(self._verdicts)
         return self._verdicts
 
@@ -574,7 +588,7 @@ class Monitor:
         ts = tick / grid if self._dyadic else Fraction(tick, grid)
         self._begin_step(ts)
         due = [rt for rt in self._clocked_order if tick % rt.period == 0]
-        done = self._step_done
+        done: set[tuple[str, tuple]] = set()
         undefined_skips: list[tuple[_StreamRT, Instance]] = []
         progress = True
         while progress:
@@ -590,6 +604,7 @@ class Monitor:
                     if extend_fn is not None and extend_fn(alpha, ts) is not True:
                         continue
                     if self._compute_and_extend(rt, inst, ts, alpha, True):
+                        done.add((name, alpha))
                         progress = True
                     else:
                         undefined_skips.append((rt, inst))
@@ -601,8 +616,14 @@ class Monitor:
                     f"{_instance_name(rt.name, inst.alpha)}: undefined access "
                     "without a default; value skipped for this tick",
                 )
-        self._run_terminations(ts, due)
-        self._verdicts.extend(self.evaluate_triggers(ts))
+        # a clocked template checks terminate on its own ticks, all instances
+        ends = [
+            (rt, None if rt.period else rt.ter_plan.gate, rt.ter_plan.find)
+            for rt in self._with_terminate
+            if rt.period is None or rt in due
+        ]
+        self._run_terminations(ts, ends)
+        self._verdicts.extend(self.evaluate_triggers(ts, self._triggers))
         self.verdicts_emitted += len(self._verdicts)
         return self._verdicts
 
@@ -617,59 +638,21 @@ class Monitor:
         value = rt.expr_fn(alpha, ts)
         if value is UNDEFINED:
             if not emit:
-                self._step_done.add((rt.name, inst.alpha))
                 self._warn(
                     ts,
                     f"{_instance_name(rt.name, inst.alpha)}: undefined access "
                     "without a default; value skipped",
                 )
             return False
-        self._step_done.add((rt.name, inst.alpha))
-        self._extend(rt, inst, ts, value, emit)
+        rt.extend(self, inst, ts, value, emit)
         return True
-
-    def _extend(self, rt: _StreamRT, inst: Instance, ts, value, emit: bool) -> None:
-        ty = rt.value_ty
-        if ty is ValueType.DOUBLE:
-            value = float(value)
-        elif ty is ValueType.INT:
-            value, overflowed = saturate_i64(value)
-            if overflowed:
-                self._warn(ts, f"{rt.name}: integer overflow, value saturated")
-        buf = inst.buf
-        buf.append((ts, value))
-        inst.ext_count += 1
-        plan = rt.buffer_plan
-        if plan.time_keep is None:
-            drop = len(buf) - plan.count_keep
-            if drop > 0:
-                del buf[:drop]
-                slots = self.slots + 1 - drop
-            else:
-                slots = self.slots + 1
-        else:
-            slots = self.slots + 1 - _prune_by_time(plan, buf, ts)
-        for w in inst.windows.values():
-            before = w.slot_count
-            w.register(value, ts)
-            slots += w.slot_count - before
-        self.slots = slots
-        if slots > self.peak_slots:
-            self.peak_slots = slots
-        self._step_extended.setdefault(rt.name, []).append(inst.alpha)
-        if emit:
-            self._verdicts.append(
-                Verdict(float(ts), "output", rt.name, inst.alpha, value)
-            )
-        for dependent in rt.invokes:
-            self._try_invoke(dependent, ts)
 
     def _try_invoke(self, rt: _StreamRT, ts) -> None:
         alpha = rt.invoke_fn((), ts)
         if alpha is UNDEFINED or alpha in rt.instances:
             return
         rt.new_instance(alpha)
-        self._step_invoked.setdefault(rt.name, []).append(alpha)
+        self._step_touched.add(rt.name)
         if (
             rt.eta_bound is not None
             and len(rt.instances) > rt.eta_bound
@@ -684,68 +667,34 @@ class Monitor:
 
     # -- termination ---------------------------------------------------------------
 
-    def _run_terminations(self, ts, due: Optional[list[_StreamRT]]) -> None:
-        """`due` holds the clocked streams due at this tick; None in a
-        variable-rate step."""
+    def _run_terminations(self, ts, ends: list[tuple]) -> None:
+        """Drop the instances whose terminate condition holds. `ends` holds
+        (template, gate, candidate finder); a template is checked when its
+        gate is None or one of the gate's streams extended in the step."""
         extended = self._step_extended
-        for rt in self._with_terminate:
-            if rt.period is not None:
-                # a clocked template checks terminate on its own ticks only
-                if due is None or rt not in due:
-                    continue
-                candidates = sorted(rt.instances)
-            else:
-                plan = rt.ter_plan
-                if plan.gate.isdisjoint(extended):
-                    continue
-                candidates = self._candidates(rt, plan)
-            for alpha in candidates:
+        for rt, gate, find in ends:
+            if gate is not None and gate.isdisjoint(extended):
+                continue
+            for alpha in find():
                 if alpha in rt.instances and rt.terminate_fn(alpha, ts) is True:
                     dropped = rt.drop_instance(alpha)
-                    self.slots -= len(dropped.buf)
-                    self.slots -= sum(
-                        w.slot_count for w in dropped.windows.values()
-                    )
-                    self._step_terminated.setdefault(rt.name, []).append(alpha)
-
-    @staticmethod
-    def _candidates(rt: _StreamRT, plan: _CondPlan) -> list[tuple]:
-        """Instances a lifecycle condition can currently select, found without
-        iterating the instance map unless the plan is a scan."""
-        if plan.mode == "scan":
-            return sorted(rt.instances)
-        found: set[tuple] = set()
-        for d in plan.disjuncts:
-            values = []
-            for buf in d.bufs:
-                if not buf:
-                    break
-                values.append(buf[-1][1])
-            else:
-                # a full disjunct binds positions 0..k-1: the key is the alpha
-                key = tuple(values)
-                if d.full:
-                    if key in rt.instances:
-                        found.add(key)
-                else:
-                    bucket = rt.indexes[d.positions].get(key)
-                    if bucket:
-                        found.update(bucket)
-        return sorted(found)
+                    panes = sum(w.slot_count for w in dropped.windows.values())
+                    self.slots -= len(dropped.buf) + panes
+                    self._step_touched.add(rt.name)
 
     # -- triggers --------------------------------------------------------------------
 
-    def evaluate_triggers(self, ts) -> list[Verdict]:
-        """Check triggers whose targets were touched during the current step."""
-        extended = self._step_extended
-        invoked = self._step_invoked
-        terminated = self._step_terminated
+    def evaluate_triggers(self, ts, triggers: list[tuple]) -> list[Verdict]:
+        """Check `triggers`, (gate, check) pairs: one whose gate is None, and
+        one whose gate names a stream that extended, invoked or terminated
+        an instance during the current step."""
+        extended, touched = self._step_extended, self._step_touched
         out: list[Verdict] = []
-        for gate, check in self._triggers:
+        for gate, check in triggers:
             if (
-                gate.isdisjoint(extended)
-                and gate.isdisjoint(invoked)
-                and gate.isdisjoint(terminated)
+                gate is not None
+                and gate.isdisjoint(extended)
+                and gate.isdisjoint(touched)
             ):
                 continue
             verdict = check(ts, extended)
@@ -757,19 +706,106 @@ class Monitor:
         self._verdicts.append(Verdict(float(ts), "warning", message=message))
 
 
-def _prune_by_time(plan: BufferPlan, buf: list, ts) -> int:
-    """Drop buffered values older than the plan's horizon ts - time_keep and
-    return how many. A value goes only if the next one still lies at or
-    before the horizon (sample-and-hold needs one value there), and at least
-    count_keep values stay."""
+_CLASSES = dict(BOOL={bool}, INT={int}, DOUBLE={int, float})
+
+
+def _extender(rt: _StreamRT) -> Callable:
+    """rt's extender, extend(monitor, inst, ts, value, emit): coerce the value
+    to rt's type, buffer it and prune by rt's plan, register it into inst's
+    windows, charge the slots, record the extension, emit an output verdict
+    when `emit` and try the invocations that read rt."""
+    name, invokes = rt.name, tuple(rt.invokes)
+    plan, windowed = rt.buffer_plan, bool(rt.window_plans)
+    keep, by_time = plan.count_keep, plan.time_keep is not None
+    overwrite = keep == 1 and not by_time  # a single slot, reused in place
+    to_float = rt.value_ty is ValueType.DOUBLE
+    saturating = rt.value_ty is ValueType.INT
+
+    def extend(m, inst, ts, value, emit):
+        if to_float:
+            value = float(value)
+        elif saturating and not INT64_MIN <= value <= INT64_MAX:
+            value = saturate_i64(value)[0]
+            m._warn(ts, f"{name}: integer overflow, value saturated")
+        buf = inst.buf
+        if overwrite and buf:
+            buf[0] = (ts, value)
+            grown = 0
+        else:
+            buf.append((ts, value))
+            drop = _expired(plan, buf, ts) if by_time else len(buf) - keep
+            if drop > 0:
+                del buf[:drop]
+            grown = 1 - max(drop, 0)
+        inst.ext_count += 1
+        if windowed:
+            for w in inst.windows.values():
+                grown += w.register(value, ts)
+        if grown:
+            slots = m.slots = m.slots + grown
+            if slots > m.peak_slots:
+                m.peak_slots = slots
+        m._step_extended.setdefault(name, []).append(inst.alpha)
+        if emit:
+            m._verdicts.append(Verdict(float(ts), "output", name, inst.alpha, value))
+        for dependent in invokes:
+            m._try_invoke(dependent, ts)
+
+    return extend
+
+
+def _finder(rt: _StreamRT, plan: _CondPlan) -> Callable[[], Iterable[tuple]]:
+    """`plan.find`: every instance for a scan, one tuple lookup when a single
+    disjunct binds every parameter, `_candidates` otherwise."""
+    if plan.mode == "scan":
+        return partial(sorted, rt.instances)
+    if len(plan.disjuncts) > 1 or not plan.disjuncts[0].full:
+        return partial(_candidates, rt, plan)
+    instances, bufs = rt.instances, plan.disjuncts[0].bufs
+
+    def lookup():
+        alpha = ()
+        for buf in bufs:
+            if not buf:
+                return ()
+            alpha += (buf[-1][1],)
+        return (alpha,) if alpha in instances else ()
+
+    return lookup
+
+
+def _candidates(rt: _StreamRT, plan: _CondPlan) -> list[tuple]:
+    """The live instances a lookup plan can select, found through the
+    indexes without iterating the instance map."""
+    found: set[tuple] = set()
+    for d in plan.disjuncts:
+        values = []
+        for buf in d.bufs:
+            if not buf:
+                break
+            values.append(buf[-1][1])
+        else:
+            # a full disjunct binds positions 0..k-1: the key is the alpha
+            key = tuple(values)
+            if d.full:
+                if key in rt.instances:
+                    found.add(key)
+            else:
+                bucket = rt.indexes[d.positions].get(key)
+                if bucket:
+                    found.update(bucket)
+    return sorted(found)
+
+
+def _expired(plan: BufferPlan, buf: list, ts) -> int:
+    """How many of the oldest buffered values lie beyond the plan's horizon
+    ts - time_keep; zero or less when none. A value goes only if the next
+    one still lies at or before the horizon (sample-and-hold needs one value
+    there), and at least count_keep values stay."""
     n, d = ts.as_integer_ratio()
     kn, kd = plan.time_keep.numerator, plan.time_keep.denominator
     held = count_until(buf, n * kd - kn * d, d * kd)  # at or before ts - keep
-    drop = min(held - 1, len(buf) - plan.count_keep)
-    if drop <= 0:
-        return 0
-    del buf[:drop]
-    return drop
+    return min(held - 1, len(buf) - plan.count_keep)
 
 
 def _with_clock(tspec: TypedSpec, clock: Fraction) -> TypedSpec:

@@ -266,10 +266,11 @@ class PanedWindow:
         self._back = None
         self._slots = 0
 
-    def register(self, value, ts) -> None:
+    def register(self, value, ts) -> int:
         """Fold a value into its pane; no window-level aggregation happens.
         Eviction runs only when a new pane opens: folding into an existing
-        pane cannot raise the pane count."""
+        pane cannot raise the pane count. Returns the change in slot_count,
+        so that a caller charging slots need not read it around the call."""
         if self.last_ts is not None and ts < self.last_ts:
             raise OutOfOrderError(
                 [Diagnostic(f"window registration at {ts} after {self.last_ts}")]
@@ -287,15 +288,18 @@ class PanedWindow:
             panes[idx] = agg.add(panes[idx], ts, value)
             if agg.raw:
                 self._slots += 1
-            return
+                return 1
+            return 0
         if opened is not None and not agg.raw:
             closed = panes[opened]
             back = self._back
             self._back = closed if back is None else agg.merge(back, closed)
         panes[idx] = agg.add(agg.new(), ts, value)
         self._open = idx
-        self._slots += 1
+        slots = self._slots
+        self._slots = slots + 1
         self._evict(n, d)
+        return self._slots - slots
 
     def evict(self, ts) -> None:
         """Drop every pane whose entire span lies at or before ts - r:

@@ -8,6 +8,13 @@ operands, `!` and unary minus, discrete and real-time offsets, windows,
 monitored in variable and in fixed mode on a random trace, and every value
 the engine produces must equal the reference monitor's (`tests/oracle.py`).
 
+Later outputs may read earlier ones (`y` reads `x`, `z` reads `x` and `y`),
+so a variable-rate step's schedule must gate a template on another
+template that may or may not extend, or may be undefined, in that step. A
+second property monitors a parameterized family whose invoke, extend and
+terminate conditions bind its parameter to inputs, under the same random
+binding subsets, and compares every instance.
+
 The trace keeps both sides exact. Timestamps are multiples of 1/4 s and
 windows last 500 ms, 1 s or 2 s, so every evaluation instant is
 pane-aligned and the engine's panes cover exactly the reference's
@@ -29,6 +36,8 @@ INPUTS = "input double a\ninput double b\ninput int i\ninput int j\ninput bool p
 
 #: the type of each generated output; `x` and `z` drive the triggers
 OUTPUTS = {"x": "double", "y": "int", "z": "bool"}
+#: the earlier outputs each output may read
+READS = {"x": "", "y": "x", "z": "xy"}
 STREAMS = {"double": "ab", "int": "ij", "bool": "p"}
 LEAVES = {
     "double": ["a", "b", "0.0", "0.25", "1.5"],
@@ -38,13 +47,15 @@ LEAVES = {
 
 
 @st.composite
-def _expr(draw, ty, depth=4):
-    """An expression of type `ty`: 'double', 'int' or 'bool'."""
+def _expr(draw, ty, depth=4, reads="", leaves=LEAVES):
+    """An expression of type `ty`: 'double', 'int' or 'bool', over the inputs,
+    the outputs named in `reads` and `leaves`."""
+    mine = "".join(o for o in reads if OUTPUTS[o] == ty)
     if depth == 0 or draw(st.integers(0, 4)) == 0:
-        return draw(st.sampled_from(LEAVES[ty]))
+        return draw(st.sampled_from(leaves[ty] + list(mine)))
 
     def sub(t):
-        return draw(_expr(t, depth - 1))
+        return draw(_expr(t, depth - 1, reads, leaves))
 
     num = "bool" != ty
     forms = ["if", "default", "offset", "delay"]
@@ -55,10 +66,10 @@ def _expr(draw, ty, depth=4):
     if form == "default":
         return f"({sub(ty)})?({sub(ty)})"
     if form == "offset":
-        stream = draw(st.sampled_from(STREAMS[ty]))
+        stream = draw(st.sampled_from(STREAMS[ty] + mine))
         return f"{stream}[-{draw(st.integers(1, 3))}, {sub(ty)}]"
     if form == "delay":
-        stream = draw(st.sampled_from(STREAMS[ty]))
+        stream = draw(st.sampled_from(STREAMS[ty] + mine))
         delay = draw(st.sampled_from(["250ms", "500ms", "1s", "1.5s"]))
         return f"{stream}[-{delay}, {sub(ty)}]"
     if form in ("arith", "call"):
@@ -73,9 +84,9 @@ def _expr(draw, ty, depth=4):
     if form == "window":
         duration = draw(st.sampled_from(["500ms", "1s", "2s"]))
         if ty == "int" and draw(st.booleans()):
-            stream, agg = draw(st.sampled_from("abijp")), "count"
+            stream, agg = draw(st.sampled_from("abijp" + reads)), "count"
         else:
-            stream = draw(st.sampled_from(STREAMS[ty]))
+            stream = draw(st.sampled_from(STREAMS[ty] + mine))
             agg = draw(st.sampled_from(["sum", "avg", "min", "max"]))
         return f"{stream}[{duration}, {agg}, {sub(ty)}]"
     if form == "compare":
@@ -91,8 +102,10 @@ def _spec(exprs):
     """The specification with one output per generated expression, or None
     when it does not type-check."""
     src = INPUTS
-    for name, text in exprs.items():
-        src += f"output {OUTPUTS[name]} {name} := {text}\n"
+    # in the order x, y, z whatever the dictionary's: the reference monitor
+    # settles clocked outputs in declaration order, not on demand
+    for name in OUTPUTS:
+        src += f"output {OUTPUTS[name]} {name} := {exprs[name]}\n"
     src += "trigger z\ntrigger x > 1.0\n"
     try:
         return check_types(parse(src))
@@ -126,7 +139,10 @@ def _same(u, v):
     return u == v and type(u) is type(v)
 
 
-def _check(tspec, events, **mode):
+def _check(tspec, events, names=OUTPUTS, **mode):
+    """Run both monitors; after every event the live instances of the
+    streams `names`, their extension counts and latest values, and in the
+    end the verdicts other than warnings, must be the same."""
     # a real-time offset into an input needs unbounded memory
     engine = Monitor(tspec, allow_unbounded=True, **mode)
     ref = RefMonitor(tspec, **mode)
@@ -134,12 +150,15 @@ def _check(tspec, events, **mode):
     for ev in events:
         got += engine.process(ev)
         ref.run([ev])
-        for name in OUTPUTS:
-            inst, history = engine.streams[name].instances[()], ref.live[name][()].history
-            assert inst.ext_count == len(history), (name, ev)
-            if history:
-                (t, u), (s, v) = inst.buf[-1], history[-1]
-                assert t == s and _same(u, v), (name, ev, u, v)
+        for name in names:
+            live, ref_live = engine.streams[name].instances, ref.live[name]
+            assert live.keys() == ref_live.keys(), (name, ev)
+            for alpha, inst in live.items():
+                history = ref_live[alpha].history
+                assert inst.ext_count == len(history), (name, alpha, ev)
+                if history:
+                    (t, u), (s, v) = inst.buf[-1], history[-1]
+                    assert t == s and _same(u, v), (name, alpha, ev, u, v)
     mine = [
         (v.kind, v.ts, v.stream, v.params, v.value) for v in got if v.kind != "warning"
     ]
@@ -148,7 +167,10 @@ def _check(tspec, events, **mode):
         assert m[:4] == r[:4] and _same(m[4], r[4]), (m, r)
 
 
-@given(st.fixed_dictionaries({name: _expr(ty) for name, ty in OUTPUTS.items()}), st.integers(0, 2**16))
+@given(
+    st.fixed_dictionaries({n: _expr(ty, reads=READS[n]) for n, ty in OUTPUTS.items()}),
+    st.integers(0, 2**16),
+)
 @settings(max_examples=100, deadline=None)
 def test_compiled_expressions_match_reference(exprs, seed):
     tspec = _spec(exprs)
@@ -157,3 +179,45 @@ def test_compiled_expressions_match_reference(exprs, seed):
     events = _trace(seed)
     _check(tspec, events)
     _check(tspec, events, mode="fixed", frequency=Fraction(1))
+
+
+#: a parameter is an int leaf of a family member's expression; `g` also
+#: reads the instance of `f` with its own parameter, which may not exist
+FAMILY_LEAVES = {
+    "double": LEAVES["double"],
+    "int": LEAVES["int"] + ["k"],
+    "bool": LEAVES["bool"],
+}
+G_LEAVES = dict(FAMILY_LEAVES, double=FAMILY_LEAVES["double"] + ["f(k)", "f(k)?(0.5)"])
+BINDS = ["k = i", "k = j", "i = k", "(k = i) | (k = j)", "(k = i) & (k = j)"]
+ENDS = ["k = j", "p & (k = j)", "(k = i) & !p", "(k = j) | ((k = i) & p)", "p"]
+
+
+@st.composite
+def _family(draw):
+    """`f<int k>` and `g<int k>`, each invoked by an int input, extended
+    when its parameter equals bound inputs and maybe terminated, with an
+    `any` trigger over `f` and a `count` trigger over one of them."""
+    src = INPUTS
+    for name, ty, leaves in (("f", "double", FAMILY_LEAVES), ("g", "bool", G_LEAVES)):
+        src += (
+            f"output {ty} {name}<int k>\n"
+            f"  invoke: {draw(st.sampled_from('ij'))}\n"
+            f"  extend: {draw(st.sampled_from(BINDS))}\n"
+        )
+        ends = draw(st.sampled_from([None] + ENDS))
+        if ends is not None:
+            src += f"  terminate: {ends}\n"
+        src += f"  := {draw(_expr(ty, 3, leaves=leaves))}\n"
+    counted = draw(st.sampled_from("fg"))
+    return src + f"trigger any(f > 0.5)\ntrigger count({counted}) >= 2\n"
+
+
+@given(_family(), st.integers(0, 2**16))
+@settings(max_examples=60, deadline=None)
+def test_parameterized_family_matches_reference(src, seed):
+    try:
+        tspec = check_types(parse(src))
+    except TypeCheckError:
+        return
+    _check(tspec, _trace(seed), names="fg")

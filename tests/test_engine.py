@@ -335,17 +335,28 @@ def _state(m):
         name: {alpha: list(inst.buf) for alpha, inst in rt.instances.items()}
         for name, rt in m.streams.items()
     }
-    return m.clock_ts, m.events_processed, m.slots, m.peak_slots, buffers
+    windows = {
+        name: {
+            alpha: [(w.last_ts, w.slot_count) for w in inst.windows.values()]
+            for alpha, inst in rt.instances.items()
+        }
+        for name, rt in m.streams.items()
+    }
+    return m.clock_ts, m.events_processed, m.slots, m.peak_slots, buffers, windows
 
 
 def test_rejected_event_leaves_state_unchanged():
+    # d is declared before a, so that a value of d is registered into its
+    # window before a's binding is looked at
     m = Monitor(
         typed(
-            "input int a\ntime input double timestamp\n"
-            "output int x := a?0\noutput int c : 1Hz := a?0"
+            "input double d\ninput int a\ninput bool p\n"
+            "time input double timestamp\n"
+            "output int x := a?0\noutput int c : 1Hz := a?0\n"
+            "output double s := d[10s, sum]"
         )
     )
-    m.process(Event(1.0, {"a": 1}))
+    m.process(Event(1.0, {"a": 1, "d": 0.5, "p": False}))
     before = _state(m)
     assert before[4]["a"][()] == [(1.0, 1)]
     bad = [
@@ -353,6 +364,16 @@ def test_rejected_event_leaves_state_unchanged():
         {"x": 5},  # an output
         {"timestamp": 99.0},  # the time input is fed from ts
         {"a": 7, "timestamp": 99.0},
+        # a binding of the wrong type, beside a valid one or alone
+        {"d": 1.0, "a": "7"},
+        {"d": "x"},
+        {"d": None},
+        {"d": True},  # a bool is no number here
+        {"a": 2.5},
+        {"a": math.nan},
+        {"a": True},
+        {"p": 1},
+        {"p": "true"},
     ]
     for bindings in bad:
         with pytest.raises(EngineError):
@@ -361,10 +382,23 @@ def test_rejected_event_leaves_state_unchanged():
         with pytest.raises(EngineError):
             m.var_rate_step(Event(2.0, bindings))
         assert _state(m) == before, bindings
-    m.process(Event(2.0, {"a": 7}))
+    m.process(Event(2.0, {"a": 7, "d": 3, "p": True}))
     assert m.clock_ts == 2.0
     assert m.streams["a"].instances[()].buf[-1] == (2.0, 7)
     assert m.streams["x"].instances[()].buf[-1] == (2.0, 7)
+    # an int is a valid double, stored as a float
+    d = m.streams["d"].instances[()].buf[-1]
+    assert d == (2.0, 3.0) and type(d[1]) is float
+    assert m.streams["s"].instances[()].buf[-1] == (2.0, 3.5)
+
+
+def test_rejected_binding_names_input_and_value():
+    m = Monitor(typed("input double a\ninput int b\noutput int t := b?0 + 1"))
+    with pytest.raises(EngineError, match=r"input b \(int\) got 2\.5"):
+        m.process(Event(2.0, {"a": 1.0, "b": 2.5}))
+    with pytest.raises(EngineError, match=r"input a \(double\) got 'x'"):
+        m.process(Event(2.0, {"a": "x"}))
+    assert m.events_processed == 0 and m.clock_ts is None
 
 
 def _bounded_ticks(m, limit=100):

@@ -433,7 +433,8 @@ def test_two_stacks_equals_left_fold(case, ratio, ops):
         now += dt
         value = raw if ty is ValueType.INT else raw / 7.0
         if op == "register":
-            w.register(value, now)
+            before = w.slot_count
+            assert w.register(value, now) == w.slot_count - before
             events.append((now, value))
         elif op == "evaluate":
             w.evaluate(now)
