@@ -120,25 +120,14 @@ class AnnotatedDependencyGraph:
     vertices: list[str]
     edges: list[Edge]
     rate: dict[str, Rate]
-    #: templates sorted so that every same-instant dependency (offset 0 or
-    #: window, including invoke/extend/terminate accesses) comes first
+    #: templates sorted so that their dependencies come first: those read at
+    #: the same instant and, unless they close a cycle, those read through a
+    #: past or real-time offset (in any expression, invoke included)
     order: list[str]
 
     @property
     def window_edges(self) -> list[Edge]:
         return [e for e in self.edges if isinstance(e.label, WindowLabel)]
-
-
-def _same_instant(label: EdgeLabel) -> bool:
-    """Whether the dependency reads the target at the current instant (so a
-    cycle through it cannot be evaluated)."""
-    match label:
-        case DiscreteOffset(steps=0):
-            return True
-        case WindowLabel():
-            return True
-        case _:
-            return False
 
 
 def build_adg(tspec: TypedSpec) -> AnnotatedDependencyGraph:
@@ -201,13 +190,27 @@ def build_adg(tspec: TypedSpec) -> AnnotatedDependencyGraph:
 
 
 def _evaluation_order(tspec: TypedSpec, edges: list[Edge]) -> list[str]:
-    """Templates in declaration order, each after its same-instant
-    dependencies (visited in sorted order), by one depth-first pass that
-    raises CycleError on a same-instant cycle."""
-    deps: dict[str, set[str]] = {t.name: set() for t in tspec.spec.outputs}
+    """Templates in declaration order, each after its dependencies, by one
+    depth-first pass that visits them in sorted order and raises CycleError
+    on a cycle of same-instant reads (offset 0 or window). Same-instant
+    dependencies come first; so does each template read through a past or
+    real-time offset, unless it can reach a template on the current path
+    over reads of either kind (the read closes a cycle the offset breaks)."""
+    now: dict[str, set[str]] = {t.name: set() for t in tspec.spec.outputs}
+    past: dict[str, set[str]] = {name: set() for name in now}
     for e in edges:
-        if e.target in deps and _same_instant(e.label):
-            deps[e.source].add(e.target)
+        if e.target in now:
+            same = isinstance(e.label, WindowLabel) or e.label == DiscreteOffset(0)
+            (now if same else past)[e.source].add(e.target)
+    reach: dict[str, set[str]] = {}  # the templates each reaches, itself included
+    for name in now:
+        found, todo = {name}, [name]
+        while todo:
+            v = todo.pop()
+            for dep in (now[v] | past[v]) - found:
+                found.add(dep)
+                todo.append(dep)
+        reach[name] = found
     order: list[str] = []
     path: list[str] = []  # the templates being visited, outermost first
     state: dict[str, int] = {}  # 1 while on the path, 2 once ordered
@@ -215,18 +218,21 @@ def _evaluation_order(tspec: TypedSpec, edges: list[Edge]) -> list[str]:
     def visit(name: str) -> None:
         state[name] = 1
         path.append(name)
-        for dep in sorted(deps[name]):
+        for dep in sorted(now[name]):
             if state.get(dep) == 1:
                 cycle = " -> ".join(path[path.index(dep) :] + [dep])
                 message = f"dependency cycle without a strictly-past offset: {cycle}"
                 raise CycleError([Diagnostic(message)])
             if dep not in state:
                 visit(dep)
+        for dep in sorted(past[name]):
+            if dep not in state and reach[dep].isdisjoint(path):
+                visit(dep)
         path.pop()
         state[name] = 2
         order.append(name)
 
-    for name in deps:
+    for name in now:
         if name not in state:
             visit(name)
     return order

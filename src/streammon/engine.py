@@ -17,11 +17,17 @@ trace:
   binding every parameter is one tuple lookup), so the per-event cost is
   independent of how many instances are alive.
 
-* the fixed-rate step runs at every clock tick k/y: due instances whose
-  extend condition holds are computed, extended, and registered, repeating
-  until a fixpoint; each instance extends at most once per tick. Instances
-  whose terminate condition holds are then removed, and triggers are
-  checked.
+* the fixed-rate step runs at every clock tick k/y, by the schedule of the
+  clocks due at that tick (built on first use and kept): each due clocked
+  template's instances, in invocation order, whose extend condition holds
+  are computed and extended. Instances whose terminate condition holds are
+  then removed, and triggers are checked.
+
+Both steps run one pass of one loop, in the dependency order of
+`analysis._evaluation_order`, which puts what a template reads before it.
+An instance invoked by its own template, or by one that a cycle through a
+past offset orders after it, first extends in the next step. An undefined
+value is skipped with a warning where its instance is visited.
 
 Replay is driven by trace time, never wall-clock time: ticks at or before an
 event's timestamp are processed before the event itself, so windows closed
@@ -278,6 +284,10 @@ class Monitor:
         }
         #: binding set -> variable-rate step schedule, see `_schedule`
         self._schedules: dict[frozenset, tuple] = {}
+        #: periods due at a tick -> its schedule, see `_tick_schedule`
+        self._tick_schedules: dict[tuple, tuple] = {}
+        #: (event, schedule) that `process` checked for `var_rate_step`
+        self._checked: tuple = (None, None)
 
         # per-step scratch; touched: streams that invoked or terminated one
         self._step_extended: dict[str, list[tuple]] = {}
@@ -368,9 +378,8 @@ class Monitor:
         for rt in self._clocked_order:
             clock = rt.tpl.clock
             rt.period = self._grid * clock.denominator // clock.numerator
-        self._clocks = [
-            [p, p] for p in sorted({rt.period for rt in self._clocked_order})
-        ]
+        self._periods = sorted({rt.period for rt in self._clocked_order})
+        self._clocks = [[p, p] for p in self._periods]
 
         self._triggers = [self._compile_trigger(t) for t in tspec.spec.triggers]
 
@@ -459,7 +468,8 @@ class Monitor:
         """
         out: list[Verdict] = []
         if self._clocks:
-            self._check_event(event)  # before any tick; var_rate_step checks too
+            # checked before any tick, and not again by var_rate_step
+            self._checked = event, self._check_event(event)
             for tick in self._ticks_until(event.ts):
                 out.extend(self.fixed_rate_step(tick))
         out.extend(self.var_rate_step(event))
@@ -541,111 +551,87 @@ class Monitor:
 
     # -- step machinery ---------------------------------------------------------
 
-    def _begin_step(self, ts) -> None:
-        if self.clock_ts is not None and ts < self.clock_ts:
-            raise OutOfOrderError(
-                [Diagnostic(f"time regressed from {self.clock_ts} to {ts}")]
-            )
-        self.clock_ts = ts
-        self._step_extended = {}
-        self._step_touched = set()
-        self._verdicts = []
-
     def var_rate_step(self, event: Event) -> list[Verdict]:
         """Process one trace event by the schedule of its binding set."""
-        inputs, templates, ends, triggers = self._check_event(event)
-        ts = event.ts
-        self._begin_step(ts)
+        checked, schedule = self._checked
+        self._checked = None, None
+        if checked is not event:
+            schedule = self._check_event(event)
+        verdicts = self._step(event.ts, schedule, event.bindings, False)
         self.events_processed += 1
-
-        bindings = event.bindings
-        for extend, inst, name in inputs:
-            extend(self, inst, ts, bindings[name] if name else float(ts), False)
-
-        # invocations happen inside the extenders, so invoked instances of
-        # later templates are picked up within the same pass
-        extended = self._step_extended
-        for rt, gate, find in templates:
-            if gate is not None and gate.isdisjoint(extended):
-                continue
-            instances, extend_fn = rt.instances, rt.extend_fn
-            for alpha in find():
-                if extend_fn is not None and extend_fn(alpha, ts) is not True:
-                    continue
-                inst = instances.get(alpha)
-                if inst is not None:
-                    self._compute_and_extend(rt, inst, ts, alpha, False)
-
-        self._run_terminations(ts, ends)
-        self._verdicts.extend(self.evaluate_triggers(ts, triggers))
-        self.verdicts_emitted += len(self._verdicts)
-        return self._verdicts
+        return verdicts
 
     def fixed_rate_step(self, tick: int) -> list[Verdict]:
         """Evaluate every clocked stream due at grid tick `tick`, the instant
         tick / D seconds (see the module docstring)."""
         grid = self._grid
         ts = tick / grid if self._dyadic else Fraction(tick, grid)
-        self._begin_step(ts)
-        due = [rt for rt in self._clocked_order if tick % rt.period == 0]
-        done: set[tuple[str, tuple]] = set()
-        undefined_skips: list[tuple[_StreamRT, Instance]] = []
-        progress = True
-        while progress:
-            progress = False
-            for rt in due:
-                name, extend_fn, instances = rt.name, rt.extend_fn, rt.instances
-                for alpha in list(instances):
-                    if (name, alpha) in done:
-                        continue
-                    inst = instances.get(alpha)
-                    if inst is None:
-                        continue
-                    if extend_fn is not None and extend_fn(alpha, ts) is not True:
-                        continue
-                    if self._compute_and_extend(rt, inst, ts, alpha, True):
-                        done.add((name, alpha))
-                        progress = True
-                    else:
-                        undefined_skips.append((rt, inst))
-        for rt, inst in undefined_skips:
-            if (rt.name, inst.alpha) not in done:
-                done.add((rt.name, inst.alpha))
-                self._warn(
-                    ts,
-                    f"{_instance_name(rt.name, inst.alpha)}: undefined access "
-                    "without a default; value skipped for this tick",
-                )
-        # a clocked template checks terminate on its own ticks, all instances
+        due = tuple(p for p in self._periods if not tick % p)
+        schedule = self._tick_schedules.get(due)
+        if schedule is None:
+            schedule = self._tick_schedules[due] = self._tick_schedule(due)
+        return self._step(ts, schedule, None, True)
+
+    def _tick_schedule(self, due: tuple) -> tuple:
+        """The step of a tick at which the clocks of the periods `due` fire,
+        as `_schedule` gives it: every due clocked template with its
+        instances in invocation order, the terminations (a clocked template
+        checks all its instances on its own ticks) and all triggers."""
+        templates = [
+            (rt, None, partial(list, rt.instances))
+            for rt in self._clocked_order
+            if rt.period in due
+        ]
         ends = [
             (rt, None if rt.period else rt.ter_plan.gate, rt.ter_plan.find)
             for rt in self._with_terminate
-            if rt.period is None or rt in due
+            if rt.period is None or rt.period in due
         ]
+        return [], templates, ends, self._triggers
+
+    def _step(self, ts, schedule: tuple, bindings, emit: bool) -> list[Verdict]:
+        """One pass over a schedule at instant ts: feed the inputs from
+        `bindings`; compute each template's instances whose extend condition
+        holds and extend them, emitting output verdicts when `emit`, or skip
+        an undefined value with a warning; then run the terminations and
+        check the triggers."""
+        if self.clock_ts is not None and ts < self.clock_ts:
+            raise OutOfOrderError(
+                [Diagnostic(f"time regressed from {self.clock_ts} to {ts}")]
+            )
+        self.clock_ts = ts
+        extended = self._step_extended = {}
+        self._step_touched = set()
+        self._verdicts = []
+        inputs, templates, ends, triggers = schedule
+        for extend, inst, name in inputs:
+            extend(self, inst, ts, bindings[name] if name else float(ts), False)
+
+        # invocations happen inside the extenders, so invoked instances of
+        # later templates are picked up within the same pass
+        for rt, gate, find in templates:
+            if gate is not None and gate.isdisjoint(extended):
+                continue
+            instances, extend_fn, expr_fn = rt.instances, rt.extend_fn, rt.expr_fn
+            for alpha in find():
+                if extend_fn is not None and extend_fn(alpha, ts) is not True:
+                    continue
+                value = expr_fn(alpha, ts)
+                if value is not UNDEFINED:
+                    rt.extend(self, instances[alpha], ts, value, emit)
+                else:
+                    self._warn(
+                        ts,
+                        f"{_instance_name(rt.name, alpha)}: undefined access "
+                        "without a default; value skipped",
+                    )
+
         self._run_terminations(ts, ends)
-        self._verdicts.extend(self.evaluate_triggers(ts, self._triggers))
+        self._verdicts.extend(self.evaluate_triggers(ts, triggers))
         self.verdicts_emitted += len(self._verdicts)
         return self._verdicts
 
     # -- extension ---------------------------------------------------------------
-
-    def _compute_and_extend(
-        self, rt: _StreamRT, inst: Instance, ts, alpha: tuple, emit: bool
-    ) -> bool:
-        """Evaluate the template expression and extend; returns False when the
-        value is undefined (variable-rate steps warn immediately, fixed-rate
-        steps retry until the tick's fixpoint)."""
-        value = rt.expr_fn(alpha, ts)
-        if value is UNDEFINED:
-            if not emit:
-                self._warn(
-                    ts,
-                    f"{_instance_name(rt.name, inst.alpha)}: undefined access "
-                    "without a default; value skipped",
-                )
-            return False
-        rt.extend(self, inst, ts, value, emit)
-        return True
 
     def _try_invoke(self, rt: _StreamRT, ts) -> None:
         alpha = rt.invoke_fn((), ts)

@@ -283,3 +283,76 @@ def test_rate_monotone_under_added_edges(spec_and_n):
     wide = build_adg(typed(patched))
     for name in base.vertices:
         assert wide.rate[name] >= base.rate[name]
+
+
+#: how a generated template reads another: at the current instant, through
+#: a past or real-time offset, or through a window
+READ_FORMS = {
+    "now": "{}?0",
+    "past": "{}[-1, 0]",
+    "delay": "{}[-1s, 0]",
+    "window": "{}[1s, count]",
+}
+
+
+@st.composite
+def _read_graphs(draw):
+    """Up to five int templates t0, t1, ... over input a, each reading some of
+    them (itself included) in its value expression and, when parameterized,
+    in its invoke. Returns the source and the reads as (reader, read, form)."""
+    n = draw(st.integers(1, 5))
+    params = [draw(st.booleans()) for _ in range(n)]
+    reads, lines = [], ["input int a"]
+    read = st.tuples(st.integers(0, n - 1), st.sampled_from(sorted(READ_FORMS)))
+
+    def expr(i, start):
+        terms = [start]
+        for j, form in draw(st.lists(read, max_size=3)):
+            reads.append((f"t{i}", f"t{j}", form))
+            terms.append(READ_FORMS[form].format(f"t{j}(0)" if params[j] else f"t{j}"))
+        return " + ".join(terms)
+
+    for i in range(n):
+        if params[i]:
+            invoke, value = expr(i, "a"), expr(i, "k")
+            lines += [f"output int t{i}<int k>", f"  invoke: {invoke}", f"  := {value}"]
+        else:
+            lines.append(f"output int t{i} := {expr(i, 'a')}")
+    return "\n".join(lines), reads
+
+
+def _reach(pairs):
+    """Each node of the (reader, read) pairs -> the nodes it reaches over
+    them, itself included."""
+    reach = {}
+    for name in {x for pair in pairs for x in pair}:
+        found, todo = {name}, [name]
+        while todo:
+            v = todo.pop()
+            for dep in {w for u, w in pairs if u == v} - found:
+                found.add(dep)
+                todo.append(dep)
+        reach[name] = found
+    return reach
+
+
+@given(_read_graphs())
+@settings(max_examples=150, deadline=None)
+def test_evaluation_order_puts_what_a_template_reads_first(graph):
+    """Every same-instant read comes first, and so does every read through
+    a past offset whose target cannot reach its reader; CycleError exactly
+    when same-instant reads form a cycle."""
+    src, reads = graph
+    same = {(u, v) for u, v, form in reads if form in ("now", "window")}
+    reach_now = _reach(same)
+    if any(u in reach_now[v] for u, v in same):
+        with pytest.raises(CycleError):
+            build_adg(typed(src))
+        return
+    position = {name: i for i, name in enumerate(build_adg(typed(src)).order)}
+    for u, v in same:
+        assert position[v] < position[u], (u, v)
+    reach = _reach({(u, v) for u, v, _ in reads})
+    for u, v, form in reads:
+        if form in ("past", "delay") and u not in reach[v]:
+            assert position[v] < position[u], (u, v)

@@ -151,6 +151,8 @@ def test_undefined_without_default_warns_and_skips():
     verdicts = drain(m, [Event(2.5, {"d": 7.0})])
     kinds = [(v.ts, v.kind) for v in verdicts]
     assert (1.0, "warning") in kinds and (2.0, "warning") in kinds
+    message = "x: undefined access without a default; value skipped"
+    assert {v.message for v in verdicts if v.kind == "warning"} == {message}
     outs = [v for v in verdicts if v.kind == "output"]
     assert outs == []  # d arrives only after both ticks
 
@@ -312,6 +314,95 @@ def test_no_live_instances_no_any_firing():
     assert any(v.kind == "trigger" for v in verdicts)
     m2 = Monitor(typed(src.replace(":= true", ":= false")), instance_bounds={"s": 10})
     assert not any(v.kind == "trigger" for v in m2.process(Event(0.0, {"CID": 1})))
+
+
+# -- reads of streams declared later ------------------------------------------------
+
+# t reads s, declared after it, through a past offset
+FORWARD_READ = (
+    "input int a\noutput int t := s[-1]?0 + 1\noutput int s := a + 0\ntrigger t > 2"
+)
+
+
+def _count_up(start):
+    """a = 1, 2, 3, 4 at start, start + 1, ..."""
+    return [Event(start + k, {"a": k + 1}) for k in range(4)]
+
+
+def test_past_read_of_later_stream_extends_in_the_same_step():
+    events = _count_up(0.5)
+    m = Monitor(typed(FORWARD_READ))
+    fired = []
+    for ev in events:
+        fired += [v.ts for v in m.process(ev) if v.kind == "trigger"]
+        # s goes first, so t = s[-1] + 1 = a extends on every event
+        assert m.streams["t"].instances[()].buf == [(ev.ts, ev.bindings["a"])]
+    assert fired == [2.5, 3.5]
+    ref = RefMonitor(typed(FORWARD_READ))
+    ref.run(events)
+    assert ref.trigger_times() == fired
+
+
+def test_past_read_of_later_stream_at_fixed_rate():
+    m = Monitor(typed(FORWARD_READ), mode="fixed", frequency=Fraction(1))
+    got = [(v.kind, v.ts, v.stream, v.value) for v in drain(m, _count_up(0.5))]
+    # ticks 1, 2, 3 see a = 1, 2, 3: s = a and t = s[-1]?0 + 1 = a
+    assert got == [
+        ("output", 1.0, "s", 1),
+        ("output", 1.0, "t", 1),
+        ("output", 2.0, "s", 2),
+        ("output", 2.0, "t", 2),
+        ("output", 3.0, "s", 3),
+        ("output", 3.0, "t", 3),
+        ("trigger", 3.0, None, True),
+    ]
+
+
+def test_instance_invoked_by_later_stream_extends_in_the_same_step():
+    src = (
+        "input int a\n"
+        "output int u<int k>\n  invoke: s[-1, 0] + 1\n  extend: k = a\n  := k + a\n"
+        "output int s := a + 0"
+    )
+    m = Monitor(typed(src), instance_bounds={"u": 4})
+    ref = RefMonitor(typed(src))
+    for ev in _count_up(0.5):
+        m.process(ev)
+        ref.run([ev])
+        # s = a invokes u(s[-1] + 1) = u(a), which k = a then extends to 2a
+        k = ev.bindings["a"]
+        assert m.streams["u"].instances[(k,)].buf == [(ev.ts, 2 * k)]
+        live = m.streams["u"].instances
+        assert live.keys() == ref.live["u"].keys()
+        assert all(live[k].buf == ref.live["u"][k].history for k in live)
+
+
+def test_instance_invoked_at_a_tick_by_later_stream():
+    """The case that needed the fixed step's fixpoint loop under an order of
+    same-instant reads only: t(2) is invoked by s, declared after t, at the
+    tick where both are due. Within a tick the order of verdicts follows
+    the evaluation order, so the values are compared per tick."""
+    src = (
+        "input int a\n"
+        "output int t<int k> : 1Hz\n  invoke: s[-1, 0] + 1\n  := k\n"
+        "output int s : 1Hz := a[1s, sum]?0"
+    )
+    events = _count_up(1.5)[:3]
+    m = Monitor(typed(src), instance_bounds={"t": 3})
+    got = sorted((v.ts, v.stream, v.params, v.value) for v in drain(m, events))
+    # s sums the a of the last second: 0, 1, 2, and invokes t(s[-1] + 1)
+    assert got == [
+        (1.0, "s", (), 0),
+        (1.0, "t", (1,), 1),
+        (2.0, "s", (), 1),
+        (2.0, "t", (1,), 1),
+        (3.0, "s", (), 2),
+        (3.0, "t", (1,), 1),
+        (3.0, "t", (2,), 2),
+    ]
+    ref = RefMonitor(typed(src))
+    ref.run(events)
+    assert got == sorted(v[1:] for v in ref.verdicts)
 
 
 # -- errors -------------------------------------------------------------------------
