@@ -13,6 +13,15 @@ language does: `&` and `|` at a deciding left operand, every other operator
 and function at the first undefined operand, which makes the result
 UNDEFINED. The order matters because evaluating a window evicts its expired
 panes, which the monitor's slot count records.
+
+An operator, a `?` default or an invoke is one closure frame whatever its
+operands: each operand that is a leaf is read inline, and any other operand
+is a call of its own closure. A leaf is an operand whose read has no side
+effect and needs no call: a constant, a parameter, the current value of a
+pinned stream (an input, or a plain template without a terminate clause,
+whose one instance lives for the whole trace) and, in an any trigger, the
+current value of the scope's instance. The closure is made from a fixed
+Python source template by `eval`, with every object it reads bound by name.
 """
 
 from __future__ import annotations
@@ -20,7 +29,8 @@ from __future__ import annotations
 import math
 import operator
 import weakref
-from functools import reduce
+from functools import lru_cache, reduce
+from types import SimpleNamespace
 from typing import Callable, Iterable, Optional
 
 from .ast import (
@@ -85,67 +95,82 @@ class Compiler:
         self.scope = scope
 
     def compile(self, expr: Expr) -> Compiled:
+        if self._leaf(expr, {}) is not None:
+            return self._fold("{0}", [expr])
         match expr:
-            case Const(value=v):
-                return lambda alpha, ts: v
             case ParamRef(name=name):
-                if name not in self.positions:
-                    raise EngineError(
-                        [Diagnostic(f"parameter '{name}' has no value here", expr.span)]
-                    )
-                i = self.positions[name]
-                return lambda alpha, ts: alpha[i]
+                raise EngineError(
+                    [Diagnostic(f"parameter '{name}' has no value here", expr.span)]
+                )
             case StreamAccess():
                 return self._access(expr)
             case WindowAccess():
                 return self._window(expr)
             case Default(inner=inner, fallback=fallback):
-                inner, fallback = self.compile(inner), self.compile(fallback)
-
-                def default(alpha, ts):
-                    v = inner(alpha, ts)
-                    return fallback(alpha, ts) if v is UNDEFINED else v
-
-                return default
+                return self._fold("{1} if (v0 := {0}) is U else v0", [inner, fallback])
             case Unary(op=op, operand=operand):
                 fn = operator.not_ if op == "!" else operator.neg
-                return _strict(fn, [self.compile(operand)])
+                return self._strict(fn, [operand])
             case Binary(op="&" | "|" as op, left=left, right=right):
-                left, right = self.compile(left), self.compile(right)
-                decided = op == "|"  # the left value that decides the result
-
-                def logical(alpha, ts):
-                    a = left(alpha, ts)
-                    if a is decided:
-                        return decided
-                    b = right(alpha, ts)
-                    if a is UNDEFINED or b is UNDEFINED:
-                        return UNDEFINED
-                    return b  # a is the boolean that leaves the result to b
-
-                return logical
+                # the left value that decides the result; else a boolean left
+                # value leaves the result to the right one
+                d = op == "|"
+                return self._fold(
+                    f"{d} if (v0 := {{0}}) is {d} else "
+                    "U if (v1 := {1}) is U or v0 is U else v1",
+                    [left, right],
+                )
             case Binary(op=op, left=left, right=right):
-                fn = _binary_fn(op, expr.ty)
-                return _strict(fn, [self.compile(left), self.compile(right)])
+                return self._strict(_binary_fn(op, expr.ty), [left, right])
             case IfThenElse(cond=cond, then_branch=then, else_branch=other):
-                cond, then, other = map(self.compile, (cond, then, other))
-
-                def choice(alpha, ts):
-                    v = cond(alpha, ts)
-                    if v is UNDEFINED:
-                        return UNDEFINED
-                    return then(alpha, ts) if v else other(alpha, ts)
-
-                return choice
+                return self._fold(
+                    "U if (v0 := {0}) is U else {1} if v0 else {2}", [cond, then, other]
+                )
             case FnCall(fn=name, args=args):
-                fn = _function(name, expr.ty)
-                return _strict(fn, [self.compile(a) for a in args])
+                return self._strict(_function(name, expr.ty), args)
         raise EngineError([Diagnostic(f"cannot evaluate {expr!r}")])
 
     def compile_invoke(self, invoke: Expr) -> Compiled:
         """The parameter tuple an invoke expression yields, or UNDEFINED."""
         items = invoke.items if isinstance(invoke, TupleExpr) else [invoke]
-        return _strict(_pack, [self.compile(e) for e in items])
+        return self._strict(None, items, "({},)")
+
+    def _leaf(self, expr: Expr, names: dict) -> Optional[str]:
+        """The source of a leaf's read, with the objects it reads bound in
+        `names`; None when expr is no leaf."""
+        match expr:
+            case Const(value=v):
+                return _bind(names, v)
+            case ParamRef(name=name) if name in self.positions:
+                return f"alpha[{self.positions[name]}]"
+            case StreamAccess(args=[], offset=DiscreteOffset(steps=0)):
+                pinned = self._pinned(expr)
+                if pinned is not None:  # its buffer is pruned in place
+                    return f"({_bind(names, pinned.buf)} or NO_VALUE)[-1][1]"
+                rt = self.streams[expr.stream]
+                if expr.stream == self.scope and rt.tpl.params:
+                    get = _bind(names, rt.instances.get)
+                    return f"({get}(alpha, NO_INSTANCE).buf or NO_VALUE)[-1][1]"
+        return None
+
+    def _strict(self, fn, operands: list[Expr], result: str = "fn({})") -> Compiled:
+        """`result` over the operands' values v0, v1, ..., by default fn of
+        them, evaluated left to right; UNDEFINED as soon as one of them is."""
+        checks = " or ".join(f"(v{i} := {{{i}}}) is U" for i in range(len(operands)))
+        values = ", ".join(f"v{i}" for i in range(len(operands)))
+        return self._fold(f"U if {checks} else {result.format(values)}", operands, fn)
+
+    def _fold(self, template: str, operands: list[Expr], fn=None) -> Compiled:
+        """One closure evaluating `template`, Python source in which {i}
+        stands for the i-th operand's value: a leaf's read, inline, or a call
+        of the operand's own closure. The objects read are bound by name, so
+        no value of the specification is written into the source."""
+        names = dict(U=UNDEFINED, NO_VALUE=_NO_VALUE, NO_INSTANCE=_NO_INSTANCE, fn=fn)
+        sources = []
+        for e in operands:
+            leaf = self._leaf(e, names)
+            sources.append(leaf or f"{_bind(names, self.compile(e))}(alpha, ts)")
+        return eval(_code(f"lambda alpha, ts: {template.format(*sources)}"), names)
 
     def _pinned(self, node):
         """The instance a bare access always reads, when that instance lives
@@ -164,18 +189,13 @@ class Compiler:
             return lambda alpha, ts: pinned
         rt = self.streams[node.stream]
         if node.args:
-            args = [self.compile(a) for a in node.args]
-            return _strict(lambda *key: rt.instances.get(key), args)
+            return self._strict(rt.instances.get, node.args, "fn(({},))")
         if node.stream == self.scope and rt.tpl.params:
             return lambda alpha, ts: rt.instances.get(alpha)
         return lambda alpha, ts: rt.instances.get(())
 
     def _access(self, node: StreamAccess) -> Compiled:
         offset = node.offset
-        pinned = self._pinned(node)
-        if offset == DiscreteOffset(0) and pinned is not None:
-            buf = pinned.buf  # pruned in place, never replaced
-            return lambda alpha, ts: buf[-1][1] if buf else UNDEFINED
         find = self._instance(node)
         match offset:
             case DiscreteOffset(steps=0):
@@ -222,9 +242,9 @@ class Compiler:
             if not inst:
                 return UNDEFINED
             w = inst.windows[wkey]
-            before = w.slot_count
+            before = w.slots
             value = w.evaluate(ts)
-            monitor.slots += w.slot_count - before
+            monitor.slots += w.slots - before
             return value
 
         return window
@@ -245,43 +265,21 @@ def count_until(buf: list, n: int, d: int) -> int:
     return lo
 
 
-def _strict(fn: Callable, operands: list[Compiled]) -> Compiled:
-    """fn of the operands' values, evaluated left to right; UNDEFINED as soon
-    as one of them is."""
-    if len(operands) == 1:
-        (x,) = operands
-
-        def strict1(alpha, ts):
-            v = x(alpha, ts)
-            return UNDEFINED if v is UNDEFINED else fn(v)
-
-        return strict1
-    if len(operands) == 2:
-        x, y = operands
-
-        def strict2(alpha, ts):
-            a = x(alpha, ts)
-            if a is UNDEFINED:
-                return UNDEFINED
-            b = y(alpha, ts)
-            return UNDEFINED if b is UNDEFINED else fn(a, b)
-
-        return strict2
-
-    def strict(alpha, ts):
-        values = []
-        for x in operands:
-            v = x(alpha, ts)
-            if v is UNDEFINED:
-                return UNDEFINED
-            values.append(v)
-        return fn(*values)
-
-    return strict
+def _bind(names: dict, obj) -> str:
+    """A fresh name for obj in `names`."""
+    name = f"o{len(names)}"
+    names[name] = obj
+    return name
 
 
-def _pack(*values) -> tuple:
-    return values
+#: what a leaf's read of a stream without a value looks up
+_NO_VALUE = ((None, UNDEFINED),)
+_NO_INSTANCE = SimpleNamespace(buf=())
+
+
+@lru_cache(maxsize=512)
+def _code(source: str):
+    return compile(source, "<compiled expression>", "eval")
 
 
 def _binary_fn(op: str, ty: Optional[ValueType]) -> Callable:

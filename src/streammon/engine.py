@@ -59,9 +59,11 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import partial
+from types import MappingProxyType
 from typing import Callable, Iterable, Iterator, Optional
 
 from .analysis import (
@@ -87,12 +89,7 @@ from .ast import (
     accesses,
 )
 from .compiler import OPERATORS, Compiled, Compiler, count_until
-from .diagnostics import (
-    AnalysisRefusal,
-    Diagnostic,
-    EngineError,
-    OutOfOrderError,
-)
+from .diagnostics import AnalysisRefusal, Diagnostic, EngineError, OutOfOrderError
 from .parser import _expr_str
 from .typecheck import TypedSpec
 from .values import INT64_MAX, INT64_MIN, UNDEFINED, saturate_i64
@@ -105,10 +102,11 @@ __all__ = ["Event", "Verdict", "Monitor", "run"]
 class Event:
     """One trace record: at least one input stream gets a value at time ts.
 
-    ts must be finite, and every key of `bindings` must name a declared input
-    stream that is not the `time input` (that one is fed from ts). Each value
-    must be of its input's type, by exact class: bool for a bool input, int
-    for an int input, int or float for a double input (a bool is no int).
+    ts must be an int or a float by exact class (a bool is no time), finite
+    and within the float range, and every key of `bindings` must name a
+    declared input stream that is not the `time input` (that one is fed from
+    ts). Each value must be of its input's type, by exact class: bool for a
+    bool input, int for an int input, int or float for a double input.
     Otherwise `Monitor.process` raises EngineError and leaves the monitor's
     state unchanged.
     """
@@ -176,13 +174,15 @@ class _CondPlan:
     """How to find the instances a boolean lifecycle condition can select."""
 
     gate: frozenset[str]  # evaluate only when one of these streams extended
-    mode: str  # 'lookup' | 'scan'
+    #: the disjuncts a lookup goes through; none for a scan
     disjuncts: list[_Disjunct] = field(default_factory=list)
     #: () -> the alphas of the live instances it can select, ascending
     find: Callable[[], Iterable[tuple]] = None
 
 
 _MAX_DISJUNCTS = 64
+#: the windows of every instance of a stream that no window reads
+_NO_WINDOWS = MappingProxyType({})
 
 
 @dataclass(slots=True, eq=False, repr=False)
@@ -216,10 +216,12 @@ class _StreamRT:
     extend: Optional[Callable] = None
 
     def new_instance(self, alpha: tuple) -> Instance:
-        inst = Instance(alpha, {p.wkey: p.new_state() for p in self.window_plans})
-        self.instances[alpha] = inst
-        for subset, index in self.indexes.items():
-            index.setdefault(tuple(alpha[i] for i in subset), set()).add(alpha)
+        plans = self.window_plans
+        windows = {p.wkey: p.new_state() for p in plans} if plans else _NO_WINDOWS
+        inst = self.instances[alpha] = Instance(alpha, windows)
+        if self.indexes:
+            for subset, index in self.indexes.items():
+                index.setdefault(tuple(alpha[i] for i in subset), set()).add(alpha)
         return inst
 
     def drop_instance(self, alpha: tuple) -> Instance:
@@ -313,15 +315,11 @@ class Monitor:
         # window plans, attached to the *target* stream
         for e in self.adg.window_edges:
             target, label = self.streams[e.target], e.label
-            target.window_plans.append(
-                _WindowPlan(
-                    label.wkey,
-                    label.duration,
-                    self.pane_widths[label.wkey],
-                    label.agg,
-                    target.value_ty,
-                )
+            width = self.pane_widths[label.wkey]
+            plan = _WindowPlan(
+                label.wkey, label.duration, width, label.agg, target.value_ty
             )
+            target.window_plans.append(plan)
 
         # inputs and plain outputs exist from the start of the trace
         for rt in self.streams.values():
@@ -389,7 +387,7 @@ class Monitor:
         k = len(tpl.params)
         conjunctions = _dnf(cond)
         if conjunctions is None or not tpl.params or tpl.clock is not None:
-            return _CondPlan(gate, "scan")
+            return _CondPlan(gate)
         disjuncts: list[_Disjunct] = []
         for atoms in conjunctions:
             bound: dict[int, str] = {}
@@ -398,11 +396,11 @@ class Monitor:
                 if pair is not None and pair[0] in positions:
                     bound.setdefault(positions[pair[0]], pair[1])
             if not bound:
-                return _CondPlan(gate, "scan")
+                return _CondPlan(gate)
             pos = tuple(sorted(bound))
             bufs = tuple(self.streams[bound[i]].instances[()].buf for i in pos)
             disjuncts.append(_Disjunct(pos, bufs, len(bound) == k))
-        return _CondPlan(gate, "lookup", disjuncts)
+        return _CondPlan(gate, disjuncts)
 
     def _compile_trigger(self, trig: TriggerDecl) -> tuple[frozenset, Callable]:
         """The trigger's gate, the streams whose change in a step makes it
@@ -437,7 +435,8 @@ class Monitor:
                 if not alphas:
                     return None
                 instances = scope.instances
-                for alpha in sorted(set(alphas)):
+                # the lowest witness wins
+                for alpha in alphas if len(alphas) == 1 else sorted(set(alphas)):
                     if alpha in instances and cond(alpha, ts) is True:
                         return Verdict(
                             float(ts), "trigger", scope.name, alpha, True, message
@@ -461,17 +460,19 @@ class Monitor:
     def process(self, event: Event) -> list[Verdict]:
         """Run all due clock ticks, then the event's variable-rate step.
 
-        The timestamp must be finite, every binding must name a declared
-        input other than the `time input`, and every bound value must have
-        its input's type (see `Event`); otherwise this raises EngineError
-        before any tick or extension, and the monitor's state is unchanged.
+        The timestamp must be a finite number, every binding must name a
+        declared input other than the `time input`, and every bound value
+        must have its input's type (see `Event`); otherwise this raises
+        EngineError before any tick or extension, and the monitor's state is
+        unchanged.
         """
+        if not self._clocks:
+            return self.var_rate_step(event)
+        # checked before any tick, and not again by var_rate_step
+        self._checked = event, self._check_event(event)
         out: list[Verdict] = []
-        if self._clocks:
-            # checked before any tick, and not again by var_rate_step
-            self._checked = event, self._check_event(event)
-            for tick in self._ticks_until(event.ts):
-                out.extend(self.fixed_rate_step(tick))
+        for tick in self._ticks_until(event.ts):
+            out.extend(self.fixed_rate_step(tick))
         out.extend(self.var_rate_step(event))
         return out
 
@@ -496,9 +497,10 @@ class Monitor:
     def _check_event(self, event: Event) -> tuple:
         """Reject an invalid event; returns the schedule of its binding set."""
         # NaN would pass every later order check and make _ticks_until yield
-        # ticks forever, as would +inf
-        if not -math.inf < event.ts < math.inf:
-            raise EngineError([Diagnostic(f"non-finite timestamp {event.ts}")])
+        # ticks forever, as would +inf; float(ts) must not overflow
+        ts = event.ts
+        if ts.__class__ not in (int, float) or not -_MAX_TIME <= ts <= _MAX_TIME:
+            raise EngineError([Diagnostic(f"timestamp {ts!r} is no finite number")])
         bindings = event.bindings
         bound = frozenset(bindings)
         schedule = self._schedules.get(bound)
@@ -626,8 +628,10 @@ class Monitor:
                         "without a default; value skipped",
                     )
 
-        self._run_terminations(ts, ends)
-        self._verdicts.extend(self.evaluate_triggers(ts, triggers))
+        if ends:
+            self._run_terminations(ts, ends)
+        if triggers:
+            self._verdicts.extend(self.evaluate_triggers(ts, triggers))
         self.verdicts_emitted += len(self._verdicts)
         return self._verdicts
 
@@ -639,16 +643,13 @@ class Monitor:
             return
         rt.new_instance(alpha)
         self._step_touched.add(rt.name)
-        if (
-            rt.eta_bound is not None
-            and len(rt.instances) > rt.eta_bound
-            and not rt.eta_warned
-        ):
+        bound = rt.eta_bound
+        if bound is not None and len(rt.instances) > bound and not rt.eta_warned:
             rt.eta_warned = True
             self._warn(
                 ts,
                 f"{rt.name}: live instances exceed the declared bound "
-                f"{rt.eta_bound}; the static memory total no longer applies",
+                f"{bound}; the static memory total no longer applies",
             )
 
     # -- termination ---------------------------------------------------------------
@@ -693,6 +694,7 @@ class Monitor:
 
 
 _CLASSES = dict(BOOL={bool}, INT={int}, DOUBLE={int, float})
+_MAX_TIME = sys.float_info.max
 
 
 def _extender(rt: _StreamRT) -> Callable:
@@ -743,7 +745,7 @@ def _extender(rt: _StreamRT) -> Callable:
 def _finder(rt: _StreamRT, plan: _CondPlan) -> Callable[[], Iterable[tuple]]:
     """`plan.find`: every instance for a scan, one tuple lookup when a single
     disjunct binds every parameter, `_candidates` otherwise."""
-    if plan.mode == "scan":
+    if not plan.disjuncts:
         return partial(sorted, rt.instances)
     if len(plan.disjuncts) > 1 or not plan.disjuncts[0].full:
         return partial(_candidates, rt, plan)
@@ -818,16 +820,14 @@ def _dnf(expr: Expr) -> Optional[list[list[Expr]]]:
     """Disjunctive normal form over & and |, with other nodes as atoms.
     Returns None when the expansion would be too large."""
     match expr:
-        case Binary(op="|", left=l, right=r):
+        case Binary(op="|" | "&" as op, left=l, right=r):
             left, right = _dnf(l), _dnf(r)
             if left is None or right is None:
                 return None
-            result = left + right
-        case Binary(op="&", left=l, right=r):
-            left, right = _dnf(l), _dnf(r)
-            if left is None or right is None:
-                return None
-            result = [a + b for a, b in itertools.product(left, right)]
+            if op == "|":
+                result = left + right
+            else:
+                result = [a + b for a, b in itertools.product(left, right)]
         case _:
             result = [[expr]]
     if len(result) > _MAX_DISJUNCTS:

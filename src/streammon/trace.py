@@ -58,6 +58,8 @@ def read_trace(path: str, tspec: TypedSpec) -> Iterator[Event]:
                 1,
             )
         types = {d.name: d.ty for d in tspec.spec.inputs}
+        # one parser per column, chosen here and not per cell
+        columns = [(name, _PARSERS[types[name]], types[name]) for name in header[1:]]
         last_ts = None
         for lineno, row in enumerate(reader, start=2):
             if not row or all(not cell.strip() for cell in row):
@@ -80,26 +82,31 @@ def read_trace(path: str, tspec: TypedSpec) -> Iterator[Event]:
                 )
             last_ts = ts
             bindings = {}
-            for name, cell in zip(header[1:], row[1:]):
+            for (name, parse, ty), cell in zip(columns, row[1:]):
                 cell = cell.strip()
                 if not cell:
                     continue
-                bindings[name] = _parse_cell(cell, types[name], name, lineno)
+                try:
+                    bindings[name] = parse(cell)
+                except ValueError:
+                    raise _row_error(_bad_cell(cell, ty, name), lineno)
             yield Event(ts, bindings)
 
 
-def _parse_cell(cell: str, ty: ValueType, name: str, lineno: int):
+def _parse_bool(cell: str) -> bool:
+    value = _BOOL_WORDS.get(cell.lower())
+    if value is None:
+        raise ValueError(cell)
+    return value
+
+
+_PARSERS = {ValueType.BOOL: _parse_bool, ValueType.INT: int, ValueType.DOUBLE: float}
+
+
+def _bad_cell(cell: str, ty: ValueType, name: str) -> str:
     if ty is ValueType.BOOL:
-        value = _BOOL_WORDS.get(cell.lower())
-        if value is None:
-            raise _row_error(f"bad bool {cell!r} for '{name}'", lineno)
-        return value
-    try:
-        if ty is ValueType.INT:
-            return int(cell)
-        return float(cell)
-    except ValueError:
-        raise _row_error(f"bad {ty} value {cell!r} for '{name}'", lineno)
+        return f"bad bool {cell!r} for '{name}'"
+    return f"bad {ty} value {cell!r} for '{name}'"
 
 
 def write_trace(path: str, header: Sequence[str], rows: Sequence[Sequence]) -> None:

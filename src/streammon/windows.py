@@ -235,7 +235,9 @@ class PanedWindow:
     are also aggregated as Two-Stacks (see the module docstring): `_front`
     holds (pane index, summary of that pane and every later front pane)
     with the oldest pane on top, and `_back` is the summary of the closed
-    panes after the front, or None when there are none.
+    panes after the front, or None when there are none. `slots` is the
+    running count that `slot_count` reports, an attribute that a caller
+    charging an evaluation's evictions reads around the call.
     """
 
     __slots__ = (
@@ -248,7 +250,7 @@ class PanedWindow:
         "_open",
         "_front",
         "_back",
-        "_slots",
+        "slots",
     )
 
     def __init__(self, duration: Fraction, pane_width: Fraction, agg: Aggregator):
@@ -264,7 +266,7 @@ class PanedWindow:
         self._open: Optional[int] = None  # index of the newest pane
         self._front: list[tuple[int, object]] = []
         self._back = None
-        self._slots = 0
+        self.slots = 0
 
     def register(self, value, ts) -> int:
         """Fold a value into its pane; no window-level aggregation happens.
@@ -287,7 +289,7 @@ class PanedWindow:
         if idx == opened:
             panes[idx] = agg.add(panes[idx], ts, value)
             if agg.raw:
-                self._slots += 1
+                self.slots += 1
                 return 1
             return 0
         if opened is not None and not agg.raw:
@@ -296,10 +298,10 @@ class PanedWindow:
             self._back = closed if back is None else agg.merge(back, closed)
         panes[idx] = agg.add(agg.new(), ts, value)
         self._open = idx
-        slots = self._slots
-        self._slots = slots + 1
+        slots = self.slots
+        self.slots = slots + 1
         self._evict(n, d)
-        return self._slots - slots
+        return self.slots - slots
 
     def evict(self, ts) -> None:
         """Drop every pane whose entire span lies at or before ts - r:
@@ -319,7 +321,7 @@ class PanedWindow:
                 first = next(iter(panes))  # insertion order = ascending index
                 if first + 1 > kill:
                     return
-                self._slots -= len(panes.pop(first))
+                self.slots -= len(panes.pop(first))
             self._open = None
             return
         front = self._front
@@ -330,7 +332,7 @@ class PanedWindow:
                     if self._open + 1 <= kill:
                         panes.clear()
                         self._open = None
-                        self._slots = 0
+                        self.slots = 0
                     return
                 self._flip()
             idx = front[-1][0]
@@ -338,7 +340,7 @@ class PanedWindow:
                 return
             front.pop()
             del panes[idx]
-            self._slots -= 1
+            self.slots -= 1
 
     def _flip(self) -> None:
         """Move the back panes to the front as suffix aggregates, newest
@@ -386,7 +388,7 @@ class PanedWindow:
 
     @property
     def slot_count(self) -> int:
-        return self._slots
+        return self.slots
 
     def max_panes(self) -> int:
         return math.ceil(self.duration / self.pane_width) + 1

@@ -302,6 +302,74 @@ def test_any_trigger_reports_lowest_witness():
     assert fired[0].params == (5,)
 
 
+@pytest.mark.parametrize(
+    "template",
+    [
+        # one event extends both instances, through either disjunct
+        "output int s<int cid>\n invoke: A\n extend: cid = A | cid = B\n := v?0",
+        # a tick extends the instances in invocation order, the higher id first
+        "output int s<int cid> : 1Hz\n invoke: A\n := v?0",
+    ],
+)
+def test_any_trigger_reports_lowest_of_several_witnesses(template):
+    src = f"input int A\ninput int B\ninput int v\n{template}\ntrigger any(s > 10)"
+    events = [
+        Event(0.25, {"A": 5}),
+        Event(0.5, {"A": 3}),
+        Event(0.75, {"A": 5, "B": 3, "v": 50}),
+        Event(1.5, {"v": 60}),
+    ]
+    m = Monitor(typed(src), instance_bounds={"s": 10})
+    fired = [(v.ts, v.params) for v in drain(m, events) if v.kind == "trigger"]
+    assert fired and all(params == (3,) for _, params in fired)
+    ref = RefMonitor(typed(src))
+    ref.run(events)
+    assert fired == [(v[1], v[3]) for v in ref.verdicts if v[0] == "trigger"]
+
+
+#: a shape that compiles to one closure frame, each reading the input x
+FOLDED_SHAPES = {
+    "param = input": "output bool f<double id>\n invoke: ID\n extend: id = x\n := true",
+    "input?const": "output double f := x?0.5",
+    "closure op const": "output bool f := (x + 1.0) > 2.0",
+    "closure?const": "output double f := (x * 2.0)?0.0",
+    "scope read": "output bool f<double id>\n invoke: ID\n extend: id = ID\n := x > 1.0",
+    "pinned invoke": "output bool f<double id>\n invoke: x\n extend: id = ID\n := true",
+}
+
+
+@pytest.mark.parametrize("mode", ["variable", "fixed"])
+@pytest.mark.parametrize("shape", sorted(FOLDED_SHAPES))
+def test_folded_shape_on_missing_or_nan_input_matches_reference(shape, mode):
+    src = "input double ID\ninput double x\n" + FOLDED_SHAPES[shape]
+    src += "\ntrigger any(f)" if "bool" in src else "\ntrigger f >= 0.5"
+    # x has no value yet, then is NaN, then a value, for a live and a new id
+    events = [
+        Event(0.5, {"ID": 1.0}),
+        Event(1.5, {"ID": 1.0}),
+        Event(2.5, {"x": math.nan}),
+        Event(3.5, {"ID": 1.0, "x": math.nan}),
+        Event(4.5, {"ID": 1.0, "x": 1.0}),
+        Event(5.5, {"ID": 2.0, "x": 2.0}),
+        Event(6.5, {"ID": 2.0}),
+    ]
+    kwargs = {"mode": mode, "frequency": Fraction(1)} if mode == "fixed" else {}
+    m = Monitor(typed(src), instance_bounds={"f": 10}, **kwargs)
+
+    def same(value):  # NaN equals NaN here
+        return "nan" if value != value else value
+
+    got = [
+        (v.kind, v.ts, v.stream, v.params, same(v.value))
+        for v in drain(m, events)
+        if v.kind != "warning"
+    ]
+    ref = RefMonitor(typed(src), **kwargs)
+    ref.run(events)
+    assert got == [(k, ts, s, p, same(v)) for k, ts, s, p, v in ref.verdicts]
+    assert any(kind == "trigger" for kind, *_ in got)
+
+
 def test_no_live_instances_no_any_firing():
     src = (
         "input int CID\n"
@@ -473,6 +541,12 @@ def test_rejected_event_leaves_state_unchanged():
         with pytest.raises(EngineError):
             m.var_rate_step(Event(2.0, bindings))
         assert _state(m) == before, bindings
+    # a timestamp is an int or a float by exact class, within the float range
+    for ts in ["2.0", None, True, 2**2000, math.nan]:
+        for step in (m.process, m.var_rate_step):
+            with pytest.raises(EngineError, match="timestamp"):
+                step(Event(ts, {"a": 7}))
+            assert _state(m) == before, ts
     m.process(Event(2.0, {"a": 7, "d": 3, "p": True}))
     assert m.clock_ts == 2.0
     assert m.streams["a"].instances[()].buf[-1] == (2.0, 7)
@@ -499,7 +573,9 @@ def _bounded_ticks(m, limit=100):
     m._ticks_until = lambda ts: itertools.islice(ticks(ts), limit)
 
 
-@pytest.mark.parametrize("ts", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize(
+    "ts", [math.nan, math.inf, -math.inf, "1.0", None, True, 2**2000, -(2**2000)]
+)
 def test_non_finite_timestamp_rejected_with_clock(ts):
     m = Monitor(typed("input int a\noutput int x := a?0\noutput int c : 1Hz := a?0"))
     _bounded_ticks(m)

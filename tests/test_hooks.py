@@ -1,0 +1,66 @@
+"""The entry points that perfbench's tracer wraps stay where it wraps them.
+
+perfbench/tracing.py times a layer by replacing a method in its class's
+`__dict__`. A step that stopped calling such a method, or called another
+path, would make that layer's figures read zero without any error. These
+tests replay the golden bind and fleet traces with the same kind of wrapper
+and check that each method is still found there and called as often as the
+work it times.
+"""
+
+from collections import Counter
+
+import pytest
+
+from conftest import FLEET_SPEC, typed
+from streammon import Monitor
+from streammon.windows import PanedWindow
+from test_golden import BIND_SPEC, _bind_events, _fleet_events
+
+HOOKS = [
+    (Monitor, "var_rate_step"),
+    (Monitor, "evaluate_triggers"),
+    (PanedWindow, "evaluate"),
+]
+
+
+@pytest.fixture
+def calls(monkeypatch):
+    counts = Counter()
+    for owner, name in HOOKS:
+        original = owner.__dict__[name]
+
+        def counted(*args, _fn=original, _name=name, **kwargs):
+            counts[_name] += 1
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counted)
+    return counts
+
+
+def test_bind_calls_step_and_triggers_once_per_event(calls):
+    events = _bind_events(7)
+    m = Monitor(typed(BIND_SPEC), instance_bounds={"f": 2000})
+    for ev in events:
+        m.process(ev)
+    assert calls["var_rate_step"] == calls["evaluate_triggers"] == len(events)
+    assert calls["evaluate"] == 0
+
+
+def test_fleet_evaluates_one_window_per_window_read(calls):
+    events = _fleet_events(7)
+    m = Monitor(typed(FLEET_SPEC), instance_bounds={"orp": 60, "suspicious": 60})
+    # suspicious reads orp's window once per extension, and always extends
+    # (its value has a default)
+    suspicious = m.streams["suspicious"]
+    extend, reads = suspicious.extend, [0]
+
+    def counted(*args):
+        reads[0] += 1
+        extend(*args)
+
+    suspicious.extend = counted
+    for ev in events:
+        m.process(ev)
+    assert calls["var_rate_step"] == calls["evaluate_triggers"] == len(events)
+    assert calls["evaluate"] == reads[0] > 0
