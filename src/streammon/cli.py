@@ -64,6 +64,12 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_monitor(args) -> int:
+    """Replay the trace through a monitor of the spec and write each verdict
+    to standard output as one JSON object per line, keys sorted: ts, kind,
+    stream, params, value and message. The lines are strict JSON: a NaN or
+    infinite value or parameter is written as the string "NaN", "Infinity"
+    or "-Infinity", and null stands for no value. A summary line goes to
+    standard error."""
     tspec = _load_spec(args.spec)
     if tspec is None:
         return 1

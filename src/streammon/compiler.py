@@ -22,6 +22,11 @@ pinned stream (an input, or a plain template without a terminate clause,
 whose one instance lives for the whole trace) and, in an any trigger, the
 current value of the scope's instance. The closure is made from a fixed
 Python source template by `eval`, with every object it reads bound by name.
+
+The engine makes each step's kernel the same way (`engine.Monitor._kernel`):
+it joins fixed source snippets into one function, binding every object by
+name with `_bind`, so its source depends on the step's shape only and
+`_code` compiles it once for every monitor whose steps have that shape.
 """
 
 from __future__ import annotations
@@ -278,8 +283,8 @@ _NO_INSTANCE = SimpleNamespace(buf=())
 
 
 @lru_cache(maxsize=512)
-def _code(source: str):
-    return compile(source, "<compiled expression>", "eval")
+def _code(source: str, mode: str = "eval"):
+    return compile(source, "<compiled expression>", mode)
 
 
 def _binary_fn(op: str, ty: Optional[ValueType]) -> Callable:

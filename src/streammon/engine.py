@@ -3,7 +3,7 @@
 Two cooperating components execute a specification over a timestamped event
 trace:
 
-* the variable-rate step runs once per trace event, by the schedule of the
+* the variable-rate step runs once per trace event, by the kernel of the
   event's binding set (its bound input names), built from the dependency
   graph on first use and kept: the bound inputs, the unclocked templates
   their extensions can reach, in dependency order, and the terminations and
@@ -17,13 +17,13 @@ trace:
   binding every parameter is one tuple lookup), so the per-event cost is
   independent of how many instances are alive.
 
-* the fixed-rate step runs at every clock tick k/y, by the schedule of the
+* the fixed-rate step runs at every clock tick k/y, by the kernel of the
   clocks due at that tick (built on first use and kept): each due clocked
   template's instances, in invocation order, whose extend condition holds
   are computed and extended. Instances whose terminate condition holds are
   then removed, and triggers are checked.
 
-Both steps run one pass of one loop, in the dependency order of
+Both steps run one pass, in the dependency order of
 `analysis._evaluation_order`, which puts what a template reads before it.
 An instance invoked by its own template, or by one that a cycle through a
 past offset orders after it, first extends in the next step. An undefined
@@ -42,10 +42,12 @@ Monitor is built, into a closure over the monitor's streams (see
 `compiler`); a step runs those closures and walks no syntax tree. Parameters
 travel as the instance's alpha tuple, indexed by position.
 
-Every stream has one extender, built with the monitor, that appends a value
-to an instance and does what follows; its coercion, pruning (by count, by
-time, or in place for a single slot), windows and invocations are chosen
-once per stream, not per extension.
+A step's kernel is one generated function (see `Monitor._kernel`), made
+from fixed source snippets as `compiler` makes expression closures: each
+stream's extension is written out inline, with the coercion, pruning (by
+count, by time, or in place for a single slot), windows and invocations of
+that stream, and so is each template's gate check and instance lookup. An
+event kernel first checks the event, so that a rejected one changes nothing.
 
 Clock ticks are integers on a grid of 1/D seconds, D being the least common
 multiple of the clock frequencies' numerators, so a clock of p/q Hz ticks
@@ -88,11 +90,11 @@ from .ast import (
     ValueType,
     accesses,
 )
-from .compiler import OPERATORS, Compiled, Compiler, count_until
+from .compiler import OPERATORS, Compiled, Compiler, _bind, _code, count_until
 from .diagnostics import AnalysisRefusal, Diagnostic, EngineError, OutOfOrderError
 from .parser import _expr_str
 from .typecheck import TypedSpec
-from .values import INT64_MAX, INT64_MIN, UNDEFINED, saturate_i64
+from .values import INT64_MAX, INT64_MIN, UNDEFINED, jsonable, saturate_i64
 from .windows import PanedWindow, make_aggregator
 
 __all__ = ["Event", "Verdict", "Monitor", "run"]
@@ -125,12 +127,13 @@ class Verdict:
     message: Optional[str] = None
 
     def to_json_dict(self) -> dict:
+        """The verdict's fields as strict JSON values (see `jsonable`)."""
         return {
             "ts": self.ts,
             "kind": self.kind,
             "stream": self.stream,
-            "params": list(self.params) if self.params is not None else None,
-            "value": self.value,
+            "params": jsonable(self.params),
+            "value": jsonable(self.value),
             "message": self.message,
         }
 
@@ -176,8 +179,6 @@ class _CondPlan:
     gate: frozenset[str]  # evaluate only when one of these streams extended
     #: the disjuncts a lookup goes through; none for a scan
     disjuncts: list[_Disjunct] = field(default_factory=list)
-    #: () -> the alphas of the live instances it can select, ascending
-    find: Callable[[], Iterable[tuple]] = None
 
 
 _MAX_DISJUNCTS = 64
@@ -212,8 +213,6 @@ class _StreamRT:
     extend_fn: Optional[Compiled] = None
     terminate_fn: Optional[Compiled] = None
     expr_fn: Optional[Compiled] = None
-    #: extend(monitor, instance, ts, value, emit), see `_extender`
-    extend: Optional[Callable] = None
 
     def new_instance(self, alpha: tuple) -> Instance:
         plans = self.window_plans
@@ -284,12 +283,10 @@ class Monitor:
         self._bindable = {
             d.name: _CLASSES[d.ty.name] for d in tspec.spec.inputs if not d.is_time
         }
-        #: binding set -> variable-rate step schedule, see `_schedule`
-        self._schedules: dict[frozenset, tuple] = {}
-        #: periods due at a tick -> its schedule, see `_tick_schedule`
-        self._tick_schedules: dict[tuple, tuple] = {}
-        #: (event, schedule) that `process` checked for `var_rate_step`
-        self._checked: tuple = (None, None)
+        #: binding set -> variable-rate step kernel, see `_schedule`
+        self._schedules: dict[frozenset, Callable] = {}
+        #: periods due at a tick -> its kernel, see `_tick_schedule`
+        self._tick_schedules: dict[tuple, Callable] = {}
 
         # per-step scratch; touched: streams that invoked or terminated one
         self._step_extended: dict[str, list[tuple]] = {}
@@ -350,12 +347,9 @@ class Monitor:
             rt.expr_gate = frozenset(node.stream for node in accesses(tpl.expr))
             for plan in (rt.ext_plan, rt.ter_plan):
                 if plan is not None:
-                    plan.find = _finder(rt, plan)
                     for d in plan.disjuncts:
                         if not d.full:
                             rt.indexes[d.positions] = {}
-        for rt in self.streams.values():
-            rt.extend = _extender(rt)
 
         # evaluation orders: unclocked templates that can extend on an
         # event, clocked templates, and templates that can terminate
@@ -468,8 +462,9 @@ class Monitor:
         """
         if not self._clocks:
             return self.var_rate_step(event)
-        # checked before any tick, and not again by var_rate_step
-        self._checked = event, self._check_event(event)
+        bound = frozenset(event.bindings)
+        kernel = self._schedules.get(bound) or self._schedule(bound)
+        kernel(self, event.ts, event.bindings, False)  # checks it before any tick
         out: list[Verdict] = []
         for tick in self._ticks_until(event.ts):
             out.extend(self.fixed_rate_step(tick))
@@ -494,36 +489,19 @@ class Monitor:
                     counter[0] = due + counter[1]
             yield due
 
-    def _check_event(self, event: Event) -> tuple:
-        """Reject an invalid event; returns the schedule of its binding set."""
-        # NaN would pass every later order check and make _ticks_until yield
-        # ticks forever, as would +inf; float(ts) must not overflow
-        ts = event.ts
-        if ts.__class__ not in (int, float) or not -_MAX_TIME <= ts <= _MAX_TIME:
-            raise EngineError([Diagnostic(f"timestamp {ts!r} is no finite number")])
-        bindings = event.bindings
-        bound = frozenset(bindings)
-        schedule = self._schedules.get(bound)
-        if schedule is None:
-            if not bound <= self._bindable.keys():
-                unknown = ", ".join(sorted(bound - self._bindable.keys()))
-                message = (
-                    f"unknown input stream(s): {unknown} (an event binds "
-                    "declared inputs only, never the time input)"
-                )
-                raise EngineError([Diagnostic(message)])
-            schedule = self._schedules[bound] = self._schedule(bound)
-        for name, value in bindings.items():
-            if value.__class__ not in self._bindable[name]:
-                ty = self.streams[name].value_ty.value
-                raise EngineError([Diagnostic(f"input {name} ({ty}) got {value!r}")])
-        return schedule
-
-    def _schedule(self, bound: frozenset) -> tuple:
-        """The step of an event binding the inputs `bound`: the inputs fed as
-        (extender, instance, binding name or None), the templates and the
-        terminations as (template, gate, candidate finder) and the triggers
-        as (gate, check); a gate of None needs no run-time check."""
+    def _schedule(self, bound: frozenset) -> Callable:
+        """The kernel of the events binding the inputs `bound`, kept in
+        `_schedules`: it feeds those inputs and the time input, then runs the
+        unclocked templates their extensions can reach, in dependency order,
+        and the terminations and triggers the step can touch. A gate naming a
+        stream fed in every such step is not checked at run time."""
+        if not bound <= self._bindable.keys():
+            unknown = ", ".join(sorted(bound - self._bindable.keys()))
+            message = (
+                f"unknown input stream(s): {unknown} (an event binds "
+                "declared inputs only, never the time input)"
+            )
+            raise EngineError([Diagnostic(message)])
         fed = [(rt, name) for rt, name in self._inputs if name in bound or not name]
         always = frozenset(rt.name for rt, _ in fed)
         reach = set(always)  # the streams that can extend in such a step
@@ -533,35 +511,29 @@ class Monitor:
 
         templates = []
         for rt in self._var_order:
-            plan = rt.ext_plan
-            gate = rt.expr_gate if plan is None else plan.gate
+            gate = rt.expr_gate if rt.ext_plan is None else rt.ext_plan.gate
             if not gate.isdisjoint(reach):
                 reach.add(rt.name)
-                # a plain template's one candidate is the alpha ()
-                find = ((),).__iter__ if plan is None else plan.find
-                templates.append((rt, dynamic(gate), find))
+                templates.append((rt, dynamic(gate)))
         ends = [
-            (rt, dynamic(rt.ter_plan.gate), rt.ter_plan.find)
+            (rt, dynamic(rt.ter_plan.gate))
             for rt in self._with_terminate
             if rt.period is None and rt.ter_plan.gate & reach
         ]
-        touched = reach | {rt.name for rt, _, _ in ends}
+        touched = reach | {rt.name for rt, _ in ends}
         touched.update(dep.name for s in reach for dep in self.streams[s].invokes)
         triggers = [(dynamic(g), check) for g, check in self._triggers if g & touched]
-        inputs = [(rt.extend, rt.instances[()], name) for rt, name in fed]
-        return inputs, templates, ends, triggers
+        kernel = self._schedules[bound] = self._kernel(fed, templates, ends, triggers)
+        return kernel
 
     # -- step machinery ---------------------------------------------------------
 
     def var_rate_step(self, event: Event) -> list[Verdict]:
-        """Process one trace event by the schedule of its binding set."""
-        checked, schedule = self._checked
-        self._checked = None, None
-        if checked is not event:
-            schedule = self._check_event(event)
-        verdicts = self._step(event.ts, schedule, event.bindings, False)
-        self.events_processed += 1
-        return verdicts
+        """Process one trace event by the kernel of its binding set."""
+        bindings = event.bindings
+        bound = frozenset(bindings)
+        kernel = self._schedules.get(bound) or self._schedule(bound)
+        return kernel(self, event.ts, bindings)
 
     def fixed_rate_step(self, tick: int) -> list[Verdict]:
         """Evaluate every clocked stream due at grid tick `tick`, the instant
@@ -569,105 +541,178 @@ class Monitor:
         grid = self._grid
         ts = tick / grid if self._dyadic else Fraction(tick, grid)
         due = tuple(p for p in self._periods if not tick % p)
-        schedule = self._tick_schedules.get(due)
-        if schedule is None:
-            schedule = self._tick_schedules[due] = self._tick_schedule(due)
-        return self._step(ts, schedule, None, True)
+        kernel = self._tick_schedules.get(due) or self._tick_schedule(due)
+        return kernel(self, ts, None)
 
-    def _tick_schedule(self, due: tuple) -> tuple:
-        """The step of a tick at which the clocks of the periods `due` fire,
-        as `_schedule` gives it: every due clocked template with its
+    def _tick_schedule(self, due: tuple) -> Callable:
+        """The kernel of a tick at which the clocks of the periods `due` fire,
+        kept in `_tick_schedules`: every due clocked template with its
         instances in invocation order, the terminations (a clocked template
         checks all its instances on its own ticks) and all triggers."""
-        templates = [
-            (rt, None, partial(list, rt.instances))
-            for rt in self._clocked_order
-            if rt.period in due
-        ]
+        templates = [(rt, None) for rt in self._clocked_order if rt.period in due]
         ends = [
-            (rt, None if rt.period else rt.ter_plan.gate, rt.ter_plan.find)
+            (rt, None if rt.period else rt.ter_plan.gate)
             for rt in self._with_terminate
             if rt.period is None or rt.period in due
         ]
-        return [], templates, ends, self._triggers
+        kernel = self._kernel([], templates, ends, self._triggers, tick=True)
+        return self._tick_schedules.setdefault(due, kernel)
 
-    def _step(self, ts, schedule: tuple, bindings, emit: bool) -> list[Verdict]:
-        """One pass over a schedule at instant ts: feed the inputs from
-        `bindings`; compute each template's instances whose extend condition
-        holds and extend them, emitting output verdicts when `emit`, or skip
-        an undefined value with a warning; then run the terminations and
-        check the triggers."""
-        if self.clock_ts is not None and ts < self.clock_ts:
-            raise OutOfOrderError(
-                [Diagnostic(f"time regressed from {self.clock_ts} to {ts}")]
-            )
-        self.clock_ts = ts
-        extended = self._step_extended = {}
-        self._step_touched = set()
-        self._verdicts = []
-        inputs, templates, ends, triggers = schedule
-        for extend, inst, name in inputs:
-            extend(self, inst, ts, bindings[name] if name else float(ts), False)
+    def _kernel(self, fed, templates, ends, triggers, tick=False) -> Callable:
+        """One step as one function, kernel(monitor, ts, bindings, run=True)
+        -> its verdicts. An event's kernel first rejects an invalid event,
+        and returns there when not `run`. Then it feeds the inputs `fed`,
+        (stream, binding name or None for the time input); computes and
+        extends the instances of `templates` that their extend condition
+        selects, emitting outputs on a tick, and drops those of `ends` whose
+        terminate condition holds, each (template, gate) when its gate is
+        None or names a stream extended so far; and checks `triggers`. The
+        source depends on the step's shape only: every object it reads is
+        bound by name."""
+        names = dict(_KERNEL_NAMES)
+        bind = partial(_bind, names)
+        code = ["def kernel(m, ts, bindings, run=True):"]
 
-        # invocations happen inside the extenders, so invoked instances of
-        # later templates are picked up within the same pass
-        for rt, gate, find in templates:
-            if gate is not None and gate.isdisjoint(extended):
-                continue
-            instances, extend_fn, expr_fn = rt.instances, rt.extend_fn, rt.expr_fn
-            for alpha in find():
-                if extend_fn is not None and extend_fn(alpha, ts) is not True:
-                    continue
-                value = expr_fn(alpha, ts)
-                if value is not UNDEFINED:
-                    rt.extend(self, instances[alpha], ts, value, emit)
-                else:
-                    self._warn(
-                        ts,
-                        f"{_instance_name(rt.name, alpha)}: undefined access "
-                        "without a default; value skipped",
+        def put(depth: int, *lines: str) -> None:
+            code.extend("    " * depth + line for line in lines)
+
+        def find(depth: int, rt: _StreamRT, plan: Optional[_CondPlan]) -> tuple:
+            """Opens a block visiting, as alpha, each live instance of rt that
+            `plan` can select (None: all, in invocation order); returns its
+            depth and whether it loops. Outside a loop, i is the instance."""
+            instances = bind(rt.instances)
+            if plan is not None and len(plan.disjuncts) == 1 and plan.disjuncts[0].full:
+                bufs = [bind(buf) for buf in plan.disjuncts[0].bufs]
+                values = "".join(f"{b}[-1][1], " for b in bufs)
+                put(depth, f"if {' and '.join(bufs)}:", f"    alpha = ({values})")
+                depth += 1
+            elif not rt.tpl.params:
+                put(depth, "alpha = ()")
+            else:
+                found = f"sorted({instances})" if plan else f"list({instances})"
+                if plan and plan.disjuncts:
+                    found = f"candidates({bind(rt)}, {bind(plan)})"
+                put(depth, f"for alpha in {found}:")
+                return depth + 1, True
+            put(depth, f"i = {instances}.get(alpha)", "if i is not None:")
+            return depth + 1, False
+
+        def extend(depth: int, rt: _StreamRT, inst: str, alpha: str, once: bool):
+            """Extends instance `inst` of rt, whose parameters are `alpha`, by
+            the value v: coerce, buffer and prune, register into windows,
+            charge the slots, record (`once`: the only extension of rt in the
+            step), emit, and try rt's invocations."""
+            key, plan = bind(rt.name), rt.buffer_plan
+            if rt.value_ty is ValueType.DOUBLE:
+                put(depth, "v = float(v)")
+            elif rt.value_ty is ValueType.INT:
+                warning = bind(f"{rt.name}: integer overflow, value saturated")
+                put(depth, "if not MIN <= v <= MAX:", "    v = saturate(v)[0]")
+                put(depth, f"    m._warn(ts, {warning})")
+            put(depth, f"b = {inst}.buf")
+            if plan.time_keep is not None:  # prune by time
+                put(depth, "b.append((ts, v))", f"d = expired({bind(plan)}, b, ts)")
+                put(depth, "if d > 0:", "    del b[:d]", "g = 1 - max(d, 0)")
+            elif plan.count_keep == 1:  # a single slot, reused in place
+                put(depth, "if b:", "    b[0] = (ts, v)", "    g = 0")
+                put(depth, "else:", "    b.append((ts, v))", "    g = 1")
+            else:  # prune by count
+                put(depth, "b.append((ts, v))", f"if len(b) > {bind(plan.count_keep)}:")
+                put(depth, "    del b[0]", "    g = 0", "else:", "    g = 1")
+            put(depth, f"{inst}.ext_count += 1")
+            if rt.window_plans:
+                put(depth, f"w = {inst}.windows")
+                for p in rt.window_plans:
+                    put(depth, f"g += w[{bind(p.wkey)}].register(v, ts)")
+            put(depth, "if g:", "    s = m.slots = m.slots + g")
+            put(depth, "    if s > m.peak_slots:", "        m.peak_slots = s")
+            if once:
+                put(depth, f"extended[{key}] = [{alpha}]")
+            else:
+                put(depth, f"extended.setdefault({key}, []).append(alpha)")
+            if tick:
+                output = f"VERDICT(float(ts), 'output', {key}, {alpha}, v)"
+                put(depth, f"verdicts.append({output})")
+            for dep in rt.invokes:
+                instances = bind(dep.instances)
+                put(depth, f"a = {bind(dep.invoke_fn)}((), ts)")
+                put(depth, f"if a is not U and a not in {instances}:")
+                put(depth, f"    {bind(dep.new_instance)}(a)")
+                put(depth, f"    touched.add({bind(dep.name)})")
+                if dep.eta_bound is not None:
+                    d, bound = bind(dep), bind(dep.eta_bound)
+                    message = bind(
+                        f"{dep.name}: live instances exceed the declared bound "
+                        f"{dep.eta_bound}; the static memory total no longer applies"
                     )
+                    over = f"len({instances}) > {bound}"
+                    put(depth, f"    if {over} and not {d}.eta_warned:")
+                    put(depth, f"        {d}.eta_warned = True")
+                    put(depth, f"        m._warn(ts, {message})")
 
-        if ends:
-            self._run_terminations(ts, ends)
+        if not tick:  # NaN or inf would pass every order check, and tick forever
+            put(1, "if ts.__class__ not in TIMES or not -MAX_TIME <= ts <= MAX_TIME:")
+            put(1, "    message = f'timestamp {ts!r} is no finite number'")
+            put(1, "    raise EngineError([Diagnostic(message)])")
+            for k, (rt, name) in enumerate(fed):
+                if name:
+                    key, ok = bind(name), bind(self._bindable[name])
+                    got = bind(f"input {name} ({rt.value_ty.value}) got ")
+                    put(1, f"v{k} = bindings[{key}]", f"if v{k}.__class__ not in {ok}:")
+                    put(1, f"    raise EngineError([Diagnostic({got} + repr(v{k}))])")
+        put(1, "if m.clock_ts is not None and ts < m.clock_ts:")
+        put(1, "    message = f'time regressed from {m.clock_ts} to {ts}'")
+        put(1, "    raise OutOfOrderError([Diagnostic(message)])")
+        if not tick:
+            put(1, "if not run:", "    return None")
+        put(1, "m.clock_ts = ts", "extended = m._step_extended = {}")
+        if ends or any(rt.invokes for rt, _ in fed + templates):
+            put(1, "touched = m._step_touched = set()")
+        else:
+            put(1, "m._step_touched = NOTHING")
+        put(1, "verdicts = m._verdicts = []")
+        for k, (rt, name) in enumerate(fed):
+            put(1, f"v = v{k}" if name else "v = float(ts)")
+            extend(1, rt, bind(rt.instances[()]), "()", once=True)
+
+        # invocations happen inside the extensions, so invoked instances of
+        # later templates are picked up within the same pass
+        for rt, gate in templates:
+            depth = 1
+            if gate is not None:
+                put(1, f"if not {bind(gate)}.isdisjoint(extended):")
+                depth = 2
+            depth, loop = find(depth, rt, None if rt.period else rt.ext_plan)
+            if rt.extend_fn is not None:
+                put(depth, f"if {bind(rt.extend_fn)}(alpha, ts) is True:")
+                depth += 1
+            put(depth, f"v = {bind(rt.expr_fn)}(alpha, ts)", "if v is U:")
+            put(depth, f"    m._warn(ts, undefined({bind(rt.name)}, alpha))", "else:")
+            if loop:
+                put(depth + 1, f"i = {bind(rt.instances)}[alpha]")
+            extend(depth + 1, rt, "i", "alpha", once=not loop)
+
+        for rt, gate in ends:
+            depth = 1
+            if gate is not None:
+                put(1, f"if not {bind(gate)}.isdisjoint(extended):")
+                depth = 2
+            depth, _ = find(depth, rt, rt.ter_plan)
+            put(depth, f"if {bind(rt.terminate_fn)}(alpha, ts) is True:")
+            depth += 1
+            put(depth, f"d = {bind(rt.drop_instance)}(alpha)", "m.slots -= len(d.buf)")
+            if rt.window_plans:
+                put(depth, "m.slots -= sum(w.slot_count for w in d.windows.values())")
+            put(depth, f"touched.add({bind(rt.name)})")
+
         if triggers:
-            self._verdicts.extend(self.evaluate_triggers(ts, triggers))
-        self.verdicts_emitted += len(self._verdicts)
-        return self._verdicts
-
-    # -- extension ---------------------------------------------------------------
-
-    def _try_invoke(self, rt: _StreamRT, ts) -> None:
-        alpha = rt.invoke_fn((), ts)
-        if alpha is UNDEFINED or alpha in rt.instances:
-            return
-        rt.new_instance(alpha)
-        self._step_touched.add(rt.name)
-        bound = rt.eta_bound
-        if bound is not None and len(rt.instances) > bound and not rt.eta_warned:
-            rt.eta_warned = True
-            self._warn(
-                ts,
-                f"{rt.name}: live instances exceed the declared bound "
-                f"{bound}; the static memory total no longer applies",
-            )
-
-    # -- termination ---------------------------------------------------------------
-
-    def _run_terminations(self, ts, ends: list[tuple]) -> None:
-        """Drop the instances whose terminate condition holds. `ends` holds
-        (template, gate, candidate finder); a template is checked when its
-        gate is None or one of the gate's streams extended in the step."""
-        extended = self._step_extended
-        for rt, gate, find in ends:
-            if gate is not None and gate.isdisjoint(extended):
-                continue
-            for alpha in find():
-                if alpha in rt.instances and rt.terminate_fn(alpha, ts) is True:
-                    dropped = rt.drop_instance(alpha)
-                    panes = sum(w.slot_count for w in dropped.windows.values())
-                    self.slots -= len(dropped.buf) + panes
-                    self._step_touched.add(rt.name)
+            put(1, f"verdicts.extend(m.evaluate_triggers(ts, {bind(triggers)}))")
+        put(1, "m.verdicts_emitted += len(verdicts)")
+        if not tick:
+            put(1, "m.events_processed += 1")
+        put(1, "return verdicts")
+        exec(_code("\n".join(code), "exec"), names)
+        return names.pop("kernel")  # no cycle through its globals
 
     # -- triggers --------------------------------------------------------------------
 
@@ -694,72 +739,6 @@ class Monitor:
 
 
 _CLASSES = dict(BOOL={bool}, INT={int}, DOUBLE={int, float})
-_MAX_TIME = sys.float_info.max
-
-
-def _extender(rt: _StreamRT) -> Callable:
-    """rt's extender, extend(monitor, inst, ts, value, emit): coerce the value
-    to rt's type, buffer it and prune by rt's plan, register it into inst's
-    windows, charge the slots, record the extension, emit an output verdict
-    when `emit` and try the invocations that read rt."""
-    name, invokes = rt.name, tuple(rt.invokes)
-    plan, windowed = rt.buffer_plan, bool(rt.window_plans)
-    keep, by_time = plan.count_keep, plan.time_keep is not None
-    overwrite = keep == 1 and not by_time  # a single slot, reused in place
-    to_float = rt.value_ty is ValueType.DOUBLE
-    saturating = rt.value_ty is ValueType.INT
-
-    def extend(m, inst, ts, value, emit):
-        if to_float:
-            value = float(value)
-        elif saturating and not INT64_MIN <= value <= INT64_MAX:
-            value = saturate_i64(value)[0]
-            m._warn(ts, f"{name}: integer overflow, value saturated")
-        buf = inst.buf
-        if overwrite and buf:
-            buf[0] = (ts, value)
-            grown = 0
-        else:
-            buf.append((ts, value))
-            drop = _expired(plan, buf, ts) if by_time else len(buf) - keep
-            if drop > 0:
-                del buf[:drop]
-            grown = 1 - max(drop, 0)
-        inst.ext_count += 1
-        if windowed:
-            for w in inst.windows.values():
-                grown += w.register(value, ts)
-        if grown:
-            slots = m.slots = m.slots + grown
-            if slots > m.peak_slots:
-                m.peak_slots = slots
-        m._step_extended.setdefault(name, []).append(inst.alpha)
-        if emit:
-            m._verdicts.append(Verdict(float(ts), "output", name, inst.alpha, value))
-        for dependent in invokes:
-            m._try_invoke(dependent, ts)
-
-    return extend
-
-
-def _finder(rt: _StreamRT, plan: _CondPlan) -> Callable[[], Iterable[tuple]]:
-    """`plan.find`: every instance for a scan, one tuple lookup when a single
-    disjunct binds every parameter, `_candidates` otherwise."""
-    if not plan.disjuncts:
-        return partial(sorted, rt.instances)
-    if len(plan.disjuncts) > 1 or not plan.disjuncts[0].full:
-        return partial(_candidates, rt, plan)
-    instances, bufs = rt.instances, plan.disjuncts[0].bufs
-
-    def lookup():
-        alpha = ()
-        for buf in bufs:
-            if not buf:
-                return ()
-            alpha += (buf[-1][1],)
-        return (alpha,) if alpha in instances else ()
-
-    return lookup
 
 
 def _candidates(rt: _StreamRT, plan: _CondPlan) -> list[tuple]:
@@ -810,10 +789,29 @@ def _with_clock(tspec: TypedSpec, clock: Fraction) -> TypedSpec:
     )
 
 
-def _instance_name(stream: str, alpha: tuple) -> str:
-    if not alpha:
-        return stream
-    return f"{stream}({', '.join(map(repr, alpha))})"
+def _undefined(stream: str, alpha: tuple) -> str:
+    """The warning for an undefined value of the instance alpha of stream."""
+    name = f"{stream}({', '.join(map(repr, alpha))})" if alpha else stream
+    return f"{name}: undefined access without a default; value skipped"
+
+
+#: what every step kernel reads by name, besides what it binds
+_KERNEL_NAMES = dict(
+    U=UNDEFINED,
+    VERDICT=Verdict,
+    TIMES={int, float},
+    MAX_TIME=sys.float_info.max,
+    MIN=INT64_MIN,
+    MAX=INT64_MAX,
+    NOTHING=frozenset(),
+    saturate=saturate_i64,
+    expired=_expired,
+    candidates=_candidates,
+    undefined=_undefined,
+    EngineError=EngineError,
+    OutOfOrderError=OutOfOrderError,
+    Diagnostic=Diagnostic,
+)
 
 
 def _dnf(expr: Expr) -> Optional[list[list[Expr]]]:

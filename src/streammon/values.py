@@ -1,5 +1,6 @@
-"""Runtime value helpers: the undefined sentinel, 64-bit integer clamping and
-the NaN-propagating extrema shared by windows and expression functions."""
+"""Runtime value helpers: the undefined sentinel, 64-bit integer clamping,
+the NaN-propagating extrema shared by windows and expression functions, and
+the strict JSON form of a value."""
 
 from __future__ import annotations
 
@@ -46,3 +47,14 @@ def nan_max(a, b):
 def nan_min(a, b):
     """min(a, b) under the same NaN rule as nan_max."""
     return b if b < a or b != b else a
+
+
+def jsonable(x):
+    """x as a strict JSON value: a tuple as a list of its items' values, and
+    a NaN or infinite float as the string "NaN", "Infinity" or "-Infinity"
+    (null already means no value)."""
+    if x.__class__ is tuple:
+        return [jsonable(item) for item in x] if x else []
+    if x.__class__ is float and x - x != 0.0:  # only NaN and inf give NaN
+        return "NaN" if x != x else "Infinity" if x > 0 else "-Infinity"
+    return x

@@ -87,8 +87,9 @@ class RefMonitor:
 
     # -- shared step plumbing ----------------------------------------------
 
-    def _begin(self, ts):
+    def _begin(self, ts, emit_outputs):
         self.ts = ts
+        self.emit_outputs = emit_outputs
         self.extended: dict[str, list[tuple]] = {}
         self.invoked: dict[str, list[tuple]] = {}
         self.terminated: dict[str, list[tuple]] = {}
@@ -102,18 +103,18 @@ class RefMonitor:
         self.extended.setdefault(name, []).append(alpha)
 
     def _var_step(self, ev):
-        self._begin(ev.ts)
+        self._begin(ev.ts, emit_outputs=False)
         for decl in self.tspec.spec.inputs:
             if decl.is_time:
                 self._note_extend(decl.name, (), float(ev.ts))
             elif decl.name in ev.bindings:
                 self._note_extend(decl.name, (), ev.bindings[decl.name])
-        self._closure(emit_outputs=False)
+        self._closure()
         self._terminations()
         self._triggers()
 
     def _fixed_step(self, ts):
-        self._begin(ts)
+        self._begin(ts, emit_outputs=True)
         self.due = {
             name
             for name, tpl in self.templates.items()
@@ -121,11 +122,11 @@ class RefMonitor:
             and (Fraction(ts) * tpl.clock).denominator == 1
             and Fraction(ts) * tpl.clock >= 1
         }
-        self._closure(emit_outputs=True)
+        self._closure()
         self._terminations()
         self._triggers()
 
-    def _closure(self, emit_outputs):
+    def _closure(self):
         changed = True
         while changed:
             changed = False
@@ -142,17 +143,6 @@ class RefMonitor:
                         continue
                     if self._settle(name, alpha):
                         changed = True
-                        if emit_outputs:
-                            inst = self.live[name][alpha]
-                            self.verdicts.append(
-                                (
-                                    "output",
-                                    float(self.ts),
-                                    name,
-                                    alpha,
-                                    inst.history[-1][1],
-                                )
-                            )
 
     def _gate(self, expr) -> bool:
         return any(node.stream in self.extended for node in accesses(expr))
@@ -199,10 +189,8 @@ class RefMonitor:
         for node in accesses(tpl.expr):
             target = node.stream
             if target in self.templates:
-                dep = self.templates[target]
-                if dep.clock is None:
-                    for beta in sorted(self.live[target].keys()):
-                        self._settle(target, beta)
+                for beta in sorted(self.live[target].keys()):
+                    self._settle(target, beta)
             if target in self.extended:
                 return True
         return False
@@ -237,6 +225,8 @@ class RefMonitor:
                 value = float(value)
             self.decided[key] = True
             self._note_extend(name, alpha, value)
+            if self.emit_outputs:
+                self.verdicts.append(("output", float(self.ts), name, alpha, value))
             return True
         finally:
             self.visiting.discard(key)
@@ -320,7 +310,7 @@ class RefMonitor:
                             return UNDEF
                         alpha.append(v)
                     alpha = tuple(alpha)
-                if s in self.templates and self.templates[s].clock is None:
+                if s in self.templates:
                     self._settle(s, alpha)
                 hist = self._history(s, alpha)
                 if hist is None or not hist:
@@ -344,7 +334,7 @@ class RefMonitor:
                     if v is UNDEF:
                         return UNDEF
                     alpha.append(v)
-                if s in self.templates and self.templates[s].clock is None:
+                if s in self.templates:
                     self._settle(s, tuple(alpha))
                 hist = self._history(s, tuple(alpha))
                 if hist is None:

@@ -27,6 +27,7 @@ from test_analysis import _micro_spec, _window_mu
 from streammon import Event, Monitor, ParseError, parse
 from streammon.analysis import UNBOUNDED, Rate, analyze, build_adg
 from streammon.ast import AggFn, ValueType
+from streammon.engine import _StreamRT
 from streammon.scenarios import FleetConfig, PidConfig, generate_fleet, generate_pid
 from streammon.windows import PanedWindow, make_aggregator
 
@@ -402,11 +403,21 @@ def _time_per_event(monitor: Monitor, start_ts: float, batch: int, repeats: int)
     return best, ts
 
 
-def test_criterion_7_efficient_binding():
-    # structural half: no iteration over the instance map while extending
+def test_criterion_7_efficient_binding(monkeypatch):
+    # structural half: no iteration over the instance map while extending.
+    # Every stream gets its map when it is made, before the compiled
+    # expressions and the step kernels bind it, so they read the armed one.
+    make = _StreamRT.__init__
+
+    def with_guarded_map(rt, *args, **kwargs):
+        make(rt, *args, **kwargs)
+        rt.instances = _NoIterationDict()
+
+    monkeypatch.setattr(_StreamRT, "__init__", with_guarded_map)
     monitor, ts = _populated_monitor(500)
+    monkeypatch.undo()
     rt = monitor.streams["f"]
-    rt.instances = _NoIterationDict(rt.instances)
+    assert type(rt.instances) is _NoIterationDict
     _NoIterationDict.armed = True
     try:
         for k in range(200):

@@ -10,7 +10,8 @@ the engine produces must equal the reference monitor's (`tests/oracle.py`).
 
 Later outputs may read earlier ones (`y` reads `x`, `z` reads `x` and `y`),
 so a variable-rate step's schedule must gate a template on another
-template that may or may not extend, or may be undefined, in that step. A
+template that may or may not extend, or may be undefined, in that step;
+they are declared in a drawn order, which a step must not depend on. A
 second property lets earlier outputs read later ones through past offsets
 (`x` reads `y` and `z`, `y` reads `z`), which the evaluation order must put
 first. A third monitors a parameterized family whose invoke, extend and
@@ -28,10 +29,12 @@ exact in any association order.
 import random
 from fractions import Fraction
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracle import RefMonitor
+from test_stream_bounds import _retained
 from streammon import Event, Monitor, TypeCheckError, check_types, parse
 
 INPUTS = "input double a\ninput double b\ninput int i\ninput int j\ninput bool p\n"
@@ -102,13 +105,11 @@ def _expr(draw, ty, depth=4, reads="", later="", leaves=LEAVES):
     return f"(!{sub('bool')})"
 
 
-def _spec(exprs):
-    """The specification with one output per generated expression, or None
-    when it does not type-check."""
+def _spec(exprs, order=tuple(OUTPUTS)):
+    """The specification with one output per generated expression, declared
+    in `order`, or None when it does not type-check."""
     src = INPUTS
-    # in the order x, y, z whatever the dictionary's: the reference monitor
-    # settles clocked outputs in declaration order, not on demand
-    for name in OUTPUTS:
+    for name in order:
         src += f"output {OUTPUTS[name]} {name} := {exprs[name]}\n"
     src += "trigger z\ntrigger x > 1.0\n"
     try:
@@ -146,7 +147,9 @@ def _same(u, v):
 def _check(tspec, events, names=OUTPUTS, **mode):
     """Run both monitors; after every event the live instances of the
     streams `names`, their extension counts and latest values, and in the
-    end the verdicts other than warnings, must be the same."""
+    end the verdicts other than warnings, must be the same; verdicts of one
+    instant in any order, as the reference settles on demand. After every
+    event the engine's slot count must equal the slots its instances hold."""
     # a real-time offset into an input needs unbounded memory
     engine = Monitor(tspec, allow_unbounded=True, **mode)
     ref = RefMonitor(tspec, **mode)
@@ -154,6 +157,7 @@ def _check(tspec, events, names=OUTPUTS, **mode):
     for ev in events:
         got += engine.process(ev)
         ref.run([ev])
+        assert engine.slots == sum(map(_retained, engine.streams.values())), ev
         for name in names:
             live, ref_live = engine.streams[name].instances, ref.live[name]
             assert live.keys() == ref_live.keys(), (name, ev)
@@ -167,17 +171,26 @@ def _check(tspec, events, names=OUTPUTS, **mode):
         (v.kind, v.ts, v.stream, v.params, v.value) for v in got if v.kind != "warning"
     ]
     assert len(mine) == len(ref.verdicts)
-    for m, r in zip(mine, ref.verdicts):
+    for m, r in zip(sorted(mine, key=_instant), sorted(ref.verdicts, key=_instant)):
         assert m[:4] == r[:4] and _same(m[4], r[4]), (m, r)
+    return got
+
+
+def _instant(verdict):
+    """Orders the verdicts of one instant; a stable sort keeps the order of
+    equal ones, such as a trigger's at a tick and at an event."""
+    kind, ts, stream, params, _ = verdict
+    return ts, kind, stream or "", params or ()
 
 
 @given(
     st.fixed_dictionaries({n: _expr(ty, reads=READS[n]) for n, ty in OUTPUTS.items()}),
+    st.permutations(list(OUTPUTS)),
     st.integers(0, 2**16),
 )
 @settings(max_examples=100, deadline=None)
-def test_compiled_expressions_match_reference(exprs, seed):
-    tspec = _spec(exprs)
+def test_compiled_expressions_match_reference(exprs, order, seed):
+    tspec = _spec(exprs, order)
     if tspec is None:
         return  # ill-typed; the type checker's business
     events = _trace(seed)
@@ -197,14 +210,15 @@ LATER = {"x": "yz", "y": "z", "z": ""}
 @settings(max_examples=200, deadline=None)
 def test_past_reads_of_later_outputs_match_reference(exprs, seed):
     """The dependency order puts an output read through a past offset before
-    its reader, so a variable-rate step extends both, the read one first.
-    No cycles: the reference breaks a cycle through a past offset elsewhere
-    than the engine. Variable mode only: the reference settles clocked
-    outputs in declaration order."""
+    its reader, so a step extends both, the read one first. No cycles: the
+    reference breaks a cycle through a past offset elsewhere than the
+    engine."""
     tspec = _spec(exprs)
     if tspec is None:
         return
-    _check(tspec, _trace(seed))
+    events = _trace(seed)
+    _check(tspec, events)
+    _check(tspec, events, mode="fixed", frequency=Fraction(1))
 
 
 #: a parameter is an int leaf of a family member's expression; `g` also
@@ -247,3 +261,69 @@ def test_parameterized_family_matches_reference(src, seed):
     except TypeCheckError:
         return
     _check(tspec, _trace(seed), names="fg")
+
+
+def _int_a(events):
+    """Whole values of `a` bound as ints, which the double input coerces."""
+    for ev in events:
+        a = ev.bindings.get("a")
+        if a is not None and a == int(a):
+            ev.bindings["a"] = int(a)
+    return events
+
+
+def _huge_i(events):
+    """`i` scaled by 2**62, so that i = 2 overflows int64 and saturates."""
+    for ev in events:
+        if "i" in ev.bindings:
+            ev.bindings["i"] *= 2**62
+    return events
+
+
+_FAMILY = "output double f<int k>\n  invoke: i\n  extend: {}\n{}  := (a)?(0.5)\n"
+#: more disjuncts than a lookup plan takes, so the extension scans
+_SCAN = " | ".join(["(k = i)", "(k = j)"] * 33)
+
+#: spec beside INPUTS, the streams compared, and how the trace is changed;
+#: together they reach every variant of a kernel's extension and finder
+VARIANTS = {
+    "double-coercion": (
+        "output double d := i?(0)\noutput double e := (a)?(0.0)\n",
+        "de",
+        _int_a,
+    ),
+    "int-saturation": ("output bool s := (i > 0)?(false)\n", "s", _huge_i),
+    "in-place": ("output int o := i?(0)\n", "o", None),
+    "count-pruning": ("output int c := i[-3, 0]\n", "c", None),
+    "time-pruning": ("output double t := a[-1s, 0.0]\n", "t", None),
+    "windows": (
+        "output double w := a[2s, sum]\noutput int n := p[1s, count]\n",
+        "wn",
+        None,
+    ),
+    "invoke": ("output int g<int k>\n  invoke: i\n  := k + 1\n", "g", None),
+    "single-lookup": (_FAMILY.format("k = i", ""), "f", None),
+    "candidates": (_FAMILY.format("(k = i) | (k = j)", ""), "f", None),
+    "scan": (_FAMILY.format(_SCAN, "  terminate: p & (k > 0)\n"), "f", None),
+    "dynamic-gate": ("output int x := i + j\noutput int y := (x)?(0) + 1\n", "xy", None),
+    "undefined": ("output int u := i + j\n", "u", None),
+}
+
+
+@pytest.mark.parametrize("mode", ["variable", "fixed"])
+@pytest.mark.parametrize("variant", sorted(VARIANTS))
+def test_every_kernel_variant_matches_reference(variant, mode):
+    src, names, change = VARIANTS[variant]
+    tspec = check_types(parse(INPUTS + src + "trigger any(f > 1.0)\n" * ("f" in names)))
+    kwargs = {"mode": "fixed", "frequency": Fraction(1)} if mode == "fixed" else {}
+    overflows = 0
+    for seed in range(6):
+        events = _trace(seed)
+        if change is not None:
+            events = change(events)
+        got = _check(tspec, events, names, **kwargs)
+        # the reference keeps unbounded ints: it has no saturation warning
+        saturated = sum("integer overflow" in (v.message or "") for v in got)
+        assert saturated == sum(ev.bindings.get("i", 0) > 2**63 - 1 for ev in events)
+        overflows += saturated
+    assert overflows > 0 or variant != "int-saturation"

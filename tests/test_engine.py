@@ -271,6 +271,20 @@ def test_terminated_instance_never_mentioned_again():
     assert m.streams["suspicious"].instances[(1,)].ext_count == 5
 
 
+@pytest.mark.parametrize("mode", ["variable", "fixed"])
+def test_terminated_plain_template_stays_gone(mode):
+    """A plain template's one instance can be terminated; later steps skip
+    it, as the reference does, instead of looking it up."""
+    src = "input int i\ninput bool p\noutput int x\n  terminate: p\n  := i?(0)\n"
+    kwargs = {"mode": "fixed", "frequency": Fraction(1)} if mode == "fixed" else {}
+    events = [Event(0.5, {"i": 1}), Event(1.5, {"p": True}), Event(2.5, {"i": 2})]
+    events.append(Event(3.5, {"i": 3, "p": False}))
+    m, ref = Monitor(typed(src), **kwargs), RefMonitor(typed(src), **kwargs)
+    got = [(v.kind, v.ts, v.stream, v.params, v.value) for v in drain(m, events)]
+    assert got == ref.run(events)
+    assert m.streams["x"].instances == {} and ref.live["x"] == {}
+
+
 def test_count_trigger():
     src = (
         "input int CID\n"

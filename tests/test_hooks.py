@@ -9,17 +9,20 @@ work it times.
 """
 
 from collections import Counter
+from fractions import Fraction
 
 import pytest
 
-from conftest import FLEET_SPEC, typed
+from conftest import FLEET_SPEC, PID_SPEC, typed
 from streammon import Monitor
 from streammon.windows import PanedWindow
-from test_golden import BIND_SPEC, _bind_events, _fleet_events
+from test_golden import BIND_SPEC, _bind_events, _fleet_events, _pid_events
 
 HOOKS = [
     (Monitor, "var_rate_step"),
+    (Monitor, "fixed_rate_step"),
     (Monitor, "evaluate_triggers"),
+    (PanedWindow, "register"),
     (PanedWindow, "evaluate"),
 ]
 
@@ -51,16 +54,28 @@ def test_fleet_evaluates_one_window_per_window_read(calls):
     events = _fleet_events(7)
     m = Monitor(typed(FLEET_SPEC), instance_bounds={"orp": 60, "suspicious": 60})
     # suspicious reads orp's window once per extension, and always extends
-    # (its value has a default)
-    suspicious = m.streams["suspicious"]
-    extend, reads = suspicious.extend, [0]
-
-    def counted(*args):
-        reads[0] += 1
-        extend(*args)
-
-    suspicious.extend = counted
+    # (its value has a default); a step records the instances it extended
+    reads = 0
     for ev in events:
         m.process(ev)
+        reads += len(m._step_extended.get("suspicious", ()))
     assert calls["var_rate_step"] == calls["evaluate_triggers"] == len(events)
-    assert calls["evaluate"] == reads[0] > 0
+    assert calls["evaluate"] == reads > 0
+
+
+def test_pid_fixed_calls_tick_step_and_register_as_often_as_work(calls):
+    events = _pid_events(7)
+    m = Monitor(typed(PID_SPEC), mode="fixed", frequency=Fraction(1))
+    for ev in events:
+        m.process(ev)
+    # at 1 Hz a tick fires every second up to the last event, and the
+    # smoothed temperature, whose value has a default, extends at each one
+    ticks = int(events[-1].ts)
+    assert calls["fixed_rate_step"] == ticks > 0
+    assert m.streams["smooth_temp"].instances[()].ext_count == ticks
+    # every extension of a stream registers into each window that reads it
+    registrations = sum(
+        rt.instances[()].ext_count * len(rt.window_plans) for rt in m.streams.values()
+    )
+    assert calls["register"] == registrations > 0
+    assert calls["var_rate_step"] == len(events)

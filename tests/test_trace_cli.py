@@ -1,4 +1,5 @@
 import json
+import math
 import subprocess
 import sys
 from pathlib import Path
@@ -6,7 +7,7 @@ from pathlib import Path
 import pytest
 
 from conftest import FLEET_SPEC, PHI_PPRIME_SPEC, PHI_PRIME_SPEC, PID_SPEC, typed
-from streammon import TraceError
+from streammon import TraceError, Verdict
 from streammon.cli import main
 from streammon.trace import read_trace, write_trace
 
@@ -189,6 +190,27 @@ def test_monitor_fixed_requires_frequency(pid_paths):
     spec, trace_path = pid_paths
     code, _, err = run_cli("monitor", str(spec), str(trace_path), "--mode", "fixed")
     assert code == 1 and "frequency" in err
+
+
+def _no_constant(name):
+    raise ValueError(f"{name} is no strict JSON")
+
+
+def test_monitor_writes_non_finite_values_as_strict_json(tmp_path):
+    spec = tmp_path / "div.spec"
+    spec.write_text("input double a\ninput double b\noutput double q := a / b\n")
+    trace_path = tmp_path / "t.csv"
+    rows = ["0.5,1.0,0.0", "1.5,-1.0,0.0", "2.5,0.0,0.0", "3.5,2.0,4.0", "4.5,1.0,"]
+    trace_path.write_text("time,a,b\n" + "\n".join(rows) + "\n")
+    code, out, err = run_cli(
+        "monitor", str(spec), str(trace_path), "--mode", "fixed",
+        "--frequency", "1Hz",
+    )
+    assert code == 0, err
+    docs = [json.loads(line, parse_constant=_no_constant) for line in out.splitlines()]
+    assert [d["value"] for d in docs] == ["Infinity", "-Infinity", "NaN", 0.5]
+    verdict = Verdict(1.0, "output", "f", (math.nan, -math.inf, 2.5), math.inf)
+    assert verdict.to_json_dict()["params"] == ["NaN", "-Infinity", 2.5]
 
 
 # -- gen ----------------------------------------------------------------------------
