@@ -334,7 +334,9 @@ class Monitor:
             if tpl.invoke is not None:
                 for node in accesses(tpl.invoke):
                     if isinstance(node, StreamAccess):
-                        self.streams[node.stream].invokes.append(rt)
+                        invokes = self.streams[node.stream].invokes
+                        if rt not in invokes:  # once however often it reads it
+                            invokes.append(rt)
                 rt.invoke_fn = Compiler(self).compile_invoke(tpl.invoke)
             if tpl.extend is not None:
                 rt.extend_fn = Compiler(self, tpl.params).compile(tpl.extend)
@@ -597,11 +599,10 @@ class Monitor:
             put(depth, f"i = {instances}.get(alpha)", "if i is not None:")
             return depth + 1, False
 
-        def extend(depth: int, rt: _StreamRT, inst: str, alpha: str, once: bool):
+        def extend(depth: int, rt: _StreamRT, inst: str, alpha: str):
             """Extends instance `inst` of rt, whose parameters are `alpha`, by
             the value v: coerce, buffer and prune, register into windows,
-            charge the slots, record (`once`: the only extension of rt in the
-            step), emit, and try rt's invocations."""
+            charge the slots, record, emit, and try rt's invocations."""
             key, plan = bind(rt.name), rt.buffer_plan
             if rt.value_ty is ValueType.DOUBLE:
                 put(depth, "v = float(v)")
@@ -626,10 +627,7 @@ class Monitor:
                     put(depth, f"g += w[{bind(p.wkey)}].register(v, ts)")
             put(depth, "if g:", "    s = m.slots = m.slots + g")
             put(depth, "    if s > m.peak_slots:", "        m.peak_slots = s")
-            if once:
-                put(depth, f"extended[{key}] = [{alpha}]")
-            else:
-                put(depth, f"extended.setdefault({key}, []).append(alpha)")
+            put(depth, f"extended.setdefault({key}, []).append({alpha})")
             if tick:
                 output = f"VERDICT(float(ts), 'output', {key}, {alpha}, v)"
                 put(depth, f"verdicts.append({output})")
@@ -666,14 +664,10 @@ class Monitor:
         if not tick:
             put(1, "if not run:", "    return None")
         put(1, "m.clock_ts = ts", "extended = m._step_extended = {}")
-        if ends or any(rt.invokes for rt, _ in fed + templates):
-            put(1, "touched = m._step_touched = set()")
-        else:
-            put(1, "m._step_touched = NOTHING")
-        put(1, "verdicts = m._verdicts = []")
+        put(1, "touched = m._step_touched = set()", "verdicts = m._verdicts = []")
         for k, (rt, name) in enumerate(fed):
             put(1, f"v = v{k}" if name else "v = float(ts)")
-            extend(1, rt, bind(rt.instances[()]), "()", once=True)
+            extend(1, rt, bind(rt.instances[()]), "()")
 
         # invocations happen inside the extensions, so invoked instances of
         # later templates are picked up within the same pass
@@ -690,7 +684,7 @@ class Monitor:
             put(depth, f"    m._warn(ts, undefined({bind(rt.name)}, alpha))", "else:")
             if loop:
                 put(depth + 1, f"i = {bind(rt.instances)}[alpha]")
-            extend(depth + 1, rt, "i", "alpha", once=not loop)
+            extend(depth + 1, rt, "i", "alpha")
 
         for rt, gate in ends:
             depth = 1
@@ -803,7 +797,6 @@ _KERNEL_NAMES = dict(
     MAX_TIME=sys.float_info.max,
     MIN=INT64_MIN,
     MAX=INT64_MAX,
-    NOTHING=frozenset(),
     saturate=saturate_i64,
     expired=_expired,
     candidates=_candidates,

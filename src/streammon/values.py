@@ -54,7 +54,7 @@ def jsonable(x):
     a NaN or infinite float as the string "NaN", "Infinity" or "-Infinity"
     (null already means no value)."""
     if x.__class__ is tuple:
-        return [jsonable(item) for item in x] if x else []
+        return [jsonable(item) for item in x]
     if x.__class__ is float and x - x != 0.0:  # only NaN and inf give NaN
         return "NaN" if x != x else "Infinity" if x > 0 else "-Infinity"
     return x

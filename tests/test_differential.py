@@ -28,6 +28,7 @@ exact in any association order.
 
 import random
 from fractions import Fraction
+from itertools import groupby
 
 import pytest
 from hypothesis import example, given, settings
@@ -147,8 +148,8 @@ def _same(u, v):
 def _check(tspec, events, names=OUTPUTS, **mode):
     """Run both monitors; after every event the live instances of the
     streams `names`, their extension counts and latest values, and in the
-    end the verdicts other than warnings, must be the same; verdicts of one
-    instant in any order, as the reference settles on demand. After every
+    end the verdicts other than warnings, must be the same, in the same
+    order but for the outputs of one instant (see `_settled`). After every
     event the engine's slot count must equal the slots its instances hold."""
     # a real-time offset into an input needs unbounded memory
     engine = Monitor(tspec, allow_unbounded=True, **mode)
@@ -171,16 +172,19 @@ def _check(tspec, events, names=OUTPUTS, **mode):
         (v.kind, v.ts, v.stream, v.params, v.value) for v in got if v.kind != "warning"
     ]
     assert len(mine) == len(ref.verdicts)
-    for m, r in zip(sorted(mine, key=_instant), sorted(ref.verdicts, key=_instant)):
+    for m, r in zip(_settled(mine), _settled(ref.verdicts)):
         assert m[:4] == r[:4] and _same(m[4], r[4]), (m, r)
     return got
 
 
-def _instant(verdict):
-    """Orders the verdicts of one instant; a stable sort keeps the order of
-    equal ones, such as a trigger's at a tick and at an event."""
-    kind, ts, stream, params, _ = verdict
-    return ts, kind, stream or "", params or ()
+def _settled(verdicts):
+    """The verdicts in emitted order, except that each run of consecutive
+    output verdicts of one instant is sorted by stream and parameters: the
+    engine emits them in dependency order, the reference as it settles them."""
+    out = []
+    for (outputs, _), run in groupby(verdicts, lambda v: (v[0] == "output", v[1])):
+        out += sorted(run, key=lambda v: (v[2], v[3] or ())) if outputs else run
+    return out
 
 
 @given(

@@ -300,6 +300,17 @@ def test_count_trigger():
     assert fired[0].value == 3
 
 
+def test_invoke_reading_a_stream_twice_invokes_once_per_extension():
+    src = (
+        "input int ID\n"
+        "output bool s<int a, int b>\n invoke: (ID, ID)\n extend: a = ID\n := true\n"
+    )
+    m = Monitor(typed(src), instance_bounds={"s": 100})
+    assert m.streams["ID"].invokes == [m.streams["s"]]
+    m.process(Event(0.0, {"ID": 4}))
+    assert list(m.streams["s"].instances) == [(4, 4)]
+
+
 def test_any_trigger_reports_lowest_witness():
     src = (
         "input int CID\ninput int v\n"
