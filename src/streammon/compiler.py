@@ -23,10 +23,10 @@ whose one instance lives for the whole trace) and, in an any trigger, the
 current value of the scope's instance. The closure is made from a fixed
 Python source template by `eval`, with every object it reads bound by name.
 
-The engine makes each step's kernel the same way (`engine.Monitor._kernel`):
+The engine makes its two step kernels the same way (`engine.Monitor._kernel`):
 it joins fixed source snippets into one function, binding every object by
-name with `_bind`, so its source depends on the step's shape only and
-`_code` compiles it once for every monitor whose steps have that shape.
+name with `_bind`, so its source depends on the spec's shape only and
+`_code` compiles it once for every monitor of a spec of that shape.
 """
 
 from __future__ import annotations

@@ -3,25 +3,24 @@
 Two cooperating components execute a specification over a timestamped event
 trace:
 
-* the variable-rate step runs once per trace event, by the kernel of the
-  event's binding set (its bound input names), built from the dependency
-  graph on first use and kept: the bound inputs, the unclocked templates
-  their extensions can reach, in dependency order, and the terminations and
-  triggers the step can touch. A gate naming a bound input or the time
-  input, which extend in every such step, is not checked at run time; any
-  other gate is, as a template in between may not extend (its extend
-  condition may fail or its value be undefined). Plain unclocked streams
-  tick on the union of their dependencies' extension instants.
+* the variable-rate step runs once per trace event, by the monitor's event
+  kernel: it feeds the inputs the event binds and the time input, then runs
+  the unclocked templates that inputs can reach, in dependency order, and
+  the terminations and triggers such a step can touch, each when its gate
+  holds: an input it reads is bound, a template it reads extended (its
+  extend condition may fail or its value be undefined), or it reads the
+  time input, fed in every event. Plain unclocked streams tick on the union
+  of their dependencies' extension instants.
   Parameterized templates extend here only when efficiently bound (their
   extend condition pins parameters to input values; a single such disjunct
   binding every parameter is one tuple lookup), so the per-event cost is
   independent of how many instances are alive.
 
-* the fixed-rate step runs at every clock tick k/y, by the kernel of the
-  clocks due at that tick (built on first use and kept): each due clocked
-  template's instances, in invocation order, whose extend condition holds
-  are computed and extended. Instances whose terminate condition holds are
-  then removed, and triggers are checked.
+* the fixed-rate step runs at every clock tick k/y, by the monitor's tick
+  kernel: the instances of each clocked template due at the tick, in
+  invocation order, whose extend condition holds are computed and extended.
+  Instances whose terminate condition holds are then removed, and triggers
+  are checked.
 
 Both steps run one pass, in the dependency order of
 `analysis._evaluation_order`, which puts what a template reads before it.
@@ -42,12 +41,13 @@ Monitor is built, into a closure over the monitor's streams (see
 `compiler`); a step runs those closures and walks no syntax tree. Parameters
 travel as the instance's alpha tuple, indexed by position.
 
-A step's kernel is one generated function (see `Monitor._kernel`), made
-from fixed source snippets as `compiler` makes expression closures: each
-stream's extension is written out inline, with the coercion, pruning (by
-count, by time, or in place for a single slot), windows and invocations of
-that stream, and so is each template's gate check and instance lookup. An
-event kernel first checks the event, so that a rejected one changes nothing.
+Each of the two kernels is one function generated on first use (see
+`Monitor._kernel`) from fixed source snippets, as `compiler` makes
+expression closures: each stream's extension is written out inline, with
+the coercion, pruning (by count, by time, or in place for a single slot),
+windows and invocations of that stream, and so is each template's gate
+check and instance lookup. The event kernel first checks the event, so that
+a rejected one changes nothing.
 
 Clock ticks are integers on a grid of 1/D seconds, D being the least common
 multiple of the clock frequencies' numerators, so a clock of p/q Hz ticks
@@ -279,14 +279,8 @@ class Monitor:
         self.clock_ts = None  # last processed instant
 
         self._build_runtime(instance_bounds or {})
-        #: bindable input -> the classes its values may have
-        self._bindable = {
-            d.name: _CLASSES[d.ty.name] for d in tspec.spec.inputs if not d.is_time
-        }
-        #: binding set -> variable-rate step kernel, see `_schedule`
-        self._schedules: dict[frozenset, Callable] = {}
-        #: periods due at a tick -> its kernel, see `_tick_schedule`
-        self._tick_schedules: dict[tuple, Callable] = {}
+        #: the step kernels, built on first use by `_kernel`
+        self._event_kernel = self._tick_kernel = None
 
         # per-step scratch; touched: streams that invoked or terminated one
         self._step_extended: dict[str, list[tuple]] = {}
@@ -322,11 +316,6 @@ class Monitor:
         for rt in self.streams.values():
             if rt.tpl is None or not rt.tpl.params:
                 rt.new_instance(())
-        #: (stream, binding name or None for the time input), in declaration order
-        self._inputs = [
-            (self.streams[d.name], None if d.is_time else d.name)
-            for d in tspec.spec.inputs
-        ]
 
         # invoke table, lifecycle plans and compiled expressions
         for tpl in tspec.spec.outputs:
@@ -372,8 +361,8 @@ class Monitor:
         for rt in self._clocked_order:
             clock = rt.tpl.clock
             rt.period = self._grid * clock.denominator // clock.numerator
-        self._periods = sorted({rt.period for rt in self._clocked_order})
-        self._clocks = [[p, p] for p in self._periods]
+        periods = {rt.period for rt in self._clocked_order}
+        self._clocks = [[p, p] for p in sorted(periods)]
 
         self._triggers = [self._compile_trigger(t) for t in tspec.spec.triggers]
 
@@ -464,8 +453,7 @@ class Monitor:
         """
         if not self._clocks:
             return self.var_rate_step(event)
-        bound = frozenset(event.bindings)
-        kernel = self._schedules.get(bound) or self._schedule(bound)
+        kernel = self._event_kernel or self._kernel(tick=False)
         kernel(self, event.ts, event.bindings, False)  # checks it before any tick
         out: list[Verdict] = []
         for tick in self._ticks_until(event.ts):
@@ -491,92 +479,96 @@ class Monitor:
                     counter[0] = due + counter[1]
             yield due
 
-    def _schedule(self, bound: frozenset) -> Callable:
-        """The kernel of the events binding the inputs `bound`, kept in
-        `_schedules`: it feeds those inputs and the time input, then runs the
-        unclocked templates their extensions can reach, in dependency order,
-        and the terminations and triggers the step can touch. A gate naming a
-        stream fed in every such step is not checked at run time."""
-        if not bound <= self._bindable.keys():
-            unknown = ", ".join(sorted(bound - self._bindable.keys()))
-            message = (
-                f"unknown input stream(s): {unknown} (an event binds "
-                "declared inputs only, never the time input)"
-            )
-            raise EngineError([Diagnostic(message)])
-        fed = [(rt, name) for rt, name in self._inputs if name in bound or not name]
-        always = frozenset(rt.name for rt, _ in fed)
-        reach = set(always)  # the streams that can extend in such a step
-
-        def dynamic(gate):
-            return None if gate & always else gate
-
-        templates = []
-        for rt in self._var_order:
-            gate = rt.expr_gate if rt.ext_plan is None else rt.ext_plan.gate
-            if not gate.isdisjoint(reach):
-                reach.add(rt.name)
-                templates.append((rt, dynamic(gate)))
-        ends = [
-            (rt, dynamic(rt.ter_plan.gate))
-            for rt in self._with_terminate
-            if rt.period is None and rt.ter_plan.gate & reach
-        ]
-        touched = reach | {rt.name for rt, _ in ends}
-        touched.update(dep.name for s in reach for dep in self.streams[s].invokes)
-        triggers = [(dynamic(g), check) for g, check in self._triggers if g & touched]
-        kernel = self._schedules[bound] = self._kernel(fed, templates, ends, triggers)
-        return kernel
-
     # -- step machinery ---------------------------------------------------------
 
     def var_rate_step(self, event: Event) -> list[Verdict]:
-        """Process one trace event by the kernel of its binding set."""
-        bindings = event.bindings
-        bound = frozenset(bindings)
-        kernel = self._schedules.get(bound) or self._schedule(bound)
-        return kernel(self, event.ts, bindings)
+        """Process one trace event by the monitor's event kernel."""
+        kernel = self._event_kernel or self._kernel(tick=False)
+        return kernel(self, event.ts, event.bindings)
 
     def fixed_rate_step(self, tick: int) -> list[Verdict]:
         """Evaluate every clocked stream due at grid tick `tick`, the instant
         tick / D seconds (see the module docstring)."""
-        grid = self._grid
-        ts = tick / grid if self._dyadic else Fraction(tick, grid)
-        due = tuple(p for p in self._periods if not tick % p)
-        kernel = self._tick_schedules.get(due) or self._tick_schedule(due)
-        return kernel(self, ts, None)
+        ts = tick / self._grid if self._dyadic else Fraction(tick, self._grid)
+        kernel = self._tick_kernel or self._kernel(tick=True)
+        return kernel(self, ts, tick)
 
-    def _tick_schedule(self, due: tuple) -> Callable:
-        """The kernel of a tick at which the clocks of the periods `due` fire,
-        kept in `_tick_schedules`: every due clocked template with its
-        instances in invocation order, the terminations (a clocked template
-        checks all its instances on its own ticks) and all triggers."""
-        templates = [(rt, None) for rt in self._clocked_order if rt.period in due]
-        ends = [
-            (rt, None if rt.period else rt.ter_plan.gate)
-            for rt in self._with_terminate
-            if rt.period is None or rt.period in due
-        ]
-        kernel = self._kernel([], templates, ends, self._triggers, tick=True)
-        return self._tick_schedules.setdefault(due, kernel)
-
-    def _kernel(self, fed, templates, ends, triggers, tick=False) -> Callable:
-        """One step as one function, kernel(monitor, ts, bindings, run=True)
-        -> its verdicts. An event's kernel first rejects an invalid event,
-        and returns there when not `run`. Then it feeds the inputs `fed`,
-        (stream, binding name or None for the time input); computes and
-        extends the instances of `templates` that their extend condition
-        selects, emitting outputs on a tick, and drops those of `ends` whose
-        terminate condition holds, each (template, gate) when its gate is
-        None or names a stream extended so far; and checks `triggers`. The
-        source depends on the step's shape only: every object it reads is
-        bound by name."""
+    def _kernel(self, tick: bool) -> Callable:
+        """Builds and keeps the event kernel, kernel(monitor, ts, bindings,
+        run=True), or with `tick` the tick kernel, kernel(monitor, ts, tick),
+        each one function returning the step's verdicts. The event kernel
+        rejects an invalid event (returning there when not `run`), feeds the
+        bound inputs and the time input, and runs what inputs can reach of
+        the unclocked templates, terminations and triggers. The tick kernel
+        runs the clocked templates and terminations due at `tick`, the other
+        terminations and all triggers. Each runs when its gate holds (see the
+        module docstring). The source depends on the spec's shape only:
+        every object it reads is bound by name."""
         names = dict(_KERNEL_NAMES)
         bind = partial(_bind, names)
-        code = ["def kernel(m, ts, bindings, run=True):"]
+        decls = self.tspec.spec.inputs
+        inputs = frozenset(d.name for d in decls)
+        #: bindable input -> the local holding its value, or MISSING if unbound
+        local = {d.name: f"v{k}" for k, d in enumerate(decls) if not d.is_time}
+        timed = inputs - local.keys()  # the time input, fed in every event step
+
+        def changed(streams: frozenset) -> str:
+            return f"not {bind(streams)}.isdisjoint(extended)"
+
+        def gate(streams: frozenset) -> Optional[str]:
+            """Whether an event step fed or extended one of `streams`."""
+            if streams & timed:
+                return None
+            tests = [f"{v} is not MISSING" for s, v in local.items() if s in streams]
+            if streams - inputs:
+                tests.append(changed(streams - inputs))
+            return " or ".join(tests)
+
+        if tick:
+            code, fed = ["def kernel(m, ts, tick):"], []
+            every = len(self._clocks) > 1  # else every tick is due
+            due = {
+                rt: f"not tick % {bind(rt.period)}" if every else None
+                for rt in self._clocked_order
+            }
+            templates = list(due.items())
+            ends = [
+                (rt, due[rt] if rt.period else changed(rt.ter_plan.gate))
+                for rt in self._with_terminate
+            ]
+            triggers = self._triggers
+        else:
+            code = ["def kernel(m, ts, bindings, run=True):"]
+            fed = [self.streams[d.name] for d in decls]
+            reach = set(inputs)  # the streams that can extend in an event step
+            templates = []
+            for rt in self._var_order:
+                streams = rt.expr_gate if rt.ext_plan is None else rt.ext_plan.gate
+                if not streams.isdisjoint(reach):
+                    reach.add(rt.name)
+                    templates.append((rt, gate(streams)))
+            ends = [
+                (rt, gate(rt.ter_plan.gate))
+                for rt in self._with_terminate
+                if rt.period is None and rt.ter_plan.gate & reach
+            ]
+            touched = reach | {rt.name for rt, _ in ends}
+            touched.update(dep.name for s in reach for dep in self.streams[s].invokes)
+            triggers = [
+                (None if g & timed else g, check)
+                for g, check in self._triggers
+                if g & touched
+            ]
 
         def put(depth: int, *lines: str) -> None:
             code.extend("    " * depth + line for line in lines)
+
+        def when(condition: Optional[str]) -> int:
+            """Opens a block run when `condition` holds; returns its depth."""
+            if condition is None:
+                return 1
+            put(1, f"if {condition}:")
+            return 2
 
         def find(depth: int, rt: _StreamRT, plan: Optional[_CondPlan]) -> tuple:
             """Opens a block visiting, as alpha, each live instance of rt that
@@ -608,7 +600,7 @@ class Monitor:
                 put(depth, "v = float(v)")
             elif rt.value_ty is ValueType.INT:
                 warning = bind(f"{rt.name}: integer overflow, value saturated")
-                put(depth, "if not MIN <= v <= MAX:", "    v = saturate(v)[0]")
+                put(depth, "if not MIN <= v <= MAX:", "    v = saturate(v)")
                 put(depth, f"    m._warn(ts, {warning})")
             put(depth, f"b = {inst}.buf")
             if plan.time_keep is not None:  # prune by time
@@ -648,16 +640,21 @@ class Monitor:
                     put(depth, f"        {d}.eta_warned = True")
                     put(depth, f"        m._warn(ts, {message})")
 
-        if not tick:  # NaN or inf would pass every order check, and tick forever
+        if not tick:  # the event's checks; a NaN or inf ts would tick forever
+            bindable, unknown = bind(frozenset(local)), bind(_UNKNOWN)
+            put(1, f"if not bindings.keys() <= {bindable}:")
+            put(1, f"    names = ', '.join(sorted(bindings.keys() - {bindable}))")
+            put(1, f"    raise EngineError([Diagnostic({unknown}.format(names))])")
             put(1, "if ts.__class__ not in TIMES or not -MAX_TIME <= ts <= MAX_TIME:")
             put(1, "    message = f'timestamp {ts!r} is no finite number'")
             put(1, "    raise EngineError([Diagnostic(message)])")
-            for k, (rt, name) in enumerate(fed):
-                if name:
-                    key, ok = bind(name), bind(self._bindable[name])
-                    got = bind(f"input {name} ({rt.value_ty.value}) got ")
-                    put(1, f"v{k} = bindings[{key}]", f"if v{k}.__class__ not in {ok}:")
-                    put(1, f"    raise EngineError([Diagnostic({got} + repr(v{k}))])")
+            for name, v in local.items():
+                ty = self.streams[name].value_ty
+                ok = bind(_CLASSES[ty.name])
+                got = bind(f"input {name} ({ty.value}) got ")
+                put(1, f"{v} = bindings.get({bind(name)}, MISSING)")
+                put(1, f"if {v}.__class__ not in {ok} and {v} is not MISSING:")
+                put(1, f"    raise EngineError([Diagnostic({got} + repr({v}))])")
         put(1, "if m.clock_ts is not None and ts < m.clock_ts:")
         put(1, "    message = f'time regressed from {m.clock_ts} to {ts}'")
         put(1, "    raise OutOfOrderError([Diagnostic(message)])")
@@ -665,18 +662,16 @@ class Monitor:
             put(1, "if not run:", "    return None")
         put(1, "m.clock_ts = ts", "extended = m._step_extended = {}")
         put(1, "touched = m._step_touched = set()", "verdicts = m._verdicts = []")
-        for k, (rt, name) in enumerate(fed):
-            put(1, f"v = v{k}" if name else "v = float(ts)")
-            extend(1, rt, bind(rt.instances[()]), "()")
+        for rt in fed:
+            v = local.get(rt.name)
+            depth = when(f"{v} is not MISSING" if v else None)
+            put(depth, f"v = {v}" if v else "v = float(ts)")
+            extend(depth, rt, bind(rt.instances[()]), "()")
 
         # invocations happen inside the extensions, so invoked instances of
         # later templates are picked up within the same pass
-        for rt, gate in templates:
-            depth = 1
-            if gate is not None:
-                put(1, f"if not {bind(gate)}.isdisjoint(extended):")
-                depth = 2
-            depth, loop = find(depth, rt, None if rt.period else rt.ext_plan)
+        for rt, condition in templates:
+            depth, loop = find(when(condition), rt, None if rt.period else rt.ext_plan)
             if rt.extend_fn is not None:
                 put(depth, f"if {bind(rt.extend_fn)}(alpha, ts) is True:")
                 depth += 1
@@ -686,12 +681,8 @@ class Monitor:
                 put(depth + 1, f"i = {bind(rt.instances)}[alpha]")
             extend(depth + 1, rt, "i", "alpha")
 
-        for rt, gate in ends:
-            depth = 1
-            if gate is not None:
-                put(1, f"if not {bind(gate)}.isdisjoint(extended):")
-                depth = 2
-            depth, _ = find(depth, rt, rt.ter_plan)
+        for rt, condition in ends:
+            depth, _ = find(when(condition), rt, rt.ter_plan)
             put(depth, f"if {bind(rt.terminate_fn)}(alpha, ts) is True:")
             depth += 1
             put(depth, f"d = {bind(rt.drop_instance)}(alpha)", "m.slots -= len(d.buf)")
@@ -706,7 +697,9 @@ class Monitor:
             put(1, "m.events_processed += 1")
         put(1, "return verdicts")
         exec(_code("\n".join(code), "exec"), names)
-        return names.pop("kernel")  # no cycle through its globals
+        kernel = names.pop("kernel")  # no cycle through its globals
+        setattr(self, "_tick_kernel" if tick else "_event_kernel", kernel)
+        return kernel
 
     # -- triggers --------------------------------------------------------------------
 
@@ -733,6 +726,12 @@ class Monitor:
 
 
 _CLASSES = dict(BOOL={bool}, INT={int}, DOUBLE={int, float})
+#: what an event kernel reads for an input the event does not bind
+_MISSING = object()
+_UNKNOWN = (
+    "unknown input stream(s): {} (an event binds declared inputs only, "
+    "never the time input)"
+)
 
 
 def _candidates(rt: _StreamRT, plan: _CondPlan) -> list[tuple]:
@@ -792,6 +791,7 @@ def _undefined(stream: str, alpha: tuple) -> str:
 #: what every step kernel reads by name, besides what it binds
 _KERNEL_NAMES = dict(
     U=UNDEFINED,
+    MISSING=_MISSING,
     VERDICT=Verdict,
     TIMES={int, float},
     MAX_TIME=sys.float_info.max,

@@ -29,13 +29,9 @@ INT64_MIN = -(2**63)
 INT64_MAX = 2**63 - 1
 
 
-def saturate_i64(value: int) -> tuple[int, bool]:
-    """Clamp an integer into the signed 64-bit range. Returns (value, clamped)."""
-    if value > INT64_MAX:
-        return INT64_MAX, True
-    if value < INT64_MIN:
-        return INT64_MIN, True
-    return value, False
+def saturate_i64(value: int) -> int:
+    """The integer clamped into the signed 64-bit range."""
+    return min(max(value, INT64_MIN), INT64_MAX)
 
 
 def nan_max(a, b):

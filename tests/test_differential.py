@@ -311,6 +311,14 @@ VARIANTS = {
     "scan": (_FAMILY.format(_SCAN, "  terminate: p & (k > 0)\n"), "f", None),
     "dynamic-gate": ("output int x := i + j\noutput int y := (x)?(0) + 1\n", "xy", None),
     "undefined": ("output int u := i + j\n", "u", None),
+    # clocks due alone and together; a clocked family ends on its own ticks
+    "two-clocks": (
+        "output int c : 2Hz := (i)?(0)\noutput int d : 0.4Hz := (c)?(0) + 1\n"
+        "output int s<int k> : 0.4Hz\n  invoke: i\n  terminate: p & (k = j)\n"
+        "  := k + (d)?(0)\n",
+        "cds",
+        None,
+    ),
 }
 
 

@@ -1,12 +1,14 @@
 import itertools
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
 from conftest import CARS_SPEC, FLEET_SPEC, INTRO_SPEC, typed
 from oracle import RefMonitor
+from test_differential import _settled
 from streammon import (
     AnalysisRefusal,
     EngineError,
@@ -509,9 +511,16 @@ def test_out_of_order_event_rejected():
 
 
 def test_unknown_input_rejected():
-    m = Monitor(typed("input int a\noutput int x := a?0"))
-    with pytest.raises(EngineError):
+    m = Monitor(typed("input int a\ntime input double t\noutput int x := a?0"))
+    with pytest.raises(EngineError, match=r"unknown input stream\(s\): zz \("):
         m.process(Event(0.0, {"zz": 1}))
+    # the names are sorted, and a valid binding beside them does not help
+    with pytest.raises(EngineError, match=r"unknown input stream\(s\): yy, zz \("):
+        m.process(Event(0.0, {"zz": 1, "a": 2, "yy": 3}))
+    # the time input is fed from the timestamp, never bound by name
+    with pytest.raises(EngineError, match=r"unknown input stream\(s\): t \("):
+        m.process(Event(0.0, {"t": 0.0}))
+    assert m.events_processed == 0 and m.clock_ts is None
 
 
 def _state(m):
@@ -735,6 +744,41 @@ def test_fleet_matches_reference_evaluator():
     ref.run(events)
     want = [(v[1], v[2], v[3]) for v in ref.verdicts if v[0] == "trigger"]
     assert got == want
+
+
+def test_kernels_are_bounded_by_the_spec_not_the_trace(monkeypatch):
+    """Events binding every non-empty subset of five inputs share one event
+    kernel, and ticks of two clocks, due alone or together, one tick kernel;
+    each input, template and trigger still runs only when its gate holds."""
+    built = Counter()
+    kernel = Monitor.__dict__["_kernel"]
+
+    def counted(self, *args, tick=False):
+        built[tick] += 1
+        return kernel(self, *args, tick=tick)
+
+    monkeypatch.setattr(Monitor, "_kernel", counted)
+    src = (
+        "input int a\ninput int b\ninput int c\ninput int d\ninput int e\n"
+        "output int s := (a)?(0) + (b)?(0) + (c)?(0)\n"
+        "output int u : 2Hz := (s)?(0) + (d)?(0)\n"
+        "output int w : 0.4Hz := (e)?(0) + w[-1, 0]\n"
+        "trigger s > 4\n"
+    )
+    subsets = [
+        names for k in range(1, 6) for names in itertools.combinations("abcde", k)
+    ]
+    events = [
+        Event(0.5 * (n + 1), {name: n % 7 - 2 for name in names})
+        for n, names in enumerate(subsets)
+    ]
+    m = Monitor(typed(src))
+    got = [(v.kind, v.ts, v.stream, v.params, v.value) for v in drain(m, events)]
+    assert built == {False: 1, True: 1}
+    ref = RefMonitor(typed(src))
+    ref.run(events)
+    assert _settled(got) == _settled(ref.verdicts)
+    assert {"output", "trigger"} <= {v[0] for v in got}
 
 
 def test_intro_fixed_mode_matches_reference_evaluator():
