@@ -155,6 +155,8 @@ class Compiler:
                 rt = self.streams[expr.stream]
                 if expr.stream == self.scope and rt.tpl.params:
                     get = _bind(names, rt.instances.get)
+                    if rt.flat:  # the entry is the latest (ts, value)
+                        return f"({get}(alpha) or {_bind(names, _NO_ENTRY)})[1]"
                     return f"({get}(alpha, NO_INSTANCE).buf or NO_VALUE)[-1][1]"
         return None
 
@@ -187,8 +189,8 @@ class Compiler:
         return self.streams[node.stream].instances[()]
 
     def _instance(self, node) -> Compiled:
-        """(alpha, ts) -> the instance the access reads; None or UNDEFINED
-        when there is none."""
+        """(alpha, ts) -> the instance or flat entry the access reads; None
+        or UNDEFINED when there is none."""
         pinned = self._pinned(node)
         if pinned is not None:
             return lambda alpha, ts: pinned
@@ -204,6 +206,8 @@ class Compiler:
         find = self._instance(node)
         match offset:
             case DiscreteOffset(steps=0):
+                if self.streams[node.stream].flat:  # no offset reads it
+                    return lambda alpha, ts: (find(alpha, ts) or _NO_ENTRY)[1]
 
                 def current(alpha, ts):
                     inst = find(alpha, ts)
@@ -220,7 +224,7 @@ class Compiler:
                     back = -n
                     if own and inst.alpha == alpha:
                         back -= 1  # the value being computed is the latest
-                    if inst.ext_count <= back or len(inst.buf) <= back:
+                    if len(inst.buf) <= back:
                         return UNDEFINED
                     return inst.buf[-1 - back][1]
 
@@ -277,8 +281,9 @@ def _bind(names: dict, obj) -> str:
     return name
 
 
-#: what a leaf's read of a stream without a value looks up
-_NO_VALUE = ((None, UNDEFINED),)
+#: what a leaf's read of a stream or flat entry without a value looks up
+_NO_ENTRY = (None, UNDEFINED)
+_NO_VALUE = (_NO_ENTRY,)
 _NO_INSTANCE = SimpleNamespace(buf=())
 
 

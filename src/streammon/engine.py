@@ -47,7 +47,14 @@ expression closures: each stream's extension is written out inline, with
 the coercion, pruning (by count, by time, or in place for a single slot),
 windows and invocations of that stream, and so is each template's gate
 check and instance lookup. The event kernel first checks the event, so that
-a rejected one changes nothing.
+a rejected one changes nothing; `process` runs those checks once, before
+any tick, and the event step then skips them.
+
+A parameterized template that keeps one value and no window (buffer plan
+`count_keep == 1`, no `time_keep`) stores each instance flat, as the tuple
+(ts, value) of its latest extension, () before the first: no Instance and
+no buffer list, so the cyclic collector, which untracks tuples of atomic
+values, never walks them. Kernels and reads are generated for each shape.
 
 Clock ticks are integers on a grid of 1/D seconds, D being the least common
 multiple of the clock frequencies' numerators, so a clock of p/q Hz ticks
@@ -140,7 +147,9 @@ class Verdict:
 
 class Instance:
     """Live instance of a stream: bounded value buffer plus the window states
-    of every window expression that targets this stream."""
+    of every window expression that targets this stream. A parameterized
+    template keeping one value and no window stores flat entries instead,
+    which the collector does not walk (see `_StreamRT.instances`)."""
 
     __slots__ = ("alpha", "buf", "windows", "ext_count")
 
@@ -195,7 +204,10 @@ class _StreamRT:
     value_ty: ValueType
     buffer_plan: BufferPlan = field(default_factory=BufferPlan)
     window_plans: list[_WindowPlan] = field(default_factory=list)
-    instances: dict[tuple, Instance] = field(default_factory=dict)
+    #: alpha -> live instance; when `flat`, the untracked tuple (ts, value)
+    #: of its latest extension, () before the first (see the module docstring)
+    instances: dict[tuple, Instance | tuple] = field(default_factory=dict)
+    flat: bool = False
     #: parameter positions -> their values -> alphas of live instances
     indexes: dict[tuple, dict] = field(default_factory=dict)
     efficient: bool = True
@@ -214,16 +226,15 @@ class _StreamRT:
     terminate_fn: Optional[Compiled] = None
     expr_fn: Optional[Compiled] = None
 
-    def new_instance(self, alpha: tuple) -> Instance:
+    def new_instance(self, alpha: tuple) -> None:
         plans = self.window_plans
         windows = {p.wkey: p.new_state() for p in plans} if plans else _NO_WINDOWS
-        inst = self.instances[alpha] = Instance(alpha, windows)
+        self.instances[alpha] = () if self.flat else Instance(alpha, windows)
         if self.indexes:
             for subset, index in self.indexes.items():
                 index.setdefault(tuple(alpha[i] for i in subset), set()).add(alpha)
-        return inst
 
-    def drop_instance(self, alpha: tuple) -> Instance:
+    def drop_instance(self, alpha: tuple) -> Instance | tuple:
         inst = self.instances.pop(alpha)
         for subset, index in self.indexes.items():
             key = tuple(alpha[i] for i in subset)
@@ -300,8 +311,6 @@ class Monitor:
             rt.efficient = classify_efficiently_bound(tpl, tspec)
             rt.eta_bound = instance_bounds.get(tpl.name)
             self.streams[tpl.name] = rt
-        for name, rt in self.streams.items():
-            rt.buffer_plan = plans[name]
 
         # window plans, attached to the *target* stream
         for e in self.adg.window_edges:
@@ -314,8 +323,11 @@ class Monitor:
 
         # inputs and plain outputs exist from the start of the trace
         for rt in self.streams.values():
+            rt.buffer_plan = plans[rt.name]
             if rt.tpl is None or not rt.tpl.params:
                 rt.new_instance(())
+            else:
+                rt.flat = rt.buffer_plan == BufferPlan() and not rt.window_plans
 
         # invoke table, lifecycle plans and compiled expressions
         for tpl in tspec.spec.outputs:
@@ -458,7 +470,7 @@ class Monitor:
         out: list[Verdict] = []
         for tick in self._ticks_until(event.ts):
             out.extend(self.fixed_rate_step(tick))
-        out.extend(self.var_rate_step(event))
+        out.extend(self.var_rate_step(event, True))
         return out
 
     def run(self, events: Iterable[Event]) -> Iterator[Verdict]:
@@ -481,10 +493,11 @@ class Monitor:
 
     # -- step machinery ---------------------------------------------------------
 
-    def var_rate_step(self, event: Event) -> list[Verdict]:
-        """Process one trace event by the monitor's event kernel."""
+    def var_rate_step(self, event: Event, checked: bool = False) -> list[Verdict]:
+        """Process one trace event by the monitor's event kernel; `checked`
+        skips the event's checks, which `process` has run before its ticks."""
         kernel = self._event_kernel or self._kernel(tick=False)
-        return kernel(self, event.ts, event.bindings)
+        return kernel(self, event.ts, event.bindings, True, checked)
 
     def fixed_rate_step(self, tick: int) -> list[Verdict]:
         """Evaluate every clocked stream due at grid tick `tick`, the instant
@@ -494,16 +507,16 @@ class Monitor:
         return kernel(self, ts, tick)
 
     def _kernel(self, tick: bool) -> Callable:
-        """Builds and keeps the event kernel, kernel(monitor, ts, bindings,
-        run=True), or with `tick` the tick kernel, kernel(monitor, ts, tick),
-        each one function returning the step's verdicts. The event kernel
-        rejects an invalid event (returning there when not `run`), feeds the
-        bound inputs and the time input, and runs what inputs can reach of
-        the unclocked templates, terminations and triggers. The tick kernel
-        runs the clocked templates and terminations due at `tick`, the other
-        terminations and all triggers. Each runs when its gate holds (see the
-        module docstring). The source depends on the spec's shape only:
-        every object it reads is bound by name."""
+        """Builds and keeps the event kernel, kernel(m, ts, bindings,
+        run=True, checked=False), or with `tick` the tick kernel, kernel(m,
+        ts, tick), each returning the step's verdicts. The event kernel
+        rejects an invalid event unless `checked` (returning there when not
+        `run`), feeds the bound inputs and the time input, and runs what
+        inputs can reach of the unclocked templates, terminations and
+        triggers. The tick kernel runs the clocked templates and terminations
+        due at `tick`, the other terminations and all triggers. Each runs when
+        its gate holds (see the module docstring). The source depends on the
+        spec's shape only: every object it reads is bound by name."""
         names = dict(_KERNEL_NAMES)
         bind = partial(_bind, names)
         decls = self.tspec.spec.inputs
@@ -538,7 +551,7 @@ class Monitor:
             ]
             triggers = self._triggers
         else:
-            code = ["def kernel(m, ts, bindings, run=True):"]
+            code = ["def kernel(m, ts, bindings, run=True, checked=False):"]
             fed = [self.streams[d.name] for d in decls]
             reach = set(inputs)  # the streams that can extend in an event step
             templates = []
@@ -602,17 +615,20 @@ class Monitor:
                 warning = bind(f"{rt.name}: integer overflow, value saturated")
                 put(depth, "if not MIN <= v <= MAX:", "    v = saturate(v)")
                 put(depth, f"    m._warn(ts, {warning})")
-            put(depth, f"b = {inst}.buf")
-            if plan.time_keep is not None:  # prune by time
-                put(depth, "b.append((ts, v))", f"d = expired({bind(plan)}, b, ts)")
-                put(depth, "if d > 0:", "    del b[:d]", "g = 1 - max(d, 0)")
+            b, counted = f"b = {inst}.buf", f"{inst}.ext_count += 1"
+            if rt.flat:  # the entry is replaced; its one slot is charged once
+                put(depth, f"g = 0 if {inst} else 1")
+                put(depth, f"{bind(rt.instances)}[{alpha}] = (ts, v)")
+            elif plan.time_keep is not None:  # prune by time
+                put(depth, b, "b.append((ts, v))", f"d = expired({bind(plan)}, b, ts)")
+                put(depth, "if d > 0:", "    del b[:d]", "g = 1 - max(d, 0)", counted)
             elif plan.count_keep == 1:  # a single slot, reused in place
-                put(depth, "if b:", "    b[0] = (ts, v)", "    g = 0")
-                put(depth, "else:", "    b.append((ts, v))", "    g = 1")
+                put(depth, b, "if b:", "    b[0] = (ts, v)", "    g = 0")
+                put(depth, "else:", "    b.append((ts, v))", "    g = 1", counted)
             else:  # prune by count
-                put(depth, "b.append((ts, v))", f"if len(b) > {bind(plan.count_keep)}:")
-                put(depth, "    del b[0]", "    g = 0", "else:", "    g = 1")
-            put(depth, f"{inst}.ext_count += 1")
+                put(depth, b, "b.append((ts, v))")
+                put(depth, f"if len(b) > {bind(plan.count_keep)}:", "    del b[0]")
+                put(depth, "    g = 0", "else:", "    g = 1", counted)
             if rt.window_plans:
                 put(depth, f"w = {inst}.windows")
                 for p in rt.window_plans:
@@ -640,26 +656,29 @@ class Monitor:
                     put(depth, f"        {d}.eta_warned = True")
                     put(depth, f"        m._warn(ts, {message})")
 
+        checks = 1 if tick else 2  # the depth of the checks
         if not tick:  # the event's checks; a NaN or inf ts would tick forever
+            for name, v in local.items():
+                put(1, f"{v} = bindings.get({bind(name)}, MISSING)")
             bindable, unknown = bind(frozenset(local)), bind(_UNKNOWN)
-            put(1, f"if not bindings.keys() <= {bindable}:")
-            put(1, f"    names = ', '.join(sorted(bindings.keys() - {bindable}))")
-            put(1, f"    raise EngineError([Diagnostic({unknown}.format(names))])")
-            put(1, "if ts.__class__ not in TIMES or not -MAX_TIME <= ts <= MAX_TIME:")
-            put(1, "    message = f'timestamp {ts!r} is no finite number'")
-            put(1, "    raise EngineError([Diagnostic(message)])")
+            put(1, "if not checked:")
+            put(2, f"if not bindings.keys() <= {bindable}:")
+            put(2, f"    names = ', '.join(sorted(bindings.keys() - {bindable}))")
+            put(2, f"    raise EngineError([Diagnostic({unknown}.format(names))])")
+            put(2, "if ts.__class__ not in TIMES or not -MAX_TIME <= ts <= MAX_TIME:")
+            put(2, "    message = f'timestamp {ts!r} is no finite number'")
+            put(2, "    raise EngineError([Diagnostic(message)])")
             for name, v in local.items():
                 ty = self.streams[name].value_ty
                 ok = bind(_CLASSES[ty.name])
                 got = bind(f"input {name} ({ty.value}) got ")
-                put(1, f"{v} = bindings.get({bind(name)}, MISSING)")
-                put(1, f"if {v}.__class__ not in {ok} and {v} is not MISSING:")
-                put(1, f"    raise EngineError([Diagnostic({got} + repr({v}))])")
-        put(1, "if m.clock_ts is not None and ts < m.clock_ts:")
-        put(1, "    message = f'time regressed from {m.clock_ts} to {ts}'")
-        put(1, "    raise OutOfOrderError([Diagnostic(message)])")
+                put(2, f"if {v}.__class__ not in {ok} and {v} is not MISSING:")
+                put(2, f"    raise EngineError([Diagnostic({got} + repr({v}))])")
+        put(checks, "if m.clock_ts is not None and ts < m.clock_ts:")
+        put(checks, "    message = f'time regressed from {m.clock_ts} to {ts}'")
+        put(checks, "    raise OutOfOrderError([Diagnostic(message)])")
         if not tick:
-            put(1, "if not run:", "    return None")
+            put(2, "if not run:", "    return None")
         put(1, "m.clock_ts = ts", "extended = m._step_extended = {}")
         put(1, "touched = m._step_touched = set()", "verdicts = m._verdicts = []")
         for rt in fed:
@@ -685,7 +704,8 @@ class Monitor:
             depth, _ = find(when(condition), rt, rt.ter_plan)
             put(depth, f"if {bind(rt.terminate_fn)}(alpha, ts) is True:")
             depth += 1
-            put(depth, f"d = {bind(rt.drop_instance)}(alpha)", "m.slots -= len(d.buf)")
+            refund = "1 if d else 0" if rt.flat else "len(d.buf)"
+            put(depth, f"d = {bind(rt.drop_instance)}(alpha)", f"m.slots -= {refund}")
             if rt.window_plans:
                 put(depth, "m.slots -= sum(w.slot_count for w in d.windows.values())")
             put(depth, f"touched.add({bind(rt.name)})")

@@ -423,9 +423,12 @@ def test_criterion_7_efficient_binding(monkeypatch):
         for k in range(200):
             ts += 0.01
             monitor.process(Event(ts, {"ID": k % 500, "x": 3.0}))
+            if k == 3:
+                extended_at = ts
     finally:
         _NoIterationDict.armed = False
-    assert rt.instances[(3,)].ext_count >= 1
+    # f(3) extended in the armed loop: its flat entry holds that extension
+    assert rt.instances[(3,)] == (extended_at, 3.0)
 
     # timing half: per-event cost flat within 3x from 1e2 to 1e5 instances
     small, ts_small = _populated_monitor(100)

@@ -3,8 +3,8 @@
 Hypothesis generates output expressions in the shape of
 `test_parser._exprs`, widened to what compilation has to get right:
 arithmetic including int `/` and `%` by zero, `&` and `|` over undefined
-operands, `!` and unary minus, discrete and real-time offsets, windows,
-`if`, `?` defaults and the `min`/`max` functions. Each expression that type-checks is
+operands, `!` and unary minus, discrete and real-time offsets, windows of
+all seven aggregations, `if`, `?` defaults and the `min`/`max` functions. Each expression that type-checks is
 monitored in variable and in fixed mode on a random trace, and every value
 the engine produces must equal the reference monitor's (`tests/oracle.py`).
 
@@ -23,10 +23,13 @@ windows last 500 ms, 1 s or 2 s, so every evaluation instant is
 pane-aligned and the engine's panes cover exactly the reference's
 (ts - r, ts]; real-time offsets of 250 ms to 1.5 s put cutoffs on event
 instants as well as between them. Double inputs are small multiples of 1/2, so window sums are
-exact in any association order.
+exact in any association order, and so are integrals over inputs, whose
+trapezoids are multiples of 1/16. A median sorts the same retained values
+on both sides.
 """
 
 import random
+from collections import Counter
 from fractions import Fraction
 from itertools import groupby
 
@@ -35,8 +38,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracle import RefMonitor
-from test_stream_bounds import _retained
+from test_stream_bounds import _retained, held
 from streammon import Event, Monitor, TypeCheckError, check_types, parse
+from streammon.engine import Instance
 
 INPUTS = "input double a\ninput double b\ninput int i\ninput int j\ninput bool p\n"
 
@@ -94,8 +98,11 @@ def _expr(draw, ty, depth=4, reads="", later="", leaves=LEAVES):
         if ty == "int" and draw(st.booleans()):
             stream, agg = draw(st.sampled_from("abijp" + reads)), "count"
         else:
-            stream = draw(st.sampled_from(STREAMS[ty] + mine))
-            agg = draw(st.sampled_from(["sum", "avg", "min", "max"]))
+            aggs = ["sum", "avg", "min", "max", "median"]
+            agg = draw(st.sampled_from(aggs + ["integral"] * (ty == "double")))
+            # an integral's trapezoids are exact over the inputs only
+            streams = "abij" if agg == "integral" else STREAMS[ty] + mine
+            stream = draw(st.sampled_from(streams))
         return f"{stream}[{duration}, {agg}, {sub(ty)}]"
     if form == "compare":
         t = draw(st.sampled_from(["double", "int"]))
@@ -145,6 +152,29 @@ def _same(u, v):
     return u == v and type(u) is type(v)
 
 
+def _extensions(engine):
+    """Extensions per (stream, alpha) of the engine's live instances, counted
+    from each step's record of what it extended; an instance that a step
+    drops starts again from zero."""
+    counts = Counter()
+
+    def counting(step):
+        def counted(*args, **kwargs):
+            verdicts = step(*args, **kwargs)
+            for name, alphas in engine._step_extended.items():
+                counts.update((name, alpha) for alpha in alphas)
+            for name, alpha in list(counts):
+                if alpha not in engine.streams[name].instances:
+                    del counts[name, alpha]
+            return verdicts
+
+        return counted
+
+    engine.var_rate_step = counting(engine.var_rate_step)
+    engine.fixed_rate_step = counting(engine.fixed_rate_step)
+    return counts
+
+
 def _check(tspec, events, names=OUTPUTS, **mode):
     """Run both monitors; after every event the live instances of the
     streams `names`, their extension counts and latest values, and in the
@@ -154,6 +184,7 @@ def _check(tspec, events, names=OUTPUTS, **mode):
     # a real-time offset into an input needs unbounded memory
     engine = Monitor(tspec, allow_unbounded=True, **mode)
     ref = RefMonitor(tspec, **mode)
+    extensions = _extensions(engine)
     got = []
     for ev in events:
         got += engine.process(ev)
@@ -162,11 +193,13 @@ def _check(tspec, events, names=OUTPUTS, **mode):
         for name in names:
             live, ref_live = engine.streams[name].instances, ref.live[name]
             assert live.keys() == ref_live.keys(), (name, ev)
-            for alpha, inst in live.items():
-                history = ref_live[alpha].history
-                assert inst.ext_count == len(history), (name, alpha, ev)
+            for alpha, entry in live.items():
+                history, count = ref_live[alpha].history, extensions[name, alpha]
+                assert count == len(history), (name, alpha, ev)
+                if isinstance(entry, Instance):
+                    assert entry.ext_count == count, (name, alpha, ev)
                 if history:
-                    (t, u), (s, v) = inst.buf[-1], history[-1]
+                    (t, u), (s, v) = held(entry)[-1], history[-1]
                     assert t == s and _same(u, v), (name, alpha, ev, u, v)
     mine = [
         (v.kind, v.ts, v.stream, v.params, v.value) for v in got if v.kind != "warning"

@@ -1,3 +1,4 @@
+import gc
 import itertools
 import math
 import random
@@ -6,9 +7,11 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import CARS_SPEC, FLEET_SPEC, INTRO_SPEC, typed
+from conftest import CARS_SPEC, FLEET_SPEC, INTRO_SPEC, PID_SPEC, typed
 from oracle import RefMonitor
 from test_differential import _settled
+from test_golden import BIND_SPEC, _fleet_events, _pid_events
+from test_stream_bounds import held
 from streammon import (
     AnalysisRefusal,
     EngineError,
@@ -16,6 +19,7 @@ from streammon import (
     Monitor,
     OutOfOrderError,
 )
+from streammon.engine import Instance, _StreamRT
 
 
 def drain(monitor, events):
@@ -252,6 +256,59 @@ def test_extend_with_many_disjuncts_matches_reference(repeats):
     assert len(got) == 2
 
 
+# -- instance storage ----------------------------------------------------------------
+
+
+def test_flat_instances_are_not_tracked_by_the_collector():
+    """f keeps one value and no window reads it, so each live instance is a
+    tuple of atomic values, which the collector untracks: 10,000 of them
+    leave almost nothing for its passes to walk."""
+    m = Monitor(typed(BIND_SPEC), instance_bounds={"f": 10_000})
+    gc.collect()
+    before = len(gc.get_objects())
+    for k in range(10_000):
+        m.process(Event(0.001 * k, {"ID": k}))
+    gc.collect()
+    assert len(gc.get_objects()) - before < 1000
+    f = m.streams["f"].instances
+    assert len(f) == 10_000 and f[(9_999,)] == (0.001 * 9_999, 0.0)
+    assert not any(map(gc.is_tracked, f.values()))
+
+
+def test_fleet_suspicious_is_flat_and_windowed_streams_keep_instances(monkeypatch):
+    dropped = []
+    drop = _StreamRT.drop_instance
+
+    def recording(rt, alpha):
+        dropped.append((rt.name, drop(rt, alpha)))
+        return dropped[-1][1]
+
+    monkeypatch.setattr(_StreamRT, "drop_instance", recording)
+    m = Monitor(typed(FLEET_SPEC), instance_bounds={"orp": 60, "suspicious": 60})
+    for ev in _fleet_events(7):
+        m.process(ev)
+    gc.collect()
+    suspicious, orp = m.streams["suspicious"], m.streams["orp"]
+    assert suspicious.flat and len(suspicious.instances) == 60
+    assert not any(map(gc.is_tracked, suspicious.instances.values()))
+    # the retired car's entries, dropped at its retirement
+    assert [name for name, _ in dropped] == ["orp", "suspicious"]
+    (_, window_instance), (_, entry) = dropped
+    assert type(entry) is tuple and len(entry) == 2 and not gc.is_tracked(entry)
+    # orp is read by suspicious's window: its instances keep their windows
+    assert isinstance(window_instance, Instance) and not orp.flat
+    assert all(isinstance(i, Instance) for i in orp.instances.values())
+
+
+def test_pid_streams_keep_instances():
+    m = Monitor(typed(PID_SPEC))
+    for ev in _pid_events(7)[:100]:
+        m.process(ev)
+    for rt in m.streams.values():
+        assert not rt.flat
+        assert all(isinstance(i, Instance) for i in rt.instances.values())
+
+
 # -- termination lifecycle -------------------------------------------------------
 
 
@@ -264,13 +321,19 @@ def test_terminated_instance_never_mentioned_again():
     events.append(Event(10.0, {"CID": 1, "retire": True}))
     for k in range(5):
         events.append(Event(11.0 + k, {"CID": 1, "offRoad": False, "pickUp": False, "retire": False}))
-    verdicts = drain(m, events)
+    verdicts, extensions = [], 0
+    for ev in events:
+        verdicts += m.process(ev)
+        if ev.ts > 10.0:  # a step records the instances it extended
+            extensions += m._step_extended.get("suspicious", []).count((1,))
     mentions_after = [
         v for v in verdicts if v.ts > 10.0 and v.params == (1,) and v.stream == "suspicious"
     ]
     assert mentions_after == []
     assert (1,) in m.streams["suspicious"].instances  # re-invoked fresh at 11.0
-    assert m.streams["suspicious"].instances[(1,)].ext_count == 5
+    assert extensions == 5
+    # suspicious keeps one value and no window reads it: a flat entry
+    assert m.streams["suspicious"].instances[(1,)] == (15.0, False)
 
 
 @pytest.mark.parametrize("mode", ["variable", "fixed"])
@@ -466,10 +529,10 @@ def test_instance_invoked_by_later_stream_extends_in_the_same_step():
         ref.run([ev])
         # s = a invokes u(s[-1] + 1) = u(a), which k = a then extends to 2a
         k = ev.bindings["a"]
-        assert m.streams["u"].instances[(k,)].buf == [(ev.ts, 2 * k)]
+        assert held(m.streams["u"].instances[(k,)]) == [(ev.ts, 2 * k)]
         live = m.streams["u"].instances
         assert live.keys() == ref.live["u"].keys()
-        assert all(live[k].buf == ref.live["u"][k].history for k in live)
+        assert all(held(live[k]) == ref.live["u"][k].history for k in live)
 
 
 def test_instance_invoked_at_a_tick_by_later_stream():
@@ -589,6 +652,31 @@ def test_rejected_event_leaves_state_unchanged():
     d = m.streams["d"].instances[()].buf[-1]
     assert d == (2.0, 3.0) and type(d[1]) is float
     assert m.streams["s"].instances[()].buf[-1] == (2.0, 3.5)
+
+
+class _CountedBindings(dict):
+    """Bindings that count the reads of their names, which the unknown-name
+    check makes once per check of the event."""
+
+    reads = 0
+
+    def keys(self):
+        self.reads += 1
+        return super().keys()
+
+
+def test_clocked_process_checks_each_event_once():
+    m = Monitor(typed("input int a\noutput int c : 1Hz := a?0"))
+    events = [Event(0.5 + k, _CountedBindings(a=k)) for k in range(4)]
+    verdicts = drain(m, events)
+    assert [v.value for v in verdicts] == [0, 1, 2]  # the ticks at 1, 2, 3 s
+    assert [ev.bindings.reads for ev in events] == [1, 1, 1, 1]
+    # a variable-rate step called directly checks its event itself
+    event = Event(4.0, _CountedBindings(a=9))
+    m.var_rate_step(event)
+    assert event.bindings.reads == 1
+    with pytest.raises(EngineError, match=r"unknown input stream\(s\): b \("):
+        m.var_rate_step(Event(5.0, {"b": 1}))
 
 
 def test_rejected_binding_names_input_and_value():

@@ -3,9 +3,9 @@
 `compute_memory` gives every stream a per-instance bound, `per_stream[name]`:
 its value buffer plus one state per window that reads it. The engine must
 never retain more: after every event, the slots a stream holds, summed over
-its live instances as `len(buf)` plus each window's `slot_count`, are at
-most that bound times its live-instance count, and the sums over all streams
-equal `Monitor.slots`.
+its live instances as `len(buf)` plus each window's `slot_count` (one slot
+for a flat entry that has extended), are at most that bound times its
+live-instance count, and the sums over all streams equal `Monitor.slots`.
 """
 
 import random
@@ -15,6 +15,7 @@ import pytest
 
 from conftest import CARS_SPEC, FLEET_SPEC, PID_SPEC, typed
 from streammon import Event, Monitor
+from streammon.engine import Instance
 from streammon.scenarios import FleetConfig, PidConfig, generate_fleet, generate_pid
 
 MEDIAN_SPEC = """
@@ -90,11 +91,23 @@ CASES = {
 }
 
 
+def held(entry) -> list:
+    """The (ts, value) pairs a live instance holds: an Instance's buffer, or
+    a flat entry's one pair, none before its first extension."""
+    if isinstance(entry, Instance):
+        return list(entry.buf)
+    return [entry] if entry else []
+
+
 def _retained(rt) -> int:
-    return sum(
-        len(inst.buf) + sum(w.slot_count for w in inst.windows.values())
-        for inst in rt.instances.values()
-    )
+    """The slots rt's live instances hold; each has the shape of its stream."""
+    total = 0
+    for entry in rt.instances.values():
+        assert isinstance(entry, tuple) == rt.flat, (rt.name, entry)
+        total += len(held(entry))
+        if not rt.flat:
+            total += sum(w.slot_count for w in entry.windows.values())
+    return total
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
