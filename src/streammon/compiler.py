@@ -183,10 +183,7 @@ class Compiler:
         """The instance a bare access always reads, when that instance lives
         for the whole trace: an input's, or a plain template's without a
         terminate clause."""
-        tpl = self.streams[node.stream].tpl
-        if node.args or (tpl is not None and (tpl.params or tpl.terminate)):
-            return None
-        return self.streams[node.stream].instances[()]
+        return None if node.args else self.streams[node.stream].pinned
 
     def _instance(self, node) -> Compiled:
         """(alpha, ts) -> the instance or flat entry the access reads; None
@@ -244,16 +241,23 @@ class Compiler:
         raise EngineError([Diagnostic(f"bad offset {offset!r}")])
 
     def _window(self, node: WindowAccess) -> Compiled:
-        wkey, monitor, find = node.wkey, self.monitor, self._instance(node)
+        """An evaluation of the window that charges the monitor's slot count
+        with its evictions only when it evicted, since the monitor is a
+        proxy. A pinned instance's window is bound once, with no lookup."""
+        wkey, monitor, pinned = node.wkey, self.monitor, self._pinned(node)
+        find, fixed = self._instance(node), pinned and pinned.windows[wkey]
 
         def window(alpha, ts):
-            inst = find(alpha, ts)
-            if not inst:
-                return UNDEFINED
-            w = inst.windows[wkey]
+            w = fixed
+            if w is None:
+                inst = find(alpha, ts)
+                if not inst:
+                    return UNDEFINED
+                w = inst.windows[wkey]
             before = w.slots
             value = w.evaluate(ts)
-            monitor.slots += w.slots - before
+            if w.slots != before:
+                monitor.slots += w.slots - before
             return value
 
         return window

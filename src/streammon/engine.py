@@ -151,13 +151,12 @@ class Instance:
     template keeping one value and no window stores flat entries instead,
     which the collector does not walk (see `_StreamRT.instances`)."""
 
-    __slots__ = ("alpha", "buf", "windows", "ext_count")
+    __slots__ = ("alpha", "buf", "windows")
 
     def __init__(self, alpha: tuple, windows: dict[int, PanedWindow]):
         self.alpha = alpha
         self.buf: list[tuple] = []  # (ts, value), ascending ts
         self.windows = windows
-        self.ext_count = 0
 
 
 @dataclass
@@ -244,6 +243,14 @@ class _StreamRT:
                 if not bucket:
                     del index[key]
         return inst
+
+    @property
+    def pinned(self) -> Optional[Instance]:
+        """The instance of an input, or of a plain template without a
+        terminate clause, which lives for the whole trace; else None."""
+        if self.tpl is not None and (self.tpl.params or self.tpl.terminate):
+            return None
+        return self.instances[()]
 
 
 class Monitor:
@@ -615,21 +622,24 @@ class Monitor:
                 warning = bind(f"{rt.name}: integer overflow, value saturated")
                 put(depth, "if not MIN <= v <= MAX:", "    v = saturate(v)")
                 put(depth, f"    m._warn(ts, {warning})")
-            b, counted = f"b = {inst}.buf", f"{inst}.ext_count += 1"
+            b = f"b = {inst}.buf"
             if rt.flat:  # the entry is replaced; its one slot is charged once
                 put(depth, f"g = 0 if {inst} else 1")
                 put(depth, f"{bind(rt.instances)}[{alpha}] = (ts, v)")
             elif plan.time_keep is not None:  # prune by time
                 put(depth, b, "b.append((ts, v))", f"d = expired({bind(plan)}, b, ts)")
-                put(depth, "if d > 0:", "    del b[:d]", "g = 1 - max(d, 0)", counted)
+                put(depth, "if d > 0:", "    del b[:d]", "g = 1 - max(d, 0)")
             elif plan.count_keep == 1:  # a single slot, reused in place
                 put(depth, b, "if b:", "    b[0] = (ts, v)", "    g = 0")
-                put(depth, "else:", "    b.append((ts, v))", "    g = 1", counted)
+                put(depth, "else:", "    b.append((ts, v))", "    g = 1")
             else:  # prune by count
                 put(depth, b, "b.append((ts, v))")
                 put(depth, f"if len(b) > {bind(plan.count_keep)}:", "    del b[0]")
-                put(depth, "    g = 0", "else:", "    g = 1", counted)
-            if rt.window_plans:
+                put(depth, "    g = 0", "else:", "    g = 1")
+            if rt.pinned is not None:  # its windows are bound by name
+                for w in rt.pinned.windows.values():
+                    put(depth, f"g += {bind(w)}.register(v, ts)")
+            elif rt.window_plans:
                 put(depth, f"w = {inst}.windows")
                 for p in rt.window_plans:
                     put(depth, f"g += w[{bind(p.wkey)}].register(v, ts)")

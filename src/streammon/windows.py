@@ -30,6 +30,16 @@ Sliding-Window Aggregation", PVLDB 2015, for their aggregation):
   are only ever applied to adjacent ranges, earlier on the left, so
   summaries need to be associative but neither invertible nor commutative
   (the integral is not commutative), and nothing is ever subtracted.
+- one sweep per instant: a window remembers the instant it last evicted at
+  (a registration that opens a pane evicts, and so does an evaluation), so
+  an evaluation at that instant skips the exact horizon arithmetic.
+- no call per summary operation: each combinable aggregation is defined
+  once, as Python source snippets for its empty summary, add, merge and
+  lower (`make_aggregator`). `_TEMPLATE` writes them inline into the
+  aggregation's register, evict and evaluate functions and into the
+  reference methods `new`, `add`, `merge` and `lower`. That code is built
+  once per aggregation and process, and `PanedWindow`'s methods delegate to
+  it in one call.
 - median is the exception: its panes keep raw values, and an evaluation
   concatenates all retained panes once and sorts them; a NaN anywhere in
   the window makes the median NaN, as it does min and max.
@@ -42,142 +52,141 @@ from __future__ import annotations
 import math
 import statistics
 from fractions import Fraction
+from functools import lru_cache
 from itertools import chain
-from typing import Optional
 
 from .ast import AggFn, ValueType
+from .compiler import _code
 from .diagnostics import Diagnostic, OutOfOrderError
 from .values import UNDEFINED, nan_max, nan_min
 
+#: the functions of a combinable aggregation. In a snippet, s is a summary,
+#: ts and v an instant and a value, and a and b the summaries of two adjacent
+#: time ranges, a's before b's; {empty} is an empty window's value
+_TEMPLATE = """
+def new():
+    return {new}
+
+def add(s, ts, v):
+    return {add}
+
+def merge(a, b):
+    return {merge}
+
+def lower(s):
+    return {lower}
+
+def register(w, v, ts):
+    if ts < w.last_ts:
+        raise late(f'window registration at {{ts}} after {{w.last_ts}}')
+    w.last_ts = ts
+    panes = w.panes
+    # the pane (idx*z, (idx+1)*z] that holds ts: ceil(ts / z) - 1, exact;
+    # float timestamps are converted losslessly, no Fraction is allocated
+    n, d = ts.as_integer_ratio()
+    _, _, zn, zd = w._horizon
+    idx = -((-n * zd) // (d * zn)) - 1
+    opened = w._open
+    if idx == opened:
+        s = panes[idx]
+        panes[idx] = {add}
+        return 0
+    if opened is not None:
+        b = panes[opened]
+        a = w._back
+        w._back = b if a is None else {merge}
+    s = {new}
+    panes[idx] = {add}
+    w._open = idx
+    slots = w.slots
+    w.slots = slots + 1
+    sweep(w, n, d)
+    w.swept = ts
+    return w.slots - slots
+
+def evict(w, ts):
+    if ts < w.last_ts:
+        raise late(f'window swept at {{ts}} before {{w.last_ts}}')
+    n, d = ts.as_integer_ratio()
+    sweep(w, n, d)
+    w.swept = w.last_ts = ts
+
+def sweep(w, n, d):
+    panes = w.panes
+    if not panes:
+        return
+    rn, rd, zn, zd = w._horizon
+    kill = ((n * rd - rn * d) * zd) // (d * rd * zn)
+    front = w._front
+    while True:
+        if not front:
+            if w._back is None:
+                # only the open pane is left
+                if w._open + 1 <= kill:
+                    panes.clear()
+                    w._open = None
+                    w.slots = 0
+                return
+            # flip: the closed panes become suffix aggregates, newest first,
+            # so that the oldest pane ends on top; each pane flips once
+            closed = list(panes.items())
+            closed.pop()
+            b = None
+            for idx, a in reversed(closed):
+                if b is not None:
+                    a = {merge}
+                front.append((idx, a))
+                b = a
+            w._back = None
+        idx = front[-1][0]
+        if idx + 1 > kill:
+            return
+        front.pop()
+        del panes[idx]
+        w.slots -= 1
+
+def evaluate(w, ts):
+    if ts < w.last_ts:
+        raise late(f'window evaluated at {{ts}} before {{w.last_ts}}')
+    if ts != w.swept:
+        n, d = ts.as_integer_ratio()
+        sweep(w, n, d)
+        w.swept = w.last_ts = ts
+    panes = w.panes
+    if not panes:
+        return {empty}
+    b = panes[w._open]
+    a = w._back
+    if a is not None:
+        b = {merge}
+    if w._front:
+        a = w._front[-1][1]
+        b = {merge}
+    s = b
+    return {lower}
+"""
+
+
+def _late(message: str) -> OutOfOrderError:
+    return OutOfOrderError([Diagnostic(message)])
+
 
 class Aggregator:
-    """Combinable per-pane summary for one aggregation function.
+    """One combinable aggregation: its summary arithmetic as snippets, and
+    the functions `_TEMPLATE` builds from them. merge(a, b) requires that a
+    summarizes a time range entirely before b's; adjacent-range merging is
+    associative for all of these summaries. `names` are objects the
+    snippets read."""
 
-    merge(a, b) requires that a summarizes a time range entirely before b's;
-    adjacent-range merging is associative for all of these summaries.
-    """
-
-    #: value of an empty window, or None when an empty window is undefined
-    empty_value: Optional[object] = None
     #: panes keep raw values: one slot per value, re-merged on evaluation
     raw = False
 
-    def new(self):
-        raise NotImplementedError
-
-    def add(self, summary, ts: float, value):
-        raise NotImplementedError
-
-    def merge(self, left, right):
-        raise NotImplementedError
-
-    def lower(self, summary):
-        raise NotImplementedError
-
-
-class _Count(Aggregator):
-    empty_value = 0
-
-    def new(self):
-        return 0
-
-    def add(self, summary, ts, value):
-        return summary + 1
-
-    def merge(self, left, right):
-        return left + right
-
-    def lower(self, summary):
-        return summary
-
-
-class _Sum(Aggregator):
-    def __init__(self, out_ty: ValueType):
-        self.empty_value = 0 if out_ty is ValueType.INT else 0.0
-
-    def new(self):
-        return self.empty_value
-
-    def add(self, summary, ts, value):
-        return summary + value
-
-    def merge(self, left, right):
-        return left + right
-
-    def lower(self, summary):
-        return summary
-
-
-class _Avg(Aggregator):
-    def __init__(self, out_ty: ValueType):
-        self.int_result = out_ty is ValueType.INT
-
-    def new(self):
-        return (0, 0)
-
-    def add(self, summary, ts, value):
-        return (summary[0] + value, summary[1] + 1)
-
-    def merge(self, left, right):
-        return (left[0] + right[0], left[1] + right[1])
-
-    def lower(self, summary):
-        total, n = summary
-        if self.int_result:
-            return total // n
-        return total / n
-
-
-class _Extremum(Aggregator):
-    def __init__(self, take_max: bool):
-        self.pick = nan_max if take_max else nan_min
-
-    def new(self):
-        return None
-
-    def add(self, summary, ts, value):
-        return value if summary is None else self.pick(summary, value)
-
-    def merge(self, left, right):
-        if left is None:
-            return right
-        if right is None:
-            return left
-        return self.pick(left, right)
-
-    def lower(self, summary):
-        return summary
-
-
-class _Integral(Aggregator):
-    """Trapezoidal integral over the piecewise-linear interpolation of the
-    samples; no extrapolation beyond the first and last sample in range.
-    Summary: (t_first, v_first, t_last, v_last, area)."""
-
-    def new(self):
-        return None
-
-    def add(self, summary, ts, value):
-        ts = float(ts)
-        value = float(value)
-        if summary is None:
-            return (ts, value, ts, value, 0.0)
-        t0, v0, t1, v1, area = summary
-        area += (ts - t1) * (v1 + value) / 2.0
-        return (t0, v0, ts, value, area)
-
-    def merge(self, left, right):
-        if left is None:
-            return right
-        if right is None:
-            return left
-        t0, v0, t1, v1, la = left
-        u0, w0, u1, w1, ra = right
-        bridging = (u0 - t1) * (v1 + w0) / 2.0
-        return (t0, v0, u1, w1, la + bridging + ra)
-
-    def lower(self, summary):
-        return summary[4]
+    def __init__(self, empty: str, new: str, add: str, merge: str, lower: str, **names):
+        self.snippets = dict(empty=empty, new=new, add=add, merge=merge, lower=lower)
+        scope = dict(names, U=UNDEFINED, late=_late, nan_max=nan_max, nan_min=nan_min)
+        exec(_code(_TEMPLATE.format(**self.snippets), "exec"), scope)
+        for name in ("new", "add", "merge", "lower", "register", "evict", "evaluate"):
+            setattr(self, name, scope[name])
 
 
 class _Median(Aggregator):
@@ -185,8 +194,8 @@ class _Median(Aggregator):
 
     raw = True
 
-    def __init__(self, out_ty: ValueType):
-        self.int_result = out_ty is ValueType.INT
+    def __init__(self, int_result: bool):
+        self.int_result = int_result
 
     def new(self):
         return []
@@ -206,23 +215,80 @@ class _Median(Aggregator):
             return math.nan
         return statistics.median(summary)
 
+    def register(self, w, value, ts) -> int:
+        if ts < w.last_ts:
+            raise _late(f"window registration at {ts} after {w.last_ts}")
+        w.last_ts = ts
+        n, d = ts.as_integer_ratio()
+        _, _, zn, zd = w._horizon
+        idx = -((-n * zd) // (d * zn)) - 1
+        slots = w.slots
+        w.slots = slots + 1
+        if idx == w._open:
+            w.panes[idx].append(value)
+            return 1
+        w.panes[idx] = [value]
+        w._open = idx
+        self.evict(w, ts)
+        return w.slots - slots
 
+    def evict(self, w, ts) -> None:
+        if ts < w.last_ts:
+            raise _late(f"window swept at {ts} before {w.last_ts}")
+        w.swept = w.last_ts = ts
+        panes = w.panes
+        rn, rd, zn, zd = w._horizon
+        n, d = ts.as_integer_ratio()
+        kill = ((n * rd - rn * d) * zd) // (d * rd * zn)
+        while panes:
+            first = next(iter(panes))  # insertion order = ascending index
+            if first + 1 > kill:
+                return
+            w.slots -= len(panes.pop(first))
+        w._open = None
+
+    def evaluate(self, w, ts):
+        self.evict(w, ts)
+        if not w.panes:
+            return UNDEFINED
+        return self.lower(list(chain.from_iterable(w.panes.values())))
+
+
+#: an integral summary is (t_first, v_first, t_last, v_last, area): the
+#: trapezoidal integral over the piecewise-linear interpolation of the
+#: samples, with no extrapolation beyond the first and last sample in range
+_TRAPEZOIDS = (
+    "(float(ts), float(v), float(ts), float(v), 0.0) if s is None else (s[0], "
+    "s[1], float(ts), float(v), s[4] + (float(ts) - s[2]) * (s[3] + float(v)) / 2.0)",
+    "b if a is None else a if b is None else "
+    "(a[0], a[1], b[2], b[3], a[4] + (b[0] - a[2]) * (a[3] + b[1]) / 2.0 + b[4])",
+)
+
+
+@lru_cache(maxsize=None)
 def make_aggregator(agg: AggFn, target_ty: ValueType) -> Aggregator:
+    """The aggregator of `agg` over `target_ty` values. Aggregators hold no
+    state, so each is built once per process and shared by every window."""
+    integer = target_ty is ValueType.INT
     match agg:
         case AggFn.COUNT:
-            return _Count()
+            return Aggregator("0", "0", "s + 1", "a + b", "s")
         case AggFn.SUM:
-            return _Sum(target_ty)
+            zero = "0" if integer else "0.0"
+            return Aggregator(zero, zero, "s + v", "a + b", "s")
         case AggFn.AVG:
-            return _Avg(target_ty)
-        case AggFn.MIN:
-            return _Extremum(take_max=False)
-        case AggFn.MAX:
-            return _Extremum(take_max=True)
+            pair = "(s[0] + v, s[1] + 1)", "(a[0] + b[0], a[1] + b[1])"
+            lower = "s[0] // s[1]" if integer else "s[0] / s[1]"
+            return Aggregator("U", "(0, 0)", *pair, lower)
+        case AggFn.MIN | AggFn.MAX:
+            pick = "nan_max" if agg is AggFn.MAX else "nan_min"
+            add = f"v if s is None else {pick}(s, v)"
+            merge = f"b if a is None else a if b is None else {pick}(a, b)"
+            return Aggregator("U", "None", add, merge, "s")
         case AggFn.INTEGRAL:
-            return _Integral()
+            return Aggregator("U", "None", *_TRAPEZOIDS, "s[4]")
         case AggFn.MEDIAN:
-            return _Median(target_ty)
+            return _Median(integer)
     raise ValueError(f"unknown aggregation {agg!r}")
 
 
@@ -235,9 +301,14 @@ class PanedWindow:
     are also aggregated as Two-Stacks (see the module docstring): `_front`
     holds (pane index, summary of that pane and every later front pane)
     with the oldest pane on top, and `_back` is the summary of the closed
-    panes after the front, or None when there are none. `slots` is the
-    running count that `slot_count` reports, an attribute that a caller
-    charging an evaluation's evictions reads around the call.
+    panes after the front, or None when there are none. `last_ts` is the
+    latest instant any operation saw, and an operation at an earlier one
+    is rejected; `swept` is the instant of the last eviction, at which an
+    evaluation evicts nothing. `slots` is the running count that
+    `slot_count` reports, an attribute that a caller charging an
+    evaluation's evictions reads around the call.
+
+    The methods delegate to the aggregator's functions, one call each.
     """
 
     __slots__ = (
@@ -246,6 +317,7 @@ class PanedWindow:
         "agg",
         "panes",
         "last_ts",
+        "swept",
         "_horizon",
         "_open",
         "_front",
@@ -258,12 +330,12 @@ class PanedWindow:
         self.pane_width = pane_width
         self.agg = agg
         self.panes: dict[int, object] = {}  # index -> summary, ascending
-        self.last_ts = None
+        self.last_ts = self.swept = -math.inf
         # r and z as integer ratio pieces, for exact pane arithmetic
         rn, rd = duration.numerator, duration.denominator
         zn, zd = pane_width.numerator, pane_width.denominator
         self._horizon = (rn, rd, zn, zd)
-        self._open: Optional[int] = None  # index of the newest pane
+        self._open: int | None = None  # index of the newest pane
         self._front: list[tuple[int, object]] = []
         self._back = None
         self.slots = 0
@@ -273,88 +345,12 @@ class PanedWindow:
         Eviction runs only when a new pane opens: folding into an existing
         pane cannot raise the pane count. Returns the change in slot_count,
         so that a caller charging slots need not read it around the call."""
-        if self.last_ts is not None and ts < self.last_ts:
-            raise OutOfOrderError(
-                [Diagnostic(f"window registration at {ts} after {self.last_ts}")]
-            )
-        self.last_ts = ts
-        agg = self.agg
-        panes = self.panes
-        # the pane (idx*z, (idx+1)*z] that holds ts: ceil(ts / z) - 1, exact;
-        # float timestamps are converted losslessly, no Fraction is allocated
-        n, d = ts.as_integer_ratio()
-        _, _, zn, zd = self._horizon
-        idx = -((-n * zd) // (d * zn)) - 1
-        opened = self._open
-        if idx == opened:
-            panes[idx] = agg.add(panes[idx], ts, value)
-            if agg.raw:
-                self.slots += 1
-                return 1
-            return 0
-        if opened is not None and not agg.raw:
-            closed = panes[opened]
-            back = self._back
-            self._back = closed if back is None else agg.merge(back, closed)
-        panes[idx] = agg.add(agg.new(), ts, value)
-        self._open = idx
-        slots = self.slots
-        self.slots = slots + 1
-        self._evict(n, d)
-        return self.slots - slots
+        return self.agg.register(self, value, ts)
 
     def evict(self, ts) -> None:
         """Drop every pane whose entire span lies at or before ts - r:
         (i+1)*z <= ts - r, i.e. i + 1 <= floor((ts - r) / z), exactly."""
-        n, d = ts.as_integer_ratio()
-        self._evict(n, d)
-
-    def _evict(self, n: int, d: int) -> None:
-        """evict(ts) for ts = n / d."""
-        panes = self.panes
-        if not panes:
-            return
-        rn, rd, zn, zd = self._horizon
-        kill = ((n * rd - rn * d) * zd) // (d * rd * zn)
-        if self.agg.raw:
-            while panes:
-                first = next(iter(panes))  # insertion order = ascending index
-                if first + 1 > kill:
-                    return
-                self.slots -= len(panes.pop(first))
-            self._open = None
-            return
-        front = self._front
-        while True:
-            if not front:
-                if self._back is None:
-                    # only the open pane is left
-                    if self._open + 1 <= kill:
-                        panes.clear()
-                        self._open = None
-                        self.slots = 0
-                    return
-                self._flip()
-            idx = front[-1][0]
-            if idx + 1 > kill:
-                return
-            front.pop()
-            del panes[idx]
-            self.slots -= 1
-
-    def _flip(self) -> None:
-        """Move the back panes to the front as suffix aggregates, newest
-        first, so that the oldest pane ends on top. Runs only on an empty
-        front, so every pane is flipped at most once."""
-        closed = list(self.panes.items())
-        closed.pop()  # the open pane
-        merge = self.agg.merge
-        front = self._front
-        suffix = None
-        for idx, summary in reversed(closed):
-            suffix = summary if suffix is None else merge(summary, suffix)
-            front.append((idx, suffix))
-        self._back = None
+        self.agg.evict(self, ts)
 
     def evaluate(self, ts):
         """Combine the panes overlapping (ts - r, ts] and lower the result.
@@ -362,25 +358,7 @@ class PanedWindow:
         Empty windows yield the aggregation's neutral element when it has one
         (count, sum) and UNDEFINED otherwise.
         """
-        if self.last_ts is not None and ts < self.last_ts:
-            raise OutOfOrderError(
-                [Diagnostic(f"window evaluated at {ts} before {self.last_ts}")]
-            )
-        n, d = ts.as_integer_ratio()
-        self._evict(n, d)
-        panes = self.panes
-        if not panes:
-            empty = self.agg.empty_value
-            return UNDEFINED if empty is None else empty
-        if self.agg.raw:
-            return self.agg.lower(list(chain.from_iterable(panes.values())))
-        merge = self.agg.merge
-        combined = panes[self._open]
-        if self._back is not None:
-            combined = merge(self._back, combined)
-        if self._front:
-            combined = merge(self._front[-1][1], combined)
-        return self.agg.lower(combined)
+        return self.agg.evaluate(self, ts)
 
     @property
     def pane_count(self) -> int:

@@ -196,8 +196,8 @@ def _check(tspec, events, names=OUTPUTS, **mode):
             for alpha, entry in live.items():
                 history, count = ref_live[alpha].history, extensions[name, alpha]
                 assert count == len(history), (name, alpha, ev)
-                if isinstance(entry, Instance):
-                    assert entry.ext_count == count, (name, alpha, ev)
+                if isinstance(entry, Instance):  # each value held was recorded
+                    assert min(count, 1) <= len(entry.buf) <= count, (name, alpha, ev)
                 if history:
                     (t, u), (s, v) = held(entry)[-1], history[-1]
                     assert t == s and _same(u, v), (name, alpha, ev, u, v)

@@ -9,7 +9,7 @@ import pytest
 
 from conftest import CARS_SPEC, FLEET_SPEC, INTRO_SPEC, PID_SPEC, typed
 from oracle import RefMonitor
-from test_differential import _settled
+from test_differential import _extensions, _settled
 from test_golden import BIND_SPEC, _fleet_events, _pid_events
 from test_stream_bounds import held
 from streammon import (
@@ -61,6 +61,7 @@ def test_event_on_unused_input_only_extends_that_input():
 def test_suspicious_fires_after_six_offroad_pickups():
     src = CARS_SPEC + "\ntrigger any(suspicious)"
     m = Monitor(typed(src), allow_unbounded=True)
+    extensions = _extensions(m)
     verdicts = []
     # keep CID=7 the latest id across six 10s-clock ticks, with off-road
     # pick-up readings latched true
@@ -73,7 +74,7 @@ def test_suspicious_fires_after_six_offroad_pickups():
     fired = [v for v in verdicts if v.kind == "trigger"]
     assert fired and fired[-1].params == (7,)
     # brute-force recount: offRoadPickUp(7) extended at each of the 6 ticks
-    hist_len = m.streams["offRoadPickUp"].instances[(7,)].ext_count
+    hist_len = extensions["offRoadPickUp", (7,)]
     assert hist_len == 6
 
 
@@ -225,15 +226,17 @@ def test_realtime_offset_boundaries_are_exact():
 def test_lola_counter_self_reference():
     t = typed("input int tick\noutput int n := n[-1, 0] + 1")
     m = Monitor(t)
+    extensions = _extensions(m)
     for k in range(5):
         m.process(Event(float(k), {"tick": 0}))
     # n ticks on tick's arrivals... n depends only on itself, so it never ticks
-    assert m.streams["n"].instances[()].ext_count == 0
+    assert extensions["n", ()] == 0
     t = typed("input int tick\noutput int n := n[-1, 0] + 1 + tick - tick")
     m = Monitor(t)
+    extensions = _extensions(m)
     for k in range(5):
         m.process(Event(float(k), {"tick": 0}))
-    assert m.streams["n"].instances[()].ext_count == 5
+    assert extensions["n", ()] == 5
     assert m.streams["n"].instances[()].buf[-1][1] == 5
 
 

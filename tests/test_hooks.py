@@ -16,6 +16,7 @@ import pytest
 from conftest import FLEET_SPEC, PID_SPEC, typed
 from streammon import Monitor
 from streammon.windows import PanedWindow
+from test_differential import _extensions
 from test_golden import BIND_SPEC, _bind_events, _fleet_events, _pid_events
 
 HOOKS = [
@@ -66,16 +67,17 @@ def test_fleet_evaluates_one_window_per_window_read(calls):
 def test_pid_fixed_calls_tick_step_and_register_as_often_as_work(calls):
     events = _pid_events(7)
     m = Monitor(typed(PID_SPEC), mode="fixed", frequency=Fraction(1))
+    extensions = _extensions(m)
     for ev in events:
         m.process(ev)
     # at 1 Hz a tick fires every second up to the last event, and the
     # smoothed temperature, whose value has a default, extends at each one
     ticks = int(events[-1].ts)
     assert calls["fixed_rate_step"] == ticks > 0
-    assert m.streams["smooth_temp"].instances[()].ext_count == ticks
+    assert extensions["smooth_temp", ()] == ticks
     # every extension of a stream registers into each window that reads it
     registrations = sum(
-        rt.instances[()].ext_count * len(rt.window_plans) for rt in m.streams.values()
+        extensions[name, ()] * len(rt.window_plans) for name, rt in m.streams.items()
     )
     assert calls["register"] == registrations > 0
     assert calls["var_rate_step"] == len(events)

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from streammon import UNDEFINED, OutOfOrderError
 from streammon.ast import AggFn, ValueType
-from streammon.windows import PanedWindow, make_aggregator
+from streammon.windows import Aggregator, PanedWindow, make_aggregator
 
 
 def _window(agg, r, z, ty=ValueType.DOUBLE):
@@ -170,6 +170,36 @@ def test_out_of_order_registration_rejected():
     w.register(1, 5.0)
     with pytest.raises(OutOfOrderError):
         w.register(1, 4.0)
+
+
+def test_evaluation_before_last_sweep_rejected():
+    """An evaluation at 3.5 evicts pane 0, (0, 1], of a 2 s window; one at
+    2.5 afterwards would lack the value that pane held, so it is rejected,
+    as are an eviction and a registration there, and nothing changes."""
+    for agg in (AggFn.SUM, AggFn.MEDIAN):
+        w = _window(agg, 2, 1)
+        w.register(1.0, 1.0)
+        w.register(1.0, 2.0)
+        fresh = _window(agg, 2, 1)
+        fresh.register(1.0, 1.0)
+        fresh.register(1.0, 2.0)
+        assert fresh.evaluate(2.5) == 2.0 if agg is AggFn.SUM else 1.0
+        assert w.evaluate(3.5) == 1.0
+        for late in (w.evaluate, w.evict, lambda ts: w.register(1.0, ts)):
+            with pytest.raises(OutOfOrderError):
+                late(2.5)
+        assert w.pane_count == 1 and w.evaluate(3.5) == 1.0
+
+
+def test_evaluation_at_last_sweep_sees_later_registration_rejected():
+    """Registering at 1.7 into the pane opened at 1.2 needs no sweep; an
+    evaluation back at 1.2, the instant last swept, is still rejected."""
+    w = _window(AggFn.SUM, 2, 1)
+    w.register(1.0, 1.2)
+    w.register(1.0, 1.7)
+    with pytest.raises(OutOfOrderError):
+        w.evaluate(1.2)
+    assert w.evaluate(1.7) == 2.0
 
 
 def test_median_against_statistics():
@@ -415,6 +445,7 @@ def _magnitude(agg, kept):
             st.sampled_from(["register", "register", "evaluate", "evict"]),
             _STEP,
             st.integers(-10**6, 10**6),
+            st.booleans(),  # at the instant last registered or swept
         ),
         min_size=1,
         max_size=150,
@@ -429,8 +460,9 @@ def test_two_stacks_equals_left_fold(case, ratio, ops):
     w = PanedWindow(r, z, agg)
     events = []
     now = 0.0
-    for op, dt, raw in ops:
-        now += dt
+    for op, dt, raw, stay in ops:
+        if not stay:
+            now += dt
         value = raw if ty is ValueType.INT else raw / 7.0
         if op == "register":
             before = w.slot_count
@@ -459,25 +491,32 @@ def test_two_stacks_equals_left_fold(case, ratio, ops):
 # -- evaluation cost does not grow with r/z -----------------------------------
 
 
+def _counting(agg):
+    """agg's aggregation with each merge that its window code runs counted
+    in the returned list's one element."""
+    merges = [0]
+
+    def tally(summary):
+        merges[0] += 1
+        return summary
+
+    merge = f"tally({agg.snippets['merge']})"
+    return Aggregator(**dict(agg.snippets, merge=merge), tally=tally), merges
+
+
 @pytest.mark.parametrize("ratio", [4, 256])
-def test_evaluate_merges_do_not_grow_with_panes(ratio):
+def test_evaluate_merges_do_not_grow_with_panes(ratio, monkeypatch):
     """20k events at about 4 per second into 10 s avg and median windows,
     evaluated after every registration: a re-merge of the retained panes
-    would take about 40 merges per evaluation at r/z = 256. A median
-    concatenates its raw panes once and merges no pair of them."""
+    would take about 40 merges per evaluation at r/z = 256. The avg
+    window's code is built with a counter around each merge it performs. A
+    median concatenates its raw panes once and merges no pair of them."""
     r = Fraction(10)
-    merges = {}
-    windows = []
-    for agg_fn in (AggFn.AVG, AggFn.MEDIAN):
-        agg = make_aggregator(agg_fn, ValueType.DOUBLE)
-        merges[agg_fn] = 0
-
-        def counting_merge(left, right, merge=agg.merge, agg_fn=agg_fn):
-            merges[agg_fn] += 1
-            return merge(left, right)
-
-        agg.merge = counting_merge
-        windows.append(PanedWindow(r, r / ratio, agg))
+    avg, merges = _counting(make_aggregator(AggFn.AVG, ValueType.DOUBLE))
+    median = make_aggregator(AggFn.MEDIAN, ValueType.DOUBLE)
+    median_merges = []
+    monkeypatch.setattr(median, "merge", lambda *args: median_merges.append(args))
+    windows = [PanedWindow(r, r / ratio, agg) for agg in (avg, median)]
     rng = random.Random(7)
     t = 0.0
     n = 20_000
@@ -487,5 +526,43 @@ def test_evaluate_merges_do_not_grow_with_panes(ratio):
         for w in windows:
             w.register(value, t)
             w.evaluate(t)
-    assert merges[AggFn.AVG] / n <= 5, merges[AggFn.AVG] / n
-    assert merges[AggFn.MEDIAN] == 0, merges[AggFn.MEDIAN] / n
+    assert 1 <= merges[0] / n <= 5, merges[0] / n
+    assert not median_merges, len(median_merges) / n
+
+
+def test_counting_aggregator_counts_every_merge():
+    """The counting hook sees the merges of closing a pane, of evaluating
+    and of a flip. Pane i of a 10 s window with z = 1 holds the value i+1;
+    the second pane's opening flips the first one alone to the front."""
+    avg, merges = _counting(make_aggregator(AggFn.AVG, ValueType.DOUBLE))
+    w = PanedWindow(Fraction(10), Fraction(1), avg)
+    for t in (0.5, 1.5, 2.5, 3.5):
+        w.register(t + 0.5, t)
+    assert merges == [1]  # back = pane 1 + pane 2
+    assert w.evaluate(3.5) == 2.5  # front top + (back + open)
+    assert merges == [3]
+    # evicts pane 0, flips panes 1 and 2 with one merge, then merges two
+    assert w.evaluate(11.5) == 3.0
+    assert merges == [5]
+
+
+@pytest.mark.parametrize("agg_fn", _HOMOMORPHIC)
+def test_window_code_calls_no_aggregator_method(agg_fn, monkeypatch):
+    """The summary arithmetic is inline in the window code: registering,
+    evicting and evaluating, flips included, call none of the aggregator's
+    reference methods."""
+    agg = make_aggregator(agg_fn, ValueType.DOUBLE)
+    calls = []
+    for name in ("new", "add", "merge", "lower"):
+        monkeypatch.setattr(agg, name, lambda *args, _name=name: calls.append(_name))
+    w = PanedWindow(Fraction(4), Fraction(1, 2), agg)
+    t = 0.0
+    for k in range(100):
+        t += 0.3
+        assert w.register(float(k % 7), t) in (-1, 0, 1)
+        w.evaluate(t)
+        w.evaluate(t)
+        if k % 9 == 0:
+            w.evict(t + 0.1)
+    assert w.evaluate(t + 10) in (0, 0.0, UNDEFINED)
+    assert calls == []
