@@ -39,6 +39,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from decimal import Context
 from fractions import Fraction
 from typing import NamedTuple, Optional, Union
 
@@ -84,7 +85,11 @@ class Rate:
         if self.is_var:
             return "var"
         hz = self.hz
-        return f"{hz.numerator / hz.denominator:g}Hz"
+        try:
+            return f"{hz.numerator / hz.denominator:g}Hz"
+        except OverflowError:  # beyond the float range, in the same notation
+            hz = Context(prec=6).divide(hz.numerator, hz.denominator).normalize()
+            return f"{hz:g}Hz".replace("E", "e")
 
 
 @dataclass(frozen=True)
@@ -283,8 +288,10 @@ def default_pane_widths(
 
     A fixed-rate consumer gets one pane per evaluation period (capped at the
     window duration); a variable-rate consumer splits the window into
-    `divisor` panes.
+    `divisor` panes. Raises ValueError unless `divisor` is a positive int.
     """
+    if divisor.__class__ is not int or divisor < 1:
+        raise ValueError(f"pane divisor must be a positive integer, got {divisor!r}")
     widths: dict[int, Fraction] = {}
     for e in adg.window_edges:
         label = e.label
@@ -457,18 +464,32 @@ def compute_memory(
     """Per-edge and per-stream stored-value bounds and their total.
 
     `instance_bounds` caps the live-instance count of parameterized
-    templates; without a cap their contribution is unbounded.
+    templates; without a cap their contribution is unbounded. Raises
+    ValueError for a bound that is not a non-negative int or that names no
+    parameterized template. Counts are exact ints; UNBOUNDED is the only
+    float.
     """
     instance_bounds = instance_bounds or {}
+    for name, bound in instance_bounds.items():
+        tpl = adg.tspec.templates.get(name)
+        if tpl is None or not tpl.parameterized:
+            raise ValueError(
+                f"instance bound for '{name}': no parameterized template of that name"
+            )
+        if bound.__class__ is not int or bound < 0:
+            raise ValueError(
+                f"instance bound for '{name}' must be a non-negative integer, "
+                f"got {bound!r}"
+            )
     needs = _edge_needs(adg, pane_widths)
     per_edge = [(n.edge, n.table) for n in needs]
     offenders = [n.reason for n in needs if n.reason is not None]
-    buffer = dict.fromkeys(adg.vertices, 1.0)
-    windows = dict.fromkeys(adg.vertices, 0.0)
+    buffer = dict.fromkeys(adg.vertices, 1)
+    windows = dict.fromkeys(adg.vertices, 0)
     for n in needs:
         target = n.edge.target
         if n.window:
-            windows[target] += n.slots
+            windows[target] = _add(windows[target], n.slots)
         else:
             buffer[target] = max(buffer[target], n.slots)
 
@@ -476,7 +497,7 @@ def compute_memory(
     eta: dict[str, float] = {}
     contribution: dict[str, float] = {}
     for name in adg.vertices:
-        per_stream[name] = buffer[name] + windows[name]
+        per_stream[name] = _add(buffer[name], windows[name])
         tpl = adg.tspec.templates.get(name)
         if tpl is not None and tpl.parameterized:
             eta[name] = instance_bounds.get(name, UNBOUNDED)
@@ -487,11 +508,22 @@ def compute_memory(
                 )
         else:
             eta[name] = 1
-        contribution[name] = per_stream[name] * eta[name]  # mu >= 1
-    total = sum(contribution.values())
+        contribution[name] = (  # mu >= 1
+            UNBOUNDED
+            if UNBOUNDED in (per_stream[name], eta[name])
+            else per_stream[name] * eta[name]
+        )
+    values = contribution.values()
+    total = UNBOUNDED if UNBOUNDED in values else sum(values)
     return MemoryReport(
         per_edge, per_stream, eta, contribution, total, dict(pane_widths), offenders
     )
+
+
+def _add(a, b):
+    """a + b for slot counts: exact for ints, UNBOUNDED if either is, with no
+    int converted to a float."""
+    return UNBOUNDED if UNBOUNDED in (a, b) else a + b
 
 
 @dataclass

@@ -1,40 +1,40 @@
-"""Compilation of typed expressions into Python closures.
+"""Python source for typed expressions.
 
-The engine compiles every template, lifecycle (invoke, extend, terminate) and
-trigger expression once, when its Monitor is built. Each expression becomes
-a closure `f(alpha, ts)`: alpha is the tuple of the evaluated instance's
-parameter values, indexed by position, and ts the instant of the step. The
-stream and instance an access reads, parameter positions, offsets, operators
-and the `/`-by-type rule are resolved here, so evaluation dispatches on no
-syntax node.
+`Compiler.source` writes an expression as one Python expression over the
+locals `alpha`, the tuple of the evaluated instance's parameter values,
+indexed by position, `ts`, the instant of the step, and `m`, the monitor,
+whose slot count a window evaluation charges. Stream instances, parameter
+positions, offsets, operators and the `/`-by-type rule are resolved here,
+so evaluation dispatches on no syntax node and calls no function per
+operator. Every object of the specification the source reads is bound by
+name in the caller's `names` (`_bind`), so the source depends on the spec's
+shape only and `_code` compiles it once for every monitor of a spec of that
+shape. The engine writes each template's value, extend, terminate and
+invoke expression into its step kernels this way (`engine.Monitor._kernel`);
+`Compiler.compile` makes a trigger condition, which reads no window, a
+function of its own.
 
-A closure evaluates its operands in the language's order and stops where the
-language does: `&` and `|` at a deciding left operand, every other operator
-and function at the first undefined operand, which makes the result
-UNDEFINED. The order matters because evaluating a window evicts its expired
-panes, which the monitor's slot count records.
+The source evaluates operands in the language's order and stops where the
+language does: `&` and `|` at a deciding left operand, every other operator,
+function and parameterized access at the first undefined operand, which
+makes the result UNDEFINED. The order matters because evaluating a window
+evicts its expired panes, which the monitor's slot count records. Each
+operand's value is held in a walrus temporary, `t0`, `t1`, ..., fresh within
+the expression and a name no kernel local uses.
 
-An operator, a `?` default or an invoke is one closure frame whatever its
-operands: each operand that is a leaf is read inline, and any other operand
-is a call of its own closure. A leaf is an operand whose read has no side
-effect and needs no call: a constant, a parameter, the current value of a
-pinned stream (an input, or a plain template without a terminate clause,
-whose one instance lives for the whole trace) and, in an any trigger, the
-current value of the scope's instance. The closure is made from a fixed
-Python source template by `eval`, with every object it reads bound by name.
-
-The engine makes its two step kernels the same way (`engine.Monitor._kernel`):
-it joins fixed source snippets into one function, binding every object by
-name with `_bind`, so its source depends on the spec's shape only and
-`_code` compiles it once for every monitor of a spec of that shape.
+`Compiler._read` writes every stream or window access in one shape: first
+the instance, bound by name when it is pinned (an input's, or a plain
+template's without a terminate clause, which lives for the whole trace) and
+otherwise looked up by its parameter tuple; then the read, the current value
+inline and a past offset, a real-time offset or a window evaluation as a
+call of one helper each.
 """
 
 from __future__ import annotations
 
 import math
 import operator
-import weakref
-from functools import lru_cache, reduce
+from functools import lru_cache
 from types import SimpleNamespace
 from typing import Callable, Iterable, Optional
 
@@ -58,9 +58,6 @@ from .ast import (
 from .diagnostics import Diagnostic, EngineError
 from .values import UNDEFINED, nan_max, nan_min
 
-#: a compiled expression: (parameter values, instant) -> value or UNDEFINED
-Compiled = Callable[[tuple, object], object]
-
 OPERATORS = {
     "+": operator.add,
     "-": operator.sub,
@@ -75,192 +72,128 @@ OPERATORS = {
 
 
 class Compiler:
-    """Compiles expressions over one monitor's streams.
+    """Writes expressions over one monitor's streams.
 
     `params` are the parameters that alpha holds values for, by position: the
     template's, or an any-trigger scope's. `own` names the template whose
-    value expression is compiled: its own value, still being computed, counts
+    value expression is written: its own value, still being computed, counts
     as its latest for past offsets. A bare access to the any-trigger `scope`
     reads the instance alpha identifies.
     """
 
     def __init__(
         self,
-        monitor,
+        streams: dict,
         params: Iterable[Param] = (),
         own: Optional[str] = None,
         scope: Optional[str] = None,
     ):
-        self.streams = monitor.streams
-        # window evaluations update the monitor's slot count; a proxy avoids
-        # a reference cycle through the closures the monitor holds
-        self.monitor = weakref.proxy(monitor)
+        self.streams = streams
         self.positions = {p.name: i for i, p in enumerate(params)}
         self.own = own
         self.scope = scope
+        self.temps = 0
 
-    def compile(self, expr: Expr) -> Compiled:
-        if self._leaf(expr, {}) is not None:
-            return self._fold("{0}", [expr])
-        match expr:
-            case ParamRef(name=name):
-                raise EngineError(
-                    [Diagnostic(f"parameter '{name}' has no value here", expr.span)]
-                )
-            case StreamAccess():
-                return self._access(expr)
-            case WindowAccess():
-                return self._window(expr)
-            case Default(inner=inner, fallback=fallback):
-                return self._fold("{1} if (v0 := {0}) is U else v0", [inner, fallback])
-            case Unary(op=op, operand=operand):
-                fn = operator.not_ if op == "!" else operator.neg
-                return self._strict(fn, [operand])
-            case Binary(op="&" | "|" as op, left=left, right=right):
-                # the left value that decides the result; else a boolean left
-                # value leaves the result to the right one
-                d = op == "|"
-                return self._fold(
-                    f"{d} if (v0 := {{0}}) is {d} else "
-                    "U if (v1 := {1}) is U or v0 is U else v1",
-                    [left, right],
-                )
-            case Binary(op=op, left=left, right=right):
-                return self._strict(_binary_fn(op, expr.ty), [left, right])
-            case IfThenElse(cond=cond, then_branch=then, else_branch=other):
-                return self._fold(
-                    "U if (v0 := {0}) is U else {1} if v0 else {2}", [cond, then, other]
-                )
-            case FnCall(fn=name, args=args):
-                return self._strict(_function(name, expr.ty), args)
-        raise EngineError([Diagnostic(f"cannot evaluate {expr!r}")])
+    def compile(self, expr: Expr) -> Callable:
+        """expr as a function (alpha, ts) -> value or UNDEFINED."""
+        names = dict(NAMES)
+        return eval(_code(f"lambda alpha, ts: {self.source(expr, names)}"), names)
 
-    def compile_invoke(self, invoke: Expr) -> Compiled:
-        """The parameter tuple an invoke expression yields, or UNDEFINED."""
-        items = invoke.items if isinstance(invoke, TupleExpr) else [invoke]
-        return self._strict(None, items, "({},)")
-
-    def _leaf(self, expr: Expr, names: dict) -> Optional[str]:
-        """The source of a leaf's read, with the objects it reads bound in
-        `names`; None when expr is no leaf."""
+    def source(self, expr: Expr, names: dict) -> str:
+        """expr's value, or UNDEFINED, as Python source that stands as an
+        operand anywhere (a name, call, subscription or parenthesized form),
+        with the objects it reads bound in `names`. An invoke's TupleExpr
+        gives the parameter tuple."""
         match expr:
             case Const(value=v):
                 return _bind(names, v)
             case ParamRef(name=name) if name in self.positions:
                 return f"alpha[{self.positions[name]}]"
-            case StreamAccess(args=[], offset=DiscreteOffset(steps=0)):
-                pinned = self._pinned(expr)
-                if pinned is not None:  # its buffer is pruned in place
-                    return f"({_bind(names, pinned.buf)} or NO_VALUE)[-1][1]"
-                rt = self.streams[expr.stream]
-                if expr.stream == self.scope and rt.tpl.params:
-                    get = _bind(names, rt.instances.get)
-                    if rt.flat:  # the entry is the latest (ts, value)
-                        return f"({get}(alpha) or {_bind(names, _NO_ENTRY)})[1]"
-                    return f"({get}(alpha, NO_INSTANCE).buf or NO_VALUE)[-1][1]"
-        return None
+            case ParamRef(name=name):
+                raise EngineError(
+                    [Diagnostic(f"parameter '{name}' has no value here", expr.span)]
+                )
+            case StreamAccess() | WindowAccess():
+                return self._read(expr, names)
+            case Default(inner=inner, fallback=fallback):
+                value, other = self.source(inner, names), self.source(fallback, names)
+                t = self._temp()
+                return f"({other} if ({t} := {value}) is U else {t})"
+            case Unary(op=op, operand=operand):
+                return self._strict([operand], names, "not {}" if op == "!" else "-{}")
+            case Binary(op="&" | "|" as op, left=left, right=right):
+                # the left value that decides the result; else a boolean left
+                # value leaves the result to the right one
+                d = op == "|"
+                a, b = self.source(left, names), self.source(right, names)
+                ta, tb = self._temp(), self._temp()
+                return (
+                    f"({d} if ({ta} := {a}) is {d} else "
+                    f"U if ({tb} := {b}) is U or {ta} is U else {tb})"
+                )
+            case Binary(op=op, left=left, right=right):
+                return self._strict([left, right], names, _operation(op, expr.ty))
+            case IfThenElse(cond=cond, then_branch=then, else_branch=other):
+                c, a, b = (self.source(e, names) for e in (cond, then, other))
+                t = self._temp()
+                return f"(U if ({t} := {c}) is U else {a} if {t} else {b})"
+            case FnCall(fn=name, args=args):
+                return self._strict(args, names, _function(name, expr.ty, len(args)))
+            case TupleExpr(items=items):
+                return self._strict(items, names, _tuple(len(items)))
+        raise EngineError([Diagnostic(f"cannot evaluate {expr!r}")])
 
-    def _strict(self, fn, operands: list[Expr], result: str = "fn({})") -> Compiled:
-        """`result` over the operands' values v0, v1, ..., by default fn of
-        them, evaluated left to right; UNDEFINED as soon as one of them is."""
-        checks = " or ".join(f"(v{i} := {{{i}}}) is U" for i in range(len(operands)))
-        values = ", ".join(f"v{i}" for i in range(len(operands)))
-        return self._fold(f"U if {checks} else {result.format(values)}", operands, fn)
+    def _temp(self) -> str:
+        """A temporary name fresh within the expressions this compiler writes."""
+        self.temps += 1
+        return f"t{self.temps - 1}"
 
-    def _fold(self, template: str, operands: list[Expr], fn=None) -> Compiled:
-        """One closure evaluating `template`, Python source in which {i}
-        stands for the i-th operand's value: a leaf's read, inline, or a call
-        of the operand's own closure. The objects read are bound by name, so
-        no value of the specification is written into the source."""
-        names = dict(U=UNDEFINED, NO_VALUE=_NO_VALUE, NO_INSTANCE=_NO_INSTANCE, fn=fn)
-        sources = []
+    def _strict(self, operands: list[Expr], names: dict, result: str) -> str:
+        """`result`, a format over the operands' temporaries, once each of the
+        operands, evaluated left to right, is defined; UNDEFINED as soon as
+        one of them is not."""
+        temps, checks = [], []
         for e in operands:
-            leaf = self._leaf(e, names)
-            sources.append(leaf or f"{_bind(names, self.compile(e))}(alpha, ts)")
-        return eval(_code(f"lambda alpha, ts: {template.format(*sources)}"), names)
+            temps.append(self._temp())
+            checks.append(f"({temps[-1]} := {self.source(e, names)}) is U")
+        return f"(U if {' or '.join(checks)} else {result.format(*temps)})"
 
-    def _pinned(self, node):
-        """The instance a bare access always reads, when that instance lives
-        for the whole trace: an input's, or a plain template's without a
-        terminate clause."""
-        return None if node.args else self.streams[node.stream].pinned
-
-    def _instance(self, node) -> Compiled:
-        """(alpha, ts) -> the instance or flat entry the access reads; None
-        or UNDEFINED when there is none."""
-        pinned = self._pinned(node)
-        if pinned is not None:
-            return lambda alpha, ts: pinned
+    def _read(self, node: StreamAccess | WindowAccess, names: dict) -> str:
+        """The access's value: how to get the instance, then how to read it.
+        A pinned instance is bound by name; any other is looked up by the key
+        alpha for the any-trigger scope, () for a plain stream, or else the
+        strict tuple of the access's arguments."""
         rt = self.streams[node.stream]
-        if node.args:
-            return self._strict(rt.instances.get, node.args, "fn(({},))")
-        if node.stream == self.scope and rt.tpl.params:
-            return lambda alpha, ts: rt.instances.get(alpha)
-        return lambda alpha, ts: rt.instances.get(())
-
-    def _access(self, node: StreamAccess) -> Compiled:
-        offset = node.offset
-        find = self._instance(node)
-        match offset:
-            case DiscreteOffset(steps=0):
-                if self.streams[node.stream].flat:  # no offset reads it
-                    return lambda alpha, ts: (find(alpha, ts) or _NO_ENTRY)[1]
-
-                def current(alpha, ts):
-                    inst = find(alpha, ts)
-                    return inst.buf[-1][1] if inst and inst.buf else UNDEFINED
-
-                return current
-            case DiscreteOffset(steps=n):
-                own = node.stream == self.own
-
-                def past(alpha, ts):
-                    inst = find(alpha, ts)
-                    if not inst:
-                        return UNDEFINED
-                    back = -n
-                    if own and inst.alpha == alpha:
-                        back -= 1  # the value being computed is the latest
-                    if len(inst.buf) <= back:
-                        return UNDEFINED
-                    return inst.buf[-1 - back][1]
-
-                return past
-            case RealTimeOffset(seconds=d):
-                dn, dd = d.numerator, d.denominator  # d is negative
-
-                def at_time(alpha, ts):
-                    inst = find(alpha, ts)
-                    if not inst:
-                        return UNDEFINED
-                    n, m = ts.as_integer_ratio()
-                    i = count_until(inst.buf, n * dd + dn * m, m * dd)  # ts + d
-                    return inst.buf[i - 1][1] if i else UNDEFINED
-
-                return at_time
-        raise EngineError([Diagnostic(f"bad offset {offset!r}")])
-
-    def _window(self, node: WindowAccess) -> Compiled:
-        """An evaluation of the window that charges the monitor's slot count
-        with its evictions only when it evicted, since the monitor is a
-        proxy. A pinned instance's window is bound once, with no lookup."""
-        wkey, monitor, pinned = node.wkey, self.monitor, self._pinned(node)
-        find, fixed = self._instance(node), pinned and pinned.windows[wkey]
-
-        def window(alpha, ts):
-            w = fixed
-            if w is None:
-                inst = find(alpha, ts)
-                if not inst:
-                    return UNDEFINED
-                w = inst.windows[wkey]
-            before = w.slots
-            value = w.evaluate(ts)
-            if w.slots != before:
-                monitor.slots += w.slots - before
-            return value
-
-        return window
+        pinned = None if node.args else rt.pinned
+        match node:
+            case WindowAccess(wkey=wkey) if pinned is not None:
+                return f"window({_bind(names, pinned.windows[wkey])}, ts, m)"
+            case StreamAccess(offset=DiscreteOffset(steps=0)) if pinned is not None:
+                # its buffer is pruned in place
+                return f"({_bind(names, pinned.buf)} or NO_VALUE)[-1][1]"
+        if pinned is not None:
+            inst = _bind(names, pinned)
+        else:
+            key = _tuple(len(node.args)) if node.args else "()"
+            if node.stream == self.scope and rt.tpl.params and not node.args:
+                key = "alpha"
+            get = _bind(names, rt.instances.get)
+            inst = f"{get}({key}, NO_INSTANCE)"
+        match node:
+            case WindowAccess(wkey=wkey):
+                read = f"window({inst}.windows.get({_bind(names, wkey)}), ts, m)"
+            case StreamAccess(offset=DiscreteOffset(steps=0)) if rt.flat:
+                # the entry is the latest (ts, value); no offset reads it
+                read = f"({get}({key}) or NO_ENTRY)[1]"
+            case StreamAccess(offset=DiscreteOffset(steps=0)):
+                read = f"({inst}.buf or NO_VALUE)[-1][1]"
+            case StreamAccess(offset=DiscreteOffset(steps=n)):
+                own = "alpha" if node.stream == self.own else "None"
+                read = f"past({inst}, {_bind(names, -n)}, {own})"
+            case StreamAccess(offset=RealTimeOffset(seconds=d)):
+                dn, dd = _bind(names, d.numerator), _bind(names, d.denominator)
+                read = f"at_time({inst}, ts, {dn}, {dd})"
+        return self._strict(node.args, names, read) if node.args else read
 
 
 def count_until(buf: list, n: int, d: int) -> int:
@@ -278,6 +211,36 @@ def count_until(buf: list, n: int, d: int) -> int:
     return lo
 
 
+def _past(inst, back: int, own: Optional[tuple]):
+    """The value `back` extensions before the latest of `inst`, or
+    UNDEFINED. `own` is the alpha whose value the reading template is
+    computing: when inst is that instance, the value counts as its latest."""
+    if own is not None and inst.alpha == own:
+        back -= 1
+    buf = inst.buf
+    return buf[-1 - back][1] if len(buf) > back else UNDEFINED
+
+
+def _at_time(inst, ts, dn: int, dd: int):
+    """The value `inst` held at the instant ts + dn / dd, or UNDEFINED."""
+    buf = inst.buf
+    n, d = ts.as_integer_ratio()
+    i = count_until(buf, n * dd + dn * d, d * dd)
+    return buf[i - 1][1] if i else UNDEFINED
+
+
+def _window(w, ts, m):
+    """The value of window `w` at ts, UNDEFINED without a window. The monitor
+    m's slot count is charged with the evaluation's evictions, if any."""
+    if w is None:
+        return UNDEFINED
+    before = w.slots
+    value = w.evaluate(ts)
+    if w.slots != before:
+        m.slots += w.slots - before
+    return value
+
+
 def _bind(names: dict, obj) -> str:
     """A fresh name for obj in `names`."""
     name = f"o{len(names)}"
@@ -285,29 +248,27 @@ def _bind(names: dict, obj) -> str:
     return name
 
 
-#: what a leaf's read of a stream or flat entry without a value looks up
-_NO_ENTRY = (None, UNDEFINED)
-_NO_VALUE = (_NO_ENTRY,)
-_NO_INSTANCE = SimpleNamespace(buf=())
-
-
 @lru_cache(maxsize=512)
 def _code(source: str, mode: str = "eval"):
     return compile(source, "<compiled expression>", mode)
 
 
-def _binary_fn(op: str, ty: Optional[ValueType]) -> Callable:
+def _tuple(n: int) -> str:
+    """A tuple of n > 0 items, as a format."""
+    return "({},)".format(", ".join(["{}"] * n))
+
+
+def _operation(op: str, ty: Optional[ValueType]) -> str:
+    """A binary operator over its operands' temporaries, as a format."""
+    if op == "/" and ty is ValueType.INT:
+        return "({0} // {1} if {1} != 0 else U)"
     if op == "/":
-        return _int_div if ty is ValueType.INT else _float_div
+        return "float_div({}, {})"
     if op == "%":
-        return _mod
+        return "(U if {1} == 0 else {0} % {1})"
     if op in OPERATORS:
-        return OPERATORS[op]
+        return f"{{}} {'==' if op == '=' else op} {{}}"
     raise EngineError([Diagnostic(f"unknown operator {op!r}")])
-
-
-def _int_div(a, b):
-    return a // b if b != 0 else UNDEFINED
 
 
 def _float_div(a, b):
@@ -321,22 +282,38 @@ def _float_div(a, b):
     return a / b
 
 
-def _mod(a, b):
-    return UNDEFINED if b == 0 else a % b
-
-
-def _function(name: str, ty: Optional[ValueType]) -> Callable:
-    if name == "abs":
-        return abs
-    if name == "sqrt":
-        return _sqrt
-    # NaN-propagating, as window min and max are
-    pick = nan_min if name == "min" else nan_max
-    if ty is ValueType.DOUBLE:
-        return lambda *values: float(reduce(pick, values))
-    return lambda *values: reduce(pick, values)
+def _function(name: str, ty: Optional[ValueType], arity: int) -> str:
+    """A function call over its arguments' temporaries, as a format."""
+    if name in ("abs", "sqrt"):
+        return f"{name}({{}})"
+    # a left fold, NaN-propagating as window min and max are
+    call = "{}"
+    for _ in range(arity - 1):
+        call = f"nan_{name}({call}, {{}})"
+    return f"float({call})" if ty is ValueType.DOUBLE else call
 
 
 def _sqrt(v):
     x = float(v)
     return math.sqrt(x) if x >= 0 else math.nan
+
+
+#: what a read of a stream, flat entry or instance without a value looks up
+_NO_ENTRY = (None, UNDEFINED)
+_NO_VALUE = (_NO_ENTRY,)
+_NO_INSTANCE = SimpleNamespace(alpha=None, buf=(), windows={})
+
+#: what every written expression reads by name, besides what it binds
+NAMES = dict(
+    U=UNDEFINED,
+    NO_ENTRY=_NO_ENTRY,
+    NO_VALUE=_NO_VALUE,
+    NO_INSTANCE=_NO_INSTANCE,
+    past=_past,
+    at_time=_at_time,
+    window=_window,
+    float_div=_float_div,
+    sqrt=_sqrt,
+    nan_min=nan_min,
+    nan_max=nan_max,
+)

@@ -36,19 +36,18 @@ Verdicts are emitted in non-decreasing timestamp order. Output values are
 reported for fixed-rate extensions; variable-rate steps report triggers and
 warnings only.
 
-Every template, lifecycle and trigger expression is compiled once, when the
-Monitor is built, into a closure over the monitor's streams (see
-`compiler`); a step runs those closures and walks no syntax tree. Parameters
-travel as the instance's alpha tuple, indexed by position.
-
-Each of the two kernels is one function generated on first use (see
-`Monitor._kernel`) from fixed source snippets, as `compiler` makes
-expression closures: each stream's extension is written out inline, with
-the coercion, pruning (by count, by time, or in place for a single slot),
-windows and invocations of that stream, and so is each template's gate
-check and instance lookup. The event kernel first checks the event, so that
-a rejected one changes nothing; `process` runs those checks once, before
-any tick, and the event step then skips them.
+Each of the two steps is one function, a kernel, generated on first use
+(see `Monitor._kernel`) from fixed source snippets: each stream's extension
+is written out inline, with the coercion, pruning (by count, by time, or in
+place for a single slot), windows and invocations of that stream, and so
+are each template's gate check, instance lookup and its value, extend,
+terminate and invoke expressions, which `compiler` writes as Python
+expressions. A step walks no syntax tree and calls no function per
+expression or operator. Parameters travel as the instance's alpha tuple,
+indexed by position. Only trigger conditions are compiled when the Monitor
+is built, each into a function of its own. The event kernel first checks
+the event, so that a rejected one changes nothing; `process` runs those
+checks once, before any tick, and the event step then skips them.
 
 A parameterized template that keeps one value and no window (buffer plan
 `count_keep == 1`, no `time_keep`) stores each instance flat, as the tuple
@@ -94,14 +93,15 @@ from .ast import (
     StreamTemplate,
     TriggerDecl,
     TriggerKind,
+    TupleExpr,
     ValueType,
     accesses,
 )
-from .compiler import OPERATORS, Compiled, Compiler, _bind, _code, count_until
+from .compiler import NAMES, OPERATORS, Compiler, _bind, _code, count_until
 from .diagnostics import AnalysisRefusal, Diagnostic, EngineError, OutOfOrderError
 from .parser import _expr_str
 from .typecheck import TypedSpec
-from .values import INT64_MAX, INT64_MIN, UNDEFINED, jsonable, saturate_i64
+from .values import INT64_MAX, INT64_MIN, jsonable, saturate_i64
 from .windows import PanedWindow, make_aggregator
 
 __all__ = ["Event", "Verdict", "Monitor", "run"]
@@ -196,7 +196,7 @@ _NO_WINDOWS = MappingProxyType({})
 
 @dataclass(slots=True, eq=False, repr=False)
 class _StreamRT:
-    """Per-stream runtime state, precomputed plans and compiled expressions."""
+    """Per-stream runtime state and precomputed plans."""
 
     name: str
     tpl: Optional[StreamTemplate]  # None for an input
@@ -218,12 +218,6 @@ class _StreamRT:
     period: Optional[int] = None  # clock period in grid ticks
     #: templates whose invoke expression reads this stream
     invokes: list[_StreamRT] = field(default_factory=list)
-    #: compiled invoke, extend, terminate and value expressions; invoke
-    #: yields the parameter tuple of the instance to invoke
-    invoke_fn: Optional[Compiled] = None
-    extend_fn: Optional[Compiled] = None
-    terminate_fn: Optional[Compiled] = None
-    expr_fn: Optional[Compiled] = None
 
     def new_instance(self, alpha: tuple) -> None:
         plans = self.window_plans
@@ -276,7 +270,11 @@ class Monitor:
         if mode == "fixed" and frequency is None:
             raise EngineError([Diagnostic("fixed mode needs a frequency")])
         if mode == "fixed":
-            tspec = _with_clock(tspec, Fraction(frequency))
+            frequency = Fraction(frequency)
+            if frequency <= 0:
+                message = f"fixed mode needs a positive frequency, got {frequency}"
+                raise EngineError([Diagnostic(message)])
+            tspec = _with_clock(tspec, frequency)
         self.tspec = tspec
         self.mode = mode
         self.adg: AnnotatedDependencyGraph = build_adg(tspec)
@@ -336,7 +334,7 @@ class Monitor:
             else:
                 rt.flat = rt.buffer_plan == BufferPlan() and not rt.window_plans
 
-        # invoke table, lifecycle plans and compiled expressions
+        # invoke table and lifecycle plans
         for tpl in tspec.spec.outputs:
             rt = self.streams[tpl.name]
             if tpl.invoke is not None:
@@ -345,15 +343,10 @@ class Monitor:
                         invokes = self.streams[node.stream].invokes
                         if rt not in invokes:  # once however often it reads it
                             invokes.append(rt)
-                rt.invoke_fn = Compiler(self).compile_invoke(tpl.invoke)
-            if tpl.extend is not None:
-                rt.extend_fn = Compiler(self, tpl.params).compile(tpl.extend)
-                if tpl.params:
-                    rt.ext_plan = self._cond_plan(tpl, tpl.extend)
+            if tpl.extend is not None and tpl.params:
+                rt.ext_plan = self._cond_plan(tpl, tpl.extend)
             if tpl.terminate is not None:
-                rt.terminate_fn = Compiler(self, tpl.params).compile(tpl.terminate)
                 rt.ter_plan = self._cond_plan(tpl, tpl.terminate)
-            rt.expr_fn = Compiler(self, tpl.params, own=tpl.name).compile(tpl.expr)
             rt.expr_gate = frozenset(node.stream for node in accesses(tpl.expr))
             for plan in (rt.ext_plan, rt.ter_plan):
                 if plan is not None:
@@ -429,7 +422,7 @@ class Monitor:
         text = _expr_str(trig.condition)
         if trig.kind is TriggerKind.ANY:
             scope = self.streams[trig.scope]
-            cond = Compiler(self, scope.tpl.params, scope=scope.name).compile(
+            cond = Compiler(self.streams, scope.tpl.params, scope=scope.name).compile(
                 trig.condition
             )
             message = trig.message or f"any({text})"
@@ -449,7 +442,7 @@ class Monitor:
 
             return gate, any_instance
 
-        cond = Compiler(self).compile(trig.condition)
+        cond = Compiler(self.streams).compile(trig.condition)
         message = trig.message or text
 
         def plain(ts, extended):
@@ -526,6 +519,11 @@ class Monitor:
         spec's shape only: every object it reads is bound by name."""
         names = dict(_KERNEL_NAMES)
         bind = partial(_bind, names)
+
+        def source(expr: Expr, params=(), own: Optional[str] = None) -> str:
+            """expr written inline, reading the kernel's alpha, ts and m."""
+            return Compiler(self.streams, params, own).source(expr, names)
+
         decls = self.tspec.spec.inputs
         inputs = frozenset(d.name for d in decls)
         #: bindable input -> the local holding its value, or MISSING if unbound
@@ -650,8 +648,10 @@ class Monitor:
                 output = f"VERDICT(float(ts), 'output', {key}, {alpha}, v)"
                 put(depth, f"verdicts.append({output})")
             for dep in rt.invokes:
-                instances = bind(dep.instances)
-                put(depth, f"a = {bind(dep.invoke_fn)}((), ts)")
+                instances, invoke = bind(dep.instances), dep.tpl.invoke
+                if not isinstance(invoke, TupleExpr):
+                    invoke = TupleExpr(items=[invoke])
+                put(depth, f"a = {source(invoke)}")
                 put(depth, f"if a is not U and a not in {instances}:")
                 put(depth, f"    {bind(dep.new_instance)}(a)")
                 put(depth, f"    touched.add({bind(dep.name)})")
@@ -701,10 +701,11 @@ class Monitor:
         # later templates are picked up within the same pass
         for rt, condition in templates:
             depth, loop = find(when(condition), rt, None if rt.period else rt.ext_plan)
-            if rt.extend_fn is not None:
-                put(depth, f"if {bind(rt.extend_fn)}(alpha, ts) is True:")
+            if rt.tpl.extend is not None:
+                put(depth, f"if {source(rt.tpl.extend, rt.tpl.params)} is True:")
                 depth += 1
-            put(depth, f"v = {bind(rt.expr_fn)}(alpha, ts)", "if v is U:")
+            value = source(rt.tpl.expr, rt.tpl.params, rt.name)
+            put(depth, f"v = {value}", "if v is U:")
             put(depth, f"    m._warn(ts, undefined({bind(rt.name)}, alpha))", "else:")
             if loop:
                 put(depth + 1, f"i = {bind(rt.instances)}[alpha]")
@@ -712,7 +713,7 @@ class Monitor:
 
         for rt, condition in ends:
             depth, _ = find(when(condition), rt, rt.ter_plan)
-            put(depth, f"if {bind(rt.terminate_fn)}(alpha, ts) is True:")
+            put(depth, f"if {source(rt.tpl.terminate, rt.tpl.params)} is True:")
             depth += 1
             refund = "1 if d else 0" if rt.flat else "len(d.buf)"
             put(depth, f"d = {bind(rt.drop_instance)}(alpha)", f"m.slots -= {refund}")
@@ -820,7 +821,7 @@ def _undefined(stream: str, alpha: tuple) -> str:
 
 #: what every step kernel reads by name, besides what it binds
 _KERNEL_NAMES = dict(
-    U=UNDEFINED,
+    NAMES,
     MISSING=_MISSING,
     VERDICT=Verdict,
     TIMES={int, float},

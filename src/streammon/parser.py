@@ -724,7 +724,10 @@ def parse(text: str) -> Specification:
 def parse_frequency(text: str) -> Fraction:
     """Parse a standalone frequency literal such as '1Hz' or '0.1Hz'."""
     parser = _Parser(text)
-    freq = parser._parse_frequency()
+    try:
+        freq = parser._parse_frequency()
+    except _Unexpected as exc:
+        raise ParseError([exc.diagnostic]) from None
     if not parser.at("EOF"):
         raise ParseError([Diagnostic(f"trailing input after frequency: {text!r}")])
     return freq

@@ -15,6 +15,7 @@ from conftest import (
 )
 from streammon import (
     CycleError,
+    Monitor,
     analyze,
     build_adg,
     classify_efficiently_bound,
@@ -212,6 +213,60 @@ def test_spec_table_examples():
     # window edge, fixed 2 Hz target, median, r=5s -> 10 values
     mu, _ = _window_mu(_micro_spec(Fraction(1), Fraction(2), "median", Fraction(5)))
     assert mu == 10
+
+
+#: a window, a plain stream and a parameterized template, for the analysis
+#: arguments that `analyze` and `Monitor` share
+ARGS_SPEC = """input double x
+output double y := x[10s, sum]
+output double f<int id>
+  invoke: 1
+  extend: true
+  := x?0.0
+"""
+
+
+@pytest.mark.parametrize("divisor", [0, -2, 1.5, True])
+def test_pane_divisor_must_be_a_positive_int(divisor):
+    with pytest.raises(ValueError, match="pane divisor must be a positive integer"):
+        analyze(typed(ARGS_SPEC), divisor, {"f": 1})
+
+
+def test_monitor_rejects_a_fractional_pane_divisor():
+    with pytest.raises(ValueError, match="pane divisor must be a positive integer"):
+        Monitor(typed(ARGS_SPEC), pane_divisor=1.5, instance_bounds={"f": 1})
+
+
+@pytest.mark.parametrize(
+    "bounds, message",
+    [
+        ({"f": -5}, "instance bound for 'f' must be a non-negative integer, got -5"),
+        ({"f": 2.0}, "instance bound for 'f' must be a non-negative integer"),
+        ({"nosuch": 4}, "instance bound for 'nosuch': no parameterized template"),
+        ({"y": 0}, "instance bound for 'y': no parameterized template"),
+        ({"x": 1}, "instance bound for 'x': no parameterized template"),
+    ],
+)
+def test_instance_bounds_must_name_a_template_and_be_a_count(bounds, message):
+    with pytest.raises(ValueError, match=message):
+        analyze(typed(ARGS_SPEC), instance_bounds=bounds)
+    with pytest.raises(ValueError, match=message):
+        Monitor(typed(ARGS_SPEC), instance_bounds=bounds)
+
+
+def test_zero_instances_is_a_bound():
+    _, report = analyze(typed(ARGS_SPEC), instance_bounds={"f": 0})
+    assert report.total == 259 and report.contribution["f"] == 0
+
+
+def test_huge_bound_is_exact():
+    """A clock beyond the float range gives a bound beyond it, counted in
+    ints: the window over x keeps 10**400 + 1 panes and x one value more."""
+    adg, report = analyze(typed("input double x\noutput double y : 1e400Hz := x[1s, sum]"))
+    assert report.total == 10**400 + 3 and report.total.__class__ is int
+    text = report.render_text(adg)
+    assert f"total: {10**400 + 3} value-slots" in text and "1e+400Hz" in text
+    assert report.to_json_dict(adg)["total"] == 10**400 + 3
 
 
 def test_realtime_offset_bounds():

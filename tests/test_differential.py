@@ -344,6 +344,20 @@ VARIANTS = {
     "scan": (_FAMILY.format(_SCAN, "  terminate: p & (k > 0)\n"), "f", None),
     "dynamic-gate": ("output int x := i + j\noutput int y := (x)?(0) + 1\n", "xy", None),
     "undefined": ("output int u := i + j\n", "u", None),
+    # strict operators nested on both sides, defaults inside an argument
+    # tuple, windows right of a deciding or undefined operand, and offsets
+    # read through computed arguments: each operand needs a temporary of its
+    # own in the kernel's inline code
+    "temporaries": (
+        "output int e<int k>\n  invoke: i\n  extend: k = i\n  := k * 2 + (j)?(0)\n"
+        "output double h := if (p & (a[1s, sum] > 0.0)) | (j = 1)"
+        " then ((i + (j)?(1)) * (i - 2)) - ((a)?(0.0) * ((b)?(1.0) + 1.0))"
+        " else e(((i)?(0) + 1) % 3)[-1, 7]?(5) + e((j)?(0))[-1s, 3]\n"
+        "output bool q := (p | (b[2s, count] > 1)) & (j + b[2s, count] > 0)\n"
+        "output double r := if p then a[2s, max]?(0.0) else -(i / (j)?(0))\n",
+        "ehqr",
+        None,
+    ),
     # clocks due alone and together; a clocked family ends on its own ticks
     "two-clocks": (
         "output int c : 2Hz := (i)?(0)\noutput int d : 0.4Hz := (c)?(0) + 1\n"

@@ -1,7 +1,9 @@
+import dataclasses
 import gc
 import itertools
 import math
 import random
+import sys
 from collections import Counter
 from fractions import Fraction
 
@@ -19,6 +21,7 @@ from streammon import (
     Monitor,
     OutOfOrderError,
 )
+from streammon.compiler import Compiler
 from streammon.engine import Instance, _StreamRT
 
 
@@ -447,7 +450,9 @@ def test_folded_shape_on_missing_or_nan_input_matches_reference(shape, mode):
         Event(6.5, {"ID": 2.0}),
     ]
     kwargs = {"mode": mode, "frequency": Fraction(1)} if mode == "fixed" else {}
-    m = Monitor(typed(src), instance_bounds={"f": 10}, **kwargs)
+    # only a parameterized template takes an instance bound
+    bounds = {"f": 10} if "<" in FOLDED_SHAPES[shape] else {}
+    m = Monitor(typed(src), instance_bounds=bounds, **kwargs)
 
     def same(value):  # NaN equals NaN here
         return "nan" if value != value else value
@@ -587,6 +592,13 @@ def test_unknown_input_rejected():
     with pytest.raises(EngineError, match=r"unknown input stream\(s\): t \("):
         m.process(Event(0.0, {"t": 0.0}))
     assert m.events_processed == 0 and m.clock_ts is None
+
+
+@pytest.mark.parametrize("frequency", [0, Fraction(0), -1, Fraction(-1, 2)])
+def test_fixed_mode_rejects_a_frequency_that_is_not_positive(frequency):
+    t = typed("input int a\noutput int x := a?0")
+    with pytest.raises(EngineError, match="positive frequency"):
+        Monitor(t, mode="fixed", frequency=frequency)
 
 
 def _state(m):
@@ -890,3 +902,78 @@ def test_intro_fixed_mode_matches_reference_evaluator():
     assert [(g[0], g[1]) for g in got] == [(w[0], w[1]) for w in want]
     for g, w in zip(got, want):
         assert g[2] == pytest.approx(w[2], rel=1e-9, abs=1e-9)
+
+
+# -- expressions written into the kernels ----------------------------------------------
+
+#: no trigger; nested operators, defaults, `if`, `&` and `|`, a parameterized
+#: access with computed arguments, offsets and windows
+_INLINE_SPEC = """
+input double a
+input double b
+input int i
+input bool p
+output int f<int k>
+  invoke: i
+  extend: k = i
+  := k * 2 + (i)?(0)
+output double w := if p & (a[2s, sum] > 1.0) | !(b?0.0 > 0.5)
+  then (f(((i)?(0) + 1) % 3)[-1, 7]?(5) - abs(a?1.0)) * b[-1, 2.0]
+  else max(a[-1s, 0.0], sqrt(b?4.0), (a)?(0.0) / (b)?(0.0))
+"""
+
+
+def _inline_events():
+    rng = random.Random(3)
+    events, ts = [], 0.0
+    for _ in range(120):
+        ts += 0.25
+        names = rng.sample("abip", rng.randint(1, 4))
+        values = dict(a=rng.randint(-2, 4) / 2, b=rng.randint(-2, 4) / 2)
+        values.update(i=rng.randint(-1, 3), p=rng.random() < 0.5)
+        events.append(Event(ts, {name: values[name] for name in names}))
+    return events
+
+
+@pytest.mark.parametrize("mode", ["variable", "fixed"])
+def test_kernels_evaluate_expressions_without_lambda_frames(mode):
+    """Once its kernels are built, a trigger-free monitor runs every
+    expression as code written into them: no function of its own per
+    expression or operator is called."""
+    kwargs = {"mode": "fixed", "frequency": Fraction(1)} if mode == "fixed" else {}
+    m = Monitor(typed(_INLINE_SPEC), allow_unbounded=True, **kwargs)
+    events = _inline_events()
+    drain(m, events[:10])
+    called = Counter()
+
+    def profile(frame, event, arg):
+        if event == "call":
+            called[frame.f_code.co_name] += 1
+
+    sys.setprofile(profile)
+    try:
+        verdicts = drain(m, events[10:])
+    finally:
+        sys.setprofile(None)
+    assert called["kernel"] >= len(events) - 10
+    assert called["<lambda>"] == 0, called
+    if mode == "fixed":
+        assert {v.stream for v in verdicts if v.kind == "output"} == {"f", "w"}
+
+
+def test_monitor_compiles_trigger_conditions_only(monkeypatch):
+    compiled = []
+    compile = Compiler.compile
+
+    def counted(self, expr):
+        compiled.append(expr)
+        return compile(self, expr)
+
+    monkeypatch.setattr(Compiler, "compile", counted)
+    m = Monitor(typed(_INLINE_SPEC), allow_unbounded=True)
+    drain(m, _inline_events())
+    assert not compiled
+    tspec = typed(PID_SPEC)
+    Monitor(tspec)
+    assert compiled == [tspec.spec.triggers[0].condition]
+    assert not [f.name for f in dataclasses.fields(_StreamRT) if f.name.endswith("_fn")]

@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 from conftest import FLEET_SPEC, PHI_PPRIME_SPEC, PHI_PRIME_SPEC, PID_SPEC, typed
+from test_analysis import ARGS_SPEC
 from streammon import TraceError, Verdict
 from streammon.cli import main
 from streammon.trace import read_trace, write_trace
@@ -190,6 +191,37 @@ def test_monitor_fixed_requires_frequency(pid_paths):
     spec, trace_path = pid_paths
     code, _, err = run_cli("monitor", str(spec), str(trace_path), "--mode", "fixed")
     assert code == 1 and "frequency" in err
+
+
+@pytest.mark.parametrize("frequency", ["0Hz", "-1Hz", "abc"])
+def test_monitor_bad_frequency_is_a_diagnostic(pid_paths, frequency):
+    spec, trace_path = pid_paths
+    code, out, err = run_cli(
+        "monitor", str(spec), str(trace_path), "--mode", "fixed",
+        f"--frequency={frequency}",
+    )
+    assert code == 1 and out == ""
+    errors = [line for line in err.splitlines() if "error" in line]
+    assert len(errors) == 1 and errors[0].startswith("1:1: error: expected")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["--pane-divisor", "0"], "pane divisor must be a positive integer, got 0"),
+        (["--pane-divisor", "-2"], "pane divisor must be a positive integer, got -2"),
+        (["--max-instances", "f=-5"], "instance bound for 'f' must be a non-negative"),
+        (["--max-instances", "nosuch=4"], "instance bound for 'nosuch'"),
+        (["--max-instances", "y=0"], "instance bound for 'y'"),
+    ],
+)
+def test_analyze_rejects_bad_analysis_arguments(tmp_path, args, message):
+    spec = tmp_path / "shared.spec"
+    spec.write_text(ARGS_SPEC)
+    code, out, err = run_cli("analyze", str(spec), *args)
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: {message}") and len(err.splitlines()) == 1
 
 
 def _no_constant(name):
