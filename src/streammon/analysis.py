@@ -113,9 +113,9 @@ class Edge:
             case DiscreteOffset(steps=n):
                 lab = str(n)
             case RealTimeOffset(seconds=d):
-                lab = f"{float(d):g}s"
+                lab = f"{_seconds_text(d)}s"
             case WindowLabel(agg=agg, duration=r):
-                lab = f"window({agg}, {float(r):g}s)"
+                lab = f"window({agg}, {_seconds_text(r)}s)"
         return f"{self.source} -> {self.target} [{lab}]"
 
 
@@ -352,8 +352,8 @@ class MemoryReport:
             if isinstance(e.label, WindowLabel):
                 z = self.pane_widths[e.label.wkey]
                 lines.append(
-                    f"window {e.target}[{float(e.label.duration):g}s, "
-                    f"{e.label.agg}] in {e.source}: pane {float(z):g}s, "
+                    f"window {e.target}[{_seconds_text(e.label.duration)}s, "
+                    f"{e.label.agg}] in {e.source}: pane {_seconds_text(z)}s, "
                     f"mu {_fmt(mu)}"
                 )
         lines.append(
@@ -381,8 +381,8 @@ class MemoryReport:
                     "consumer": e.source,
                     "target": e.target,
                     "aggregation": str(e.label.agg),
-                    "duration_s": float(e.label.duration),
-                    "pane_s": float(self.pane_widths[e.label.wkey]),
+                    "duration_s": _seconds(e.label.duration),
+                    "pane_s": _seconds(self.pane_widths[e.label.wkey]),
                     "mu": _json_num(mu),
                 }
                 for e, mu in self.per_edge
@@ -396,6 +396,21 @@ class MemoryReport:
             "bounded": self.bounded,
             "offenders": self.offenders,
         }
+
+
+def _seconds(q: Fraction) -> float | str:
+    """q seconds as a float, or as the exact ratio where the float would
+    read as zero or overflow."""
+    try:
+        x = q.numerator / q.denominator
+    except OverflowError:
+        return str(q)
+    return x if x or not q else str(q)
+
+
+def _seconds_text(q: Fraction) -> str:
+    x = _seconds(q)
+    return x if isinstance(x, str) else f"{x:g}"
 
 
 def _fmt(value: float) -> str:

@@ -46,8 +46,8 @@ expressions. A step walks no syntax tree and calls no function per
 expression or operator. Parameters travel as the instance's alpha tuple,
 indexed by position. Only trigger conditions are compiled when the Monitor
 is built, each into a function of its own. The event kernel first checks
-the event, so that a rejected one changes nothing; `process` runs those
-checks once, before any tick, and the event step then skips them.
+the event, so that a rejected one changes nothing, then runs the clock ticks
+due at or before it, each by `fixed_rate_step`, then the event's own step.
 
 A parameterized template that keeps one value and no window (buffer plan
 `count_keep == 1`, no `time_keep`) stores each instance flat, as the tuple
@@ -463,41 +463,21 @@ class Monitor:
         EngineError before any tick or extension, and the monitor's state is
         unchanged.
         """
-        if not self._clocks:
-            return self.var_rate_step(event)
-        kernel = self._event_kernel or self._kernel(tick=False)
-        kernel(self, event.ts, event.bindings, False)  # checks it before any tick
-        out: list[Verdict] = []
-        for tick in self._ticks_until(event.ts):
-            out.extend(self.fixed_rate_step(tick))
-        out.extend(self.var_rate_step(event, True))
-        return out
+        return self.var_rate_step(event)
 
     def run(self, events: Iterable[Event]) -> Iterator[Verdict]:
         for event in events:
             yield from self.process(event)
 
-    def _ticks_until(self, ts) -> Iterator[int]:
-        """The grid ticks at or before instant ts, in order."""
-        clocks = self._clocks
-        n, d = ts.as_integer_ratio()
-        last = n * self._grid // d
-        while clocks:
-            due = min([c[0] for c in clocks])
-            if due > last:
-                return
-            for counter in clocks:
-                if counter[0] == due:
-                    counter[0] = due + counter[1]
-            yield due
-
     # -- step machinery ---------------------------------------------------------
 
-    def var_rate_step(self, event: Event, checked: bool = False) -> list[Verdict]:
-        """Process one trace event by the monitor's event kernel; `checked`
-        skips the event's checks, which `process` has run before its ticks."""
+    def var_rate_step(self, event: Event) -> list[Verdict]:
+        """Process one trace event by the monitor's event kernel: check it,
+        run every clock tick due at or before its timestamp, each by
+        `fixed_rate_step`, then its own step; the ticks' verdicts come
+        first."""
         kernel = self._event_kernel or self._kernel(tick=False)
-        return kernel(self, event.ts, event.bindings, True, checked)
+        return kernel(self, event.ts, event.bindings)
 
     def fixed_rate_step(self, tick: int) -> list[Verdict]:
         """Evaluate every clocked stream due at grid tick `tick`, the instant
@@ -507,16 +487,16 @@ class Monitor:
         return kernel(self, ts, tick)
 
     def _kernel(self, tick: bool) -> Callable:
-        """Builds and keeps the event kernel, kernel(m, ts, bindings,
-        run=True, checked=False), or with `tick` the tick kernel, kernel(m,
-        ts, tick), each returning the step's verdicts. The event kernel
-        rejects an invalid event unless `checked` (returning there when not
-        `run`), feeds the bound inputs and the time input, and runs what
-        inputs can reach of the unclocked templates, terminations and
-        triggers. The tick kernel runs the clocked templates and terminations
-        due at `tick`, the other terminations and all triggers. Each runs when
-        its gate holds (see the module docstring). The source depends on the
-        spec's shape only: every object it reads is bound by name."""
+        """Builds and keeps the event kernel, kernel(m, ts, bindings), or
+        with `tick` the tick kernel, kernel(m, ts, tick), each returning the
+        step's verdicts. The event kernel rejects an invalid event, runs the
+        ticks due at or before ts by `m.fixed_rate_step`, feeds the bound
+        inputs and the time input, and runs what inputs can reach of the
+        unclocked templates, terminations and triggers. The tick kernel runs
+        the clocked templates and terminations due at `tick`, the other
+        terminations and all triggers. Each runs when its gate holds (see the
+        module docstring). The source depends on the spec's shape only: every
+        object it reads is bound by name."""
         names = dict(_KERNEL_NAMES)
         bind = partial(_bind, names)
 
@@ -556,7 +536,7 @@ class Monitor:
             ]
             triggers = self._triggers
         else:
-            code = ["def kernel(m, ts, bindings, run=True, checked=False):"]
+            code = ["def kernel(m, ts, bindings):"]
             fed = [self.streams[d.name] for d in decls]
             reach = set(inputs)  # the streams that can extend in an event step
             templates = []
@@ -609,12 +589,12 @@ class Monitor:
             put(depth, f"i = {instances}.get(alpha)", "if i is not None:")
             return depth + 1, False
 
-        def extend(depth: int, rt: _StreamRT, inst: str, alpha: str):
+        def extend(depth: int, rt: _StreamRT, inst: str, alpha: str, coerce=True):
             """Extends instance `inst` of rt, whose parameters are `alpha`, by
             the value v: coerce, buffer and prune, register into windows,
             charge the slots, record, emit, and try rt's invocations."""
             key, plan = bind(rt.name), rt.buffer_plan
-            if rt.value_ty is ValueType.DOUBLE:
+            if rt.value_ty is ValueType.DOUBLE and coerce:
                 put(depth, "v = float(v)")
             elif rt.value_ty is ValueType.INT:
                 warning = bind(f"{rt.name}: integer overflow, value saturated")
@@ -643,7 +623,10 @@ class Monitor:
                     put(depth, f"g += w[{bind(p.wkey)}].register(v, ts)")
             put(depth, "if g:", "    s = m.slots = m.slots + g")
             put(depth, "    if s > m.peak_slots:", "        m.peak_slots = s")
-            put(depth, f"extended.setdefault({key}, []).append({alpha})")
+            if rt.tpl is None or not rt.tpl.params:  # extends once per step
+                put(depth, f"extended[{key}] = PINNED")
+            else:
+                put(depth, f"extended.setdefault({key}, []).append({alpha})")
             if tick:
                 output = f"VERDICT(float(ts), 'output', {key}, {alpha}, v)"
                 put(depth, f"verdicts.append({output})")
@@ -666,36 +649,45 @@ class Monitor:
                     put(depth, f"        {d}.eta_warned = True")
                     put(depth, f"        m._warn(ts, {message})")
 
-        checks = 1 if tick else 2  # the depth of the checks
         if not tick:  # the event's checks; a NaN or inf ts would tick forever
             for name, v in local.items():
                 put(1, f"{v} = bindings.get({bind(name)}, MISSING)")
             bindable, unknown = bind(frozenset(local)), bind(_UNKNOWN)
-            put(1, "if not checked:")
-            put(2, f"if not bindings.keys() <= {bindable}:")
-            put(2, f"    names = ', '.join(sorted(bindings.keys() - {bindable}))")
-            put(2, f"    raise EngineError([Diagnostic({unknown}.format(names))])")
-            put(2, "if ts.__class__ not in TIMES or not -MAX_TIME <= ts <= MAX_TIME:")
-            put(2, "    message = f'timestamp {ts!r} is no finite number'")
-            put(2, "    raise EngineError([Diagnostic(message)])")
+            put(1, f"if not bindings.keys() <= {bindable}:")
+            put(1, f"    names = ', '.join(sorted(bindings.keys() - {bindable}))")
+            put(1, f"    raise EngineError([Diagnostic({unknown}.format(names))])")
+            put(1, "if ts.__class__ not in TIMES or not -MAX_TIME <= ts <= MAX_TIME:")
+            put(1, "    message = f'timestamp {ts!r} is no finite number'")
+            put(1, "    raise EngineError([Diagnostic(message)])")
             for name, v in local.items():
                 ty = self.streams[name].value_ty
                 ok = bind(_CLASSES[ty.name])
                 got = bind(f"input {name} ({ty.value}) got ")
-                put(2, f"if {v}.__class__ not in {ok} and {v} is not MISSING:")
-                put(2, f"    raise EngineError([Diagnostic({got} + repr({v}))])")
-        put(checks, "if m.clock_ts is not None and ts < m.clock_ts:")
-        put(checks, "    message = f'time regressed from {m.clock_ts} to {ts}'")
-        put(checks, "    raise OutOfOrderError([Diagnostic(message)])")
-        if not tick:
-            put(2, "if not run:", "    return None")
-        put(1, "m.clock_ts = ts", "extended = m._step_extended = {}")
-        put(1, "touched = m._step_touched = set()", "verdicts = m._verdicts = []")
+                put(1, f"if {v}.__class__ not in {ok} and {v} is not MISSING:")
+                put(1, f"    raise EngineError([Diagnostic({got} + repr({v}))])")
+        put(1, "if m.clock_ts is not None and ts < m.clock_ts:")
+        put(1, "    message = f'time regressed from {m.clock_ts} to {ts}'")
+        put(1, "    raise OutOfOrderError([Diagnostic(message)])")
+        put(1, "verdicts = []")
+        ticks = not tick and self._clocks
+        if ticks:  # the due ticks, on the integer grid, before the event
+            put(1, "n, d = ts.as_integer_ratio()", f"last = n * {self._grid} // d")
+            if len(self._clocks) == 1:  # one integer comparison per event
+                c = bind(self._clocks[0])
+                put(1, f"while (t := {c}[0]) <= last:", f"    {c}[0] = t + {c}[1]")
+            else:
+                c = bind(self._clocks)
+                put(1, f"while (t := min([c[0] for c in {c}])) <= last:")
+                put(2, f"for c in {c}:", "    if c[0] == t:", "        c[0] = t + c[1]")
+            put(2, "verdicts += m.fixed_rate_step(t)")
+            put(1, "ticked = len(verdicts)")
+        put(1, "m._verdicts = verdicts", "m.clock_ts = ts")
+        put(1, "extended = m._step_extended = {}", "touched = m._step_touched = set()")
         for rt in fed:
             v = local.get(rt.name)
             depth = when(f"{v} is not MISSING" if v else None)
             put(depth, f"v = {v}" if v else "v = float(ts)")
-            extend(depth, rt, bind(rt.instances[()]), "()")
+            extend(depth, rt, bind(rt.instances[()]), "()", coerce=v is not None)
 
         # invocations happen inside the extensions, so invoked instances of
         # later templates are picked up within the same pass
@@ -723,7 +715,7 @@ class Monitor:
 
         if triggers:
             put(1, f"verdicts.extend(m.evaluate_triggers(ts, {bind(triggers)}))")
-        put(1, "m.verdicts_emitted += len(verdicts)")
+        put(1, f"m.verdicts_emitted += len(verdicts){' - ticked' if ticks else ''}")
         if not tick:
             put(1, "m.events_processed += 1")
         put(1, "return verdicts")
@@ -759,6 +751,8 @@ class Monitor:
 _CLASSES = dict(BOOL={bool}, INT={int}, DOUBLE={int, float})
 #: what an event kernel reads for an input the event does not bind
 _MISSING = object()
+#: a step's record of the extension of a stream without parameters
+_PINNED = ((),)
 _UNKNOWN = (
     "unknown input stream(s): {} (an event binds declared inputs only, "
     "never the time input)"
@@ -823,6 +817,7 @@ def _undefined(stream: str, alpha: tuple) -> str:
 _KERNEL_NAMES = dict(
     NAMES,
     MISSING=_MISSING,
+    PINNED=_PINNED,
     VERDICT=Verdict,
     TIMES={int, float},
     MAX_TIME=sys.float_info.max,

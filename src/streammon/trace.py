@@ -60,37 +60,42 @@ def read_trace(path: str, tspec: TypedSpec) -> Iterator[Event]:
         types = {d.name: d.ty for d in tspec.spec.inputs}
         # one parser per column, chosen here and not per cell
         columns = [(name, _PARSERS[types[name]], types[name]) for name in header[1:]]
-        last_ts = None
+        width, last_ts, inf = len(header), 0.0, math.inf
         for lineno, row in enumerate(reader, start=2):
-            if not row or all(not cell.strip() for cell in row):
-                continue
-            if len(row) != len(header):
-                raise _row_error(
-                    f"expected {len(header)} cells, got {len(row)}", lineno
-                )
-            try:
+            try:  # float and int accept the whitespace around a cell
                 ts = float(row[0])
-            except ValueError:
+            except (IndexError, ValueError):
+                if not any(cell.strip() for cell in row):
+                    continue  # a blank row
+                ts = None
+            if len(row) != width:
+                raise _row_error(f"expected {width} cells, got {len(row)}", lineno)
+            if ts is None:
                 raise _row_error(f"bad timestamp {row[0]!r}", lineno)
-            if not math.isfinite(ts):
-                raise _row_error(f"non-finite timestamp {row[0]!r}", lineno)
-            if ts < 0:
-                raise _row_error(f"negative timestamp {ts}", lineno)
-            if last_ts is not None and ts < last_ts:
-                raise _row_error(
-                    f"timestamp {ts} decreases below {last_ts}", lineno
-                )
+            if not last_ts <= ts < inf:
+                raise _row_error(_bad_time(row[0], ts, last_ts), lineno)
             last_ts = ts
             bindings = {}
             for (name, parse, ty), cell in zip(columns, row[1:]):
-                cell = cell.strip()
-                if not cell:
-                    continue
-                try:
-                    bindings[name] = parse(cell)
-                except ValueError:
-                    raise _row_error(_bad_cell(cell, ty, name), lineno)
+                if cell:
+                    try:
+                        bindings[name] = parse(cell)
+                    except ValueError:
+                        if not (cell := cell.strip()):
+                            continue
+                        try:
+                            bindings[name] = parse(cell)
+                        except ValueError:
+                            raise _row_error(_bad_cell(cell, ty, name), lineno)
             yield Event(ts, bindings)
+
+
+def _bad_time(cell: str, ts: float, last_ts: float) -> str:
+    if not math.isfinite(ts):
+        return f"non-finite timestamp {cell!r}"
+    if ts < 0:
+        return f"negative timestamp {ts}"
+    return f"timestamp {ts} decreases below {last_ts}"
 
 
 def _parse_bool(cell: str) -> bool:

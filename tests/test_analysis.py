@@ -1,3 +1,4 @@
+import json
 import math
 import random
 from fractions import Fraction
@@ -267,6 +268,22 @@ def test_huge_bound_is_exact():
     text = report.render_text(adg)
     assert f"total: {10**400 + 3} value-slots" in text and "1e+400Hz" in text
     assert report.to_json_dict(adg)["total"] == 10**400 + 3
+
+
+def test_widths_beyond_the_float_range_print_as_exact_ratios():
+    """A pane below the float range, or a duration above it, prints as its
+    exact ratio in text and JSON, never as 0s or an overflow."""
+    adg, report = analyze(typed("input double x\noutput double y : 1e400Hz := x[1s, sum]"))
+    tiny = f"1/{10**400}"
+    assert f"window x[1s, sum] in y: pane {tiny}s, mu " in report.render_text(adg)
+    [window] = json.loads(json.dumps(report.to_json_dict(adg)))["windows"]
+    assert window["pane_s"] == tiny and window["duration_s"] == 1.0
+    adg, report = analyze(typed("input double x\noutput double y : 1Hz := x[1e400s, sum]"))
+    huge = str(10**400)
+    assert f"window x[{huge}s, sum] in y: pane 1s, mu " in report.render_text(adg)
+    assert f"y -> x [window(sum, {huge}s)]" in [str(e) for e in adg.edges]
+    [window] = report.to_json_dict(adg)["windows"]
+    assert window["duration_s"] == huge and window["pane_s"] == 1.0
 
 
 def test_realtime_offset_bounds():

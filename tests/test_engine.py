@@ -694,6 +694,20 @@ def test_clocked_process_checks_each_event_once():
         m.var_rate_step(Event(5.0, {"b": 1}))
 
 
+def test_direct_event_step_runs_the_due_ticks_first():
+    """A variable-rate step called directly on a clocked monitor runs the
+    ticks due at or before its event first, as `process` does, so time never
+    goes back to a skipped tick."""
+    m = Monitor(typed("input int a\noutput int c : 1Hz := a?0"))
+    assert m.process(Event(0.5, {"a": 1})) == []
+    verdicts = m.var_rate_step(Event(5.0, {"a": 2}))
+    # each tick runs before the event at its instant
+    assert [(v.ts, v.value) for v in verdicts] == [(k, 1) for k in range(1, 6)]
+    assert m.process(Event(5.5, {"a": 3})) == []
+    assert [(v.ts, v.value) for v in m.process(Event(6.0, {"a": 4}))] == [(6.0, 3)]
+    assert m.verdicts_emitted == 6 and m.events_processed == 4
+
+
 def test_rejected_binding_names_input_and_value():
     m = Monitor(typed("input double a\ninput int b\noutput int t := b?0 + 1"))
     with pytest.raises(EngineError, match=r"input b \(int\) got 2\.5"):
@@ -704,10 +718,16 @@ def test_rejected_binding_names_input_and_value():
 
 
 def _bounded_ticks(m, limit=100):
-    """Cap the monitor's tick generator, so that a timestamp that would make
-    it yield forever fails the test instead of hanging it."""
-    ticks = m._ticks_until
-    m._ticks_until = lambda ts: itertools.islice(ticks(ts), limit)
+    """Cap the monitor's clock ticks, so that a timestamp that would make its
+    event kernel tick forever fails the test instead of hanging it."""
+    step, calls = m.fixed_rate_step, itertools.count(1)
+
+    def bounded(tick):
+        if next(calls) > limit:
+            raise AssertionError(f"more than {limit} clock ticks")
+        return step(tick)
+
+    m.fixed_rate_step = bounded
 
 
 @pytest.mark.parametrize(

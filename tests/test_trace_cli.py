@@ -82,6 +82,50 @@ def test_read_trace_bad_cell_names_row(tmp_path, fleet_tspec):
     assert "row 3" in str(err.value)
 
 
+READER_SPEC = "input int n\ninput double x\ninput bool p\noutput int c := n?0"
+
+
+@pytest.mark.parametrize(
+    "rows, expected",
+    [
+        # padded cells read as their stripped text
+        ([" 1.5 , 3 , 2.5 , true "], [(1.5, {"n": 3, "x": 2.5, "p": True})]),
+        (
+            ["1,-4,1e3,FALSE", "1, ,\t, 0 "],
+            [(1.0, {"n": -4, "x": 1000.0, "p": False}), (1.0, {"p": False})],
+        ),
+        # an empty or whitespace-only row is skipped; a row may bind only time
+        (["", " , ,\t,  ", "2,,,", ",,,"], [(2.0, {})]),
+        # the cell count is checked before anything in the row
+        (["1,2,3"], "row 2: expected 4 cells, got 3"),
+        (["1,,,", "x,,,,"], "row 3: expected 4 cells, got 5"),
+        (["abc,1,,"], "row 2: bad timestamp 'abc'"),
+        ([" ,1,,"], "row 2: bad timestamp ' '"),
+        (["nan,1,,"], "row 2: non-finite timestamp 'nan'"),
+        (["1,,,", " -inf ,,,"], "row 3: non-finite timestamp ' -inf '"),
+        (["-1.5,1,,"], "row 2: negative timestamp -1.5"),
+        (["2,,,", "3,,,", "1.5,,,"], "row 4: timestamp 1.5 decreases below 3.0"),
+        (["1, 2.5 ,,"], "row 2: bad int value '2.5' for 'n'"),
+        (["1,,abc,"], "row 2: bad double value 'abc' for 'x'"),
+        (["1,,, yes "], "row 2: bad bool 'yes' for 'p'"),
+    ],
+)
+def test_read_trace_cells_rows_and_diagnostics(tmp_path, rows, expected):
+    path = tmp_path / "t.csv"
+    path.write_text("time,n,x,p\n" + "".join(row + "\n" for row in rows))
+    events = read_trace(str(path), typed(READER_SPEC))
+    if isinstance(expected, str):
+        with pytest.raises(TraceError) as err:
+            list(events)
+        assert [d.message for d in err.value.diagnostics] == [expected]
+    else:
+        got = [(ev.ts, ev.bindings) for ev in events]
+        assert got == expected
+        assert [type(v) for _, b in got for v in b.values()] == [
+            type(v) for _, b in expected for v in b.values()
+        ]
+
+
 def test_trace_round_trip(tmp_path, fleet_tspec):
     path = tmp_path / "t.csv"
     rows = [[0.5, 7, True, None, None], [1.25, 3, None, True, False]]
