@@ -24,7 +24,7 @@ from .diagnostics import (
     TypeCheckError,
     format_diagnostics,
 )
-from .engine import Event, Monitor, Verdict, run
+from .engine import Event, Monitor, Verdict
 from .parser import format_spec, parse, parse_frequency
 from .typecheck import TypedSpec, check_types
 from .values import UNDEFINED
@@ -58,5 +58,4 @@ __all__ = [
     "format_spec",
     "parse",
     "parse_frequency",
-    "run",
 ]

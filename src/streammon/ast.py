@@ -217,12 +217,6 @@ class Specification:
     outputs: list[StreamTemplate] = field(default_factory=list)
     triggers: list[TriggerDecl] = field(default_factory=list)
 
-    def input(self, name: str) -> Optional[InputDecl]:
-        for decl in self.inputs:
-            if decl.name == name:
-                return decl
-        return None
-
     def output(self, name: str) -> Optional[StreamTemplate]:
         for decl in self.outputs:
             if decl.name == name:

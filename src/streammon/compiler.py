@@ -10,9 +10,8 @@ operator. Every object of the specification the source reads is bound by
 name in the caller's `names` (`_bind`), so the source depends on the spec's
 shape only and `_code` compiles it once for every monitor of a spec of that
 shape. The engine writes each template's value, extend, terminate and
-invoke expression into its step kernels this way (`engine.Monitor._kernel`);
-`Compiler.compile` makes a trigger condition, which reads no window, a
-function of its own.
+invoke expression and each trigger condition into its step kernels this way
+(`engine.Monitor._kernel`); nothing else compiles an expression.
 
 The source evaluates operands in the language's order and stops where the
 language does: `&` and `|` at a deciding left operand, every other operator,
@@ -33,10 +32,9 @@ call of one helper each.
 from __future__ import annotations
 
 import math
-import operator
 from functools import lru_cache
 from types import SimpleNamespace
-from typing import Callable, Iterable, Optional
+from typing import Iterable, Optional
 
 from .ast import (
     Binary,
@@ -58,17 +56,8 @@ from .ast import (
 from .diagnostics import Diagnostic, EngineError
 from .values import UNDEFINED, nan_max, nan_min
 
-OPERATORS = {
-    "+": operator.add,
-    "-": operator.sub,
-    "*": operator.mul,
-    "=": operator.eq,
-    "!=": operator.ne,
-    "<": operator.lt,
-    "<=": operator.le,
-    ">": operator.gt,
-    ">=": operator.ge,
-}
+#: the binary operators Python writes as the language does, but `=`
+_OPERATORS = frozenset(["+", "-", "*", "=", "!=", "<", "<=", ">", ">="])
 
 
 class Compiler:
@@ -93,11 +82,6 @@ class Compiler:
         self.own = own
         self.scope = scope
         self.temps = 0
-
-    def compile(self, expr: Expr) -> Callable:
-        """expr as a function (alpha, ts) -> value or UNDEFINED."""
-        names = dict(NAMES)
-        return eval(_code(f"lambda alpha, ts: {self.source(expr, names)}"), names)
 
     def source(self, expr: Expr, names: dict) -> str:
         """expr's value, or UNDEFINED, as Python source that stands as an
@@ -249,8 +233,9 @@ def _bind(names: dict, obj) -> str:
 
 
 @lru_cache(maxsize=512)
-def _code(source: str, mode: str = "eval"):
-    return compile(source, "<compiled expression>", mode)
+def _code(source: str):
+    """The code object of the statements `source`, compiled once."""
+    return compile(source, "<compiled expression>", "exec")
 
 
 def _tuple(n: int) -> str:
@@ -266,7 +251,7 @@ def _operation(op: str, ty: Optional[ValueType]) -> str:
         return "float_div({}, {})"
     if op == "%":
         return "(U if {1} == 0 else {0} % {1})"
-    if op in OPERATORS:
+    if op in _OPERATORS:
         return f"{{}} {'==' if op == '=' else op} {{}}"
     raise EngineError([Diagnostic(f"unknown operator {op!r}")])
 

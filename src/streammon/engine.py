@@ -9,8 +9,11 @@ trace:
   the terminations and triggers such a step can touch, each when its gate
   holds: an input it reads is bound, a template it reads extended (its
   extend condition may fail or its value be undefined), or it reads the
-  time input, fed in every event. Plain unclocked streams tick on the union
-  of their dependencies' extension instants.
+  time input, fed in every event. A trigger is also checked when the step
+  invoked or terminated an instance of a stream it reads; an any trigger
+  looks only at the instances of its scope that the step extended. Plain
+  unclocked streams tick on the union of their dependencies' extension
+  instants.
   Parameterized templates extend here only when efficiently bound (their
   extend condition pins parameters to input values; a single such disjunct
   binding every parameter is one tuple lookup), so the per-event cost is
@@ -42,12 +45,15 @@ is written out inline, with the coercion, pruning (by count, by time, or in
 place for a single slot), windows and invocations of that stream, and so
 are each template's gate check, instance lookup and its value, extend,
 terminate and invoke expressions, which `compiler` writes as Python
-expressions. A step walks no syntax tree and calls no function per
-expression or operator. Parameters travel as the instance's alpha tuple,
-indexed by position. Only trigger conditions are compiled when the Monitor
-is built, each into a function of its own. The event kernel first checks
-the event, so that a rejected one changes nothing, then runs the clock ticks
-due at or before it, each by `fixed_rate_step`, then the event's own step.
+expressions. The step's trigger checks, each gate and condition, a count
+or an any trigger's loop over the instances its scope extended, are written
+the same way into a second function of the kernel's source, which the
+kernel calls by `evaluate_triggers`. A step walks no syntax tree and calls
+no function per expression, operator or trigger, and building the Monitor
+compiles nothing. Parameters travel as the instance's alpha tuple, indexed
+by position. The event kernel first checks the event, so that a rejected
+one changes nothing, then runs the clock ticks due at or before it, each by
+`fixed_rate_step`, then the event's own step.
 
 A parameterized template that keeps one value and no window (buffer plan
 `count_keep == 1`, no `time_keep`) stores each instance flat, as the tuple
@@ -97,14 +103,14 @@ from .ast import (
     ValueType,
     accesses,
 )
-from .compiler import NAMES, OPERATORS, Compiler, _bind, _code, count_until
+from .compiler import NAMES, Compiler, _bind, _code, count_until
 from .diagnostics import AnalysisRefusal, Diagnostic, EngineError, OutOfOrderError
 from .parser import _expr_str
 from .typecheck import TypedSpec
 from .values import INT64_MAX, INT64_MIN, jsonable, saturate_i64
 from .windows import PanedWindow, make_aggregator
 
-__all__ = ["Event", "Verdict", "Monitor", "run"]
+__all__ = ["Event", "Verdict", "Monitor"]
 
 
 @dataclass
@@ -270,11 +276,12 @@ class Monitor:
         if mode == "fixed" and frequency is None:
             raise EngineError([Diagnostic("fixed mode needs a frequency")])
         if mode == "fixed":
-            frequency = Fraction(frequency)
-            if frequency <= 0:
-                message = f"fixed mode needs a positive frequency, got {frequency}"
+            # a number by exact class (a bool is none), positive and finite
+            number = frequency.__class__ in (int, float, Fraction)
+            if not number or not 0 < frequency < math.inf:
+                message = f"fixed mode needs a positive frequency, got {frequency!r}"
                 raise EngineError([Diagnostic(message)])
-            tspec = _with_clock(tspec, frequency)
+            tspec = _with_clock(tspec, Fraction(frequency))
         self.tspec = tspec
         self.mode = mode
         self.adg: AnnotatedDependencyGraph = build_adg(tspec)
@@ -298,9 +305,8 @@ class Monitor:
         #: the step kernels, built on first use by `_kernel`
         self._event_kernel = self._tick_kernel = None
 
-        # per-step scratch; touched: streams that invoked or terminated one
+        # per-step scratch: what the step extended, and its warnings
         self._step_extended: dict[str, list[tuple]] = {}
-        self._step_touched: set[str] = set()
         self._verdicts: list[Verdict] = []
 
     # -- construction -------------------------------------------------------
@@ -376,8 +382,6 @@ class Monitor:
         periods = {rt.period for rt in self._clocked_order}
         self._clocks = [[p, p] for p in sorted(periods)]
 
-        self._triggers = [self._compile_trigger(t) for t in tspec.spec.triggers]
-
     def _cond_plan(self, tpl: StreamTemplate, cond: Expr) -> _CondPlan:
         gate = frozenset(node.stream for node in accesses(cond))
         positions = {p.name: i for i, p in enumerate(tpl.params)}
@@ -398,59 +402,6 @@ class Monitor:
             bufs = tuple(self.streams[bound[i]].instances[()].buf for i in pos)
             disjuncts.append(_Disjunct(pos, bufs, len(bound) == k))
         return _CondPlan(gate, disjuncts)
-
-    def _compile_trigger(self, trig: TriggerDecl) -> tuple[frozenset, Callable]:
-        """The trigger's gate, the streams whose change in a step makes it
-        checked, and its check(ts, extended) -> Verdict or None, with the
-        message fixed here."""
-        if trig.kind is TriggerKind.COUNT:
-            counted = self.streams[trig.count_stream]
-            holds, bound = OPERATORS[trig.count_cmp], trig.count_value
-            message = trig.message or (
-                f"count({trig.count_stream}) {trig.count_cmp} {trig.count_value}"
-            )
-
-            def count(ts, extended):
-                n = len(counted.instances)
-                if holds(n, bound):
-                    return Verdict(float(ts), "trigger", counted.name, None, n, message)
-                return None
-
-            return frozenset([trig.count_stream]), count
-
-        gate = frozenset(node.stream for node in accesses(trig.condition))
-        text = _expr_str(trig.condition)
-        if trig.kind is TriggerKind.ANY:
-            scope = self.streams[trig.scope]
-            cond = Compiler(self.streams, scope.tpl.params, scope=scope.name).compile(
-                trig.condition
-            )
-            message = trig.message or f"any({text})"
-
-            def any_instance(ts, extended):
-                alphas = extended.get(scope.name)
-                if not alphas:
-                    return None
-                instances = scope.instances
-                # the lowest witness wins
-                for alpha in alphas if len(alphas) == 1 else sorted(set(alphas)):
-                    if alpha in instances and cond(alpha, ts) is True:
-                        return Verdict(
-                            float(ts), "trigger", scope.name, alpha, True, message
-                        )
-                return None
-
-            return gate, any_instance
-
-        cond = Compiler(self.streams).compile(trig.condition)
-        message = trig.message or text
-
-        def plain(ts, extended):
-            if cond((), ts) is True:
-                return Verdict(float(ts), "trigger", None, None, True, message)
-            return None
-
-        return gate, plain
 
     # -- public API -----------------------------------------------------------
 
@@ -492,17 +443,21 @@ class Monitor:
         step's verdicts. The event kernel rejects an invalid event, runs the
         ticks due at or before ts by `m.fixed_rate_step`, feeds the bound
         inputs and the time input, and runs what inputs can reach of the
-        unclocked templates, terminations and triggers. The tick kernel runs
-        the clocked templates and terminations due at `tick`, the other
-        terminations and all triggers. Each runs when its gate holds (see the
-        module docstring). The source depends on the spec's shape only: every
-        object it reads is bound by name."""
+        unclocked templates and terminations. The tick kernel runs the
+        clocked templates and terminations due at `tick` and the other
+        terminations. Each runs when its gate holds (see the module
+        docstring). The same source defines the step's trigger checks,
+        triggers(m, ts, extended, touched), which the kernel calls by
+        `m.evaluate_triggers`: every trigger reading a stream that the step
+        can extend, invoke or terminate, in declaration order. The source
+        depends on the spec's shape only: every object it reads is bound by
+        name."""
         names = dict(_KERNEL_NAMES)
         bind = partial(_bind, names)
 
-        def source(expr: Expr, params=(), own: Optional[str] = None) -> str:
+        def source(expr: Expr, params=(), own=None, scope=None) -> str:
             """expr written inline, reading the kernel's alpha, ts and m."""
-            return Compiler(self.streams, params, own).source(expr, names)
+            return Compiler(self.streams, params, own, scope).source(expr, names)
 
         decls = self.tspec.spec.inputs
         inputs = frozenset(d.name for d in decls)
@@ -510,8 +465,8 @@ class Monitor:
         local = {d.name: f"v{k}" for k, d in enumerate(decls) if not d.is_time}
         timed = inputs - local.keys()  # the time input, fed in every event step
 
-        def changed(streams: frozenset) -> str:
-            return f"not {bind(streams)}.isdisjoint(extended)"
+        def changed(streams: frozenset, record: str = "extended") -> str:
+            return f"not {bind(streams)}.isdisjoint({record})"
 
         def gate(streams: frozenset) -> Optional[str]:
             """Whether an event step fed or extended one of `streams`."""
@@ -523,7 +478,7 @@ class Monitor:
             return " or ".join(tests)
 
         if tick:
-            code, fed = ["def kernel(m, ts, tick):"], []
+            head, fed = "def kernel(m, ts, tick", []
             every = len(self._clocks) > 1  # else every tick is due
             due = {
                 rt: f"not tick % {bind(rt.period)}" if every else None
@@ -534,9 +489,8 @@ class Monitor:
                 (rt, due[rt] if rt.period else changed(rt.ter_plan.gate))
                 for rt in self._with_terminate
             ]
-            triggers = self._triggers
         else:
-            code = ["def kernel(m, ts, bindings):"]
+            head = "def kernel(m, ts, bindings"
             fed = [self.streams[d.name] for d in decls]
             reach = set(inputs)  # the streams that can extend in an event step
             templates = []
@@ -550,13 +504,18 @@ class Monitor:
                 for rt in self._with_terminate
                 if rt.period is None and rt.ter_plan.gate & reach
             ]
-            touched = reach | {rt.name for rt, _ in ends}
-            touched.update(dep.name for s in reach for dep in self.streams[s].invokes)
-            triggers = [
-                (None if g & timed else g, check)
-                for g, check in self._triggers
-                if g & touched
-            ]
+        # the streams the step can invoke or terminate an instance of, and the
+        # triggers reading one that it can change
+        extending = fed + [rt for rt, _ in templates]
+        moved = {dep.name for rt in extending for dep in rt.invokes}
+        moved.update(rt.name for rt, _ in ends)
+        can = moved.union(rt.name for rt in extending)
+        triggers = [
+            (trig, reads)
+            for trig in self.tspec.spec.triggers
+            if (reads := _reads(trig)) & can
+        ]
+        code: list[str] = []
 
         def put(depth: int, *lines: str) -> None:
             code.extend("    " * depth + line for line in lines)
@@ -568,6 +527,50 @@ class Monitor:
             put(1, f"if {condition}:")
             return 2
 
+        def fired(reads: frozenset) -> Optional[str]:
+            """A trigger's gate: whether the step changed one of `reads`;
+            none where the event step feeds the time input."""
+            if not tick and reads & timed:
+                return None
+            tests = [changed(reads)]
+            if reads & moved:
+                tests.append(changed(reads & moved, "touched"))
+            return " or ".join(tests)
+
+        if triggers:
+            put(0, "def triggers(m, ts, extended, touched):", "    verdicts = []")
+        for trig, reads in triggers:
+            if trig.kind is TriggerKind.ANY:  # checked for what its scope extended
+                scope = self.streams[trig.scope]
+                key = bind(scope.name)
+                held = source(trig.condition, scope.tpl.params, scope=scope.name)
+                put(1, f"alphas = extended.get({key})", "if alphas:")
+                # the lowest witness wins
+                alphas = "alphas if len(alphas) == 1 else sorted(set(alphas))"
+                put(2, f"for alpha in {alphas}:")
+                depth, test = 3, f"alpha in {bind(scope.instances)} and {held} is True"
+                fields = f"{key}, alpha, True"
+                default = f"any({_expr_str(trig.condition)})"
+            elif trig.kind is TriggerKind.COUNT:
+                rt, depth = self.streams[trig.count_stream], when(fired(reads))
+                holds = "==" if trig.count_cmp == "=" else trig.count_cmp
+                test = f"(n := len({bind(rt.instances)})) {holds} "
+                test += bind(trig.count_value)
+                fields = f"{bind(rt.name)}, None, n"
+                default = f"count({rt.name}) {trig.count_cmp} {trig.count_value}"
+            else:
+                depth, test = when(fired(reads)), f"{source(trig.condition)} is True"
+                fields, default = "None, None, True", _expr_str(trig.condition)
+            message = bind(trig.message or default)
+            verdict = f"VERDICT(float(ts), 'trigger', {fields}, {message})"
+            put(depth, f"if {test}:", f"    verdicts.append({verdict})")
+            if trig.kind is TriggerKind.ANY:
+                put(depth, "    break")
+        if triggers:
+            put(1, "return verdicts")
+            head += ", triggers=triggers"  # a default: no cycle through the globals
+        put(0, head + "):")
+
         def find(depth: int, rt: _StreamRT, plan: Optional[_CondPlan]) -> tuple:
             """Opens a block visiting, as alpha, each live instance of rt that
             `plan` can select (None: all, in invocation order); returns its
@@ -578,6 +581,9 @@ class Monitor:
                 values = "".join(f"{b}[-1][1], " for b in bufs)
                 put(depth, f"if {' and '.join(bufs)}:", f"    alpha = ({values})")
                 depth += 1
+            elif rt.pinned is not None:  # it lives for the whole trace
+                put(depth, "alpha = ()", f"i = {bind(rt.pinned)}")
+                return depth, False
             elif not rt.tpl.params:
                 put(depth, "alpha = ()")
             else:
@@ -682,7 +688,7 @@ class Monitor:
             put(2, "verdicts += m.fixed_rate_step(t)")
             put(1, "ticked = len(verdicts)")
         put(1, "m._verdicts = verdicts", "m.clock_ts = ts")
-        put(1, "extended = m._step_extended = {}", "touched = m._step_touched = set()")
+        put(1, "extended = m._step_extended = {}", "touched = set()")
         for rt in fed:
             v = local.get(rt.name)
             depth = when(f"{v} is not MISSING" if v else None)
@@ -714,35 +720,29 @@ class Monitor:
             put(depth, f"touched.add({bind(rt.name)})")
 
         if triggers:
-            put(1, f"verdicts.extend(m.evaluate_triggers(ts, {bind(triggers)}))")
+            put(1, "verdicts += m.evaluate_triggers(triggers, ts, extended, touched)")
         put(1, f"m.verdicts_emitted += len(verdicts){' - ticked' if ticks else ''}")
         if not tick:
             put(1, "m.events_processed += 1")
         put(1, "return verdicts")
-        exec(_code("\n".join(code), "exec"), names)
+        exec(_code("\n".join(code)), names)
         kernel = names.pop("kernel")  # no cycle through its globals
+        names.pop("triggers", None)
         setattr(self, "_tick_kernel" if tick else "_event_kernel", kernel)
         return kernel
 
     # -- triggers --------------------------------------------------------------------
 
-    def evaluate_triggers(self, ts, triggers: list[tuple]) -> list[Verdict]:
-        """Check `triggers`, (gate, check) pairs: one whose gate is None, and
-        one whose gate names a stream that extended, invoked or terminated
-        an instance during the current step."""
-        extended, touched = self._step_extended, self._step_touched
-        out: list[Verdict] = []
-        for gate, check in triggers:
-            if (
-                gate is not None
-                and gate.isdisjoint(extended)
-                and gate.isdisjoint(touched)
-            ):
-                continue
-            verdict = check(ts, extended)
-            if verdict is not None:
-                out.append(verdict)
-        return out
+    def evaluate_triggers(
+        self, triggers: Callable, ts, extended: dict, touched: set
+    ) -> list[Verdict]:
+        """The verdicts of a step's trigger checks, `triggers`, written with
+        its kernel (see `_kernel`), given what the step extended and the
+        streams it invoked or terminated an instance of. A kernel calls this
+        once in every step that has triggers: it is the call boundary at
+        which perfbench's tracer and tests/test_hooks.py time and count the
+        trigger layer."""
+        return triggers(self, ts, extended, touched)
 
     def _warn(self, ts, message: str) -> None:
         self._verdicts.append(Verdict(float(ts), "warning", message=message))
@@ -757,6 +757,13 @@ _UNKNOWN = (
     "unknown input stream(s): {} (an event binds declared inputs only, "
     "never the time input)"
 )
+
+
+def _reads(trig: TriggerDecl) -> frozenset[str]:
+    """The streams whose change in a step can change the trigger's verdict."""
+    if trig.kind is TriggerKind.COUNT:
+        return frozenset([trig.count_stream])
+    return frozenset(node.stream for node in accesses(trig.condition))
 
 
 def _candidates(rt: _StreamRT, plan: _CondPlan) -> list[tuple]:
@@ -851,13 +858,3 @@ def _dnf(expr: Expr) -> Optional[list[list[Expr]]]:
         return None
     return result
 
-
-def run(
-    tspec: TypedSpec,
-    events: Iterable[Event],
-    mode: str = "variable",
-    **kwargs,
-) -> Iterator[Verdict]:
-    """Replay a trace through a fresh Monitor, yielding verdicts in time order."""
-    monitor = Monitor(tspec, mode=mode, **kwargs)
-    yield from monitor.run(events)

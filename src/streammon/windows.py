@@ -184,7 +184,7 @@ class Aggregator:
     def __init__(self, empty: str, new: str, add: str, merge: str, lower: str, **names):
         self.snippets = dict(empty=empty, new=new, add=add, merge=merge, lower=lower)
         scope = dict(names, U=UNDEFINED, late=_late, nan_max=nan_max, nan_min=nan_min)
-        exec(_code(_TEMPLATE.format(**self.snippets), "exec"), scope)
+        exec(_code(_TEMPLATE.format(**self.snippets)), scope)
         for name in ("new", "add", "merge", "lower", "register", "evict", "evaluate"):
             setattr(self, name, scope[name])
 

@@ -366,6 +366,22 @@ VARIANTS = {
         "cds",
         None,
     ),
+    # one trigger of each shape a kernel writes: plain and gated by an input,
+    # plain on the time input, whose gate an event step drops, any over a
+    # family, which holds for an instance that the step extended and then
+    # terminated and must skip it, and count over a clocked family that
+    # events invoke and its own ticks terminate
+    "triggers": (
+        "time input double t\n"
+        "output double h<int k>\n  invoke: i\n  extend: k = i\n"
+        "  terminate: p & (k = i)\n  := (a)?(0.5)\n"
+        "output int s<int k> : 0.4Hz\n  invoke: j\n  terminate: p & (k = i)\n"
+        "  := k\n"
+        "trigger (b)?(0.0) > 0.5\ntrigger t >= 30.0\n"
+        "trigger any(h?(2.0) > 1.0)\ntrigger count(s) = 2\n",
+        "hs",
+        None,
+    ),
 }
 
 

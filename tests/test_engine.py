@@ -21,7 +21,7 @@ from streammon import (
     Monitor,
     OutOfOrderError,
 )
-from streammon.compiler import Compiler
+from streammon import compiler, engine
 from streammon.engine import Instance, _StreamRT
 
 
@@ -594,7 +594,10 @@ def test_unknown_input_rejected():
     assert m.events_processed == 0 and m.clock_ts is None
 
 
-@pytest.mark.parametrize("frequency", [0, Fraction(0), -1, Fraction(-1, 2)])
+@pytest.mark.parametrize(
+    "frequency",
+    [0, Fraction(0), -1, Fraction(-1, 2), math.nan, math.inf, "abc", True],
+)
 def test_fixed_mode_rejects_a_frequency_that_is_not_positive(frequency):
     t = typed("input int a\noutput int x := a?0")
     with pytest.raises(EngineError, match="positive frequency"):
@@ -926,8 +929,8 @@ def test_intro_fixed_mode_matches_reference_evaluator():
 
 # -- expressions written into the kernels ----------------------------------------------
 
-#: no trigger; nested operators, defaults, `if`, `&` and `|`, a parameterized
-#: access with computed arguments, offsets and windows
+#: nested operators, defaults, `if`, `&` and `|`, a parameterized access with
+#: computed arguments, offsets and windows, and one trigger of each kind
 _INLINE_SPEC = """
 input double a
 input double b
@@ -940,6 +943,9 @@ output int f<int k>
 output double w := if p & (a[2s, sum] > 1.0) | !(b?0.0 > 0.5)
   then (f(((i)?(0) + 1) % 3)[-1, 7]?(5) - abs(a?1.0)) * b[-1, 2.0]
   else max(a[-1s, 0.0], sqrt(b?4.0), (a)?(0.0) / (b)?(0.0))
+trigger w > 1.0 "w high"
+trigger any(f > 4)
+trigger count(f) >= 3
 """
 
 
@@ -957,9 +963,9 @@ def _inline_events():
 
 @pytest.mark.parametrize("mode", ["variable", "fixed"])
 def test_kernels_evaluate_expressions_without_lambda_frames(mode):
-    """Once its kernels are built, a trigger-free monitor runs every
-    expression as code written into them: no function of its own per
-    expression or operator is called."""
+    """Once its kernels are built, a monitor runs every expression and
+    trigger check as code written into them: no function of its own per
+    expression, operator or trigger is called."""
     kwargs = {"mode": "fixed", "frequency": Fraction(1)} if mode == "fixed" else {}
     m = Monitor(typed(_INLINE_SPEC), allow_unbounded=True, **kwargs)
     events = _inline_events()
@@ -976,24 +982,36 @@ def test_kernels_evaluate_expressions_without_lambda_frames(mode):
     finally:
         sys.setprofile(None)
     assert called["kernel"] >= len(events) - 10
-    assert called["<lambda>"] == 0, called
+    assert called["triggers"] == called["evaluate_triggers"] > 0
+    for closure in ("<lambda>", "any_instance", "plain", "count"):
+        assert called[closure] == 0, called
+    # every kind of trigger fired
+    fired = {v.message for v in verdicts if v.kind == "trigger"}
+    assert fired == {"w high", "any(f > 4)", "count(f) >= 3"}
     if mode == "fixed":
         assert {v.stream for v in verdicts if v.kind == "output"} == {"f", "w"}
 
 
-def test_monitor_compiles_trigger_conditions_only(monkeypatch):
+def test_building_a_monitor_with_triggers_compiles_nothing(monkeypatch):
+    """Trigger checks are written into the step kernels, which are built on
+    first use: the Monitor itself compiles no code."""
     compiled = []
-    compile = Compiler.compile
+    code = compiler._code
 
-    def counted(self, expr):
-        compiled.append(expr)
-        return compile(self, expr)
+    def counted(source):
+        compiled.append(source)
+        return code(source)
 
-    monkeypatch.setattr(Compiler, "compile", counted)
-    m = Monitor(typed(_INLINE_SPEC), allow_unbounded=True)
-    drain(m, _inline_events())
+    # the engine calls it by the name it imported
+    monkeypatch.setattr(compiler, "_code", counted)
+    monkeypatch.setattr(engine, "_code", counted)
+    monitors = [
+        Monitor(typed(_INLINE_SPEC), allow_unbounded=True),
+        Monitor(typed(PID_SPEC)),
+        Monitor(typed(FLEET_SPEC), instance_bounds={"orp": 60, "suspicious": 60}),
+    ]
+    assert all(m.tspec.spec.triggers for m in monitors)
     assert not compiled
-    tspec = typed(PID_SPEC)
-    Monitor(tspec)
-    assert compiled == [tspec.spec.triggers[0].condition]
+    drain(monitors[0], _inline_events())
+    assert compiled and all("def kernel(" in source for source in compiled)
     assert not [f.name for f in dataclasses.fields(_StreamRT) if f.name.endswith("_fn")]
