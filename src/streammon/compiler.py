@@ -26,7 +26,8 @@ the instance, bound by name when it is pinned (an input's, or a plain
 template's without a terminate clause, which lives for the whole trace) and
 otherwise looked up by its parameter tuple; then the read, the current value
 inline and a past offset, a real-time offset or a window evaluation as a
-call of one helper each.
+call of one helper each. A window evaluated at the instant it last swept
+evicts nothing, and is evaluated by a direct call instead (`_evaluate`).
 """
 
 from __future__ import annotations
@@ -58,6 +59,9 @@ from .values import UNDEFINED, nan_max, nan_min
 
 #: the binary operators Python writes as the language does, but `=`
 _OPERATORS = frozenset(["+", "-", "*", "=", "!=", "<", "<=", ">", ">="])
+#: operator -> the operators a left-deep chain with it can be written flat
+#: over, left-associative at one precedence in Python as in the language
+_CHAINS = {"+": "+-", "-": "+-", "*": "*"}
 
 
 class Compiler:
@@ -115,6 +119,17 @@ class Compiler:
                     f"({d} if ({ta} := {a}) is {d} else "
                     f"U if ({tb} := {b}) is U or {ta} is U else {tb})"
                 )
+            case Binary(op=op, left=left, right=right) if op in _CHAINS:
+                # a left-deep chain of one family, flat: its parentheses do
+                # not nest with its length
+                operands, ops = [right], [op]
+                while isinstance(left, Binary) and left.op in _CHAINS[op]:
+                    operands.append(left.right)
+                    ops.append(left.op)
+                    left = left.left
+                operands.append(left)
+                chain = "{}" + "".join(f" {o} {{}}" for o in reversed(ops))
+                return self._strict(operands[::-1], names, chain)
             case Binary(op=op, left=left, right=right):
                 return self._strict([left, right], names, _operation(op, expr.ty))
             case IfThenElse(cond=cond, then_branch=then, else_branch=other):
@@ -151,7 +166,7 @@ class Compiler:
         pinned = None if node.args else rt.pinned
         match node:
             case WindowAccess(wkey=wkey) if pinned is not None:
-                return f"window({_bind(names, pinned.windows[wkey])}, ts, m)"
+                return _evaluate(_bind(names, pinned.windows[wkey]))
             case StreamAccess(offset=DiscreteOffset(steps=0)) if pinned is not None:
                 # its buffer is pruned in place
                 return f"({_bind(names, pinned.buf)} or NO_VALUE)[-1][1]"
@@ -165,7 +180,9 @@ class Compiler:
             inst = f"{get}({key}, NO_INSTANCE)"
         match node:
             case WindowAccess(wkey=wkey):
-                read = f"window({inst}.windows.get({_bind(names, wkey)}), ts, m)"
+                w = self._temp()
+                window = f"({w} := {inst}.windows.get({_bind(names, wkey)}))"
+                read = f"(U if {window} is None else {_evaluate(w)})"
             case StreamAccess(offset=DiscreteOffset(steps=0)) if rt.flat:
                 # the entry is the latest (ts, value); no offset reads it
                 read = f"({get}({key}) or NO_ENTRY)[1]"
@@ -213,11 +230,16 @@ def _at_time(inst, ts, dn: int, dd: int):
     return buf[i - 1][1] if i else UNDEFINED
 
 
+def _evaluate(w: str) -> str:
+    """The value at ts of the window named w. An evaluation at the instant
+    of the window's last sweep evicts nothing, so it is called directly; any
+    other goes through `_window`, which charges its evictions."""
+    return f"({w}.evaluate(ts) if {w}.swept == ts else window({w}, ts, m))"
+
+
 def _window(w, ts, m):
-    """The value of window `w` at ts, UNDEFINED without a window. The monitor
-    m's slot count is charged with the evaluation's evictions, if any."""
-    if w is None:
-        return UNDEFINED
+    """The value of window `w` at ts. The monitor m's slot count is charged
+    with the evaluation's evictions, if any."""
     before = w.slots
     value = w.evaluate(ts)
     if w.slots != before:

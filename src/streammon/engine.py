@@ -46,7 +46,8 @@ place for a single slot), windows and invocations of that stream, and so
 are each template's gate check, instance lookup and its value, extend,
 terminate and invoke expressions, which `compiler` writes as Python
 expressions. The step's trigger checks, each gate and condition, a count
-or an any trigger's loop over the instances its scope extended, are written
+or an any trigger's loop over the instances its scope extended (a single
+check when the scope has one instance for the whole trace), are written
 the same way into a second function of the kernel's source, which the
 kernel calls by `evaluate_triggers`. A step walks no syntax tree and calls
 no function per expression, operator or trigger, and building the Monitor
@@ -540,16 +541,22 @@ class Monitor:
         if triggers:
             put(0, "def triggers(m, ts, extended, touched):", "    verdicts = []")
         for trig, reads in triggers:
+            loop = False
             if trig.kind is TriggerKind.ANY:  # checked for what its scope extended
                 scope = self.streams[trig.scope]
                 key = bind(scope.name)
                 held = source(trig.condition, scope.tpl.params, scope=scope.name)
-                put(1, f"alphas = extended.get({key})", "if alphas:")
-                # the lowest witness wins
-                alphas = "alphas if len(alphas) == 1 else sorted(set(alphas))"
-                put(2, f"for alpha in {alphas}:")
-                depth, test = 3, f"alpha in {bind(scope.instances)} and {held} is True"
-                fields = f"{key}, alpha, True"
+                if scope.pinned is not None:  # its one instance, () the witness
+                    depth, test = when(f"{key} in extended"), f"{held} is True"
+                    fields = f"{key}, (), True"
+                else:
+                    put(1, f"alphas = extended.get({key})", "if alphas:")
+                    # the lowest witness wins
+                    alphas = "alphas if len(alphas) == 1 else sorted(set(alphas))"
+                    put(2, f"for alpha in {alphas}:")
+                    loop, depth = True, 3
+                    test = f"alpha in {bind(scope.instances)} and {held} is True"
+                    fields = f"{key}, alpha, True"
                 default = f"any({_expr_str(trig.condition)})"
             elif trig.kind is TriggerKind.COUNT:
                 rt, depth = self.streams[trig.count_stream], when(fired(reads))
@@ -564,7 +571,7 @@ class Monitor:
             message = bind(trig.message or default)
             verdict = f"VERDICT(float(ts), 'trigger', {fields}, {message})"
             put(depth, f"if {test}:", f"    verdicts.append({verdict})")
-            if trig.kind is TriggerKind.ANY:
+            if loop:
                 put(depth, "    break")
         if triggers:
             put(1, "return verdicts")

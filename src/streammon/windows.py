@@ -17,29 +17,47 @@ evict panes whose entire span lies at or before ts - r.
 
 Cost model, in summary merges (Li et al., "No pane, no gain", SIGMOD Record
 2005, for the panes; Tangwongsan, Hirzel and Schneider, "General Incremental
-Sliding-Window Aggregation", PVLDB 2015, for their aggregation):
+Sliding-Window Aggregation", PVLDB 2015, and "In-Order Sliding-Window
+Aggregation in Worst-Case Constant Time", VLDB Journal 2021, for their
+aggregation; Okasaki, "Simple and efficient purely functional queues and
+deques", JFP 1995, for the rotation):
 
-- register: O(1), one `add` into the newest pane, plus one merge when it
-  opens a new pane.
-- evaluate: O(1) amortized, independent of r / z. The panes form a FIFO
-  aggregated with Two-Stacks: a "front" stack of suffix aggregates over the
-  oldest closed panes, one running "back" aggregate of the closed panes
-  after them, and the newest, still open pane. An evaluation merges these
-  three in time order. Eviction pops the front; when the front runs empty,
-  the back panes are re-aggregated into a new front, once per pane. Merges
-  are only ever applied to adjacent ranges, earlier on the left, so
-  summaries need to be associative but neither invertible nor commutative
-  (the integral is not commutative), and nothing is ever subtracted.
-- one sweep per instant: a window remembers the instant it last evicted at
-  (a registration that opens a pane evicts, and so does an evaluation), so
-  an evaluation at that instant skips the exact horizon arithmetic.
-- no call per summary operation: each combinable aggregation is defined
-  once, as Python source snippets for its empty summary, add, merge and
-  lower (`make_aggregator`). `_TEMPLATE` writes them inline into the
-  aggregation's register, evict and evaluate functions and into the
-  reference methods `new`, `add`, `merge` and `lower`. That code is built
-  once per aggregation and process, and `PanedWindow`'s methods delegate to
-  it in one call.
+- worst case, independent of r / z: `register` does at most 2 merges and
+  `evaluate` at most 3, each plus 2 per pane it evicts, and `evict` 2 per
+  pane it evicts. A registration into the open pane does none.
+- the panes form a FIFO aggregated as a deamortized Two-Stacks. In time
+  order: a "front" stack of suffix aggregates over the oldest closed panes,
+  whose top covers them all; while a rotation runs, the "frozen" panes
+  after them, with their summary; the "back" panes after those, with
+  their running summary; and the newest, still open pane. An evaluation
+  merges these from the right, front top + (frozen + (back + open)).
+  Closing a pane merges it onto the back, and eviction pops the front.
+- rotation: when the back holds more than twice as many panes as the front,
+  it is frozen, and a new front is built over front + frozen, one pane per
+  step and one merge each, newest first: the frozen panes, then the front's.
+  The freeze takes in the newest frozen pane with no merge; one step
+  follows each pane closed and two each pane evicted. A rotation that
+  starts with f front panes has at most 3f + 2 panes to take in, and the
+  old front loses one pane per eviction, so the new front is finished, and
+  replaces the old one, before that runs empty; the back, one pane longer
+  per close, stays at most twice the new front. Merges are only ever
+  applied to adjacent ranges, earlier on the left, so summaries need to be
+  associative but neither invertible nor commutative (the integral is not
+  commutative), and nothing is ever subtracted.
+- one division and one sweep per instant: one exact integer `divmod` of
+  ts by z gives both the pane that holds ts and the eviction horizon. A
+  window remembers the instant it last evicted at (a registration that
+  opens a pane evicts, and so does an evaluation), so an evaluation at that
+  instant skips the arithmetic and the out-of-order check; a registration
+  into the open pane clears it.
+- no call per summary operation or rotation step: each combinable
+  aggregation is defined once, as Python source snippets for its empty
+  summary, add, merge and lower (`make_aggregator`). `_TEMPLATE` writes
+  them inline, with the rotation steps (`_ROTATE`), into the aggregation's
+  register, evict and evaluate functions and into the reference methods
+  `new`, `add`, `merge` and `lower`. That code is built once per
+  aggregation and process, and `PanedWindow`'s methods delegate to it in
+  one call.
 - median is the exception: its panes keep raw values, and an evaluation
   concatenates all retained panes once and sorts them; a NaN anywhere in
   the window makes the median NaN, as it does min and max.
@@ -59,6 +77,47 @@ from .ast import AggFn, ValueType
 from .compiler import _code
 from .diagnostics import Diagnostic, OutOfOrderError
 from .values import UNDEFINED, nan_max, nan_min
+
+#: the rotation steps of the deamortized Two-Stacks (see the module
+#: docstring), written into the eviction loops of `_TEMPLATE`: one step for
+#: each of `steps`, after a pane closed or evicted, while `due`, twice the
+#: front's length less the back's, is negative, as it is while a rotation
+#: runs or when the back is to be frozen. A step moves the newest pane not
+#: yet in the new front under it; the new front replaces the front once it
+#: holds every live pane
+_ROTATE = """
+            new = w._new
+            if new is None:
+                # freeze the back: a new front is built over front + frozen,
+                # starting with the newest frozen pane
+                w._mid = w._back
+                w._back = None
+                frozen = w._frozen = w._queue
+                w._queue = []
+                idx = frozen.pop()
+                w._new = new = [(idx, panes[idx])]
+                j = 0
+            else:
+                frozen = w._frozen
+                j = w._cursor
+            for _ in steps:
+                if frozen:
+                    idx = frozen.pop()
+                elif j < len(front):
+                    idx = front[j][0]
+                    j += 1
+                else:
+                    break
+                a = panes[idx]
+                b = new[-1][1]
+                new.append((idx, {merge}))
+            if frozen or j < len(front):
+                w._cursor = j
+            else:  # every live pane is in the new front
+                w._front = front = new
+                w._mid = w._new = None
+                due = 2 * len(new) - len(w._queue)
+"""
 
 #: the functions of a combinable aggregation. In a snippet, s is a summary,
 #: ts and v an instant and a value, and a and b the summaries of two adjacent
@@ -81,86 +140,97 @@ def register(w, v, ts):
         raise late(f'window registration at {{ts}} after {{w.last_ts}}')
     w.last_ts = ts
     panes = w.panes
-    # the pane (idx*z, (idx+1)*z] that holds ts: ceil(ts / z) - 1, exact;
-    # float timestamps are converted losslessly, no Fraction is allocated
+    # ts / z = q + rem / (d * zn), exactly: ts lies in pane ceil(ts / z) - 1
     n, d = ts.as_integer_ratio()
-    _, _, zn, zd = w._horizon
-    idx = -((-n * zd) // (d * zn)) - 1
+    zn, zd, k, fr, rd = w._horizon
+    q, rem = divmod(n * zd, d * zn)
+    idx = q if rem else q - 1
     opened = w._open
     if idx == opened:
         s = panes[idx]
         panes[idx] = {add}
+        w.swept = None  # an evaluation must check its instant again
         return 0
-    if opened is not None:
-        b = panes[opened]
-        a = w._back
-        w._back = b if a is None else {merge}
     s = {new}
     panes[idx] = {add}
     w._open = idx
-    slots = w.slots
-    w.slots = slots + 1
-    sweep(w, n, d)
     w.swept = ts
-    return w.slots - slots
+    if opened is None:  # the window was empty
+        w.slots += 1
+        return 1
+    # the open pane closes onto the back, and the panes i with i + 1 <=
+    # floor((ts - r) / z) are evicted, r / z being k + fr / (rd * zn); the
+    # new pane is not among them
+    b = panes[opened]
+    w._queue.append(opened)
+    a = w._back
+    w._back = b if a is None else {merge}
+    kill = q - k - (rem * rd < fr * d)
+    front = w._front
+    due = w._due - 1
+    gained = 1
+    steps = (1,)  # one step after the close, two after each eviction
+    while True:
+        if due < 0:{rotate}
+        if not front or front[-1][0] >= kill:
+            break
+        del panes[front.pop()[0]]
+        gained -= 1
+        due -= 2
+        steps = (1, 2)
+    w._due = due
+    w.slots += gained
+    return gained
 
 def evict(w, ts):
     if ts < w.last_ts:
         raise late(f'window swept at {{ts}} before {{w.last_ts}}')
-    n, d = ts.as_integer_ratio()
-    sweep(w, n, d)
+    sweep(w, ts)
     w.swept = w.last_ts = ts
 
-def sweep(w, n, d):
+def sweep(w, ts):
+    # evicts the panes i with i + 1 <= kill = floor((ts - r) / z), oldest
+    # first, as `register` does
+    n, d = ts.as_integer_ratio()
+    zn, zd, k, fr, rd = w._horizon
+    q, rem = divmod(n * zd, d * zn)
+    kill = q - k - (rem * rd < fr * d)
     panes = w.panes
-    if not panes:
-        return
-    rn, rd, zn, zd = w._horizon
-    kill = ((n * rd - rn * d) * zd) // (d * rd * zn)
     front = w._front
-    while True:
-        if not front:
-            if w._back is None:
-                # only the open pane is left
-                if w._open + 1 <= kill:
-                    panes.clear()
-                    w._open = None
-                    w.slots = 0
-                return
-            # flip: the closed panes become suffix aggregates, newest first,
-            # so that the oldest pane ends on top; each pane flips once
-            closed = list(panes.items())
-            closed.pop()
-            b = None
-            for idx, a in reversed(closed):
-                if b is not None:
-                    a = {merge}
-                front.append((idx, a))
-                b = a
-            w._back = None
-        idx = front[-1][0]
-        if idx + 1 > kill:
-            return
-        front.pop()
-        del panes[idx]
+    due = w._due
+    steps = (1, 2)
+    while front and front[-1][0] < kill:
+        del panes[front.pop()[0]]
         w.slots -= 1
+        due -= 2
+        if due < 0:{rotate}
+    w._due = due
+    if not front and w._open is not None and w._open < kill:
+        # only the open pane was left
+        panes.clear()
+        w._open = None
+        w.slots = 0
 
 def evaluate(w, ts):
-    if ts < w.last_ts:
-        raise late(f'window evaluated at {{ts}} before {{w.last_ts}}')
     if ts != w.swept:
-        n, d = ts.as_integer_ratio()
-        sweep(w, n, d)
+        if ts < w.last_ts:
+            raise late(f'window evaluated at {{ts}} before {{w.last_ts}}')
+        sweep(w, ts)
         w.swept = w.last_ts = ts
-    panes = w.panes
-    if not panes:
+    opened = w._open
+    if opened is None:
         return {empty}
-    b = panes[w._open]
+    # front top + frozen + back + open pane, merged from the right
+    b = w.panes[opened]
     a = w._back
     if a is not None:
         b = {merge}
-    if w._front:
-        a = w._front[-1][1]
+    a = w._mid
+    if a is not None:
+        b = {merge}
+    front = w._front
+    if front:
+        a = front[-1][1]
         b = {merge}
     s = b
     return {lower}
@@ -169,6 +239,16 @@ def evaluate(w, ts):
 
 def _late(message: str) -> OutOfOrderError:
     return OutOfOrderError([Diagnostic(message)])
+
+
+def _span(w, ts) -> tuple[int, int]:
+    """The pane that holds ts, ceil(ts / z) - 1, and the eviction horizon
+    floor((ts - r) / z), exactly and from one division: the arithmetic that
+    `_TEMPLATE` writes inline."""
+    n, d = ts.as_integer_ratio()
+    zn, zd, k, fr, rd = w._horizon
+    q, rem = divmod(n * zd, d * zn)
+    return (q if rem else q - 1), q - k - (rem * rd < fr * d)
 
 
 class Aggregator:
@@ -184,7 +264,8 @@ class Aggregator:
     def __init__(self, empty: str, new: str, add: str, merge: str, lower: str, **names):
         self.snippets = dict(empty=empty, new=new, add=add, merge=merge, lower=lower)
         scope = dict(names, U=UNDEFINED, late=_late, nan_max=nan_max, nan_min=nan_min)
-        exec(_code(_TEMPLATE.format(**self.snippets)), scope)
+        rotate = _ROTATE.format(**self.snippets)
+        exec(_code(_TEMPLATE.format(rotate=rotate, **self.snippets)), scope)
         for name in ("new", "add", "merge", "lower", "register", "evict", "evaluate"):
             setattr(self, name, scope[name])
 
@@ -219,30 +300,31 @@ class _Median(Aggregator):
         if ts < w.last_ts:
             raise _late(f"window registration at {ts} after {w.last_ts}")
         w.last_ts = ts
-        n, d = ts.as_integer_ratio()
-        _, _, zn, zd = w._horizon
-        idx = -((-n * zd) // (d * zn)) - 1
+        idx, kill = _span(w, ts)
         slots = w.slots
         w.slots = slots + 1
         if idx == w._open:
             w.panes[idx].append(value)
+            w.swept = None
             return 1
         w.panes[idx] = [value]
         w._open = idx
-        self.evict(w, ts)
+        self._sweep(w, kill)
+        w.swept = ts
         return w.slots - slots
 
     def evict(self, w, ts) -> None:
         if ts < w.last_ts:
             raise _late(f"window swept at {ts} before {w.last_ts}")
+        self._sweep(w, _span(w, ts)[1])
         w.swept = w.last_ts = ts
+
+    @staticmethod
+    def _sweep(w, kill: int) -> None:
         panes = w.panes
-        rn, rd, zn, zd = w._horizon
-        n, d = ts.as_integer_ratio()
-        kill = ((n * rd - rn * d) * zd) // (d * rd * zn)
         while panes:
             first = next(iter(panes))  # insertion order = ascending index
-            if first + 1 > kill:
+            if first >= kill:
                 return
             w.slots -= len(panes.pop(first))
         w._open = None
@@ -296,16 +378,27 @@ class PanedWindow:
     """Sliding-window state for one (window expression, target instance).
 
     `panes` maps pane index to the raw summary of that pane, in ascending
-    index order; the last pane is the open one, the only pane that `register`
+    index order; the last pane, `_open`, is the only one that `register`
     still folds values into. For a combinable aggregation, the closed panes
-    are also aggregated as Two-Stacks (see the module docstring): `_front`
-    holds (pane index, summary of that pane and every later front pane)
-    with the oldest pane on top, and `_back` is the summary of the closed
-    panes after the front, or None when there are none. `last_ts` is the
-    latest instant any operation saw, and an operation at an earlier one
-    is rejected; `swept` is the instant of the last eviction, at which an
-    evaluation evicts nothing. `slots` is the running count that
-    `slot_count` reports, an attribute that a caller charging an
+    are also aggregated as a deamortized Two-Stacks (see the module
+    docstring), in time order front, frozen, back:
+
+    - `_front` holds (pane index, summary of that pane and every later
+      front pane) with the oldest pane on top;
+    - `_queue` holds the index of each back pane, oldest first, and
+      `_back` is their summary, None when there are none;
+    - while a rotation runs, `_mid` is the summary of the frozen panes,
+      and None otherwise. `_frozen` holds the frozen panes not yet in the
+      new front `_new`, oldest first, and `_cursor` counts the front panes
+      that are, from the bottom;
+    - `_due` is twice the front's length less the back's while no rotation
+      runs, and negative while one does.
+
+    `last_ts` is the latest instant any operation saw, and an operation at
+    an earlier one is rejected; `swept` is the instant of the last
+    eviction, at which an evaluation evicts nothing, or None once a value
+    was folded into the open pane after it. `slots` is the running
+    count that `slot_count` reports, an attribute that a caller charging an
     evaluation's evictions reads around the call.
 
     The methods delegate to the aggregator's functions, one call each.
@@ -321,7 +414,13 @@ class PanedWindow:
         "_horizon",
         "_open",
         "_front",
+        "_queue",
         "_back",
+        "_mid",
+        "_frozen",
+        "_new",
+        "_cursor",
+        "_due",
         "slots",
     )
 
@@ -331,13 +430,15 @@ class PanedWindow:
         self.agg = agg
         self.panes: dict[int, object] = {}  # index -> summary, ascending
         self.last_ts = self.swept = -math.inf
-        # r and z as integer ratio pieces, for exact pane arithmetic
-        rn, rd = duration.numerator, duration.denominator
+        # z and r / z = k + fr / (rd * zn) as integers, for exact pane arithmetic
         zn, zd = pane_width.numerator, pane_width.denominator
-        self._horizon = (rn, rd, zn, zd)
+        k, fr = divmod(duration.numerator * zd, duration.denominator * zn)
+        self._horizon = (zn, zd, k, fr, duration.denominator)
         self._open: int | None = None  # index of the newest pane
         self._front: list[tuple[int, object]] = []
-        self._back = None
+        self._queue: list[tuple[int, object]] = []
+        self._back = self._mid = self._frozen = self._new = None
+        self._cursor = self._due = 0
         self.slots = 0
 
     def register(self, value, ts) -> int:

@@ -1015,3 +1015,71 @@ def test_building_a_monitor_with_triggers_compiles_nothing(monkeypatch):
     drain(monitors[0], _inline_events())
     assert compiled and all("def kernel(" in source for source in compiled)
     assert not [f.name for f in dataclasses.fields(_StreamRT) if f.name.endswith("_fn")]
+
+
+@pytest.mark.parametrize("mode", ["variable", "fixed"])
+def test_pinned_any_trigger_is_one_check(mode, monkeypatch):
+    """An any trigger whose scope has no parameters and no terminate clause
+    (PID's any(acc_error > 0.016)) is written as one check of whether the
+    step extended the scope, then the condition, with () as the witness: no
+    loop over the scope's instances. A parameterized scope keeps the loop.
+    PID's trigger instants are the reference monitor's."""
+    sources = []
+    code = compiler._code
+
+    def recorded(source):
+        sources.append(source)
+        return code(source)
+
+    monkeypatch.setattr(engine, "_code", recorded)
+    kwargs = {"mode": "fixed", "frequency": Fraction(1)} if mode == "fixed" else {}
+    events = _pid_events(1)[:400]
+    m = Monitor(typed(PID_SPEC), **kwargs)
+    fired = [v for v in drain(m, events) if v.kind == "trigger"]
+    checks = [s[: s.index("def kernel(")] for s in sources if "def triggers(" in s]
+    assert checks and all(
+        "in extended:" in s and "alphas" not in s and "for alpha" not in s
+        for s in checks
+    )
+    assert fired and all(v.params == () and v.stream == "acc_error" for v in fired)
+    ref = RefMonitor(typed(PID_SPEC), **kwargs)
+    ref.run(events)
+    assert sorted({v.ts for v in fired}) == sorted(set(ref.trigger_times()))
+    sources.clear()
+    fleet = Monitor(typed(FLEET_SPEC), instance_bounds={"orp": 60, "suspicious": 60})
+    drain(fleet, _fleet_events(7)[:50])
+    assert any("for alpha in alphas" in s for s in sources)
+
+
+@pytest.mark.parametrize("mode", ["variable", "fixed"])
+def test_long_sum_is_written_flat(mode):
+    """A left-deep chain of 1000 `+` and `-` terms is written as one strict
+    test over its temporaries and one flat operation, so the parentheses of
+    the kernel's source do not nest with its length (CPython's tokenizer
+    stops at 200 levels): it runs in both modes, and its value is the
+    left-to-right float sum, which differs from other groupings here. The
+    front end still recurses once per term, so the spec is parsed and
+    checked under a raised recursion limit; building and running the
+    monitor need none."""
+    terms = [("a?0.0", None), ("1e16", 1e16), ("0.5", 0.5), ("-1e16", -1e16)]
+    picked = [terms[k % 4] for k in range(1000)]
+    source = " + ".join(text for text, _ in picked).replace("+ -", "- ")
+    spec = f"input double a\noutput double x := {source}"
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(max(limit, 20_000))
+    try:
+        tspec = typed(spec)
+    finally:
+        sys.setrecursionlimit(limit)
+    kwargs = {"mode": "fixed", "frequency": Fraction(1)} if mode == "fixed" else {}
+    m = Monitor(tspec, **kwargs)
+    got = [v.value for v in drain(m, [Event(0.5, {"a": 3.0}), Event(1.5, {"a": 3.0})])]
+    want = 0.0
+    for _, value in picked:
+        want += 3.0 if value is None else value
+    assert want != sum(3.0 if v is None else v for _, v in reversed(picked))
+    if mode == "fixed":
+        assert got == [want]  # the tick at 1 s
+    else:
+        assert got == []  # no output verdicts in variable mode
+        assert m.streams["x"].instances[()].buf[-1][1] == want

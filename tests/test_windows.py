@@ -4,12 +4,12 @@ import statistics
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from streammon import UNDEFINED, OutOfOrderError
 from streammon.ast import AggFn, ValueType
-from streammon.windows import Aggregator, PanedWindow, make_aggregator
+from streammon.windows import Aggregator, PanedWindow, _span, make_aggregator
 
 
 def _window(agg, r, z, ty=ValueType.DOUBLE):
@@ -531,21 +531,168 @@ def test_evaluate_merges_do_not_grow_with_panes(ratio, monkeypatch):
 
 
 def test_counting_aggregator_counts_every_merge():
-    """The counting hook sees the merges of closing a pane, of evaluating
-    and of a flip. Pane i of a 10 s window with z = 1 holds the value i+1;
-    the second pane's opening flips the first one alone to the front."""
+    """The counting hook sees every merge of the deamortized Two-Stacks.
+    Pane i of a 100 s window with z = 1 holds the value i + 1, registered at
+    i + 0.5; nothing expires before the evaluation at 104.5.
+
+    - opening pane 1 closes pane 0, and the back, pane 0 alone, is frozen
+      and becomes the new front at once: no merge;
+    - closing pane 1 starts the back; closing pane 2 merges onto it: one;
+    - closing pane 3 merges onto the back, which then holds more than twice
+      the front's panes: it is frozen, the new front starts with pane 3,
+      and the close's one step puts pane 2 under it: two;
+    - an evaluation merges front top + (frozen + open pane): two;
+    - closing pane 4 starts a new back, and its step puts pane 1 under the
+      new front: one; an evaluation now merges all four parts: three, the
+      most any evaluation that evicts nothing does;
+    - closing pane 5 merges onto the back, and its step rebuilds the
+      front's pane 0 under the new front, which then holds every live pane
+      and replaces the front: two;
+    - closing panes 6 to 11 merges each onto the back: one each; closing
+      pane 12 freezes the back, panes 4 to 12, as pane 3 did: two; closing
+      pane 13 starts a new back, and its step puts pane 10 under the new
+      front: one; an evaluation merges all four parts: three;
+    - at 104.5 panes 0 to 3 expire: two steps after each of the first three
+      evictions build panes 9 to 4, one merge each, and after the fourth
+      the new front replaces the front; the evaluation then merges front
+      top + (back + open): eight in all;
+    - at 111.5 seven panes expire with no rotation running: two.
+    """
     avg, merges = _counting(make_aggregator(AggFn.AVG, ValueType.DOUBLE))
-    w = PanedWindow(Fraction(10), Fraction(1), avg)
-    for t in (0.5, 1.5, 2.5, 3.5):
-        w.register(t + 0.5, t)
-    assert merges == [1]  # back = pane 1 + pane 2
-    assert w.evaluate(3.5) == 2.5  # front top + (back + open)
-    assert merges == [3]
-    # evicts pane 0, flips panes 1 and 2 with one merge, then merges two
-    assert w.evaluate(11.5) == 3.0
-    assert merges == [5]
+    w = PanedWindow(Fraction(100), Fraction(1), avg)
+    ops = [("register", i + 0.5) for i in range(5)] + [("evaluate", 4.5)]
+    ops += [("register", 5.5), ("evaluate", 5.5)]
+    ops += [("register", i + 0.5) for i in range(6, 15)]
+    ops += [("evaluate", 14.5), ("evaluate", 104.5), ("evaluate", 111.5)]
+    counts, values = [], []
+    for op, t in ops:
+        before = merges[0]
+        if op == "register":
+            w.register(t + 0.5, t)
+        else:
+            values.append(w.evaluate(t))
+        counts.append(merges[0] - before)
+    assert counts == [0, 0, 0, 1, 2, 2, 1, 3, 2] + [1] * 6 + [2, 1, 3, 8, 2]
+    # averages of 1..5, 1..6, 1..15, 5..15 and 12..15
+    assert values == [3.0, 3.5, 8.0, 10.0, 13.5]
 
 
+#: the most merges a registration and an evaluation do, besides two per
+#: pane they evict (windows.py, "worst case"); an eviction does none besides
+_C_REGISTER, _C_EVALUATE = 2, 3
+
+
+def _criterion_3_traces(count):
+    """The first `count` event traces of acceptance criterion 3, the same
+    seed and draws, with each value truncated to an int: up to 10^4 events
+    each, at gaps scaled from 0.03 to 3 s, and each trace's r."""
+    rng = random.Random(33)
+    for _ in range(count):
+        n = int(10 ** rng.uniform(1.0, 4.0))
+        scale = 10 ** rng.uniform(-1.5, 0.5)
+        t = 0.0
+        events = []
+        for _ in range(n):
+            t += rng.uniform(0.0, 2.0) * scale
+            events.append((t, int(rng.uniform(-1e4, 1e4))))
+        r = Fraction(rng.choice([1, 2, 5, 10, 60]))
+        rng.choice([4, 16, 64, 256])  # criterion 3's pane divisor
+        yield f"criterion 3, r={r}", r, events
+
+
+def _bound_traces():
+    rng = random.Random(5)
+    yield from _criterion_3_traces(40)
+    # the window fills up over 256 s, then slides one pane per event
+    yield "fill-up", Fraction(256), [(float(t), t % 7) for t in range(1, 5001)]
+    t, poisson = 0.0, []
+    for _ in range(8000):
+        t += rng.expovariate(4.0)
+        poisson.append((t, rng.randrange(100)))
+    yield "Poisson 4/s", Fraction(10), poisson
+    # 600 s of one event per second, then a gap past the whole window
+    gap = [(t + 0.5, 1) for t in range(600)] + [(1e4 + t, 2) for t in range(600)]
+    yield "gap", Fraction(256), gap
+
+
+@pytest.mark.parametrize("ratio", [1, 4, 256, Fraction(5, 2)])
+def test_merges_per_step_are_bounded(ratio):
+    """No registration does more than _C_REGISTER merges plus two per pane
+    it evicts, and no evaluation more than _C_EVALUATE plus two per pane,
+    whatever r / z: the Two-Stacks flip that re-merged up to r / z closed
+    panes inside one registration is spread over the steps. Each trace
+    registers every event and evicts and evaluates after it: a registration
+    that opens a pane evicts, and after every fourth event the eviction and
+    the evaluation come a little later, either first, and evict instead.
+    With r / z = 5 / 2 (r = 2.5 z) the horizon falls inside panes. Integer
+    sums keep the values exact: evaluations equal the left fold of the
+    retained panes, and the last one the bucketing oracle. At r / z = 256
+    the bounds are reached."""
+    agg, merges = _counting(make_aggregator(AggFn.SUM, ValueType.INT))
+    worst = {"register": 0, "evaluate": 0, "evict": 0}
+    for name, r, events in _bound_traces():
+        if isinstance(ratio, Fraction):
+            r, z = Fraction(5, 2), Fraction(1)
+        else:
+            z = r / ratio
+        w = PanedWindow(r, z, agg)
+        bound = {"register": _C_REGISTER, "evaluate": _C_EVALUATE, "evict": 0}
+        for k, (t, v) in enumerate(events):
+            late = t
+            if k % 4 == 3:  # a little later, but not after the next event
+                late = min([t + float(z) / 3] + [e[0] for e in events[k + 1 : k + 2]])
+            newest = next(reversed(w.panes), None)
+            after = ["evaluate", "evict"] if k % 8 == 3 else ["evict", "evaluate"]
+            for step, at in [("register", t)] + [(s, late) for s in after]:
+                panes, before = len(w.panes), merges[0]
+                got = w.register(v, t) if step == "register" else getattr(w, step)(at)
+                evicted = panes - len(w.panes)
+                if step == "register":
+                    evicted += next(reversed(w.panes)) != newest  # it opened one
+                over = merges[0] - before - 2 * evicted
+                assert over <= bound[step], (name, step, t, over)
+                worst[step] = max(worst[step], over)
+            if k % 16 == 0:
+                assert w.evaluate(late) == sum(w.panes.values()), (name, t)
+        assert w.evaluate(late) == _oracle(AggFn.SUM, events, late, r, z), name
+    if ratio == 256:
+        assert worst == bound  # reached
+
+
+@given(
+    st.one_of(
+        st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False),
+        st.floats(allow_nan=False, allow_infinity=False),
+    ),
+    st.fractions(Fraction(1, 1000), Fraction(1000), max_denominator=1000),
+    st.fractions(Fraction(1, 1000), Fraction(1000), max_denominator=1000),
+)
+@example(7.3, Fraction(5, 2), Fraction(1))  # r / z = 2.5
+@example(1.0, Fraction(1), Fraction(2, 5))  # a 2.5 Hz pane
+@example(2.5, Fraction(5, 2), Fraction(1))  # ts - r on a pane boundary
+@settings(max_examples=300, deadline=None)
+def test_pane_index_and_horizon_from_one_division(ts, r, z):
+    """The pane that holds ts is ceil(ts / z) - 1 and the eviction horizon
+    floor((ts - r) / z), exactly, both from one divmod, in `_span` and in
+    the code that registers and evicts: a fresh window registers ts into
+    that pane, and an eviction at ts drops pane horizon - 1 and keeps the
+    panes from the horizon on."""
+    exact = Fraction(ts)
+    pane, horizon = math.ceil(exact / z) - 1, math.floor((exact - r) / z)
+    for agg_fn in (AggFn.SUM, AggFn.MEDIAN):
+        w = PanedWindow(r, z, make_aggregator(agg_fn, ValueType.DOUBLE))
+        assert _span(w, ts) == (pane, horizon)
+        w.register(1.0, ts)
+        assert list(w.panes) == [pane]
+        w = PanedWindow(r, z, make_aggregator(agg_fn, ValueType.DOUBLE))
+        # the last instant of pane horizon - 1, the first of the next
+        # pane's that the window still holds, and ts
+        instants = [horizon * z, min((horizon + 1) * z, exact), ts]
+        for t in instants:
+            w.register(1.0, t)
+        w.evict(ts)
+        kept = {pane, horizon} if (horizon + 1) * z <= exact else {pane}
+        assert list(w.panes) == sorted(kept)
 @pytest.mark.parametrize("agg_fn", _HOMOMORPHIC)
 def test_window_code_calls_no_aggregator_method(agg_fn, monkeypatch):
     """The summary arithmetic is inline in the window code: registering,
