@@ -645,7 +645,10 @@ def test_merges_per_step_are_bounded(ratio):
             after = ["evaluate", "evict"] if k % 8 == 3 else ["evict", "evaluate"]
             for step, at in [("register", t)] + [(s, late) for s in after]:
                 panes, before = len(w.panes), merges[0]
-                got = w.register(v, t) if step == "register" else getattr(w, step)(at)
+                if step == "register":
+                    w.register(v, t)
+                else:
+                    getattr(w, step)(at)
                 evicted = panes - len(w.panes)
                 if step == "register":
                     evicted += next(reversed(w.panes)) != newest  # it opened one
