@@ -53,6 +53,8 @@ from .ast import (
     StreamAccess,
     StreamTemplate,
     WindowAccess,
+    chain,
+    operands,
     template_expressions,
     walk,
 )
@@ -273,9 +275,8 @@ def classify_efficiently_bound(tpl: StreamTemplate, tspec: TypedSpec) -> bool:
         return False
 
     def positive(e) -> bool:
-        match e:
-            case Binary(op="&" | "|", left=l, right=r):
-                return positive(l) and positive(r)
+        if isinstance(e, Binary) and e.op in ("&", "|"):
+            return all(positive(operand) for operand in operands(chain(e)))
         return param_input_atom(e, tspec) is not None
 
     return positive(tpl.extend)

@@ -129,9 +129,35 @@ class Unary(Expr):
 
 @dataclass
 class Binary(Expr):
-    op: str  # + - * / % & | = != < <= > >=
+    op: str  # a key of PRECEDENCE
     left: Expr
     right: Expr
+
+
+COMPARISONS = ("=", "!=", "<", "<=", ">", ">=")
+#: binary operator -> precedence level, loosest first; each level is
+#: left-associative, but comparisons take two operands and never chain
+PRECEDENCE = {
+    "|": 1, "&": 2, **dict.fromkeys(COMPARISONS, 3), "+": 4, "-": 4, "*": 5, "/": 5, "%": 5
+}
+
+
+def chain(expr: Binary) -> list[Binary]:
+    """The left-deep run of Binary nodes of expr's level that ends in expr,
+    first operator first: `a - b + c` gives [a - b, (a - b) + c]. Its
+    operands are the first node's left and every node's right. A
+    comparison is a run of one."""
+    run, left = [expr], expr.left
+    level = 0 if expr.op in COMPARISONS else PRECEDENCE[expr.op]
+    while isinstance(left, Binary) and PRECEDENCE[left.op] == level:
+        run.append(left)
+        left = left.left
+    return run[::-1]
+
+
+def operands(run: list[Binary]) -> list[Expr]:
+    """The operands of a chain (see `chain`), left to right."""
+    return [run[0].left, *(node.right for node in run)]
 
 
 @dataclass

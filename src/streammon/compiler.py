@@ -19,7 +19,13 @@ function and parameterized access at the first undefined operand, which
 makes the result UNDEFINED. The order matters because evaluating a window
 evicts its expired panes, which the monitor's slot count records. Each
 operand's value is held in a walrus temporary, `t0`, `t1`, ..., fresh within
-the expression and a name no kernel local uses.
+the expression and a name no kernel local uses. A chain, a left-deep run of
+one level's operators (`ast.chain`), is written as one test over its
+operands, `U if (t0 := a) is U or (t1 := b) is U or ... else t0 + t1 ...`,
+with `/` and `%` steps held in temporaries of their own, or as one test
+carrying the value so far for `&` and `|`. Every operand is then two
+parentheses in, so the source nests with the expression's depth, not with
+its length.
 
 `Compiler._read` writes every stream or window access in one shape: first
 the instance, bound by name when it is pinned (an input's, or a plain
@@ -53,15 +59,15 @@ from .ast import (
     Unary,
     ValueType,
     WindowAccess,
+    chain,
+    operands,
 )
 from .diagnostics import Diagnostic, EngineError
 from .values import UNDEFINED, nan_max, nan_min
 
-#: the binary operators Python writes as the language does, but `=`
+#: the binary operators Python writes as the language does, but `=`: a
+#: chain's run of them is written flat, left-associative as in the language
 _OPERATORS = frozenset(["+", "-", "*", "=", "!=", "<", "<=", ">", ">="])
-#: operator -> the operators a left-deep chain with it can be written flat
-#: over, left-associative at one precedence in Python as in the language
-_CHAINS = {"+": "+-", "-": "+-", "*": "*"}
 
 
 class Compiler:
@@ -109,29 +115,10 @@ class Compiler:
                 return f"({other} if ({t} := {value}) is U else {t})"
             case Unary(op=op, operand=operand):
                 return self._strict([operand], names, "not {}" if op == "!" else "-{}")
-            case Binary(op="&" | "|" as op, left=left, right=right):
-                # the left value that decides the result; else a boolean left
-                # value leaves the result to the right one
-                d = op == "|"
-                a, b = self.source(left, names), self.source(right, names)
-                ta, tb = self._temp(), self._temp()
-                return (
-                    f"({d} if ({ta} := {a}) is {d} else "
-                    f"U if ({tb} := {b}) is U or {ta} is U else {tb})"
-                )
-            case Binary(op=op, left=left, right=right) if op in _CHAINS:
-                # a left-deep chain of one family, flat: its parentheses do
-                # not nest with its length
-                operands, ops = [right], [op]
-                while isinstance(left, Binary) and left.op in _CHAINS[op]:
-                    operands.append(left.right)
-                    ops.append(left.op)
-                    left = left.left
-                operands.append(left)
-                chain = "{}" + "".join(f" {o} {{}}" for o in reversed(ops))
-                return self._strict(operands[::-1], names, chain)
-            case Binary(op=op, left=left, right=right):
-                return self._strict([left, right], names, _operation(op, expr.ty))
+            case Binary(op="&" | "|"):
+                return self._logic(chain(expr), names)
+            case Binary():
+                return self._arithmetic(chain(expr), names)
             case IfThenElse(cond=cond, then_branch=then, else_branch=other):
                 c, a, b = (self.source(e, names) for e in (cond, then, other))
                 t = self._temp()
@@ -147,15 +134,52 @@ class Compiler:
         self.temps += 1
         return f"t{self.temps - 1}"
 
-    def _strict(self, operands: list[Expr], names: dict, result: str) -> str:
-        """`result`, a format over the operands' temporaries, once each of the
-        operands, evaluated left to right, is defined; UNDEFINED as soon as
-        one of them is not."""
-        temps, checks = [], []
-        for e in operands:
-            temps.append(self._temp())
-            checks.append(f"({temps[-1]} := {self.source(e, names)}) is U")
+    def _strict(self, exprs: list[Expr], names: dict, result: str) -> str:
+        """`result`, a format over the temporaries of exprs, once each of them,
+        evaluated left to right, is defined; UNDEFINED as soon as one is
+        not."""
+        temps, checks = zip(*(self._defined(e, names) for e in exprs))
         return f"(U if {' or '.join(checks)} else {result.format(*temps)})"
+
+    def _defined(self, expr: Expr, names: dict) -> tuple[str, str]:
+        """A fresh temporary, and the test that assigns it expr's value and
+        holds when that value is undefined."""
+        t = self._temp()
+        return t, f"({t} := {self.source(expr, names)}) is U"
+
+    def _logic(self, run: list[Binary], names: dict) -> str:
+        """A chain of `&` or of `|`, d being the value that decides it: `ta`
+        holds the value so far, the result once it is d. A later operand,
+        in `tb`, decides it unless it is undefined, which it then stays,
+        while every later operand is still evaluated."""
+        d = run[0].op == "|"
+        first, *rest, last = (self.source(e, names) for e in operands(run))
+        ta, tb = self._temp(), self._temp()
+        step = f"is {d} and {ta} is not U or {tb} is U and ({ta} := U) is {d}"
+        tests = [f"({ta} := {first}) is {d}"]
+        tests += [f"({tb} := {b}) {step}" for b in rest]
+        return (
+            f"({d} if {' or '.join(tests)} else "
+            f"U if ({tb} := {last}) is U or {ta} is U else {tb})"
+        )
+
+    def _arithmetic(self, run: list[Binary], names: dict) -> str:
+        """A chain of one strict level, or a comparison: UNDEFINED once an
+        operand or a step is. A run of operators Python writes as the
+        language does is written flat; any other step's value is held in a
+        temporary and checked, unless it is the last, which is the result."""
+        first, *rest = operands(run)
+        value, check = self._defined(first, names)
+        checks = [check]
+        for node, operand in zip(run, rest):
+            t, check = self._defined(operand, names)
+            checks.append(check)
+            value = _operation(node.op, node.ty).format(value, t)
+            if node.op not in _OPERATORS and node is not run[-1]:
+                held = self._temp()
+                checks.append(f"({held} := {value}) is U")
+                value = held
+        return f"(U if {' or '.join(checks)} else {value})"
 
     def _read(self, node: StreamAccess | WindowAccess, names: dict) -> str:
         """The access's value: how to get the instance, then how to read it.

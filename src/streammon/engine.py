@@ -103,6 +103,8 @@ from .ast import (
     TupleExpr,
     ValueType,
     accesses,
+    chain,
+    operands,
 )
 from .compiler import NAMES, Compiler, _bind, _code, count_until
 from .diagnostics import AnalysisRefusal, Diagnostic, EngineError, OutOfOrderError
@@ -197,6 +199,8 @@ class _CondPlan:
 
 
 _MAX_DISJUNCTS = 64
+#: the fastest clock a monitor runs, in Hz
+MAX_FREQUENCY = 10**6
 #: the windows of every instance of a stream that no window reads
 _NO_WINDOWS = MappingProxyType({})
 
@@ -283,6 +287,10 @@ class Monitor:
                 message = f"fixed mode needs a positive frequency, got {frequency!r}"
                 raise EngineError([Diagnostic(message)])
             tspec = _with_clock(tspec, Fraction(frequency))
+        for tpl in tspec.spec.outputs:  # a replay runs every tick
+            if tpl.clock is not None and tpl.clock > MAX_FREQUENCY:
+                message = f"{tpl.name}: cannot replay a clock above {MAX_FREQUENCY}Hz"
+                raise EngineError([Diagnostic(message)])
         self.tspec = tspec
         self.mode = mode
         self.adg: AnnotatedDependencyGraph = build_adg(tspec)
@@ -850,18 +858,19 @@ _KERNEL_NAMES = dict(
 def _dnf(expr: Expr) -> Optional[list[list[Expr]]]:
     """Disjunctive normal form over & and |, with other nodes as atoms.
     Returns None when the expansion would be too large."""
-    match expr:
-        case Binary(op="|" | "&" as op, left=l, right=r):
-            left, right = _dnf(l), _dnf(r)
-            if left is None or right is None:
-                return None
-            if op == "|":
-                result = left + right
-            else:
-                result = [a + b for a, b in itertools.product(left, right)]
-        case _:
-            result = [[expr]]
-    if len(result) > _MAX_DISJUNCTS:
-        return None
+    if not (isinstance(expr, Binary) and expr.op in ("|", "&")):
+        return [[expr]]
+    first, *rest = operands(chain(expr))
+    result = _dnf(first)
+    for operand in rest:
+        right = _dnf(operand)
+        if result is None or right is None:
+            return None
+        if expr.op == "|":
+            result = result + right
+        else:
+            result = [a + b for a, b in itertools.product(result, right)]
+        if len(result) > _MAX_DISJUNCTS:
+            return None
     return result
 

@@ -4,6 +4,20 @@ The surface syntax is line-comment (`#`) based and otherwise newline
 insensitive; declarations start with `input`, `output`, or `trigger`, so
 expressions simply end where the next declaration or clause keyword begins.
 
+Binary operators are parsed by one loop over `ast.PRECEDENCE`, the table
+the printer, the type checker and the compiler read too: a run of one
+level's operators becomes a left-deep chain (`ast.chain`) without a
+recursion per operand, and a second comparison after a first is an error,
+since comparisons do not chain. Nesting is what recurses, in every later
+stage too, so the parser limits it to `MAX_DEPTH` levels, and deeper is a
+ParseError at line and column. It counts the levels twice: in the source,
+where parentheses, unary operators, `?` fallbacks, `if` branches and call
+and window arguments each open one, which bounds its own recursion; and in
+the tree, where every operand, argument, branch and fallback sits one level
+below its expression and a chain is one expression, which bounds every
+later stage's. The compiler writes at most two parentheses per level of the
+tree, so the limit keeps its source within CPython's 200.
+
 All window spellings are normalized while parsing: a window carries a
 duration and an aggregation, and an inline default value in any position
 becomes an explicit `?default` wrapper. Durations are kept as exact rational
@@ -19,6 +33,8 @@ from typing import Optional
 from .ast import (
     AGG_BY_NAME,
     BUILTIN_FNS,
+    COMPARISONS,
+    PRECEDENCE,
     Binary,
     Const,
     Default,
@@ -39,32 +55,13 @@ from .ast import (
     Unary,
     ValueType,
     WindowAccess,
+    chain,
+    children,
+    operands,
 )
 from .diagnostics import Diagnostic, ParseError, SourceSpan, format_diagnostics
 
 __all__ = ["parse", "format_spec", "format_diagnostics", "parse_frequency"]
-
-KEYWORDS = frozenset(
-    [
-        "input",
-        "output",
-        "trigger",
-        "invoke",
-        "extend",
-        "terminate",
-        "if",
-        "then",
-        "else",
-        "true",
-        "false",
-        "any",
-        "count",
-        "time",
-        "bool",
-        "int",
-        "double",
-    ]
-)
 
 DECL_KEYWORDS = frozenset(["input", "output", "trigger", "time"])
 CLAUSE_KEYWORDS = frozenset(["invoke", "extend", "terminate"])
@@ -79,7 +76,13 @@ TIME_UNITS = {
 
 TYPE_NAMES = {"bool": ValueType.BOOL, "int": ValueType.INT, "double": ValueType.DOUBLE}
 
-COMPARISONS = ("=", "!=", "<", "<=", ">", ">=")
+KEYWORDS = DECL_KEYWORDS | CLAUSE_KEYWORDS | TYPE_NAMES.keys() | frozenset(
+    ["if", "then", "else", "true", "false", "any", "count"]
+)
+
+#: how deep expressions may nest, in the source and in the tree
+MAX_DEPTH = 64
+_TOO_DEEP = f"expression nested more than {MAX_DEPTH} levels deep"
 
 _DIGITS = frozenset("0123456789")
 
@@ -254,6 +257,7 @@ class _Parser:
         self.lines = lexer.lines
         self.diagnostics = lexer.diagnostics
         self.i = 0
+        self.depth = 0  # the nesting levels around the expression being parsed
 
     # -- token helpers ----------------------------------------------------
 
@@ -283,18 +287,25 @@ class _Parser:
             return f"'{_frac_str(num)}{unit}'"
         return f"'{t.value}'"
 
+    def diagnostic(self, message: str, span: SourceSpan) -> Diagnostic:
+        line = self.lines[span.line - 1] if 1 <= span.line <= len(self.lines) else None
+        return Diagnostic(message, span, line)
+
+    def error(self, message: str, tok: Optional[Token] = None) -> _Unexpected:
+        return _Unexpected(self.diagnostic(message, (tok or self.tok).span))
+
     def fail(self, expected: str, tok: Optional[Token] = None) -> _Unexpected:
         t = tok or self.tok
-        diag = Diagnostic(
-            f"expected {expected}, found {self._describe(t)}",
-            t.span,
-            self.lines[t.line - 1] if 1 <= t.line <= len(self.lines) else None,
-        )
-        return _Unexpected(diag)
+        return self.error(f"expected {expected}, found {self._describe(t)}", t)
 
     def expect_op(self, op: str) -> Token:
         if not self.at_op(op):
             raise self.fail(f"'{op}'")
+        return self.advance()
+
+    def expect_keyword(self, word: str) -> Token:
+        if not self.at("KEYWORD", word):
+            raise self.fail(f"'{word}'")
         return self.advance()
 
     def expect_ident(self, what: str = "identifier") -> Token:
@@ -311,6 +322,7 @@ class _Parser:
                 self.parse_decl(spec)
             except _Unexpected as exc:
                 self.diagnostics.append(exc.diagnostic)
+                self.depth = 0
                 self._sync()
         self._check_names(spec)
         return spec
@@ -356,39 +368,26 @@ class _Parser:
             self.advance()
             while True:
                 pty = self._parse_type()
-                pname = self.expect_ident("parameter name")
-                params.append(Param(pname.value, pty))
-                if self.at_op(","):
-                    self.advance()
-                    continue
-                break
+                params.append(Param(self.expect_ident("parameter name").value, pty))
+                if not self.at_op(","):
+                    break
+                self.advance()
             self.expect_op(">")
         clock: Optional[Fraction] = None
         if self.at_op(":"):
             self.advance()
             clock = self._parse_frequency()
-        invoke = extend = terminate = None
-        seen_clause = False
+        clauses: dict[str, Expr] = {}
         while self.tok.kind == "KEYWORD" and self.tok.value in CLAUSE_KEYWORDS:
             clause = self.advance()
             self.expect_op(":")
             expr = self._parse_clause_expr(clause.value)
-            if clause.value == "invoke":
-                if invoke is not None:
-                    raise self.fail("only one 'invoke' clause", clause)
-                invoke = expr
-            elif clause.value == "extend":
-                if extend is not None:
-                    raise self.fail("only one 'extend' clause", clause)
-                extend = expr
-            else:
-                if terminate is not None:
-                    raise self.fail("only one 'terminate' clause", clause)
-                terminate = expr
-            seen_clause = True
+            if clause.value in clauses:
+                raise self.fail(f"only one '{clause.value}' clause", clause)
+            clauses[clause.value] = expr
         if self.at_op(":="):
             self.advance()
-        elif self.at_op("=") and not seen_clause:
+        elif self.at_op("=") and not clauses:
             # bare `=` is accepted as the definition separator in the
             # clause-free form only; after clauses it would be ambiguous
             # with an equality comparison inside the clause expression
@@ -396,19 +395,9 @@ class _Parser:
         else:
             raise self.fail("':='")
         expr = self.parse_expr()
-        spec.outputs.append(
-            StreamTemplate(
-                name.value,
-                ty,
-                params,
-                clock,
-                invoke,
-                extend,
-                terminate,
-                expr,
-                span=kw.span,
-            )
-        )
+        tpl = StreamTemplate(name.value, ty, params, clock, expr=expr, **clauses)
+        tpl.span = kw.span
+        spec.outputs.append(tpl)
 
     def _parse_frequency(self) -> Fraction:
         if not self.at("NUMUNIT"):
@@ -424,12 +413,8 @@ class _Parser:
     def _parse_clause_expr(self, clause: str) -> Expr:
         if clause == "invoke" and self.at_op("("):
             # a parenthesized, comma-separated invoke expression is a tuple
-            open_tok = self.advance()
-            items = [self.parse_expr()]
-            while self.at_op(","):
-                self.advance()
-                items.append(self.parse_expr())
-            self.expect_op(")")
+            open_tok = self.tok
+            items = self._parse_list()
             if len(items) == 1:
                 return items[0]
             return TupleExpr(items, span=open_tok.span)
@@ -474,88 +459,71 @@ class _Parser:
 
     def _check_names(self, spec: Specification) -> None:
         seen: dict[str, SourceSpan] = {}
-
-        def check(name: str, span: SourceSpan) -> None:
+        for decl in [*spec.inputs, *spec.outputs]:
+            name = decl.name
             if name in AGG_BY_NAME or name in BUILTIN_FNS:
-                self.diagnostics.append(
-                    Diagnostic(
-                        f"'{name}' is a reserved function name",
-                        span,
-                        self.lines[span.line - 1] if span.line else None,
-                    )
-                )
+                text = f"'{name}' is a reserved function name"
             elif name in seen:
-                self.diagnostics.append(
-                    Diagnostic(
-                        f"duplicate declaration of '{name}' "
-                        f"(first declared at {seen[name]})",
-                        span,
-                        self.lines[span.line - 1] if span.line else None,
-                    )
-                )
+                first = seen[name]
+                text = f"duplicate declaration of '{name}' (first declared at {first})"
             else:
-                seen[name] = span
+                seen[name] = decl.span
+                continue
+            self.diagnostics.append(self.diagnostic(text, decl.span))
 
-        for decl in spec.inputs:
-            check(decl.name, decl.span)
-        for tpl in spec.outputs:
-            check(tpl.name, tpl.span)
+    def _check_depth(self, expr: Expr) -> None:
+        """The expression's tree nests at most MAX_DEPTH levels deep too: an
+        operand, argument, branch or fallback sits one level below its
+        expression, and a chain (`ast.chain`) is one expression. Precedence
+        nests operators without parentheses, which `_parse_unary` does not
+        count."""
+        stack = [(expr, 0)]
+        while stack:
+            node, depth = stack.pop()
+            if depth > MAX_DEPTH:
+                raise _Unexpected(self.diagnostic(_TOO_DEEP, node.span))
+            if isinstance(node, Binary):
+                stack += [(e, depth + 1) for e in operands(chain(node))]
+            else:
+                stack += [(e, depth + 1) for e in children(node)]
 
     # -- expressions -------------------------------------------------------
 
-    def parse_expr(self) -> Expr:
-        return self._parse_or()
-
-    def _parse_or(self) -> Expr:
-        left = self._parse_and()
-        while self.at_op("|"):
+    def parse_expr(self, level: int = 1) -> Expr:
+        """An expression whose binary operators bind at `level` or tighter
+        (PRECEDENCE). A run of one level's operators is built left-deep in
+        one loop, so only a tighter operand recurses."""
+        start, left = self.i, self._parse_unary()
+        while self.at("OP") and PRECEDENCE.get(self.tok.value, 0) >= level:
             op = self.advance()
-            right = self._parse_and()
-            left = Binary("|", left, right, span=op.span)
-        return left
-
-    def _parse_and(self) -> Expr:
-        left = self._parse_cmp()
-        while self.at_op("&"):
-            op = self.advance()
-            right = self._parse_cmp()
-            left = Binary("&", left, right, span=op.span)
-        return left
-
-    def _parse_cmp(self) -> Expr:
-        left = self._parse_add()
-        if self.at_op(*COMPARISONS):
-            op = self.advance()
-            right = self._parse_add()
-            return Binary(op.value, left, right, span=op.span)
-        return left
-
-    def _parse_add(self) -> Expr:
-        left = self._parse_mul()
-        while self.at_op("+", "-"):
-            op = self.advance()
-            right = self._parse_mul()
+            right = self.parse_expr(PRECEDENCE[op.value] + 1)
             left = Binary(op.value, left, right, span=op.span)
-        return left
-
-    def _parse_mul(self) -> Expr:
-        left = self._parse_unary()
-        while self.at_op("*", "/", "%"):
-            op = self.advance()
-            right = self._parse_unary()
-            left = Binary(op.value, left, right, span=op.span)
+            if op.value in COMPARISONS and self.at_op(*COMPARISONS):
+                raise self.error("comparisons do not chain; join them with '&'")
+        # a tree n levels deep has n + 1 tokens at least
+        if level == 1 and self.depth == 0 and self.i - start > MAX_DEPTH + 1:
+            self._check_depth(left)
         return left
 
     def _parse_unary(self) -> Expr:
+        """A unary operation or a postfix form. Each nesting form parses its
+        nested expressions through here, one level deeper, so this is where
+        the depth is counted and limited."""
+        if self.depth > MAX_DEPTH:
+            raise self.error(_TOO_DEEP)
+        self.depth += 1
         if self.at_op("-", "!"):
             op = self.advance()
-            operand = self._parse_unary()
-            if op.value == "-" and isinstance(operand, Const) and not isinstance(
-                operand.value, bool
-            ):
-                return Const(-operand.value, span=op.span)
-            return Unary(op.value, operand, span=op.span)
-        return self._parse_postfix()
+            expr = self._parse_unary()
+            number = isinstance(expr, Const) and not isinstance(expr.value, bool)
+            if op.value == "-" and number:  # a negative constant
+                expr = Const(-expr.value, span=op.span)
+            else:
+                expr = Unary(op.value, expr, span=op.span)
+        else:
+            expr = self._parse_postfix()
+        self.depth -= 1
+        return expr
 
     def _parse_postfix(self) -> Expr:
         expr = self._parse_primary()
@@ -584,28 +552,17 @@ class _Parser:
         if t.kind == "KEYWORD" and t.value == "if":
             self.advance()
             cond = self.parse_expr()
-            if not self.at("KEYWORD", "then"):
-                raise self.fail("'then'")
-            self.advance()
+            self.expect_keyword("then")
             then_branch = self.parse_expr()
-            if not self.at("KEYWORD", "else"):
-                raise self.fail("'else'")
-            self.advance()
-            else_branch = self.parse_expr()
-            return IfThenElse(cond, then_branch, else_branch, span=t.span)
+            self.expect_keyword("else")
+            return IfThenElse(cond, then_branch, self.parse_expr(), span=t.span)
         if t.kind == "IDENT":
             self.advance()
-            args: list[Expr] = []
-            if self.at_op("("):
-                self.advance()
-                if not self.at_op(")"):
-                    args.append(self.parse_expr())
-                    while self.at_op(","):
-                        self.advance()
-                        args.append(self.parse_expr())
-                self.expect_op(")")
-                if t.value in BUILTIN_FNS:
-                    return FnCall(t.value, args, span=t.span)
+            if not self.at_op("("):
+                return StreamAccess(t.value, [], DiscreteOffset(0), span=t.span)
+            args = self._parse_list()
+            if t.value in BUILTIN_FNS:
+                return FnCall(t.value, args, span=t.span)
             return StreamAccess(t.value, args, DiscreteOffset(0), span=t.span)
         if self.at_op("("):
             self.advance()
@@ -614,38 +571,34 @@ class _Parser:
             return inner
         raise self.fail("an expression")
 
+    def _parse_list(self) -> list[Expr]:
+        """A parenthesized, comma-separated, possibly empty expression list."""
+        self.expect_op("(")
+        items = [] if self.at_op(")") else [self.parse_expr()]
+        while items and self.at_op(","):
+            self.advance()
+            items.append(self.parse_expr())
+        self.expect_op(")")
+        return items
+
     def _parse_bracket(self, access: StreamAccess) -> Expr:
         """`s[...]` suffix: a past offset or a sliding window, with all
         accepted orderings of duration / aggregation / inline default."""
         open_tok = self.advance()  # '['
         # first item decides between offset and window
-        if self.at_op("-"):
-            self.advance()
-            if self.at("INT"):
-                steps = self.advance().value
-                offset: object = DiscreteOffset(-steps)
+        if self.at_op("-") or (self.at("INT") and self.tok.value == 0):
+            if self.advance().kind == "INT":  # `[0`
+                access.offset = DiscreteOffset(0)
+            elif self.at("INT"):
+                access.offset = DiscreteOffset(-self.advance().value)
             elif self.at("NUMUNIT"):
-                tok = self.advance()
-                seconds = self._to_seconds(tok)
-                offset = RealTimeOffset(-seconds)
+                access.offset = RealTimeOffset(-self._to_seconds(self.advance()))
             else:
                 raise self.fail("offset count or duration after '-'")
-            access.offset = offset  # type: ignore[assignment]
             expr: Expr = access
             if self.at_op(","):
                 self.advance()
-                fallback = self.parse_expr()
-                expr = Default(access, fallback, span=open_tok.span)
-            self.expect_op("]")
-            return expr
-        if self.at("INT") and self.tok.value == 0:
-            zero = self.advance()
-            access.offset = DiscreteOffset(0)
-            expr = access
-            if self.at_op(","):
-                self.advance()
-                fallback = self.parse_expr()
-                expr = Default(access, fallback, span=zero.span)
+                expr = Default(access, self.parse_expr(), span=open_tok.span)
             self.expect_op("]")
             return expr
         if not self.at("NUMUNIT"):
@@ -664,14 +617,7 @@ class _Parser:
                 if self.at_op("("):
                     # `count(cid)` style: the argument list belongs to the
                     # target stream, not to the aggregation
-                    self.advance()
-                    inner_args: list[Expr] = []
-                    if not self.at_op(")"):
-                        inner_args.append(self.parse_expr())
-                        while self.at_op(","):
-                            self.advance()
-                            inner_args.append(self.parse_expr())
-                    self.expect_op(")")
+                    inner_args = self._parse_list()
                     if access.args:
                         raise self.fail(
                             "instance arguments given twice", item_tok
@@ -735,21 +681,7 @@ def parse_frequency(text: str) -> Fraction:
 
 # -- pretty printer ---------------------------------------------------------
 
-_PREC = {
-    "|": 1,
-    "&": 2,
-    "=": 3,
-    "!=": 3,
-    "<": 3,
-    "<=": 3,
-    ">": 3,
-    ">=": 3,
-    "+": 4,
-    "-": 4,
-    "*": 5,
-    "/": 5,
-    "%": 5,
-}
+#: the levels above PRECEDENCE's
 _UNARY_PREC = 6
 _POSTFIX_PREC = 7
 
@@ -823,10 +755,10 @@ def _expr_str(expr: Expr, parent_prec: int = 0) -> str:
         case Unary(op=op, operand=operand):
             text = op + _expr_str(operand, _UNARY_PREC)
             prec = _UNARY_PREC
-        case Binary(op=op, left=l, right=r):
-            prec = _PREC[op]
-            left_prec = prec + 1 if op in COMPARISONS else prec  # non-assoc
-            text = f"{_expr_str(l, left_prec)} {op} {_expr_str(r, prec + 1)}"
+        case Binary(op=op):
+            run, prec = chain(expr), PRECEDENCE[op]
+            text = _expr_str(run[0].left, prec + (op in COMPARISONS))  # non-assoc
+            text += "".join(f" {n.op} {_expr_str(n.right, prec + 1)}" for n in run)
         case IfThenElse(cond=c, then_branch=t, else_branch=e):
             text = f"if {_expr_str(c)} then {_expr_str(t)} else {_expr_str(e)}"
             prec = 0

@@ -33,7 +33,9 @@ from .ast import (
     Unary,
     ValueType,
     WindowAccess,
+    chain,
     children,
+    operands,
     template_expressions,
     walk,
 )
@@ -202,7 +204,7 @@ class _Checker:
         cond = trig.condition
         if cond.ty is not None and cond.ty is not BOOL:
             self.error(f"trigger condition must have type bool, got {cond.ty}", cond)
-        for node in _walk_resolved(cond):
+        for node in walk(cond):
             if isinstance(node, WindowAccess):
                 self.error(
                     "windows are not allowed in trigger conditions; compute "
@@ -219,7 +221,7 @@ class _Checker:
     def _any_scope(self, trig: TriggerDecl) -> Optional[StreamTemplate]:
         bare_parameterized = []
         first_output = None
-        for node in _walk_resolved(trig.condition):
+        for node in walk(trig.condition):
             if not isinstance(node, StreamAccess):
                 continue
             tpl = self.templates.get(node.stream)
@@ -303,10 +305,13 @@ class _Checker:
                         self.error(f"{ctx.where}: '-' needs a number, got {ity}", expr)
                     expr.ty = ity
                 return expr
-            case Binary(op=op):
-                expr.left = self._resolve(expr.left, ctx, trigger_scope)
-                expr.right = self._resolve(expr.right, ctx, trigger_scope)
-                expr.ty = self._binary_type(expr, ctx)
+            case Binary():
+                # a chain in one loop: each node's left is the one before
+                run = chain(expr)
+                run[0].left = self._resolve(run[0].left, ctx, trigger_scope)
+                for node in run:
+                    node.right = self._resolve(node.right, ctx, trigger_scope)
+                    node.ty = self._binary_type(node, ctx)
                 return expr
             case IfThenElse():
                 expr.cond = self._resolve(expr.cond, ctx, trigger_scope)
@@ -531,12 +536,12 @@ class _Checker:
                         "'?default'",
                         expr,
                     )
+            case Binary():
+                for operand in operands(chain(expr)):
+                    self._coverage(operand, protected, where)
+                return
         for child in children(expr):
             self._coverage(child, protected, where)
-
-
-def _walk_resolved(expr: Expr):
-    yield from walk(expr)
 
 
 def check_types(spec: Specification) -> TypedSpec:

@@ -70,7 +70,7 @@ def _expr(draw, ty, depth=4, reads="", later="", leaves=LEAVES):
         return draw(_expr(t, depth - 1, reads, later, leaves))
 
     num = "bool" != ty
-    forms = ["if", "default", "offset", "delay"]
+    forms = ["if", "default", "offset", "delay", "chain"]
     forms += ["arith", "neg", "window", "call"] if num else ["compare", "logic", "not"]
     form = draw(st.sampled_from(forms))
     if form == "if":
@@ -84,10 +84,20 @@ def _expr(draw, ty, depth=4, reads="", later="", leaves=LEAVES):
         stream = draw(st.sampled_from(STREAMS[ty] + mine + ahead))
         delay = draw(st.sampled_from(["250ms", "500ms", "1s", "1.5s"]))
         return f"{stream}[-{delay}, {sub(ty)}]"
+    # an int operand in a double expression exercises the promotion
+    other = ["double", "int"] if ty == "double" else [ty]
+    if form == "chain":
+        # a left-deep run of 2 to 6 operators of one level, unparenthesized,
+        # over shallower operands
+        ops = draw(st.sampled_from(["+-", "*/%"] if num else ["&", "|"]))
+        types = [ty] + draw(st.lists(st.sampled_from(other), min_size=2, max_size=6))
+        items = [draw(_expr(t, max(depth - 2, 0), reads, later, leaves)) for t in types]
+        items = draw(st.permutations(items))
+        return "(" + items[0] + "".join(
+            f" {draw(st.sampled_from(ops))} {item}" for item in items[1:]
+        ) + ")"
     if form in ("arith", "call"):
-        # an int operand in a double expression exercises the promotion
-        other = draw(st.sampled_from(["double", "int"])) if ty == "double" else ty
-        left, right = draw(st.permutations([sub(ty), sub(other)]))
+        left, right = draw(st.permutations([sub(ty), sub(draw(st.sampled_from(other)))]))
         if form == "call":
             return f"{draw(st.sampled_from(['min', 'max']))}({left}, {right})"
         return f"({left} {draw(st.sampled_from(['+', '-', '*', '/', '%']))} {right})"
@@ -356,6 +366,17 @@ VARIANTS = {
         "output bool q := (p | (b[2s, count] > 1)) & (j + b[2s, count] > 0)\n"
         "output double r := if p then a[2s, max]?(0.0) else -(i / (j)?(0))\n",
         "ehqr",
+        None,
+    ),
+    # chains of each level: `&` and `|` go on evaluating after an undefined
+    # first operand (a window then still evicts), and only a defined value
+    # so far decides; `/` and `%` steps by zero make the rest undefined
+    "chains": (
+        "output bool u := p & false & (a[2s, count] > 1) & (j > 0)\n"
+        "output bool v := (i > 0) | true | (b[1s, count] > 0) | p\n"
+        "output int w := i / j % (i)?(2) * 3 - j + 1 - (j)?(0)\n"
+        "output double d := a / b * 2.0 % (b)?(1.5) / 0.5 * j\n",
+        "uvwd",
         None,
     ),
     # clocks due alone and together; a clocked family ends on its own ticks

@@ -2,6 +2,7 @@ import dataclasses
 import gc
 import itertools
 import math
+import operator
 import random
 import sys
 from collections import Counter
@@ -20,6 +21,7 @@ from streammon import (
     Event,
     Monitor,
     OutOfOrderError,
+    analyze,
 )
 from streammon import compiler, engine
 from streammon.engine import Instance, _StreamRT
@@ -604,6 +606,22 @@ def test_fixed_mode_rejects_a_frequency_that_is_not_positive(frequency):
         Monitor(t, mode="fixed", frequency=frequency)
 
 
+def test_a_clock_too_fast_to_replay_is_refused():
+    """A monitor runs every tick one by one, so a clock above MAX_FREQUENCY,
+    declared or given to fixed mode, ends in a diagnostic, not in a replay
+    without end; the analysis still takes it."""
+    fast = typed("input double a\noutput double y : 1e400Hz := a?0.0")
+    with pytest.raises(EngineError, match="y: cannot replay a clock above"):
+        Monitor(fast)
+    analyze(fast)
+    t = typed("input double a\noutput double y := a?0.0")
+    with pytest.raises(EngineError, match="y: cannot replay a clock above"):
+        Monitor(t, mode="fixed", frequency=Fraction(10) ** 400)
+    m = Monitor(t, mode="fixed", frequency=engine.MAX_FREQUENCY)
+    ticks = m.process(Event(2.5e-6, {"a": 1.0}))
+    assert [(v.ts, v.value) for v in ticks] == [(1e-6, 0.0), (2e-6, 0.0)]
+
+
 def _state(m):
     buffers = {
         name: {alpha: list(inst.buf) for alpha, inst in rt.instances.items()}
@@ -1051,35 +1069,80 @@ def test_pinned_any_trigger_is_one_check(mode, monkeypatch):
     assert any("for alpha in alphas" in s for s in sources)
 
 
+#: family -> the output's type, its operators and its terms with their
+#: values (None: the input's), each drawn in turn along a 1000-term chain
+CHAINS = {
+    "sum": ("double", "+-", [("a?0.0", None), ("1e16", 1e16), ("0.5", 0.5)]),
+    "product": ("double", "*", [("a?1.0", None), ("0.5", 0.5), ("0.75", 0.75)]),
+    "quotient": ("double", "/", [("a?1.0", None), ("0.5", 0.5), ("1.25", 1.25)]),
+    "int-quotient": ("int", "/", [("i?1", None), ("-1", -1), ("1", 1), ("2", 2)]),
+    "remainder": ("double", "%", [("a?1.0", None), ("2.5", 2.5), ("-1.5", -1.5)]),
+    "and": ("bool", "&", [("p?false", None), ("true", True), ("p", None)]),
+    "or": ("bool", "|", [("!p", False), ("false", False), ("p?true", None)]),
+    "mixed": ("double", "*/%*", [("a?1.0", None), ("1.5", 1.5), ("7.0", 7.0)]),
+}
+#: what the operators do in Python on values the chains never make undefined
+FOLD = {
+    "+": operator.add,
+    "-": operator.sub,
+    "*": operator.mul,
+    "%": operator.mod,
+    "&": operator.and_,
+    "|": operator.or_,
+}
+INPUT_VALUES = {"double": 3.0, "int": 7, "bool": True}
+
+
 @pytest.mark.parametrize("mode", ["variable", "fixed"])
-def test_long_sum_is_written_flat(mode):
-    """A left-deep chain of 1000 `+` and `-` terms is written as one strict
-    test over its temporaries and one flat operation, so the parentheses of
-    the kernel's source do not nest with its length (CPython's tokenizer
-    stops at 200 levels): it runs in both modes, and its value is the
-    left-to-right float sum, which differs from other groupings here. The
-    front end still recurses once per term, so the spec is parsed and
-    checked under a raised recursion limit; building and running the
-    monitor need none."""
-    terms = [("a?0.0", None), ("1e16", 1e16), ("0.5", 0.5), ("-1e16", -1e16)]
-    picked = [terms[k % 4] for k in range(1000)]
-    source = " + ".join(text for text, _ in picked).replace("+ -", "- ")
-    spec = f"input double a\noutput double x := {source}"
-    limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(max(limit, 20_000))
-    try:
-        tspec = typed(spec)
-    finally:
-        sys.setrecursionlimit(limit)
+@pytest.mark.parametrize("family", sorted(CHAINS))
+def test_long_chain_is_written_flat(family, mode):
+    """A left-deep chain of 1000 terms of one operator level is written as
+    one test over its operands' temporaries, with the steps Python cannot
+    write flat (`/`, `%`) held in temporaries of their own, and `&` and `|`
+    as one test over the value so far: the parentheses of the kernel's
+    source do not nest with its length (CPython's tokenizer stops at 200
+    levels), and no stage recurses once per term. It parses, checks,
+    analyzes and runs in both modes at the default recursion limit, and its
+    value is the left fold, which for the sum differs from other
+    groupings."""
+    ty, ops, terms = CHAINS[family]
+    picked = [terms[k % len(terms)] for k in range(1000)]
+    source = picked[0][0] + "".join(
+        f" {ops[k % len(ops)]} {text}" for k, (text, _) in enumerate(picked[1:])
+    )
+    spec = f"input double a\ninput int i\ninput bool p\noutput {ty} x := {source}"
+    tspec = typed(spec)
+    analyze(tspec)
     kwargs = {"mode": "fixed", "frequency": Fraction(1)} if mode == "fixed" else {}
     m = Monitor(tspec, **kwargs)
-    got = [v.value for v in drain(m, [Event(0.5, {"a": 3.0}), Event(1.5, {"a": 3.0})])]
-    want = 0.0
-    for _, value in picked:
-        want += 3.0 if value is None else value
-    assert want != sum(3.0 if v is None else v for _, v in reversed(picked))
+    bound = {"a": 3.0, "i": 7, "p": True}
+    got = [v.value for v in drain(m, [Event(0.5, bound), Event(1.5, bound)])]
+    fold = dict(FOLD, **{"/": operator.floordiv if ty == "int" else operator.truediv})
+    values = [INPUT_VALUES[ty] if v is None else v for _, v in picked]
+    want = values[0]
+    for k, value in enumerate(values[1:]):
+        want = fold[ops[k % len(ops)]](want, value)
+    if family == "sum":  # the order matters
+        signs = [1] + [-1 if ops[k % 2] == "-" else 1 for k in range(999)]
+        assert want != sum(s * v for s, v in reversed(list(zip(signs, values))))
     if mode == "fixed":
         assert got == [want]  # the tick at 1 s
     else:
         assert got == []  # no output verdicts in variable mode
         assert m.streams["x"].instances[()].buf[-1][1] == want
+
+
+@pytest.mark.parametrize("op", ["&", "|"])
+def test_long_extend_condition_builds_a_monitor(op):
+    """An extend condition of 1000 `id = ID` terms joined by `&` or `|`
+    classifies, plans and runs: one lookup for the conjunction, a scan of
+    the instances for the disjunction, whose normal form is too large."""
+    extend = f" {op} ".join(["id = ID"] * 1000)
+    spec = (
+        "input int ID\ninput double x\noutput double f<int id>\n"
+        f"  invoke: ID\n  extend: {extend}\n  := x?0.0\n"
+    )
+    m = Monitor(typed(spec), instance_bounds={"f": 10})
+    drain(m, [Event(1.0, {"ID": 3, "x": 2.0}), Event(2.0, {"ID": 3, "x": 5.0})])
+    drain(m, [Event(3.0, {"ID": 4, "x": 1.0})])
+    assert m.streams["f"].instances[(3,)] == (2.0, 5.0)

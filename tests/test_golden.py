@@ -17,7 +17,8 @@ from fractions import Fraction
 import pytest
 
 from conftest import CARS_SPEC, FLEET_SPEC, PID_SPEC, typed
-from streammon import Event, Monitor
+from test_acceptance import _EFFICIENT_SPEC
+from streammon import Event, Monitor, engine
 from streammon.scenarios import FleetConfig, PidConfig, generate_fleet, generate_pid
 
 BIND_SPEC = """
@@ -139,3 +140,50 @@ def test_verdict_digest_matches_golden(name):
     spec, make_events, kwargs, expected = CASES[name]
     monitor = Monitor(typed(spec), **kwargs)
     assert _digest(monitor, make_events(7)) == expected
+
+
+#: the generated event and tick kernel sources of the benchmark's four
+#: workloads, as sha256 digests, recorded before the parser, the type checker
+#: and the compiler learned chains: the expression pipeline's changes leave
+#: the hot path's code as it was
+KERNELS = {
+    "pid-variable": (
+        PID_SPEC,
+        {},
+        ["2237b8c36baf77594a7a4a536a737b86b6d1fc6e621f9045aa4cf69c85b921c8"],
+    ),
+    "pid-fixed-1Hz": (
+        PID_SPEC,
+        {"mode": "fixed", "frequency": Fraction(1)},
+        [
+            "2325e14bcd97274b3cac6404da8bbc2b48a8f6de70336ecb49e9f94eea411119",
+            "d2b2b0a71ca489fccdc8313f4b32ace210a50fff4699ec7d95485e78231ef846",
+        ],
+    ),
+    "fleet-bounded": (
+        FLEET_SPEC,
+        {"instance_bounds": {"orp": 500, "suspicious": 500}},
+        ["21ddf4a49026fb7cfca8f0b1def0bb84e4e861b4011939a63b6a0962919c7d17"],
+    ),
+    "bind": (
+        _EFFICIENT_SPEC,
+        {"instance_bounds": {"f": 100_000}},
+        ["05fdfcfb08134f15bc50ae52280cc8a56cb9f218b8dfe4493f9203cb019daca0"],
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(KERNELS))
+def test_benchmark_kernel_sources_are_pinned(name, monkeypatch):
+    """The event kernel's source, then the tick kernel's when the spec has
+    clocks, hash to their recorded digests. A change that alters them on
+    purpose records the new digests and says why."""
+    spec, kwargs, expected = KERNELS[name]
+    sources = []
+    code = engine._code
+    monkeypatch.setattr(engine, "_code", lambda s: sources.append(s) or code(s))
+    monitor = Monitor(typed(spec), **kwargs)
+    monitor._kernel(tick=False)
+    if monitor._clocks:
+        monitor._kernel(tick=True)
+    assert [hashlib.sha256(s.encode()).hexdigest() for s in sources] == expected

@@ -4,8 +4,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import CARS_SPEC, INTRO_SPEC, PHI_SPEC, PID_SPEC
-from streammon import ParseError, format_diagnostics, format_spec, parse
+from conftest import CARS_SPEC, INTRO_SPEC, PHI_SPEC, PID_SPEC, typed
+from streammon import (
+    Event,
+    Monitor,
+    ParseError,
+    analyze,
+    format_diagnostics,
+    format_spec,
+    parse,
+)
 from streammon.ast import (
     AggFn,
     Binary,
@@ -17,6 +25,7 @@ from streammon.ast import (
     TriggerKind,
     WindowAccess,
 )
+from streammon.parser import MAX_DEPTH
 from fractions import Fraction
 
 
@@ -125,6 +134,18 @@ def test_trigger_forms():
     assert plain_t.kind is TriggerKind.PLAIN
 
 
+def _ladder(depth: int) -> str:
+    """An expression whose tree nests `depth` levels by cycling a unary
+    minus, a product and a sum: `a + a * -(a + a * -a)` nests 6."""
+    text = "a"
+    for k in range(depth):
+        if k % 3 == 0:
+            text = f"-{text}" if text == "a" or text[0] == "-" else f"-({text})"
+        else:
+            text = f"a {'*+'[k % 3 - 1]} {text}"
+    return text
+
+
 def test_operator_precedence():
     spec = parse("input int a\ninput int b\noutput bool x := a + 2 * b < 7 & !(a = b) | true")
     expr = spec.outputs[0].expr
@@ -133,6 +154,60 @@ def test_operator_precedence():
     cmp = expr.left.left
     assert cmp.op == "<"
     assert cmp.left.op == "+" and cmp.left.right.op == "*"
+
+
+@pytest.mark.parametrize("second", ["<", "=", ">="])
+def test_comparisons_do_not_chain(second):
+    """A second comparison is reported at its operator, also after an
+    arithmetic operand and inside a clause."""
+    for source in (
+        f"input int a\noutput bool x := a < a {second} a",
+        f"input int a\noutput bool x := a = a + 1 {second} a",
+        f"input int a\noutput bool x<int k>\n  invoke: a\n  extend: k = a {second} a\n"
+        "  := true",
+    ):
+        with pytest.raises(ParseError) as err:
+            parse(source)
+        (diag,) = err.value.diagnostics
+        assert diag.message == "comparisons do not chain; join them with '&'"
+        line = source.split("\n")[diag.span.line - 1]
+        assert line[diag.span.column - 1 :].startswith(second), source
+
+
+#: each nesting form at depth d, over `input double a` and `input bool p`,
+#: and its value where a = 3.0 and p holds; `operators` nests the tree by
+#: precedence, not the source
+NESTINGS = {
+    "parentheses": (lambda d: "a - (" * d + "a" + ")" * d, lambda d: 3.0 * (d % 2 == 0)),
+    "unary": (lambda d: "-" * d + "a", lambda d: 3.0 * (-1) ** d),
+    "fallback": (lambda d: "a?" * d + "a", lambda d: 3.0),
+    "if": (lambda d: "if p then " * d + "a" + " else a" * d, lambda d: 3.0),
+    "call": (lambda d: "abs(" * d + "a" + ")" * d, lambda d: 3.0),
+    "window": (lambda d: "a[1s, sum, " * d + "a" + "]" * d, lambda d: 3.0),
+    "operators": (_ladder, lambda d: eval(_ladder(d), {"a": 3.0})),
+}
+
+
+@pytest.mark.parametrize("form", sorted(NESTINGS))
+def test_every_depth_up_to_the_limit_runs(form):
+    """Every depth of each nesting form up to MAX_DEPTH parses, checks,
+    analyzes and runs in variable mode, and at the limit in fixed mode; one
+    level more is a ParseError at line and column."""
+    text, value = NESTINGS[form]
+    for depth in range(MAX_DEPTH + 1):
+        tspec = typed(f"input double a\ninput bool p\noutput double x := {text(depth)}")
+        analyze(tspec)
+        fixed = {"mode": "fixed", "frequency": Fraction(1)}
+        for kwargs in [{}, fixed] if depth == MAX_DEPTH else [{}]:
+            m = Monitor(tspec, **kwargs)
+            for ts in (0.5, 1.5):  # fixed mode ticks at 1 s
+                m.process(Event(ts, {"a": 3.0, "p": True}))
+            assert m.streams["x"].instances[()].buf[-1][1] == value(depth), depth
+    with pytest.raises(ParseError) as err:
+        parse(f"input double a\ninput bool p\noutput double x := {text(MAX_DEPTH + 1)}")
+    (diag,) = err.value.diagnostics
+    assert diag.message == f"expression nested more than {MAX_DEPTH} levels deep"
+    assert diag.span.line == 3 and diag.span.column > 20
 
 
 def test_missing_definition_token():

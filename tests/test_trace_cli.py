@@ -1,15 +1,30 @@
+import contextlib
+import io
 import json
 import math
+import re
+import signal
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import FLEET_SPEC, PHI_PPRIME_SPEC, PHI_PRIME_SPEC, PID_SPEC, typed
 from test_analysis import ARGS_SPEC
 from streammon import TraceError, Verdict
 from streammon.cli import main
+from streammon.parser import MAX_DEPTH
+from streammon.scenarios import (
+    FLEET_HEADER,
+    PID_HEADER,
+    FleetConfig,
+    PidConfig,
+    generate_fleet,
+    generate_pid,
+)
 from streammon.trace import read_trace, write_trace
 
 
@@ -158,6 +173,27 @@ def test_analyze_exit_codes(tmp_path):
     broken.write_text("output bool x := 1 + true")
     code, _, err = run_cli("analyze", str(broken))
     assert code == 1 and "error" in err
+
+
+@pytest.mark.parametrize("op", ["+", "/", "&"])
+def test_analyze_and_monitor_a_long_chain(tmp_path, op):
+    """`streammon analyze` and `monitor` take an output of 1000 chained
+    terms at the interpreter's default recursion limit."""
+    term = "(temperature > 0.0)?true" if op == "&" else "temperature?1.0"
+    ty = "bool" if op == "&" else "double"
+    spec = tmp_path / "long.spec"
+    spec.write_text(f"input double temperature\ninput double reference\n"
+                    f"output {ty} x := {f' {op} '.join([term] * 1000)}\n")
+    code, out, err = run_cli("analyze", str(spec))
+    assert code == 0 and "total:" in out, err
+    trace = tmp_path / "t.csv"
+    trace.write_text("time,temperature,reference\n1.0,2.0,\n2.0,,1.0\n")
+    code, out, err = run_cli(
+        "monitor", str(spec), str(trace), "--mode", "fixed", "--frequency", "1Hz"
+    )
+    # the tick at 1 s runs before the event there, so temperature is unset
+    want = {"+": [1000.0, 2000.0], "/": [1.0, 2.0**-998], "&": [True, True]}[op]
+    assert code == 0 and [json.loads(v)["value"] for v in out.splitlines()] == want
 
 
 def test_analyze_json(tmp_path):
@@ -367,3 +403,111 @@ def test_monitor_output_is_byte_identical(pid_paths):
         assert code == 0
         outs.add(out)
     assert len(outs) == 1
+
+
+# -- hostile input through the command line ----------------------------------------
+
+#: corpus spec -> its trace's scenario, both small
+_CORPUS = {"pid": (PID_SPEC, PID_HEADER), "fleet": (FLEET_SPEC, FLEET_HEADER)}
+_ROWS = {
+    "pid": generate_pid(PidConfig(seed=3, duration_s=8.0)),
+    "fleet": generate_fleet(FleetConfig(seed=3, cars=5, events=30, duration_s=600.0)),
+}
+#: a per-example cap on the wall-clock time of both commands, in seconds
+_CAP_S = 5.0
+_SUFFIX = {"double": " + 0.0", "int": " + 0", "bool": " & true"}
+
+
+class _TimeUp(BaseException):
+    """Raised in a run that exceeds the cap; no handler of the program's
+    catches it."""
+
+
+@st.composite
+def _hostile(draw):
+    """A corpus spec and its trace as bytes, either of them mutated: a byte
+    flipped, the text truncated, a header column duplicated, an output's
+    expression nested deep or chained long, a window's duration or a clock
+    made huge or tiny."""
+    name = draw(st.sampled_from(sorted(_CORPUS)))
+    spec, header = _CORPUS[name]
+    lines = [",".join(header)] + [
+        ",".join("" if c is None else str(c).lower() if isinstance(c, bool) else str(c) for c in row)
+        for row in _ROWS[name]
+    ]
+    trace = ("\n".join(lines) + "\n").encode()
+    kind = draw(st.sampled_from(["flip", "truncate", "header", "nest", "chain", "unit"]))
+    outputs = [k for k, line in enumerate(spec.split("\n")) if ":=" in line]
+    if kind in ("flip", "truncate"):
+        text = draw(st.sampled_from([spec.encode(), trace]))
+        at = draw(st.integers(0, len(text) - 1))
+        if kind == "flip":
+            mutated = text[:at] + bytes([draw(st.integers(0, 255))]) + text[at + 1 :]
+        else:
+            mutated = text[:at]
+        spec, trace = (mutated, trace) if text is not trace else (spec.encode(), mutated)
+        return spec, trace
+    if kind == "header":
+        column = draw(st.sampled_from(header))
+        trace = trace.replace(b"\n", f",{column}\n".encode(), 1)
+        return spec.encode(), trace
+    spec_lines = spec.split("\n")
+    k = draw(st.sampled_from(outputs))
+    decl = max(j for j in range(k + 1) if spec_lines[j].startswith("output"))
+    ty = spec_lines[decl].split()[1]
+    head, expr = spec_lines[k].split(":=")
+    if kind == "nest":
+        depth = draw(st.integers(MAX_DEPTH - 2, MAX_DEPTH + 2))
+        opener = draw(st.sampled_from(["(", "-(", "abs("] if ty != "bool" else ["(", "!("]))
+        expr = opener * depth + expr + ")" * depth
+    elif kind == "chain":
+        expr = f"({expr})" + _SUFFIX[ty] * draw(st.integers(100, 1000))
+    else:
+        unit = draw(st.sampled_from(["1e400Hz", "0.0001ms", "1e-400s", "1e400h"]))
+        if unit.endswith("Hz"):
+            name_end = spec_lines[decl].find(":=")
+            line = spec_lines[decl]
+            spec_lines[decl] = (
+                line + f": {unit}" if name_end < 0 else line.replace(" :=", f": {unit} :=", 1)
+            )
+            head, expr = spec_lines[k].split(":=")
+        else:
+            expr = re.sub(r"\[\d+[a-z]+", "[" + unit, expr, count=1)
+    spec_lines[k] = head + ":=" + expr
+    return "\n".join(spec_lines).encode(), trace
+
+
+@given(_hostile(), st.sampled_from(["variable", "fixed"]))
+@settings(max_examples=80, deadline=None)
+def test_hostile_input_ends_in_a_diagnostic(tmp_path_factory, case, mode):
+    """Every run of `analyze` and `monitor` on a mutated corpus spec or trace
+    ends with exit code 0, 1 or 2 and a diagnostic or report for 1 and 2,
+    without an exception and within a time cap."""
+    spec, trace = case
+    folder = tmp_path_factory.mktemp("hostile")
+    (folder / "s.spec").write_bytes(spec)
+    (folder / "t.csv").write_bytes(trace)
+    spec_path, trace_path = str(folder / "s.spec"), str(folder / "t.csv")
+    frequency = ["--frequency", "1Hz"] if mode == "fixed" else []
+    for argv in (
+        ["analyze", spec_path],
+        ["monitor", spec_path, trace_path, "--mode", mode, *frequency, "--allow-unbounded"],
+    ):
+        out, err = io.StringIO(), io.StringIO()
+
+        def time_up(*_):
+            raise _TimeUp(f"{argv[0]} ran longer than {_CAP_S} s")
+
+        previous = signal.signal(signal.SIGALRM, time_up)
+        signal.setitimer(signal.ITIMER_REAL, _CAP_S)
+        try:
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(argv)
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+            signal.signal(signal.SIGALRM, previous)
+        # 1 is an error on stderr; analyze's 2, unbounded, is its report
+        assert code in (0, 1, 2), argv
+        assert code != 1 or err.getvalue().strip(), argv
+        assert code != 2 or (out.getvalue() + err.getvalue()).strip(), argv
+        assert "Traceback" not in err.getvalue()
