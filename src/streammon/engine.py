@@ -64,10 +64,17 @@ values, never walks them. Kernels and reads are generated for each shape.
 
 Clock ticks are integers on a grid of 1/D seconds, D being the least common
 multiple of the clock frequencies' numerators, so a clock of p/q Hz ticks
-every D*q/p grid units. The scheduler compares and advances integers only. A
-tick becomes an instant once, when its step begins: the float tick / D when D
-is a power of two (which is exact), a Fraction otherwise. Windows, buffers
-and verdicts see that instant.
+every D*q/p grid units. The scheduler advances integers only. A tick t is due
+before an event at ts when t <= ts * D. On a dyadic grid (D a power of two)
+the event kernel compares t with the product ts * D itself: it is exact for a
+float ts, as a multiple of a float by a power of two is, short of overflowing
+to inf, and Python compares an int with a float exactly. On any other grid it
+compares t with floor(ts * D) from ts's integer ratio. An event that more
+than MAX_TICKS ticks of the fastest clock precede is refused before any tick
+runs, so a timestamp far ahead (an inf product included) ends in an
+EngineError and not in an endless replay. A tick becomes an instant once,
+when its step begins: the float tick / D when D is a power of two (which is
+exact), a Fraction otherwise. Windows, buffers and verdicts see that instant.
 """
 
 from __future__ import annotations
@@ -93,7 +100,6 @@ from .analysis import (
     param_input_atom,
 )
 from .ast import (
-    AggFn,
     Binary,
     Expr,
     StreamAccess,
@@ -171,15 +177,11 @@ class Instance:
 @dataclass
 class _WindowPlan:
     wkey: int
-    duration: Fraction
-    pane_width: Fraction
-    agg: AggFn
-    target_ty: ValueType
+    #: an empty window, of which each instance's window is a fresh copy
+    proto: PanedWindow
 
     def new_state(self) -> PanedWindow:
-        return PanedWindow(
-            self.duration, self.pane_width, make_aggregator(self.agg, self.target_ty)
-        )
+        return self.proto.fresh()
 
 
 @dataclass
@@ -201,6 +203,9 @@ class _CondPlan:
 _MAX_DISJUNCTS = 64
 #: the fastest clock a monitor runs, in Hz
 MAX_FREQUENCY = 10**6
+#: the most ticks of its fastest clock that a monitor runs before one event:
+#: an event further ahead is refused, since a replay runs every tick
+MAX_TICKS = 10**6
 #: the windows of every instance of a stream that no window reads
 _NO_WINDOWS = MappingProxyType({})
 
@@ -336,10 +341,9 @@ class Monitor:
         for e in self.adg.window_edges:
             target, label = self.streams[e.target], e.label
             width = self.pane_widths[label.wkey]
-            plan = _WindowPlan(
-                label.wkey, label.duration, width, label.agg, target.value_ty
-            )
-            target.window_plans.append(plan)
+            agg = make_aggregator(label.agg, target.value_ty)
+            proto = PanedWindow(label.duration, width, agg)
+            target.window_plans.append(_WindowPlan(label.wkey, proto))
 
         # inputs and plain outputs exist from the start of the trace
         for rt in self.streams.values():
@@ -692,9 +696,14 @@ class Monitor:
         put(1, "verdicts = []")
         ticks = not tick and self._clocks
         if ticks:  # the due ticks, on the integer grid, before the event
-            put(1, "n, d = ts.as_integer_ratio()", f"last = n * {self._grid} // d")
-            if len(self._clocks) == 1:  # one integer comparison per event
-                c = bind(self._clocks[0])
+            if self._dyadic:  # ts * D is exact (or inf, which the guard refuses)
+                put(1, f"last = ts * {self._grid}" if self._grid > 1 else "last = ts")
+            else:
+                put(1, "n, d = ts.as_integer_ratio()", f"last = n * {self._grid} // d")
+            fastest = self._clocks[0]  # the guard: at most MAX_TICKS of its ticks
+            c, most = bind(fastest), bind(MAX_TICKS * fastest[1])
+            put(1, f"if last >= {c}[0] + {most}:", f"    raise {bind(_far_ahead)}(m, ts)")
+            if len(self._clocks) == 1:  # one comparison per event
                 put(1, f"while (t := {c}[0]) <= last:", f"    {c}[0] = t + {c}[1]")
             else:
                 c = bind(self._clocks)
@@ -779,6 +788,19 @@ def _reads(trig: TriggerDecl) -> frozenset[str]:
     if trig.kind is TriggerKind.COUNT:
         return frozenset([trig.count_stream])
     return frozenset(node.stream for node in accesses(trig.condition))
+
+
+def _far_ahead(m: Monitor, ts) -> EngineError:
+    """The error for an event at ts that more than MAX_TICKS ticks of the
+    monitor's fastest clock precede, naming how many."""
+    n, d = ts.as_integer_ratio()
+    next_tick, period = m._clocks[0]
+    count = (n * m._grid // d - next_tick) // period + 1
+    message = (
+        f"timestamp {ts!r} lies {count} clock ticks ahead; "
+        f"a replay runs at most {MAX_TICKS} before one event"
+    )
+    return EngineError([Diagnostic(message)])
 
 
 def _candidates(rt: _StreamRT, plan: _CondPlan) -> list[tuple]:

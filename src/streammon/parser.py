@@ -412,12 +412,14 @@ class _Parser:
 
     def _parse_clause_expr(self, clause: str) -> Expr:
         if clause == "invoke" and self.at_op("("):
-            # a parenthesized, comma-separated invoke expression is a tuple
-            open_tok = self.tok
+            # a parenthesized, comma-separated invoke expression is a tuple;
+            # one parenthesized item is read again as the start of an
+            # expression, which may go on after its ')'
+            start, open_tok = self.i, self.tok
             items = self._parse_list()
-            if len(items) == 1:
-                return items[0]
-            return TupleExpr(items, span=open_tok.span)
+            if len(items) != 1:
+                return TupleExpr(items, span=open_tok.span)
+            self.i = start
         return self.parse_expr()
 
     def _parse_trigger(self, spec: Specification) -> None:

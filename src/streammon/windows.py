@@ -44,9 +44,18 @@ deques", JFP 1995, for the rotation):
   applied to adjacent ranges, earlier on the left, so summaries need to be
   associative but neither invertible nor commutative (the integral is not
   commutative), and nothing is ever subtracted.
-- one division and one sweep per instant: one exact integer `divmod` of
-  ts by z gives both the pane that holds ts and the eviction horizon. A
-  window remembers the instant it last evicted at (a registration that
+- one placement and one sweep per instant: the pane that holds ts,
+  ceil(ts / z) - 1, and the eviction horizon, floor((ts - r) / z), come from
+  one division of ts by z (`_PLACE`). For a float ts on a dyadic width (z =
+  zn / zd in lowest terms, zd a power of two) whose r / z is an integer k,
+  that division is float arithmetic, and exact: x = ts * zd is exact; with
+  |x| below 2^52 and zn at most 2^52, q = x // zn and x % zn are exact (fmod
+  is exact, and the quotient is an integer in [-2^52, 2^52)), and with k at
+  most 2^52 so are q - 1 and q - k. A window decides at construction whether
+  its width qualifies; a Fraction or int instant, a larger |x|, and any
+  other width take one exact integer `divmod` of ts's integer ratio. Both
+  give the same integers (an index from floats is a float of equal value).
+  A window remembers the instant it last evicted at (a registration that
   opens a pane evicts, and so does an evaluation), so an evaluation at that
   instant skips the arithmetic and the out-of-order check; a registration
   into the open pane clears it.
@@ -119,6 +128,28 @@ _ROTATE = """
                 due = 2 * len(new) - len(w._queue)
 """
 
+#: the largest |ts * zd|, zn and r / z that a float placement takes (see the
+#: module docstring)
+_EXACT = 2.0**52
+
+#: the placement of instant ts in window w: q and rem with the pane of ts
+#: `q if rem else q - 1`, and the eviction horizon kill; the panes i with
+#: i + 1 <= kill are expired. `w._float` is (zd, zn, r / z) as floats when the
+#: float form is exact for a float ts, else None
+_PLACE = """
+    f = w._float
+    if f is not None and ts.__class__ is float and -EXACT < (x := ts * f[0]) < EXACT:
+        q = x // f[1]
+        rem = x % f[1]
+        kill = q - f[2]
+    else:
+        # ts / z = q + rem / (d * zn) and r / z = k + fr / (rd * zn), exactly
+        n, d = ts.as_integer_ratio()
+        zn, zd, k, fr, rd = w._horizon
+        q, rem = divmod(n * zd, d * zn)
+        kill = q - k - (rem * rd < fr * d)
+"""
+
 #: the functions of a combinable aggregation. In a snippet, s is a summary,
 #: ts and v an instant and a value, and a and b the summaries of two adjacent
 #: time ranges, a's before b's; {empty} is an empty window's value
@@ -139,11 +170,7 @@ def register(w, v, ts):
     if ts < w.last_ts:
         raise late(f'window registration at {{ts}} after {{w.last_ts}}')
     w.last_ts = ts
-    panes = w.panes
-    # ts / z = q + rem / (d * zn), exactly: ts lies in pane ceil(ts / z) - 1
-    n, d = ts.as_integer_ratio()
-    zn, zd, k, fr, rd = w._horizon
-    q, rem = divmod(n * zd, d * zn)
+    panes = w.panes{place}
     idx = q if rem else q - 1
     opened = w._open
     if idx == opened:
@@ -158,14 +185,12 @@ def register(w, v, ts):
     if opened is None:  # the window was empty
         w.slots += 1
         return 1
-    # the open pane closes onto the back, and the panes i with i + 1 <=
-    # floor((ts - r) / z) are evicted, r / z being k + fr / (rd * zn); the
-    # new pane is not among them
+    # the open pane closes onto the back, and the panes i with i + 1 <= kill
+    # are evicted; the new pane is not among them
     b = panes[opened]
     w._queue.append(opened)
     a = w._back
     w._back = b if a is None else {merge}
-    kill = q - k - (rem * rd < fr * d)
     front = w._front
     due = w._due - 1
     gained = 1
@@ -189,12 +214,7 @@ def evict(w, ts):
     w.swept = w.last_ts = ts
 
 def sweep(w, ts):
-    # evicts the panes i with i + 1 <= kill = floor((ts - r) / z), oldest
-    # first, as `register` does
-    n, d = ts.as_integer_ratio()
-    zn, zd, k, fr, rd = w._horizon
-    q, rem = divmod(n * zd, d * zn)
-    kill = q - k - (rem * rd < fr * d)
+    # evicts the panes i with i + 1 <= kill, oldest first, as `register` does{place}
     panes = w.panes
     front = w._front
     due = w._due
@@ -241,14 +261,22 @@ def _late(message: str) -> OutOfOrderError:
     return OutOfOrderError([Diagnostic(message)])
 
 
-def _span(w, ts) -> tuple[int, int]:
-    """The pane that holds ts, ceil(ts / z) - 1, and the eviction horizon
-    floor((ts - r) / z), exactly and from one division: the arithmetic that
-    `_TEMPLATE` writes inline."""
-    n, d = ts.as_integer_ratio()
-    zn, zd, k, fr, rd = w._horizon
-    q, rem = divmod(n * zd, d * zn)
-    return (q if rem else q - 1), q - k - (rem * rd < fr * d)
+def _define(source: str, **names) -> dict:
+    """The scope in which `source` ran, its definitions reading `names` and
+    what every window function reads by name."""
+    scope = dict(
+        names, U=UNDEFINED, late=_late, nan_max=nan_max, nan_min=nan_min, EXACT=_EXACT
+    )
+    exec(_code(source), scope)
+    return scope
+
+
+#: span(w, ts): the pane that holds ts, ceil(ts / z) - 1, and the eviction
+#: horizon floor((ts - r) / z) in window w, exactly, by the arithmetic that
+#: `_TEMPLATE` writes inline
+_span = _define(
+    f"def span(w, ts):{_PLACE}    return (q if rem else q - 1), kill"
+)["span"]
 
 
 class Aggregator:
@@ -263,9 +291,9 @@ class Aggregator:
 
     def __init__(self, empty: str, new: str, add: str, merge: str, lower: str, **names):
         self.snippets = dict(empty=empty, new=new, add=add, merge=merge, lower=lower)
-        scope = dict(names, U=UNDEFINED, late=_late, nan_max=nan_max, nan_min=nan_min)
         rotate = _ROTATE.format(**self.snippets)
-        exec(_code(_TEMPLATE.format(rotate=rotate, **self.snippets)), scope)
+        source = _TEMPLATE.format(rotate=rotate, place=_PLACE, **self.snippets)
+        scope = _define(source, **names)
         for name in ("new", "add", "merge", "lower", "register", "evict", "evaluate"):
             setattr(self, name, scope[name])
 
@@ -412,6 +440,7 @@ class PanedWindow:
         "last_ts",
         "swept",
         "_horizon",
+        "_float",
         "_open",
         "_front",
         "_queue",
@@ -428,18 +457,32 @@ class PanedWindow:
         self.duration = duration
         self.pane_width = pane_width
         self.agg = agg
-        self.panes: dict[int, object] = {}  # index -> summary, ascending
-        self.last_ts = self.swept = -math.inf
         # z and r / z = k + fr / (rd * zn) as integers, for exact pane arithmetic
         zn, zd = pane_width.numerator, pane_width.denominator
         k, fr = divmod(duration.numerator * zd, duration.denominator * zn)
         self._horizon = (zn, zd, k, fr, duration.denominator)
+        dyadic = zd & (zd - 1) == 0 and fr == 0 and max(zn, zd, k) <= _EXACT
+        self._float = (float(zd), float(zn), float(k)) if dyadic else None
+        self._empty()
+
+    def _empty(self) -> None:
+        self.panes: dict[int, object] = {}  # index -> summary, ascending
+        self.last_ts = self.swept = -math.inf
         self._open: int | None = None  # index of the newest pane
         self._front: list[tuple[int, object]] = []
         self._queue: list[tuple[int, object]] = []
         self._back = self._mid = self._frozen = self._new = None
         self._cursor = self._due = 0
         self.slots = 0
+
+    def fresh(self) -> PanedWindow:
+        """A new, empty window of this one's duration, width and aggregation,
+        sharing its constants: an instance's window costs no arithmetic."""
+        w = object.__new__(PanedWindow)
+        w.duration, w.pane_width, w.agg = self.duration, self.pane_width, self.agg
+        w._horizon, w._float = self._horizon, self._float
+        w._empty()
+        return w
 
     def register(self, value, ts) -> int:
         """Fold a value into its pane; no window-level aggregation happens.

@@ -56,18 +56,24 @@ LEAVES = {
 }
 
 
+#: window durations r: 64 s / r is an integer, so that a window split into
+#: 256 panes is pane-aligned at every event instant (a multiple of 1/4 s),
+#: and r is at most 1 s or a multiple of it, so that a 1 Hz tick is too
+DURATIONS = ["500ms", "1s", "2s"]
+
+
 @st.composite
-def _expr(draw, ty, depth=4, reads="", later="", leaves=LEAVES):
+def _expr(draw, ty, depth=4, reads="", later="", leaves=LEAVES, durations=DURATIONS):
     """An expression of type `ty`: 'double', 'int' or 'bool', over the inputs,
     the outputs named in `reads`, the outputs named in `later` through past
-    offsets only, and `leaves`."""
+    offsets only, and `leaves`, whose windows last one of `durations`."""
     mine = "".join(o for o in reads if OUTPUTS[o] == ty)
     ahead = "".join(o for o in later if OUTPUTS[o] == ty)
     if depth == 0 or draw(st.integers(0, 4)) == 0:
         return draw(st.sampled_from(leaves[ty] + list(mine)))
 
     def sub(t):
-        return draw(_expr(t, depth - 1, reads, later, leaves))
+        return draw(_expr(t, depth - 1, reads, later, leaves, durations))
 
     num = "bool" != ty
     forms = ["if", "default", "offset", "delay", "chain"]
@@ -91,7 +97,10 @@ def _expr(draw, ty, depth=4, reads="", later="", leaves=LEAVES):
         # over shallower operands
         ops = draw(st.sampled_from(["+-", "*/%"] if num else ["&", "|"]))
         types = [ty] + draw(st.lists(st.sampled_from(other), min_size=2, max_size=6))
-        items = [draw(_expr(t, max(depth - 2, 0), reads, later, leaves)) for t in types]
+        items = [
+            draw(_expr(t, max(depth - 2, 0), reads, later, leaves, durations))
+            for t in types
+        ]
         items = draw(st.permutations(items))
         return "(" + items[0] + "".join(
             f" {draw(st.sampled_from(ops))} {item}" for item in items[1:]
@@ -104,7 +113,7 @@ def _expr(draw, ty, depth=4, reads="", later="", leaves=LEAVES):
     if form == "neg":
         return f"(-{sub(ty)})"
     if form == "window":
-        duration = draw(st.sampled_from(["500ms", "1s", "2s"]))
+        duration = draw(st.sampled_from(durations))
         if ty == "int" and draw(st.booleans()):
             stream, agg = draw(st.sampled_from("abijp" + reads)), "count"
         else:
@@ -243,6 +252,40 @@ def test_compiled_expressions_match_reference(exprs, order, seed):
     events = _trace(seed)
     _check(tspec, events)
     _check(tspec, events, mode="fixed", frequency=Fraction(1))
+
+
+#: clocks off the dyadic grid, whose ticks are Fraction instants, and window
+#: durations that are multiples of their period, so that every tick is
+#: pane-aligned
+CLOCKS = {
+    Fraction(5, 2): ["400ms", "800ms", "2s"],
+    Fraction(10, 3): ["300ms", "600ms", "1.5s"],
+}
+
+
+@st.composite
+def _clocked(draw):
+    """A fixed-mode frequency from CLOCKS and expressions over its windows."""
+    hz = draw(st.sampled_from(sorted(CLOCKS)))
+    exprs = {
+        name: draw(_expr(ty, reads=READS[name], durations=CLOCKS[hz]))
+        for name, ty in OUTPUTS.items()
+    }
+    return hz, exprs
+
+
+@given(_clocked(), st.integers(0, 2**16))
+@settings(max_examples=100, deadline=None)
+def test_non_dyadic_clocks_match_reference(clocked, seed):
+    """Fixed mode at 5/2 Hz and 10/3 Hz: the tick grid is no power of two, so
+    the event kernel finds due ticks by integer division and every window,
+    buffer and offset sees its ticks as Fraction instants (the integer
+    placement), while events stay on multiples of 1/4 s."""
+    hz, exprs = clocked
+    tspec = _spec(exprs)
+    if tspec is None:
+        return
+    _check(tspec, _trace(seed), mode="fixed", frequency=hz)
 
 
 #: the later outputs each output may read, through past offsets only

@@ -4,6 +4,7 @@ import itertools
 import math
 import operator
 import random
+import re
 import sys
 from collections import Counter
 from fractions import Fraction
@@ -620,6 +621,40 @@ def test_a_clock_too_fast_to_replay_is_refused():
     m = Monitor(t, mode="fixed", frequency=engine.MAX_FREQUENCY)
     ticks = m.process(Event(2.5e-6, {"a": 1.0}))
     assert [(v.ts, v.value) for v in ticks] == [(1e-6, 0.0), (2e-6, 0.0)]
+
+
+@pytest.mark.parametrize("hz", [Fraction(1), Fraction(4), Fraction(5, 2)])
+def test_an_event_too_far_ahead_is_refused(hz, monkeypatch):
+    """A replay runs every tick, so an event that more than MAX_TICKS ticks
+    of the fastest clock precede ends in an EngineError naming its timestamp
+    and that count, before any tick runs, with the state unchanged; an event
+    at most MAX_TICKS ticks ahead runs them all. On the dyadic grids (1 and
+    4 Hz) the kernel compares ts * D, on the 2.5 Hz grid an integer."""
+    monkeypatch.setattr(engine, "MAX_TICKS", 5)
+    spec = "input double a\noutput double y := a[3s, sum]\noutput double c : 0.5Hz := a?0.0"
+    m = Monitor(typed(spec), mode="fixed", frequency=hz)
+    assert m._dyadic == (hz.denominator == 1)
+
+    def at(k):  # the instant of the fastest clock's k-th tick, as a float
+        return float(k / hz)
+
+    def ticks(verdicts):
+        return sorted({round(v.ts * hz) for v in verdicts if v.stream == "y"})
+
+    assert ticks(m.process(Event(at(5), {"a": 1.0}))) == [1, 2, 3, 4, 5]
+    before = _state(m), [list(c) for c in m._clocks]
+    for ts, count in [(at(11), 6), (at(100), 95), (10**12, 10**12 * hz - 5)]:
+        message = f"timestamp {ts!r} lies {count} clock ticks ahead"
+        with pytest.raises(EngineError, match=re.escape(message)):
+            m.process(Event(ts, {"a": 2.0}))
+        assert (_state(m), m._clocks) == before
+    # ts * D overflows on a dyadic grid: the count is still exact
+    top = sys.float_info.max
+    count = math.floor(Fraction(top) * hz) - 5
+    with pytest.raises(EngineError, match=f"lies {count} clock ticks ahead"):
+        m.process(Event(top, {"a": 2.0}))
+    assert (_state(m), m._clocks) == before
+    assert ticks(m.process(Event(at(10), {"a": 3.0}))) == [6, 7, 8, 9, 10]
 
 
 def _state(m):

@@ -156,7 +156,7 @@ KERNELS = {
         PID_SPEC,
         {"mode": "fixed", "frequency": Fraction(1)},
         [
-            "2325e14bcd97274b3cac6404da8bbc2b48a8f6de70336ecb49e9f94eea411119",
+            "ed0eba9f0468b2da564a151882cd29c8c1d243dce07603de20cdb5172e480ff4",
             "d2b2b0a71ca489fccdc8313f4b32ace210a50fff4699ec7d95485e78231ef846",
         ],
     ),

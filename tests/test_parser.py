@@ -23,9 +23,10 @@ from streammon.ast import (
     RealTimeOffset,
     StreamAccess,
     TriggerKind,
+    TupleExpr,
     WindowAccess,
 )
-from streammon.parser import MAX_DEPTH
+from streammon.parser import MAX_DEPTH, _expr_str
 from fractions import Fraction
 
 
@@ -154,6 +155,32 @@ def test_operator_precedence():
     cmp = expr.left.left
     assert cmp.op == "<"
     assert cmp.left.op == "+" and cmp.left.right.op == "*"
+
+
+@pytest.mark.parametrize(
+    "invoke, shape, alphas",
+    [
+        ("(CID) + 1", "CID + 1", [(4,), (8,)]),
+        ("(CID)", "CID", [(3,), (7,)]),
+        ("((CID)) * 2 - (1)", "CID * 2 - 1", [(5,), (13,)]),
+        ("(CID)?0 + 1", "CID?0 + 1", [(4,), (8,)]),
+        ("(CID, CID + 1)", "(CID, CID + 1)", [(3, 4), (7, 8)]),
+    ],
+)
+def test_invoke_clause_goes_on_after_a_parenthesized_item(invoke, shape, alphas):
+    """An invoke clause that starts with one parenthesized item is an
+    expression that may go on after the ')'; a parenthesized list of more
+    items stays a tuple of parameters."""
+    arity = len(alphas[0])
+    params = ", ".join(f"int p{k}" for k in range(arity))
+    text = f"input int CID\noutput int s<{params}>\n  invoke: {invoke}\n  := CID?0\n"
+    tpl = parse(text).outputs[0]
+    assert isinstance(tpl.invoke, TupleExpr) == (arity == 2)
+    assert _expr_str(tpl.invoke) == shape
+    monitor = Monitor(typed(text), allow_unbounded=True)
+    for cid in (3, 7):
+        monitor.process(Event(float(cid), {"CID": cid}))
+    assert sorted(monitor.streams["s"].instances) == alphas
 
 
 @pytest.mark.parametrize("second", ["<", "=", ">="])

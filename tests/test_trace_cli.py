@@ -28,12 +28,13 @@ from streammon.scenarios import (
 from streammon.trace import read_trace, write_trace
 
 
-def run_cli(*argv, cwd=None):
+def run_cli(*argv, cwd=None, timeout=None):
     proc = subprocess.run(
         [sys.executable, "-m", "streammon.cli", *argv],
         capture_output=True,
         text=True,
         cwd=cwd,
+        timeout=timeout,
     )
     return proc.returncode, proc.stdout, proc.stderr
 
@@ -267,6 +268,23 @@ def test_monitor_decreasing_trace_names_row(pid_paths, tmp_path):
     assert "row 3" in err
 
 
+def test_monitor_refuses_a_timestamp_far_ahead(pid_paths, tmp_path):
+    """A fixed-mode replay runs every clock tick, so a row far ahead of the
+    last one ends in a diagnostic that names its timestamp and the ticks
+    between, within a time cap, after the verdicts of the rows before it."""
+    spec, _ = pid_paths
+    far = tmp_path / "far.csv"
+    far.write_text("time,temperature,reference\n1.0,20.0,20.0\n1e12,20.0,20.0\n")
+    code, out, err = run_cli(
+        "monitor", str(spec), str(far), "--mode", "fixed", "--frequency", "1Hz",
+        timeout=60,
+    )
+    assert code == 1
+    assert "timestamp 1000000000000.0 lies 999999999999 clock ticks ahead" in err
+    assert "Traceback" not in err
+    assert {json.loads(line)["ts"] for line in out.splitlines()} == {1.0}
+
+
 def test_monitor_fixed_requires_frequency(pid_paths):
     spec, trace_path = pid_paths
     code, _, err = run_cli("monitor", str(spec), str(trace_path), "--mode", "fixed")
@@ -426,9 +444,9 @@ class _TimeUp(BaseException):
 @st.composite
 def _hostile(draw):
     """A corpus spec and its trace as bytes, either of them mutated: a byte
-    flipped, the text truncated, a header column duplicated, an output's
-    expression nested deep or chained long, a window's duration or a clock
-    made huge or tiny."""
+    flipped, the text truncated, a header column duplicated, a timestamp
+    moved far ahead, an output's expression nested deep or chained long, a
+    window's duration or a clock made huge or tiny."""
     name = draw(st.sampled_from(sorted(_CORPUS)))
     spec, header = _CORPUS[name]
     lines = [",".join(header)] + [
@@ -436,7 +454,8 @@ def _hostile(draw):
         for row in _ROWS[name]
     ]
     trace = ("\n".join(lines) + "\n").encode()
-    kind = draw(st.sampled_from(["flip", "truncate", "header", "nest", "chain", "unit"]))
+    kinds = ["flip", "truncate", "header", "far", "nest", "chain", "unit"]
+    kind = draw(st.sampled_from(kinds))
     outputs = [k for k, line in enumerate(spec.split("\n")) if ":=" in line]
     if kind in ("flip", "truncate"):
         text = draw(st.sampled_from([spec.encode(), trace]))
@@ -451,6 +470,12 @@ def _hostile(draw):
         column = draw(st.sampled_from(header))
         trace = trace.replace(b"\n", f",{column}\n".encode(), 1)
         return spec.encode(), trace
+    if kind == "far":  # e.g. 7.5 -> 7e75: more than MAX_TICKS seconds ahead
+        row = draw(st.integers(1, len(lines) - 1))
+        cells = lines[row].split(",")
+        cells[0] = f"7e{draw(st.integers(7, 300))}"
+        lines[row] = ",".join(cells)
+        return spec.encode(), ("\n".join(lines) + "\n").encode()
     spec_lines = spec.split("\n")
     k = draw(st.sampled_from(outputs))
     decl = max(j for j in range(k + 1) if spec_lines[j].startswith("output"))

@@ -1,6 +1,7 @@
 import math
 import random
 import statistics
+import sys
 from fractions import Fraction
 
 import pytest
@@ -249,9 +250,11 @@ def _traces(draw):
     for dt, v in zip(dts, values):
         t += dt
         events.append((t, v))
-    r = draw(st.sampled_from([1, 2, 5, 10]))
-    z = draw(st.sampled_from([Fraction(1, 4), Fraction(1, 2), Fraction(1), Fraction(2)]))
-    return events, Fraction(r), min(z, Fraction(r))
+    # dyadic widths (float placement where r / z is an integer) and others
+    # (integer placement), and durations that are no multiple of the width
+    r = Fraction(draw(st.sampled_from([1, 2, 5, 10, "5/2", "7/3"])))
+    z = Fraction(draw(st.sampled_from(["1/4", "1/2", "1", "2", "1/3", "2/5", "1/10"])))
+    return events, r, min(z, r)
 
 
 @given(_traces())
@@ -696,6 +699,86 @@ def test_pane_index_and_horizon_from_one_division(ts, r, z):
         w.evict(ts)
         kept = {pane, horizon} if (horizon + 1) * z <= exact else {pane}
         assert list(w.panes) == sorted(kept)
+
+
+#: pane widths: dyadic ones (those of 10 s, 50 s and 8 h windows split into
+#: 256 panes, 1 s and 4 Hz panes, a power of two near the float limit) and
+#: others (100 ms / 256, 2.5 Hz, 10 Hz, a third, an odd number above 2^52)
+_WIDTHS = [
+    Fraction(5, 128),
+    Fraction(25, 128),
+    Fraction(225, 2),
+    Fraction(1),
+    Fraction(1, 4),
+    Fraction(1, 2**52),
+    Fraction(2**52),
+    Fraction(1, 2560),
+    Fraction(2, 5),
+    Fraction(1, 10),
+    Fraction(1, 3),
+    Fraction(2**52 + 1),
+]
+
+
+@st.composite
+def _placements(draw):
+    """A window's width, its duration (r / z integral or not) and an instant:
+    a pane boundary as a float or its neighbours, an int, -0.0, a value near
+    2^52 / zd or 2^53 / zd (either sign), or any finite float."""
+    z = draw(st.sampled_from(_WIDTHS))
+    r = z * Fraction(draw(st.sampled_from([1, 3, 256, "5/2", "257/256"])))
+    kind = draw(st.sampled_from(["boundary", "limit", "int", "zero", "any"]))
+    if kind == "boundary":
+        ts = float(draw(st.integers(-(2**54), 2**54) | st.integers(-300, 300)) * z)
+    elif kind == "limit":
+        ts = float(Fraction(2 ** draw(st.sampled_from([52, 53])), z.denominator))
+        ts = draw(st.sampled_from([ts, -ts]))
+    elif kind == "int":
+        return z, r, draw(st.integers(-(2**60), 2**60) | st.integers(-300, 300))
+    elif kind == "zero":
+        return z, r, draw(st.sampled_from([0.0, -0.0]))
+    else:
+        ts = draw(st.floats(allow_nan=False, allow_infinity=False))
+    steps = draw(st.integers(-2, 2))
+    for _ in range(abs(steps)):
+        ts = math.nextafter(ts, math.copysign(math.inf, steps))
+    return z, r, ts if math.isfinite(ts) else math.copysign(sys.float_info.max, ts)
+
+
+@given(_placements())
+@example((Fraction(5, 128), Fraction(10), -0.0))
+@example((Fraction(1), Fraction(3), float(-(2**52))))  # the lowest float index
+@example((Fraction(1), Fraction(3), math.nextafter(-(2.0**52), 0.0)))
+@example((Fraction(1), Fraction(256), math.nextafter(-(2.0**53), 0.0)))
+@example((Fraction(2**52), Fraction(2**53), 2.0**104))
+@settings(max_examples=400, deadline=None)
+def test_float_placement_equals_integer_placement(case):
+    """A float instant on a dyadic width with an integral r / z is placed by
+    float arithmetic, everything else by one integer division; both give
+    the pane ceil(ts / z) - 1 and the horizon floor((ts - r) / z) exactly.
+    Each window is checked on both paths (the integer one by clearing its
+    float constants), through `_span` and through registering at ts and
+    evicting at ts + r."""
+    z, r, ts = case
+    exact = Fraction(ts)
+    pane, horizon = math.ceil(exact / z) - 1, math.floor((exact - r) / z)
+    dyadic = z.denominator & (z.denominator - 1) == 0 and (r / z).denominator == 1
+    later = ts + float(r)
+    for agg_fn in (AggFn.SUM, AggFn.MEDIAN):
+        fast = PanedWindow(r, z, make_aggregator(agg_fn, ValueType.DOUBLE))
+        assert (fast._float is not None) == (dyadic and z.numerator <= 2**52)
+        slow = PanedWindow(r, z, make_aggregator(agg_fn, ValueType.DOUBLE))
+        slow._float = None
+        for w in (fast, slow):
+            assert _span(w, ts) == (pane, horizon)
+            w.register(1.0, ts)
+            assert list(w.panes) == [pane]
+            if math.isfinite(later) and later >= ts:
+                w.evict(later)
+                kept = pane >= math.floor((Fraction(later) - r) / z)
+                assert list(w.panes) == ([pane] if kept else [])
+
+
 @pytest.mark.parametrize("agg_fn", _HOMOMORPHIC)
 def test_window_code_calls_no_aggregator_method(agg_fn, monkeypatch):
     """The summary arithmetic is inline in the window code: registering,
