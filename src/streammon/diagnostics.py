@@ -31,7 +31,10 @@ class Diagnostic:
         head = f"{self.span}: {self.severity}: {self.message}"
         if self.line_text is None:
             return head
-        caret = " " * (self.span.column - 1) + "^" * max(1, self.span.length)
+        # the excerpt's tabs stay under it, so the caret lines up where they expand
+        width = self.span.column - 1
+        lead = "".join(c if c == "\t" else " " for c in self.line_text[:width])
+        caret = lead.ljust(width) + "^" * max(1, self.span.length)
         return f"{head}\n  {self.line_text}\n  {caret}"
 
 

@@ -4,6 +4,23 @@ The surface syntax is line-comment (`#`) based and otherwise newline
 insensitive; declarations start with `input`, `output`, or `trigger`, so
 expressions simply end where the next declaration or clause keyword begins.
 
+One compiled pattern (`_TOKEN`) lexes the source, token by token:
+- blanks are space, tab, carriage return and newline, and a comment runs
+  from `#` to the end of its line; any other character no token starts
+  with, NBSP and NUL among them, is an "unexpected character";
+- a name starts with a character that is `isalpha()` or `_` and goes on
+  with characters that are `isalnum()` or `_`; keywords are names;
+- a number is ASCII digits with an optional fraction (`1.5`, `.5`; `5.` is
+  the number 5 and a stray `.`) and an optional exponent, which counts only
+  where digits follow it: `1e3` is a float, and `2sec` is 2 with the unit
+  `sec`. A name right after a number is its unit, so `1e3s` is 1000 s;
+- a string runs from `"` to the next unescaped `"`, and an unescaped
+  newline or the end of the source leaves it unterminated. A backslash
+  takes the next character, a newline too: `\n` and `\t` are newline and
+  tab, and any other character stands for itself;
+- the operators are `:= <= >= != ==` (`==` is `=`) and `()[]<>,?:=!&|+-*/%`.
+Lines and columns count from 1, in characters, so a tab is one column.
+
 Binary operators are parsed by one loop over `ast.PRECEDENCE`, the table
 the printer, the type checker and the compiler read too: a run of one
 level's operators becomes a left-deep chain (`ast.chain`) without a
@@ -26,6 +43,8 @@ seconds.
 
 from __future__ import annotations
 
+import math
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -84,7 +103,24 @@ KEYWORDS = DECL_KEYWORDS | CLAUSE_KEYWORDS | TYPE_NAMES.keys() | frozenset(
 MAX_DEPTH = 64
 _TOO_DEEP = f"expression nested more than {MAX_DEPTH} levels deep"
 
-_DIGITS = frozenset("0123456789")
+#: what may stand at a position of the source (see the module docstring);
+#: `\w` is `isalnum()` or `_`, which takes `²` too, so `_is_name` checks
+#: the first character of a name or unit
+_TOKEN = re.compile(
+    r"""(?P<SKIP>[ \t\r\n]+|\#[^\n]*)
+      | (?P<NUM>(?P<digits>(?:[0-9]+(?:\.[0-9]+)?|\.[0-9]+)(?:[eE][+-]?[0-9]+)?)
+                (?P<unit>\w*))
+      | (?P<WORD>\w+)
+      | (?P<STRING>"(?P<body>(?:[^"\\\n]|\\[\s\S]?)*)(?P<close>")?)
+      | (?P<OP>[:<>!=]=|[()\[\]<>,?:=!&|+\-*/%])""",
+    re.VERBOSE,
+)
+_ESCAPE = re.compile(r"\\([\s\S])")
+_ESCAPES = {"n": "\n", "t": "\t"}
+
+
+def _is_name(word: str) -> bool:
+    return word[:1].isalpha() or word[:1] == "_"
 
 
 @dataclass
@@ -100,150 +136,6 @@ class Token:
         return SourceSpan(self.line, self.col, self.length)
 
 
-class _Lexer:
-    def __init__(self, text: str):
-        self.text = text
-        self.lines = text.split("\n")
-        self.pos = 0
-        self.line = 1
-        self.col = 1
-        self.tokens: list[Token] = []
-        self.diagnostics: list[Diagnostic] = []
-
-    def line_text(self, line: int) -> Optional[str]:
-        if 1 <= line <= len(self.lines):
-            return self.lines[line - 1]
-        return None
-
-    def error(self, message: str, line: int, col: int, length: int = 1) -> None:
-        self.diagnostics.append(
-            Diagnostic(message, SourceSpan(line, col, length), self.line_text(line))
-        )
-
-    def _advance(self, n: int = 1) -> None:
-        for _ in range(n):
-            if self.pos < len(self.text) and self.text[self.pos] == "\n":
-                self.line += 1
-                self.col = 1
-            else:
-                self.col += 1
-            self.pos += 1
-
-    def run(self) -> list[Token]:
-        text = self.text
-        ops2 = (":=", "<=", ">=", "!=", "==")
-        single = "()[]<>,?:=!&|+-*/%"
-        while self.pos < len(text):
-            ch = text[self.pos]
-            if ch in " \t\r\n":
-                self._advance()
-                continue
-            if ch == "#":
-                while self.pos < len(text) and text[self.pos] != "\n":
-                    self._advance()
-                continue
-            line, col = self.line, self.col
-            if ch in _DIGITS or (ch == "." and self._peek_digit(1)):
-                self._lex_number(line, col)
-                continue
-            if ch.isalpha() or ch == "_":
-                start = self.pos
-                while self.pos < len(text) and (
-                    text[self.pos].isalnum() or text[self.pos] == "_"
-                ):
-                    self._advance()
-                word = text[start : self.pos]
-                kind = "KEYWORD" if word in KEYWORDS else "IDENT"
-                self.tokens.append(Token(kind, word, line, col, len(word)))
-                continue
-            if ch == '"':
-                self._lex_string(line, col)
-                continue
-            two = text[self.pos : self.pos + 2]
-            if two in ops2:
-                self._advance(2)
-                value = "=" if two == "==" else two
-                self.tokens.append(Token("OP", value, line, col, 2))
-                continue
-            if ch in single:
-                self._advance()
-                self.tokens.append(Token("OP", ch, line, col, 1))
-                continue
-            self.error(f"unexpected character {ch!r}", line, col)
-            self._advance()
-        self.tokens.append(Token("EOF", None, self.line, self.col, 1))
-        return self.tokens
-
-    def _peek_digit(self, ahead: int) -> bool:
-        i = self.pos + ahead
-        return i < len(self.text) and self.text[i] in _DIGITS
-
-    def _lex_number(self, line: int, col: int) -> None:
-        text = self.text
-        start = self.pos
-        while self.pos < len(text) and text[self.pos] in _DIGITS:
-            self._advance()
-        is_float = False
-        if (
-            self.pos < len(text)
-            and text[self.pos] == "."
-            and self._peek_digit(1)
-        ):
-            is_float = True
-            self._advance()
-            while self.pos < len(text) and text[self.pos] in _DIGITS:
-                self._advance()
-        # exponent only when followed by digits (so `2sec` stays a unit suffix)
-        if self.pos < len(text) and text[self.pos] in "eE":
-            j = self.pos + 1
-            if j < len(text) and text[j] in "+-":
-                j += 1
-            if j < len(text) and text[j] in _DIGITS:
-                is_float = True
-                self._advance(j - self.pos)
-                while self.pos < len(text) and text[self.pos] in _DIGITS:
-                    self._advance()
-        digits = text[start : self.pos]
-        if self.pos < len(text) and (text[self.pos].isalpha() or text[self.pos] == "_"):
-            ustart = self.pos
-            while self.pos < len(text) and (
-                text[self.pos].isalnum() or text[self.pos] == "_"
-            ):
-                self._advance()
-            unit = text[ustart : self.pos]
-            self.tokens.append(
-                Token("NUMUNIT", (Fraction(digits), unit), line, col, self.pos - start)
-            )
-            return
-        if is_float:
-            self.tokens.append(Token("FLOAT", float(digits), line, col, len(digits)))
-        else:
-            self.tokens.append(Token("INT", int(digits), line, col, len(digits)))
-
-    def _lex_string(self, line: int, col: int) -> None:
-        text = self.text
-        self._advance()  # opening quote
-        out = []
-        while self.pos < len(text):
-            ch = text[self.pos]
-            if ch == "\n":
-                break
-            if ch == '"':
-                self._advance()
-                self.tokens.append(
-                    Token("STRING", "".join(out), line, col, self.col - col)
-                )
-                return
-            if ch == "\\" and self.pos + 1 < len(text):
-                nxt = text[self.pos + 1]
-                out.append({"n": "\n", "t": "\t"}.get(nxt, nxt))
-                self._advance(2)
-                continue
-            out.append(ch)
-            self._advance()
-        self.error("unterminated string literal", line, col)
-
-
 class _Unexpected(Exception):
     def __init__(self, diagnostic: Diagnostic):
         self.diagnostic = diagnostic
@@ -252,12 +144,55 @@ class _Unexpected(Exception):
 
 class _Parser:
     def __init__(self, text: str):
-        lexer = _Lexer(text)
-        self.tokens = lexer.run()
-        self.lines = lexer.lines
-        self.diagnostics = lexer.diagnostics
+        self.lines = text.split("\n")
+        self.diagnostics: list[Diagnostic] = []
+        self.tokens = self._lex(text)
         self.i = 0
         self.depth = 0  # the nesting levels around the expression being parsed
+
+    def _lex(self, text: str) -> list[Token]:
+        """The tokens of text, ending in EOF. A character no token starts
+        with is one diagnostic, and lexing goes on after it."""
+        tokens: list[Token] = []
+        pos, line, bol = 0, 1, 0  # bol: where the line begins
+        while pos < len(text):
+            m = _TOKEN.match(text, pos)
+            kind, end, at = m and m.lastgroup, m and m.end(), (line, pos - bol + 1)
+            if kind == "SKIP" or kind == "STRING":  # the tokens that span lines
+                newlines = text.count("\n", pos, end)
+                if newlines:
+                    line, bol = line + newlines, text.rindex("\n", pos, end) + 1
+            if kind == "SKIP":
+                pass
+            elif kind == "WORD" and _is_name(m[0]):
+                word = m[0]
+                kind = "KEYWORD" if word in KEYWORDS else "IDENT"
+                tokens.append(Token(kind, word, *at, len(word)))
+            elif kind == "OP":
+                op = m[0]
+                tokens.append(Token("OP", "=" if op == "==" else op, *at, len(op)))
+            elif kind == "NUM":
+                digits, unit = m["digits"], m["unit"]
+                if _is_name(unit):
+                    kind, value = "NUMUNIT", (Fraction(digits), unit)
+                else:
+                    end = m.end("digits")
+                    kind = "INT" if digits.isdigit() else "FLOAT"
+                    value = int(digits) if kind == "INT" else float(digits)
+                tokens.append(Token(kind, value, *at, end - pos))
+            elif kind == "STRING" and m["close"]:
+                value = _ESCAPE.sub(lambda e: _ESCAPES.get(e[1], e[1]), m["body"])
+                # a string that spans lines is as long as its last line
+                tokens.append(Token("STRING", value, *at, end - bol + 1 - at[1]))
+            elif kind == "STRING":
+                message = "unterminated string literal"
+                self.diagnostics.append(self.diagnostic(message, SourceSpan(*at)))
+            else:
+                end, message = pos + 1, f"unexpected character {text[pos]!r}"
+                self.diagnostics.append(self.diagnostic(message, SourceSpan(*at)))
+            pos = end
+        tokens.append(Token("EOF", None, line, pos - bol + 1, 1))
+        return tokens
 
     # -- token helpers ----------------------------------------------------
 
@@ -686,6 +621,8 @@ def parse_frequency(text: str) -> Fraction:
 #: the levels above PRECEDENCE's
 _UNARY_PREC = 6
 _POSTFIX_PREC = 7
+#: how a trigger message is written back, as `_lex` reads it
+_ESCAPED = str.maketrans({"\\": "\\\\", '"': '\\"', "\n": "\\n"})
 
 
 def _frac_str(value: Fraction) -> str:
@@ -719,15 +656,16 @@ def _duration_str(seconds: Fraction) -> str:
 def _const_str(value: object) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
+    if isinstance(value, float) and math.isinf(value):  # `inf` reads as a name
+        return "1e999" if value > 0 else "-1e999"
     return repr(value)
 
 
 def _expr_str(expr: Expr, parent_prec: int = 0) -> str:
     match expr:
         case Const(value=v):
-            text, prec = _const_str(v), _POSTFIX_PREC
-            if isinstance(v, (int, float)) and not isinstance(v, bool) and v < 0:
-                prec = _UNARY_PREC
+            text = _const_str(v)  # `-0.0` reads back as a unary minus too
+            prec = _UNARY_PREC if text[0] == "-" else _POSTFIX_PREC
         case ParamRef(name=name):
             text, prec = name, _POSTFIX_PREC
         case StreamAccess(stream=s, args=args, offset=off):
@@ -778,7 +716,10 @@ def _expr_str(expr: Expr, parent_prec: int = 0) -> str:
 
 def format_spec(spec: Specification) -> str:
     """Canonical textual form; parsing it back yields a structurally
-    identical specification."""
+    identical specification. An infinite constant is written `1e999` or
+    `-1e999`, and a constant with a minus sign, `-0.0` included, is
+    parenthesized where a unary minus would be. A trigger message escapes
+    backslashes, quotes and newlines with a backslash."""
     out: list[str] = []
     for decl in spec.inputs:
         prefix = "time input" if decl.is_time else "input"
@@ -815,7 +756,6 @@ def format_spec(spec: Specification) -> str:
         else:
             line = f"trigger {_expr_str(trig.condition)}"
         if trig.message is not None:
-            escaped = trig.message.replace("\\", "\\\\").replace('"', '\\"')
-            line += f' "{escaped}"'
+            line += f' "{trig.message.translate(_ESCAPED)}"'
         out.append(line)
     return "\n".join(out) + ("\n" if out else "")

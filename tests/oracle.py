@@ -9,10 +9,10 @@ a precomputed evaluation order.
 
 from __future__ import annotations
 
-import copy
 import math
 import statistics
 from bisect import bisect_right
+from dataclasses import replace
 from fractions import Fraction
 
 from streammon.ast import (
@@ -32,6 +32,8 @@ from streammon.ast import (
     ValueType,
     WindowAccess,
     accesses,
+    chain,
+    operands,
 )
 
 UNDEF = object()
@@ -47,11 +49,12 @@ class RefMonitor:
     """Pane-free reference semantics for a typed specification."""
 
     def __init__(self, tspec, mode="variable", frequency=None):
-        tspec = copy.deepcopy(tspec)
-        if mode == "fixed":
-            for tpl in tspec.spec.outputs:
-                if tpl.clock is None:
-                    tpl.clock = Fraction(frequency)
+        if mode == "fixed":  # clocked copies of the unclocked templates
+            outputs = [
+                replace(tpl, clock=Fraction(frequency)) if tpl.clock is None else tpl
+                for tpl in tspec.spec.outputs
+            ]
+            tspec = replace(tspec, spec=replace(tspec.spec, outputs=outputs))
         self.tspec = tspec
         self.templates = {t.name: t for t in tspec.spec.outputs}
         self.inputs = {d.name: d for d in tspec.spec.inputs}
@@ -350,16 +353,17 @@ class RefMonitor:
                 if v is UNDEF:
                     return UNDEF
                 return (not v) if op == "!" else -v
-            case Binary(op=op, left=l, right=r):
-                lv = self._eval(l, env, scope)
-                if op == "&" and lv is False:
-                    return False
-                if op == "|" and lv is True:
-                    return True
-                rv = self._eval(r, env, scope)
-                if lv is UNDEF or rv is UNDEF:
-                    return UNDEF
-                return _binop(op, lv, rv, expr.ty)
+            case Binary():
+                # a left-deep run of one level, folded left to right
+                run = chain(expr)
+                lv = self._eval(run[0].left, env, scope)
+                for node in run:
+                    if node.op == "&" and lv is False or node.op == "|" and lv is True:
+                        continue  # short-circuit: the right operand is not read
+                    rv = self._eval(node.right, env, scope)
+                    if lv is not UNDEF:
+                        lv = UNDEF if rv is UNDEF else _binop(node.op, lv, rv, node.ty)
+                return lv
             case IfThenElse(cond=c, then_branch=t, else_branch=e):
                 cv = self._eval(c, env, scope)
                 if cv is UNDEF:
@@ -455,10 +459,9 @@ def _aggregate(agg, samples, out_ty):
 
 def _positive_equalities(expr, inputs) -> bool:
     match expr:
-        case Binary(op="&" | "|", left=l, right=r):
-            return _positive_equalities(l, inputs) and _positive_equalities(
-                r, inputs
-            )
+        case Binary(op="&" | "|"):
+            terms = operands(chain(expr))
+            return all(_positive_equalities(e, inputs) for e in terms)
         case Binary(op="=", left=l, right=r):
             pairs = ((l, r), (r, l))
             return any(

@@ -1139,7 +1139,7 @@ def test_long_chain_is_written_flat(family, mode):
     levels), and no stage recurses once per term. It parses, checks,
     analyzes and runs in both modes at the default recursion limit, and its
     value is the left fold, which for the sum differs from other
-    groupings."""
+    groupings. The reference monitor folds it in a loop too and agrees."""
     ty, ops, terms = CHAINS[family]
     picked = [terms[k % len(terms)] for k in range(1000)]
     source = picked[0][0] + "".join(
@@ -1149,9 +1149,13 @@ def test_long_chain_is_written_flat(family, mode):
     tspec = typed(spec)
     analyze(tspec)
     kwargs = {"mode": "fixed", "frequency": Fraction(1)} if mode == "fixed" else {}
-    m = Monitor(tspec, **kwargs)
+    m, ref = Monitor(tspec, **kwargs), RefMonitor(tspec, **kwargs)
     bound = {"a": 3.0, "i": 7, "p": True}
-    got = [v.value for v in drain(m, [Event(0.5, bound), Event(1.5, bound)])]
+    events = [Event(0.5, bound), Event(1.5, bound)]
+    verdicts = [(v.kind, v.ts, v.stream, v.params, v.value) for v in drain(m, events)]
+    assert verdicts == ref.run(events)
+    assert m.streams["x"].instances[()].buf[-1][1] == ref.live["x"][()].history[-1][1]
+    got = [v[4] for v in verdicts]
     fold = dict(FOLD, **{"/": operator.floordiv if ty == "int" else operator.truediv})
     values = [INPUT_VALUES[ty] if v is None else v for _, v in picked]
     want = values[0]
@@ -1171,13 +1175,19 @@ def test_long_chain_is_written_flat(family, mode):
 def test_long_extend_condition_builds_a_monitor(op):
     """An extend condition of 1000 `id = ID` terms joined by `&` or `|`
     classifies, plans and runs: one lookup for the conjunction, a scan of
-    the instances for the disjunction, whose normal form is too large."""
+    the instances for the disjunction, whose normal form is too large. The
+    reference monitor agrees."""
     extend = f" {op} ".join(["id = ID"] * 1000)
     spec = (
         "input int ID\ninput double x\noutput double f<int id>\n"
         f"  invoke: ID\n  extend: {extend}\n  := x?0.0\n"
     )
-    m = Monitor(typed(spec), instance_bounds={"f": 10})
-    drain(m, [Event(1.0, {"ID": 3, "x": 2.0}), Event(2.0, {"ID": 3, "x": 5.0})])
-    drain(m, [Event(3.0, {"ID": 4, "x": 1.0})])
+    m, ref = Monitor(typed(spec), instance_bounds={"f": 10}), RefMonitor(typed(spec))
+    events = [Event(1.0, {"ID": 3, "x": 2.0}), Event(2.0, {"ID": 3, "x": 5.0})]
+    events.append(Event(3.0, {"ID": 4, "x": 1.0}))
+    drain(m, events)
+    ref.run(events)
     assert m.streams["f"].instances[(3,)] == (2.0, 5.0)
+    assert m.streams["f"].instances == {
+        alpha: inst.history[-1] for alpha, inst in ref.live["f"].items()
+    }

@@ -26,7 +26,7 @@ from streammon.ast import (
     TupleExpr,
     WindowAccess,
 )
-from streammon.parser import MAX_DEPTH, _expr_str
+from streammon.parser import MAX_DEPTH, _expr_str, _Parser
 from fractions import Fraction
 
 
@@ -368,3 +368,103 @@ def test_parser_is_total_over_token_soup(junk):
         parse(junk)
     except ParseError:
         pass
+
+
+#: source -> its tokens as (kind, value, line, col, length), and its
+#: diagnostics as (message, line, col, excerpt)
+TOKENS = {
+    "2sec": ([("NUMUNIT", (Fraction(2), "sec"), 1, 1, 4), ("EOF", None, 1, 5, 1)], []),
+    "1e3s": ([("NUMUNIT", (Fraction(1000), "s"), 1, 1, 4), ("EOF", None, 1, 5, 1)], []),
+    "1e400Hz": (
+        [("NUMUNIT", (Fraction(10**400), "Hz"), 1, 1, 7), ("EOF", None, 1, 8, 1)],
+        [],
+    ),
+    "2e+x": (
+        [("NUMUNIT", (Fraction(2), "e"), 1, 1, 2), ("OP", "+", 1, 3, 1)]
+        + [("IDENT", "x", 1, 4, 1), ("EOF", None, 1, 5, 1)],
+        [],
+    ),
+    ".5": ([("FLOAT", 0.5, 1, 1, 2), ("EOF", None, 1, 3, 1)], []),
+    "5.": (
+        [("INT", 5, 1, 1, 1), ("EOF", None, 1, 3, 1)],
+        [("unexpected character '.'", 1, 2, "5.")],
+    ),
+    "==": ([("OP", "=", 1, 1, 2), ("EOF", None, 1, 3, 1)], []),
+    "é": ([("IDENT", "é", 1, 1, 1), ("EOF", None, 1, 2, 1)], []),
+    "²x": (
+        [("IDENT", "x", 1, 2, 1), ("EOF", None, 1, 3, 1)],
+        [("unexpected character '²'", 1, 1, "²x")],
+    ),
+    "1²": (
+        [("INT", 1, 1, 1, 1), ("EOF", None, 1, 3, 1)],
+        [("unexpected character '²'", 1, 2, "1²")],
+    ),
+    "٣": ([("EOF", None, 1, 2, 1)], [("unexpected character '٣'", 1, 1, "٣")]),
+    '"a\\"b"': ([("STRING", 'a"b', 1, 1, 6), ("EOF", None, 1, 7, 1)], []),
+    '"ab\nx': (
+        [("IDENT", "x", 2, 1, 1), ("EOF", None, 2, 2, 1)],
+        [("unterminated string literal", 1, 1, '"ab')],
+    ),
+    '"a\\': ([("EOF", None, 1, 4, 1)], [("unterminated string literal", 1, 1, '"a\\')]),
+    '"a\\\nb" x': (
+        [("STRING", "a\nb", 1, 1, 2), ("IDENT", "x", 2, 4, 1), ("EOF", None, 2, 5, 1)],
+        [],
+    ),
+    "a\r\nb": (
+        [("IDENT", "a", 1, 1, 1), ("IDENT", "b", 2, 1, 1), ("EOF", None, 2, 2, 1)],
+        [],
+    ),
+    "\tx\t:= # c\n\ty": (
+        [("IDENT", "x", 1, 2, 1), ("OP", ":=", 1, 4, 2)]
+        + [("IDENT", "y", 2, 2, 1), ("EOF", None, 2, 3, 1)],
+        [],
+    ),
+}
+
+
+@pytest.mark.parametrize("source", list(TOKENS))
+def test_tokens_and_lexer_diagnostics(source):
+    """Names start with a letter or `_`, numbers are ASCII digits with an
+    exponent only where digits follow it, a string ends at its quote, at an
+    unescaped newline or at the end, and columns count characters."""
+    parser = _Parser(source)
+    tokens = [(t.kind, t.value, t.line, t.col, t.length) for t in parser.tokens]
+    diagnostics = [
+        (d.message, d.span.line, d.span.column, d.line_text) for d in parser.diagnostics
+    ]
+    assert (tokens, diagnostics) == TOKENS[source]
+    assert [type(t[1]) for t in tokens] == [type(t[1]) for t in TOKENS[source][0]]
+
+
+def test_caret_stands_under_the_character_after_tabs():
+    with pytest.raises(ParseError) as err:
+        parse("input double a\ninput double b\n\toutput double x := a + b$")
+    _, excerpt, caret = format_diagnostics(err.value.diagnostics).split("\n")
+    assert excerpt.expandtabs()[caret.expandtabs().index("^")] == "$"
+
+
+_CONSTANTS = st.one_of(
+    st.sampled_from(["1e400", "-1e400", "-0.0", ".5", "0", "-3"]),
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+)
+_FORMS = ["{c}", "({c})?1.0", "a?{c}", "{c} * a", "if p then {c} else a"]
+
+
+@given(
+    st.lists(st.tuples(_CONSTANTS, st.sampled_from(_FORMS)), min_size=1, max_size=3),
+    st.text(st.sampled_from('ab \n\t"\\#é字') | st.characters(), max_size=12),
+)
+@settings(max_examples=300, deadline=None)
+def test_printed_constants_and_messages_read_back(definitions, message):
+    """The printer spells infinite constants, negative zero and trigger
+    messages with newlines, tabs, quotes and backslashes so that they read
+    back as they were."""
+    source = "input double a\ninput bool p\n" + "".join(
+        f"output double x{k} := {form.format(c=c)}\n"
+        for k, (c, form) in enumerate(definitions)
+    )
+    spec = parse(source + "trigger p")
+    spec.triggers[0].message = message
+    printed = format_spec(spec)
+    assert parse(printed) == spec
+    assert format_spec(parse(printed)) == printed
