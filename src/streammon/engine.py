@@ -28,8 +28,11 @@ trace:
 Both steps run one pass, in the dependency order of
 `analysis._evaluation_order`, which puts what a template reads before it.
 An instance invoked by its own template, or by one that a cycle through a
-past offset orders after it, first extends in the next step. An undefined
-value is skipped with a warning where its instance is visited.
+past offset orders after it, first extends in the next step. An invoke
+clause is evaluated once in a step that extends a stream it reads: in that
+stream's extension, or after the last of several such streams, so that it
+sees every value the step binds. An undefined value is skipped with a
+warning where its instance is visited.
 
 Replay is driven by trace time, never wall-clock time: ticks at or before an
 event's timestamp are processed before the event itself, so windows closed
@@ -304,10 +307,7 @@ class Monitor:
             self.adg, self.pane_widths, instance_bounds
         )
         if not self.report.bounded and not allow_unbounded:
-            raise AnalysisRefusal(
-                [Diagnostic(m) for m in self.report.offenders]
-                or [Diagnostic("memory requirement is unbounded")]
-            )
+            raise AnalysisRefusal([Diagnostic(m) for m in self.report.offenders])
 
         self.slots = 0
         self.peak_slots = 0
@@ -528,6 +528,12 @@ class Monitor:
             for trig in self.tspec.spec.triggers
             if (reads := _reads(trig)) & can
         ]
+        # each invoke runs once per step: in the extension of the one stream
+        # it reads that the step can extend, or after the last of several
+        readers: dict[_StreamRT, list[_StreamRT]] = {}
+        for rt in extending:
+            for dep in rt.invokes:
+                readers.setdefault(dep, []).append(rt)
         code: list[str] = []
 
         def put(depth: int, *lines: str) -> None:
@@ -617,7 +623,8 @@ class Monitor:
         def extend(depth: int, rt: _StreamRT, inst: str, alpha: str, coerce=True):
             """Extends instance `inst` of rt, whose parameters are `alpha`, by
             the value v: coerce, buffer and prune, register into windows,
-            charge the slots, record, emit, and try rt's invocations."""
+            charge the slots, record, emit, and try the invocations that
+            read rt alone of the streams the step can extend."""
             key, plan = bind(rt.name), rt.buffer_plan
             if rt.value_ty is ValueType.DOUBLE and coerce:
                 put(depth, "v = float(v)")
@@ -656,23 +663,37 @@ class Monitor:
                 output = f"VERDICT(float(ts), 'output', {key}, {alpha}, v)"
                 put(depth, f"verdicts.append({output})")
             for dep in rt.invokes:
-                instances, invoke = bind(dep.instances), dep.tpl.invoke
-                if not isinstance(invoke, TupleExpr):
-                    invoke = TupleExpr(items=[invoke])
-                put(depth, f"a = {source(invoke)}")
-                put(depth, f"if a is not U and a not in {instances}:")
-                put(depth, f"    {bind(dep.new_instance)}(a)")
-                put(depth, f"    touched.add({bind(dep.name)})")
-                if dep.eta_bound is not None:
-                    d, bound = bind(dep), bind(dep.eta_bound)
-                    message = bind(
-                        f"{dep.name}: live instances exceed the declared bound "
-                        f"{dep.eta_bound}; the static memory total no longer applies"
-                    )
-                    over = f"len({instances}) > {bound}"
-                    put(depth, f"    if {over} and not {d}.eta_warned:")
-                    put(depth, f"        {d}.eta_warned = True")
-                    put(depth, f"        m._warn(ts, {message})")
+                if len(readers[dep]) == 1:
+                    invoke(depth, dep)
+
+        def invoke(depth: int, dep: _StreamRT) -> None:
+            """Evaluates dep's invoke clause and invokes the instance it
+            names if that is new."""
+            instances, clause = bind(dep.instances), dep.tpl.invoke
+            if not isinstance(clause, TupleExpr):
+                clause = TupleExpr(items=[clause])
+            put(depth, f"a = {source(clause)}")
+            put(depth, f"if a is not U and a not in {instances}:")
+            put(depth, f"    {bind(dep.new_instance)}(a)")
+            put(depth, f"    touched.add({bind(dep.name)})")
+            if dep.eta_bound is not None:
+                d, bound = bind(dep), bind(dep.eta_bound)
+                message = bind(
+                    f"{dep.name}: live instances exceed the declared bound "
+                    f"{dep.eta_bound}; the static memory total no longer applies"
+                )
+                over = f"len({instances}) > {bound}"
+                put(depth, f"    if {over} and not {d}.eta_warned:")
+                put(depth, f"        {d}.eta_warned = True")
+                put(depth, f"        m._warn(ts, {message})")
+
+        def invokes_after(rt: _StreamRT) -> None:
+            """The invokes that read several streams the step can extend, rt
+            the last of them: each once, if one of them extended."""
+            for dep in rt.invokes:
+                streams = readers[dep]
+                if len(streams) > 1 and streams[-1] is rt:
+                    invoke(when(changed(frozenset(s.name for s in streams))), dep)
 
         if not tick:  # the event's checks; a NaN or inf ts would tick forever
             for name, v in local.items():
@@ -718,9 +739,11 @@ class Monitor:
             depth = when(f"{v} is not MISSING" if v else None)
             put(depth, f"v = {v}" if v else "v = float(ts)")
             extend(depth, rt, bind(rt.instances[()]), "()", coerce=v is not None)
+            invokes_after(rt)
 
-        # invocations happen inside the extensions, so invoked instances of
-        # later templates are picked up within the same pass
+        # invocations happen inside the extensions or right after them, so
+        # invoked instances of later templates are picked up within the same
+        # pass
         for rt, condition in templates:
             depth, loop = find(when(condition), rt, None if rt.period else rt.ext_plan)
             if rt.tpl.extend is not None:
@@ -732,6 +755,7 @@ class Monitor:
             if loop:
                 put(depth + 1, f"i = {bind(rt.instances)}[alpha]")
             extend(depth + 1, rt, "i", "alpha")
+            invokes_after(rt)
 
         for rt, condition in ends:
             depth, _ = find(when(condition), rt, rt.ter_plan)

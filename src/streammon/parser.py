@@ -13,7 +13,11 @@ One compiled pattern (`_TOKEN`) lexes the source, token by token:
 - a number is ASCII digits with an optional fraction (`1.5`, `.5`; `5.` is
   the number 5 and a stray `.`) and an optional exponent, which counts only
   where digits follow it: `1e3` is a float, and `2sec` is 2 with the unit
-  `sec`. A name right after a number is its unit, so `1e3s` is 1000 s;
+  `sec`. A name right after a number is its unit, so `1e3s` is 1000 s.
+  An integer or a number with a unit is exact, and one whose value takes
+  more than MAX_DIGITS digits to write out without an exponent (`1e4300s`
+  takes 4301) is a diagnostic: Python refuses to convert a longer integer
+  string, and `Fraction` would build the value however large its exponent;
 - a string runs from `"` to the next unescaped `"`, and an unescaped
   newline or the end of the source leaves it unterminated. A backslash
   takes the next character, a newline too: `\n` and `\t` are newline and
@@ -45,6 +49,7 @@ from __future__ import annotations
 
 import math
 import re
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -99,6 +104,10 @@ KEYWORDS = DECL_KEYWORDS | CLAUSE_KEYWORDS | TYPE_NAMES.keys() | frozenset(
     ["if", "then", "else", "true", "false", "any", "count"]
 )
 
+#: the most digits an exact number literal may take written out: Python's
+#: limit on the digits of an integer string
+MAX_DIGITS = sys.int_info.default_max_str_digits
+
 #: how deep expressions may nest, in the source and in the tree
 MAX_DEPTH = 64
 _TOO_DEEP = f"expression nested more than {MAX_DEPTH} levels deep"
@@ -121,6 +130,16 @@ _ESCAPES = {"n": "\n", "t": "\t"}
 
 def _is_name(word: str) -> bool:
     return word[:1].isalpha() or word[:1] == "_"
+
+
+def _spelled(digits: str) -> int:
+    """How many digits a number literal's value takes at most written out
+    without an exponent, as the printer writes it: `12` 2, `1e3` 4 (1000)
+    and `.5e-3` 5 (0.0005). It reads ten digits of the exponent at most,
+    which already pass MAX_DIGITS."""
+    mantissa, _, exponent = digits.lower().partition("e")
+    whole, _, fraction = mantissa.partition(".")
+    return max(len(whole), 1) + len(fraction) + int(exponent.lstrip("+-0")[:10] or 0)
 
 
 @dataclass
@@ -152,7 +171,8 @@ class _Parser:
 
     def _lex(self, text: str) -> list[Token]:
         """The tokens of text, ending in EOF. A character no token starts
-        with is one diagnostic, and lexing goes on after it."""
+        with is one diagnostic, and so is an exact number too long to write
+        out (see the module docstring); lexing goes on after either."""
         tokens: list[Token] = []
         pos, line, bol = 0, 1, 0  # bol: where the line begins
         while pos < len(text):
@@ -173,13 +193,17 @@ class _Parser:
                 tokens.append(Token("OP", "=" if op == "==" else op, *at, len(op)))
             elif kind == "NUM":
                 digits, unit = m["digits"], m["unit"]
-                if _is_name(unit):
-                    kind, value = "NUMUNIT", (Fraction(digits), unit)
+                exact = _is_name(unit) or digits.isdigit()  # a float is neither
+                if exact and _spelled(digits) > MAX_DIGITS:
+                    message = f"number literal takes more than {MAX_DIGITS} digits written out"
+                    self.diagnostics.append(self.diagnostic(message, SourceSpan(*at)))
+                elif _is_name(unit):
+                    tokens.append(Token("NUMUNIT", (Fraction(digits), unit), *at, end - pos))
                 else:
                     end = m.end("digits")
                     kind = "INT" if digits.isdigit() else "FLOAT"
                     value = int(digits) if kind == "INT" else float(digits)
-                tokens.append(Token(kind, value, *at, end - pos))
+                    tokens.append(Token(kind, value, *at, end - pos))
             elif kind == "STRING" and m["close"]:
                 value = _ESCAPE.sub(lambda e: _ESCAPES.get(e[1], e[1]), m["body"])
                 # a string that spans lines is as long as its last line
@@ -607,6 +631,8 @@ def parse(text: str) -> Specification:
 def parse_frequency(text: str) -> Fraction:
     """Parse a standalone frequency literal such as '1Hz' or '0.1Hz'."""
     parser = _Parser(text)
+    if parser.diagnostics:  # of the lexer
+        raise ParseError(parser.diagnostics)
     try:
         freq = parser._parse_frequency()
     except _Unexpected as exc:

@@ -5,6 +5,20 @@ type, bare names that denote template parameters have been rewritten to
 ParamRef, every window access has a stable `wkey`, and any-trigger scopes are
 resolved. Checking is deterministic: the same input yields the same typed
 tree and the same diagnostics.
+
+The rules an access follows:
+- a bare name that is a parameter of the enclosing template (or, in an any
+  trigger, of its scope) is that parameter, and takes no offset;
+- any other stream or window access names an input, with no instance
+  arguments, or a template, with one argument of each parameter's type
+  (`_target`);
+- in an any trigger, a bare read of the scope, the template whose live
+  instances the trigger quantifies over, needs no arguments: it reads the
+  instance at hand. A window over the scope is not such a read.
+
+A single invoke expression is checked as the one component of a tuple: the
+tuple gives one value per parameter, each of its parameter's type. Only the
+arity message tells the two spellings apart.
 """
 
 from __future__ import annotations
@@ -39,7 +53,7 @@ from .ast import (
     template_expressions,
     walk,
 )
-from .diagnostics import Diagnostic, TypeCheckError
+from .diagnostics import Diagnostic, SourceSpan, TypeCheckError
 
 BOOL, INT, DOUBLE = ValueType.BOOL, ValueType.INT, ValueType.DOUBLE
 
@@ -55,14 +69,14 @@ class TypedSpec:
     spec: Specification
     inputs: dict[str, InputDecl]
     templates: dict[str, StreamTemplate]
-    time_input: Optional[str]
-    window_count: int
 
 
 @dataclass
 class _Ctx:
     params: dict[str, ValueType] = field(default_factory=dict)
     where: str = ""
+    #: in an any trigger, the template whose instances it quantifies over
+    scope: Optional[str] = None
 
 
 class _Checker:
@@ -74,40 +88,34 @@ class _Checker:
         self.next_wkey = 0
 
     def error(self, message: str, node: Optional[Expr] = None) -> None:
-        span = node.span if node is not None else None
-        self.diagnostics.append(Diagnostic(message, span) if span else Diagnostic(message))
+        span = SourceSpan() if node is None else node.span
+        self.diagnostics.append(Diagnostic(message, span))
 
     def run(self) -> TypedSpec:
-        time_input = self._collect_names()
+        self._collect_names()
         for tpl in self.spec.outputs:
             self._check_template(tpl)
         for trig in self.spec.triggers:
             self._check_trigger(trig)
         if self.diagnostics:
             raise TypeCheckError(self.diagnostics)
-        return TypedSpec(
-            self.spec, self.inputs, self.templates, time_input, self.next_wkey
-        )
+        return TypedSpec(self.spec, self.inputs, self.templates)
 
-    def _collect_names(self) -> Optional[str]:
-        time_input = None
-        for decl in self.spec.inputs:
+    def _collect_names(self) -> None:
+        timed = False
+        for decl in [*self.spec.inputs, *self.spec.outputs]:
             if decl.name in self.inputs or decl.name in self.templates:
                 self.error(f"duplicate declaration of '{decl.name}'")
-                continue
-            self.inputs[decl.name] = decl
-            if decl.is_time:
-                if decl.ty is not DOUBLE:
-                    self.error(f"time input '{decl.name}' must have type double")
-                if time_input is not None:
-                    self.error("more than one time input declared")
-                time_input = decl.name
-        for tpl in self.spec.outputs:
-            if tpl.name in self.inputs or tpl.name in self.templates:
-                self.error(f"duplicate declaration of '{tpl.name}'")
-                continue
-            self.templates[tpl.name] = tpl
-        return time_input
+            elif isinstance(decl, StreamTemplate):
+                self.templates[decl.name] = decl
+            else:
+                self.inputs[decl.name] = decl
+                if decl.is_time:
+                    if decl.ty is not DOUBLE:
+                        self.error(f"time input '{decl.name}' must have type double")
+                    if timed:
+                        self.error("more than one time input declared")
+                    timed = True
 
     # -- templates ----------------------------------------------------------
 
@@ -147,41 +155,27 @@ class _Checker:
         self._check_default_coverage(tpl, ctx)
 
     def _check_invoke(self, tpl: StreamTemplate, ctx: _Ctx) -> Expr:
-        invoke = tpl.invoke
-        param_tys = [p.ty for p in tpl.params]
-        if isinstance(invoke, TupleExpr):
-            items = [self._resolve(item, ctx) for item in invoke.items]
+        """The resolved invoke clause; a single expression is checked as
+        the one component of a tuple."""
+        invoke, params = tpl.invoke, tpl.params
+        single = not isinstance(invoke, TupleExpr)
+        items = [self._resolve(item, ctx) for item in ([invoke] if single else invoke.items)]
+        if single:
+            invoke = items[0]
+        else:
             invoke.items = items
-            if len(items) != len(param_tys):
-                self.error(
-                    f"{ctx.where}: invoke produces {len(items)} values for "
-                    f"{len(param_tys)} parameters",
-                    invoke,
-                )
-            else:
-                for item, pty in zip(items, param_tys):
-                    if item.ty is not None and item.ty is not pty:
-                        self.error(
-                            f"{ctx.where}: invoke component has type {item.ty}, "
-                            f"parameter expects {pty}",
-                            item,
-                        )
-            invoke.ty = None
-            return invoke
-        invoke = self._resolve(invoke, ctx)
-        if len(param_tys) == 1:
-            if invoke.ty is not None and invoke.ty is not param_tys[0]:
-                self.error(
-                    f"{ctx.where}: invoke has type {invoke.ty}, parameter "
-                    f"expects {param_tys[0]}",
-                    invoke,
-                )
-        elif len(param_tys) > 1:
-            self.error(
-                f"{ctx.where}: invoke must be a tuple of {len(param_tys)} "
-                "expressions",
-                invoke,
-            )
+        if len(items) == len(params):
+            what = "invoke" if single else "invoke component"
+            for item, p in zip(items, params):
+                if item.ty is not None and item.ty is not p.ty:
+                    message = f"{what} has type {item.ty}, parameter expects {p.ty}"
+                    self.error(f"{ctx.where}: {message}", item)
+        elif not single:
+            message = f"invoke produces {len(items)} values for {len(params)} parameters"
+            self.error(f"{ctx.where}: {message}", invoke)
+        elif params:  # without any, _check_template has reported the clause
+            message = f"invoke must be a tuple of {len(params)} expressions"
+            self.error(f"{ctx.where}: {message}", invoke)
         return invoke
 
     # -- triggers -------------------------------------------------------------
@@ -198,9 +192,9 @@ class _Checker:
         if trig.kind is TriggerKind.ANY:
             scope = self._any_scope(trig)
             if scope is not None:
-                trig.scope = scope.name
+                trig.scope = ctx.scope = scope.name
                 ctx.params = {p.name: p.ty for p in scope.params}
-        trig.condition = self._resolve(trig.condition, ctx, trigger_scope=trig.scope)
+        trig.condition = self._resolve(trig.condition, ctx)
         cond = trig.condition
         if cond.ty is not None and cond.ty is not BOOL:
             self.error(f"trigger condition must have type bool, got {cond.ty}", cond)
@@ -248,9 +242,7 @@ class _Checker:
 
     # -- expressions ----------------------------------------------------------
 
-    def _resolve(
-        self, expr: Expr, ctx: _Ctx, trigger_scope: Optional[str] = None
-    ) -> Expr:
+    def _resolve(self, expr: Expr, ctx: _Ctx) -> Expr:
         match expr:
             case Const(value=v):
                 if isinstance(v, bool):
@@ -276,25 +268,25 @@ class _Checker:
                     ref = ParamRef(name, span=expr.span)
                     ref.ty = ctx.params[name]
                     return ref
-                expr.args = [self._resolve(a, ctx, trigger_scope) for a in args]
+                expr.args = [self._resolve(a, ctx) for a in args]
                 self._check_offset(expr, ctx)
-                expr.ty = self._access_type(expr, ctx, trigger_scope)
+                expr.ty = self._target(expr, ctx)
                 return expr
             case WindowAccess():
-                expr.args = [self._resolve(a, ctx, trigger_scope) for a in expr.args]
+                expr.args = [self._resolve(a, ctx) for a in expr.args]
                 expr.wkey = self.next_wkey
                 self.next_wkey += 1
-                expr.ty = self._window_type(expr, ctx, trigger_scope)
+                expr.ty = self._window_type(expr, ctx)
                 return expr
             case Default(inner=inner, fallback=fb):
-                expr.inner = self._resolve(inner, ctx, trigger_scope)
-                expr.fallback = self._resolve(fb, ctx, trigger_scope)
+                expr.inner = self._resolve(inner, ctx)
+                expr.fallback = self._resolve(fb, ctx)
                 expr.ty = self._unify(
                     expr.inner.ty, expr.fallback.ty, expr, "default value", ctx
                 )
                 return expr
             case Unary(op=op, operand=operand):
-                expr.operand = self._resolve(operand, ctx, trigger_scope)
+                expr.operand = self._resolve(operand, ctx)
                 ity = expr.operand.ty
                 if op == "!":
                     if ity is not None and ity is not BOOL:
@@ -308,15 +300,15 @@ class _Checker:
             case Binary():
                 # a chain in one loop: each node's left is the one before
                 run = chain(expr)
-                run[0].left = self._resolve(run[0].left, ctx, trigger_scope)
+                run[0].left = self._resolve(run[0].left, ctx)
                 for node in run:
-                    node.right = self._resolve(node.right, ctx, trigger_scope)
+                    node.right = self._resolve(node.right, ctx)
                     node.ty = self._binary_type(node, ctx)
                 return expr
             case IfThenElse():
-                expr.cond = self._resolve(expr.cond, ctx, trigger_scope)
-                expr.then_branch = self._resolve(expr.then_branch, ctx, trigger_scope)
-                expr.else_branch = self._resolve(expr.else_branch, ctx, trigger_scope)
+                expr.cond = self._resolve(expr.cond, ctx)
+                expr.then_branch = self._resolve(expr.then_branch, ctx)
+                expr.else_branch = self._resolve(expr.else_branch, ctx)
                 if expr.cond.ty is not None and expr.cond.ty is not BOOL:
                     self.error(
                         f"{ctx.where}: condition must be bool, got {expr.cond.ty}",
@@ -327,7 +319,7 @@ class _Checker:
                 )
                 return expr
             case FnCall(fn=fn):
-                expr.args = [self._resolve(a, ctx, trigger_scope) for a in expr.args]
+                expr.args = [self._resolve(a, ctx) for a in expr.args]
                 expr.ty = self._fn_type(expr, ctx)
                 return expr
             case TupleExpr():
@@ -354,73 +346,27 @@ class _Checker:
                     access,
                 )
 
-    def _target(self, name: str) -> Optional[tuple[ValueType, tuple]]:
-        if name in self.inputs:
-            return self.inputs[name].ty, ()
+    def _target(self, access: StreamAccess | WindowAccess, ctx: _Ctx) -> Optional[ValueType]:
+        """The value type of the input or template an access reads, its
+        instance arguments checked against the template's parameters (an
+        input has none). A bare read of the any-trigger scope takes none."""
+        name, args = access.stream, access.args
         if name in self.templates:
-            tpl = self.templates[name]
-            return tpl.ty, tuple(tpl.params)
-        return None
-
-    def _access_type(
-        self, access: StreamAccess, ctx: _Ctx, trigger_scope: Optional[str]
-    ) -> Optional[ValueType]:
-        target = self._target(access.stream)
-        if target is None:
-            self.error(f"{ctx.where}: unknown name '{access.stream}'", access)
+            ty, params = self.templates[name].ty, self.templates[name].params
+        elif name in self.inputs:
+            ty, params = self.inputs[name].ty, []
+        else:
+            self.error(f"{ctx.where}: unknown name '{name}'", access)
             return None
-        ty, params = target
-        if access.stream == trigger_scope and not access.args:
-            # inside an any-trigger the quantified template is read directly
+        if name == ctx.scope and not args and isinstance(access, StreamAccess):
             return ty
-        self._check_args(access.stream, access.args, params, ctx, access)
-        return ty
-
-    def _window_type(
-        self, window: WindowAccess, ctx: _Ctx, trigger_scope: Optional[str]
-    ) -> Optional[ValueType]:
-        if window.duration <= 0:
-            self.error(f"{ctx.where}: window duration must be positive", window)
-        target = self._target(window.stream)
-        if target is None:
-            self.error(f"{ctx.where}: unknown name '{window.stream}'", window)
-            return None
-        ty, params = target
-        self._check_args(window.stream, window.args, params, ctx, window)
-        agg = window.agg
-        if ty is BOOL and agg is not AggFn.COUNT:
-            self.error(
-                f"{ctx.where}: bool stream '{window.stream}' admits only the "
-                f"'count' aggregation, not '{agg}'",
-                window,
-            )
-            return None
-        if agg in (AggFn.AVG, AggFn.INTEGRAL, AggFn.MEDIAN) and not ty.is_numeric:
-            self.error(
-                f"{ctx.where}: '{agg}' needs a numeric stream", window
-            )
-            return None
-        if agg is AggFn.COUNT:
-            return INT
-        if agg is AggFn.INTEGRAL:
-            return DOUBLE
-        return ty
-
-    def _check_args(
-        self,
-        name: str,
-        args: list[Expr],
-        params: tuple,
-        ctx: _Ctx,
-        node: Expr,
-    ) -> None:
         if len(args) != len(params):
             self.error(
                 f"{ctx.where}: '{name}' expects {len(params)} instance "
                 f"argument(s), got {len(args)}",
-                node,
+                access,
             )
-            return
+            return ty
         for arg, p in zip(args, params):
             if arg.ty is not None and arg.ty is not p.ty:
                 self.error(
@@ -428,6 +374,24 @@ class _Checker:
                     f"{arg.ty}, expected {p.ty}",
                     arg,
                 )
+        return ty
+
+    def _window_type(self, window: WindowAccess, ctx: _Ctx) -> Optional[ValueType]:
+        if window.duration <= 0:
+            self.error(f"{ctx.where}: window duration must be positive", window)
+        ty, agg = self._target(window, ctx), window.agg
+        if ty is BOOL and agg is not AggFn.COUNT:
+            self.error(
+                f"{ctx.where}: bool stream '{window.stream}' admits only the "
+                f"'count' aggregation, not '{agg}'",
+                window,
+            )
+            return None
+        if ty is None:
+            return None
+        if agg is AggFn.COUNT:
+            return INT
+        return DOUBLE if agg is AggFn.INTEGRAL else ty
 
     def _binary_type(self, expr: Binary, ctx: _Ctx) -> Optional[ValueType]:
         lt, rt = expr.left.ty, expr.right.ty
@@ -439,13 +403,8 @@ class _Checker:
                 self.error(f"{ctx.where}: '{op}' needs bool operands", expr)
             return BOOL
         if op in ("=", "!="):
-            if lt is rt:
-                return BOOL
-            if lt.is_numeric and rt.is_numeric:
-                return BOOL
-            self.error(
-                f"{ctx.where}: cannot compare {lt} with {rt}", expr
-            )
+            if lt is not rt and not (lt.is_numeric and rt.is_numeric):
+                self.error(f"{ctx.where}: cannot compare {lt} with {rt}", expr)
             return BOOL
         if op in ("<", "<=", ">", ">="):
             if not (lt.is_numeric and rt.is_numeric):

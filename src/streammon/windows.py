@@ -286,9 +286,6 @@ class Aggregator:
     associative for all of these summaries. `names` are objects the
     snippets read."""
 
-    #: panes keep raw values: one slot per value, re-merged on evaluation
-    raw = False
-
     def __init__(self, empty: str, new: str, add: str, merge: str, lower: str, **names):
         self.snippets = dict(empty=empty, new=new, add=add, merge=merge, lower=lower)
         rotate = _ROTATE.format(**self.snippets)
@@ -299,19 +296,11 @@ class Aggregator:
 
 
 class _Median(Aggregator):
-    """Not pane-combinable: each pane keeps its raw values."""
-
-    raw = True
+    """Not pane-combinable: each pane keeps its raw values, one slot per
+    value, re-merged on evaluation."""
 
     def __init__(self, int_result: bool):
         self.int_result = int_result
-
-    def new(self):
-        return []
-
-    def add(self, summary, ts, value):
-        summary.append(value)
-        return summary
 
     def merge(self, left, right):
         return left + right

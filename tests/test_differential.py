@@ -16,7 +16,9 @@ second property lets earlier outputs read later ones through past offsets
 (`x` reads `y` and `z`, `y` reads `z`), which the evaluation order must put
 first. A third monitors a parameterized family whose invoke, extend and
 terminate conditions bind its parameter to inputs, under the same random
-binding subsets, and compares every instance.
+binding subsets, and compares every instance. A fourth invokes a family of
+two parameters by a tuple of two inputs, which one event may both bind: the
+step must invoke one instance for it, with both values.
 
 The trace keeps both sides exact. Timestamps are multiples of 1/4 s and
 windows last 500 ms, 1 s or 2 s, so every evaluation instant is
@@ -353,6 +355,57 @@ def test_parameterized_family_matches_reference(src, seed):
     _check(tspec, _trace(seed), names="fg")
 
 
+#: extend and terminate conditions of `f<int k, int l>`: one disjunct binds
+#: both parameters, one of them, or each of two binds one, so lookups go
+#: through the alpha itself and through the partial indexes
+PAIR_BINDS = ["(k = i) & (l = j)", "k = i", "l = j", "(k = i) | (l = j)", "(k = j) & (l = i)"]
+PAIR_ENDS = ["l = j", "p & (k = i)", "(k = i) & (l = j)", "(l = i) | p", "p"]
+PAIR_LEAVES = dict(FAMILY_LEAVES, int=FAMILY_LEAVES["int"] + ["l"])
+
+
+@st.composite
+def _pair_family(draw):
+    """`f<int k, int l>` invoked by `(i, j)`, extended when parameters equal
+    bound inputs and maybe terminated, with an `any` and a `count` trigger."""
+    src = INPUTS + "output int f<int k, int l>\n  invoke: (i, j)\n"
+    src += f"  extend: {draw(st.sampled_from(PAIR_BINDS))}\n"
+    ends = draw(st.sampled_from([None] + PAIR_ENDS))
+    if ends is not None:
+        src += f"  terminate: {ends}\n"
+    src += f"  := {draw(_expr('int', 3, leaves=PAIR_LEAVES))}\n"
+    return src + "trigger any(f > 1)\ntrigger count(f) >= 3\n"
+
+
+@given(_pair_family(), st.integers(0, 2**16))
+@settings(max_examples=60, deadline=None)
+def test_tuple_invoke_over_two_inputs_matches_reference(src, seed):
+    """An event binding both `i` and `j` invokes f(i, j) alone, once, and
+    one binding either invokes it with the other's latest value."""
+    try:
+        tspec = check_types(parse(src))
+    except TypeCheckError:
+        return
+    _check(tspec, _trace(seed), names="f")
+
+
+#: templates that read the time input, which every event step feeds: in
+#: variable mode they have no gate
+_TIMED = (
+    "time input double t\n"
+    "output double e := t - (a)?(0.0)\n"
+    "output bool q := (t > 20.0) & (p)?(false)\n"
+    "output int c<int k>\n  invoke: i\n  extend: k = i\n  := t[2s, count] + k\n"
+)
+
+
+@pytest.mark.parametrize("frequency", [None, Fraction(1), Fraction(5, 2)])
+def test_templates_reading_the_time_input_match_reference(frequency):
+    tspec = check_types(parse(INPUTS + _TIMED + "trigger any(c > 2)\n"))
+    mode = {} if frequency is None else {"mode": "fixed", "frequency": frequency}
+    for seed in range(6):
+        _check(tspec, _trace(seed), "eqc", **mode)
+
+
 def _int_a(events):
     """Whole values of `a` bound as ints, which the double input coerces."""
     for ev in events:
@@ -395,6 +448,8 @@ VARIANTS = {
     "single-lookup": (_FAMILY.format("k = i", ""), "f", None),
     "candidates": (_FAMILY.format("(k = i) | (k = j)", ""), "f", None),
     "scan": (_FAMILY.format(_SCAN, "  terminate: p & (k > 0)\n"), "f", None),
+    # a terminate clause whose operand alone has too many disjuncts
+    "nested-scan": (_FAMILY.format("k = i", f"  terminate: ({_SCAN}) & p\n"), "f", None),
     "dynamic-gate": ("output int x := i + j\noutput int y := (x)?(0) + 1\n", "xy", None),
     "undefined": ("output int u := i + j\n", "u", None),
     # strict operators nested on both sides, defaults inside an argument

@@ -607,6 +607,20 @@ def test_fixed_mode_rejects_a_frequency_that_is_not_positive(frequency):
         Monitor(t, mode="fixed", frequency=frequency)
 
 
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [
+        ({"mode": "fast"}, "unknown mode 'fast'"),
+        ({"mode": "fixed"}, "fixed mode needs a frequency"),
+    ],
+)
+def test_monitor_refuses_an_unknown_mode_and_fixed_mode_without_frequency(kwargs, message):
+    t = typed("input int a\noutput int x := a?0")
+    with pytest.raises(EngineError) as err:
+        Monitor(t, **kwargs)
+    assert [d.message for d in err.value.diagnostics] == [message]
+
+
 def test_a_clock_too_fast_to_replay_is_refused():
     """A monitor runs every tick one by one, so a clock above MAX_FREQUENCY,
     declared or given to fixed mode, ends in a diagnostic, not in a replay

@@ -1,3 +1,4 @@
+import math
 import string
 
 import pytest
@@ -13,6 +14,7 @@ from streammon import (
     format_diagnostics,
     format_spec,
     parse,
+    parse_frequency,
 )
 from streammon.ast import (
     AggFn,
@@ -370,6 +372,7 @@ def test_parser_is_total_over_token_soup(junk):
         pass
 
 
+_LONG = "number literal takes more than 4300 digits written out"
 #: source -> its tokens as (kind, value, line, col, length), and its
 #: diagnostics as (message, line, col, excerpt)
 TOKENS = {
@@ -419,6 +422,25 @@ TOKENS = {
         + [("IDENT", "y", 2, 2, 1), ("EOF", None, 2, 3, 1)],
         [],
     ),
+    # an exact number takes at most MAX_DIGITS (4300) digits written out
+    "1" * 4300: ([("INT", int("1" * 4300), 1, 1, 4300), ("EOF", None, 1, 4301, 1)], []),
+    "1" * 4301: ([("EOF", None, 1, 4302, 1)], [(_LONG, 1, 1, "1" * 4301)]),
+    "1e4299s": (
+        [("NUMUNIT", (Fraction(10**4299), "s"), 1, 1, 7), ("EOF", None, 1, 8, 1)],
+        [],
+    ),
+    "1e4300s x": (
+        [("IDENT", "x", 1, 9, 1), ("EOF", None, 1, 10, 1)],
+        [(_LONG, 1, 1, "1e4300s x")],
+    ),
+    ".5e-4299s": ([("EOF", None, 1, 10, 1)], [(_LONG, 1, 1, ".5e-4299s")]),
+    "a[1e10000000s": (
+        [("IDENT", "a", 1, 1, 1), ("OP", "[", 1, 2, 1), ("EOF", None, 1, 14, 1)],
+        [(_LONG, 1, 3, "a[1e10000000s")],
+    ),
+    "1e" + "9" * 20 + "Hz": ([("EOF", None, 1, 25, 1)], [(_LONG, 1, 1, "1e" + "9" * 20 + "Hz")]),
+    # a float may be inf
+    "1e10000000": ([("FLOAT", math.inf, 1, 1, 10), ("EOF", None, 1, 11, 1)], []),
 }
 
 
@@ -434,6 +456,31 @@ def test_tokens_and_lexer_diagnostics(source):
     ]
     assert (tokens, diagnostics) == TOKENS[source]
     assert [type(t[1]) for t in tokens] == [type(t[1]) for t in TOKENS[source][0]]
+
+
+@pytest.mark.parametrize(
+    "literal", ["a[1e-4299s, sum]", "a[1.5e-4298s, sum]", "a[1e4299s, sum]", "a[1e4298ms, sum]"]
+)
+def test_longest_exact_literals_print_and_read_back(literal):
+    """A duration or a clock whose value takes 4300 digits written out is
+    printed in full, and that reads back."""
+    spec = parse(f"input double a\noutput double x : 1e4299Hz := {literal}")
+    printed = format_spec(spec)
+    assert max(map(len, printed.split())) > 4300
+    assert parse(printed) == spec
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [("1Hz$", "unexpected character '$'"), ("1e10000000Hz", _LONG), ("2.5Hz", None)],
+)
+def test_parse_frequency_reports_what_the_lexer_refuses(text, message):
+    if message is None:
+        assert parse_frequency(text) == Fraction(5, 2)
+        return
+    with pytest.raises(ParseError) as err:
+        parse_frequency(text)
+    assert [d.message for d in err.value.diagnostics] == [message]
 
 
 def test_caret_stands_under_the_character_after_tabs():

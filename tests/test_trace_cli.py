@@ -445,8 +445,9 @@ class _TimeUp(BaseException):
 def _hostile(draw):
     """A corpus spec and its trace as bytes, either of them mutated: a byte
     flipped, the text truncated, a header column duplicated, a timestamp
-    moved far ahead, an output's expression nested deep or chained long, a
-    window's duration or a clock made huge or tiny."""
+    moved far ahead, an output's expression nested deep or chained long or
+    given a number of thousands of digits, a window's duration or a clock
+    made huge or tiny, up to an exponent of ten million."""
     name = draw(st.sampled_from(sorted(_CORPUS)))
     spec, header = _CORPUS[name]
     lines = [",".join(header)] + [
@@ -454,7 +455,7 @@ def _hostile(draw):
         for row in _ROWS[name]
     ]
     trace = ("\n".join(lines) + "\n").encode()
-    kinds = ["flip", "truncate", "header", "far", "nest", "chain", "unit"]
+    kinds = ["flip", "truncate", "header", "far", "nest", "chain", "digits", "unit"]
     kind = draw(st.sampled_from(kinds))
     outputs = [k for k, line in enumerate(spec.split("\n")) if ":=" in line]
     if kind in ("flip", "truncate"):
@@ -487,8 +488,12 @@ def _hostile(draw):
         expr = opener * depth + expr + ")" * depth
     elif kind == "chain":
         expr = f"({expr})" + _SUFFIX[ty] * draw(st.integers(100, 1000))
+    elif kind == "digits":  # more than the lexer takes
+        number = "1" * draw(st.sampled_from([4301, 5000]))
+        expr = f"({expr}) + {number}" if ty != "bool" else f"({expr}) & {number} > 0"
     else:
-        unit = draw(st.sampled_from(["1e400Hz", "0.0001ms", "1e-400s", "1e400h"]))
+        units = ["1e400Hz", "0.0001ms", "1e-400s", "1e400h", "1e10000000s", "1e10000000Hz"]
+        unit = draw(st.sampled_from(units))
         if unit.endswith("Hz"):
             name_end = spec_lines[decl].find(":=")
             line = spec_lines[decl]

@@ -477,7 +477,7 @@ def test_two_stacks_equals_left_fold(case, ratio, ops):
             w.evict(now)
         got = w.evaluate(now)
         assert w.pane_count <= w.max_panes()
-        per_pane = [len(s) if agg.raw else 1 for s in w.panes.values()]
+        per_pane = [1 if agg_fn.homomorphic else len(s) for s in w.panes.values()]
         assert w.slot_count == sum(per_pane)
         if not w.panes:
             assert got == (0 if agg_fn in (AggFn.COUNT, AggFn.SUM) else UNDEFINED)
