@@ -6,6 +6,7 @@ import operator
 import random
 import re
 import sys
+import weakref
 from collections import Counter
 from fractions import Fraction
 
@@ -282,6 +283,32 @@ def test_flat_instances_are_not_tracked_by_the_collector():
     f = m.streams["f"].instances
     assert len(f) == 10_000 and f[(9_999,)] == (0.001 * 9_999, 0.0)
     assert not any(map(gc.is_tracked, f.values()))
+
+
+@pytest.mark.parametrize(
+    "spec, kwargs, make_events",
+    [
+        (PID_SPEC, {"mode": "fixed", "frequency": Fraction(1)}, _pid_events),
+        (FLEET_SPEC, {"instance_bounds": {"orp": 60, "suspicious": 60}}, _fleet_events),
+    ],
+    ids=["pid-fixed", "fleet"],
+)
+def test_monitors_and_kernels_hold_no_reference_cycle(spec, kwargs, make_events):
+    """With the collector off, a monitor whose kernels have run is freed, its
+    kernels with it, when the last reference to it goes: nothing a kernel
+    holds in its globals or defaults leads back to the monitor."""
+    gc_was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        m = Monitor(typed(spec), **kwargs)
+        drain(m, make_events(7)[:500])
+        refs = [weakref.ref(x) for x in (m, m._event_kernel, m._tick_kernel) if x]
+        assert len(refs) == (3 if m._clocks else 2)
+        del m
+        assert [ref() for ref in refs] == [None] * len(refs)
+    finally:
+        if gc_was_enabled:
+            gc.enable()
 
 
 def test_fleet_suspicious_is_flat_and_windowed_streams_keep_instances(monkeypatch):

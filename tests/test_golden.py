@@ -187,3 +187,96 @@ def test_benchmark_kernel_sources_are_pinned(name, monkeypatch):
     if monitor._clocks:
         monitor._kernel(tick=True)
     assert [hashlib.sha256(s.encode()).hexdigest() for s in sources] == expected
+
+
+#: the five inputs and two clocks of
+#: test_engine.test_kernels_are_bounded_by_the_spec_not_the_trace: ticks due
+#: on either clock, found by the multi-clock loop
+_TWO_CLOCKS_SPEC = (
+    "input int a\ninput int b\ninput int c\ninput int d\ninput int e\n"
+    "output int s := (a)?(0) + (b)?(0) + (c)?(0)\n"
+    "output int u : 2Hz := (s)?(0) + (d)?(0)\n"
+    "output int w : 0.4Hz := (e)?(0) + w[-1, 0]\n"
+    "trigger s > 4\n"
+)
+
+#: the snippets no other pinned spec writes: the time input's feed and a
+#: template it gates, a time-pruned buffer (c) and a count-pruned one (x), a
+#: tuple invoke over two inputs, checked after the last of them, with its
+#: instance-bound warning, a flat template (f) whose termination goes through
+#: an index, a plain template that terminates, and count, any and time-input
+#: triggers
+_BRANCHES_SPEC = """
+input int A
+input int B
+input double x
+input bool p
+time input double t
+
+output double c : 2Hz := x?0.0
+output double d : 2Hz := c[-1s, 0.0]
+output double e := x[-2, 0.0] + t
+output double f<int a, int b>
+  invoke: (A, B)
+  extend: (a = A) & (b = B)
+  terminate: p & (a = B)
+  := x?0.0
+output int g
+  terminate: p
+  := A?0
+
+trigger any(f > 1.0)
+trigger count(f) >= 2
+trigger t > 1000.0
+"""
+
+#: event and tick kernel sources of the kernel shapes that KERNELS leaves
+#: out, as sha256 digests, recorded before kernel generation moved out of
+#: `Monitor._kernel` into its own module
+SHAPES = {
+    "pid-fixed-2.5Hz": (
+        CASES["pid-fixed-2.5Hz"][0],
+        CASES["pid-fixed-2.5Hz"][2],
+        [
+            "fc440dba3fd2be3ff48c1dda5459184d0a72716e603cd513b80f2a3c8c400ab6",
+            "d2b2b0a71ca489fccdc8313f4b32ace210a50fff4699ec7d95485e78231ef846",
+        ],
+    ),
+    "cars-0.1Hz": (
+        CASES["cars-0.1Hz"][0],
+        CASES["cars-0.1Hz"][2],
+        [
+            "cda447adc229a470e8aad5d30187f068b848ccaba21b9042fcd0b951f8f4e97a",
+            "aa35e1ecef89331bd1d450e8bd72beb0085c89cba8f9e8933117b9e6eb627444",
+        ],
+    ),
+    "two-clocks": (
+        _TWO_CLOCKS_SPEC,
+        {},
+        [
+            "f96fbae8b323b3823b8c80d5651a013c5f996aae5805a1f4beaae9123e4a806e",
+            "38b6f0b0338a0367e282693e711c8668355f755e0de99458416fc1d7b9d128b2",
+        ],
+    ),
+    "branches": (
+        _BRANCHES_SPEC,
+        {"instance_bounds": {"f": 4}},
+        [
+            "ba38220dd255c64206008b43109f488da2042416bc824ff5cdccca6b71dbfb1e",
+            "0ec84fd0917e57757887c80daf4592ad05a3ff81e2f71ca542b728d0fdd40431",
+        ],
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SHAPES))
+def test_more_kernel_shapes_are_pinned(name, monkeypatch):
+    """As test_benchmark_kernel_sources_are_pinned, for SHAPES."""
+    spec, kwargs, expected = SHAPES[name]
+    sources = []
+    code = engine._code
+    monkeypatch.setattr(engine, "_code", lambda s: sources.append(s) or code(s))
+    monitor = Monitor(typed(spec), **kwargs)
+    monitor._kernel(tick=False)
+    monitor._kernel(tick=True)
+    assert [hashlib.sha256(s.encode()).hexdigest() for s in sources] == expected
