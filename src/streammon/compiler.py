@@ -9,9 +9,9 @@ so evaluation dispatches on no syntax node and calls no function per
 operator. Every object of the specification the source reads is bound by
 name in the caller's `names` (`_bind`), so the source depends on the spec's
 shape only and `_code` compiles it once for every monitor of a spec of that
-shape. The engine writes each template's value, extend, terminate and
-invoke expression and each trigger condition into its step kernels this way
-(`engine.Monitor._kernel`); nothing else compiles an expression.
+shape. `kernel.KernelWriter` writes each template's value, extend,
+terminate and invoke expression and each trigger condition into the step
+kernels this way; nothing else compiles an expression.
 
 The source evaluates operands in the language's order and stops where the
 language does: `&` and `|` at a deciding left operand, every other operator,

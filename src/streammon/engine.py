@@ -42,28 +42,10 @@ Verdicts are emitted in non-decreasing timestamp order. Output values are
 reported for fixed-rate extensions; variable-rate steps report triggers and
 warnings only.
 
-Each of the two steps is one function, a kernel, generated on first use
-(see `Monitor._kernel`) from fixed source snippets: each stream's extension
-is written out inline, with the coercion, pruning (by count, by time, or in
-place for a single slot), windows and invocations of that stream, and so
-are each template's gate check, instance lookup and its value, extend,
-terminate and invoke expressions, which `compiler` writes as Python
-expressions. The step's trigger checks, each gate and condition, a count
-or an any trigger's loop over the instances its scope extended (a single
-check when the scope has one instance for the whole trace), are written
-the same way into a second function of the kernel's source, which the
-kernel calls by `evaluate_triggers`. A step walks no syntax tree and calls
-no function per expression, operator or trigger, and building the Monitor
-compiles nothing. Parameters travel as the instance's alpha tuple, indexed
-by position. The event kernel first checks the event, so that a rejected
-one changes nothing, then runs the clock ticks due at or before it, each by
-`fixed_rate_step`, then the event's own step.
-
-A parameterized template that keeps one value and no window (buffer plan
-`count_keep == 1`, no `time_keep`) stores each instance flat, as the tuple
-(ts, value) of its latest extension, () before the first: no Instance and
-no buffer list, so the cyclic collector, which untracks tuples of atomic
-values, never walks them. Kernels and reads are generated for each shape.
+Each step is one function, a kernel, written on first use from the named
+snippets of `kernel.KernelWriter`, so a step walks no syntax tree and
+building the Monitor compiles nothing. Parameters travel as the instance's
+alpha tuple, indexed by position.
 
 Clock ticks are integers on a grid of 1/D seconds, D being the least common
 multiple of the clock frequencies' numerators, so a clock of p/q Hz ticks
@@ -84,10 +66,8 @@ from __future__ import annotations
 
 import itertools
 import math
-import sys
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from functools import partial
 from types import MappingProxyType
 from typing import Callable, Iterable, Iterator, Optional
 
@@ -107,19 +87,15 @@ from .ast import (
     Expr,
     StreamAccess,
     StreamTemplate,
-    TriggerDecl,
-    TriggerKind,
-    TupleExpr,
     ValueType,
     accesses,
     chain,
     operands,
 )
-from .compiler import NAMES, Compiler, _bind, _code, count_until
-from .diagnostics import AnalysisRefusal, Diagnostic, EngineError, OutOfOrderError
-from .parser import _expr_str
+from .compiler import _code
+from .diagnostics import AnalysisRefusal, Diagnostic, EngineError
 from .typecheck import TypedSpec
-from .values import INT64_MAX, INT64_MIN, jsonable, saturate_i64
+from .values import jsonable
 from .windows import PanedWindow, make_aggregator
 
 __all__ = ["Event", "Verdict", "Monitor"]
@@ -178,16 +154,6 @@ class Instance:
 
 
 @dataclass
-class _WindowPlan:
-    wkey: int
-    #: an empty window, of which each instance's window is a fresh copy
-    proto: PanedWindow
-
-    def new_state(self) -> PanedWindow:
-        return self.proto.fresh()
-
-
-@dataclass
 class _Disjunct:
     positions: tuple[int, ...]  # parameter positions bound by this disjunct
     bufs: tuple[list, ...]  # value buffer of the input bound to each position
@@ -221,9 +187,10 @@ class _StreamRT:
     tpl: Optional[StreamTemplate]  # None for an input
     value_ty: ValueType
     buffer_plan: BufferPlan = field(default_factory=BufferPlan)
-    window_plans: list[_WindowPlan] = field(default_factory=list)
-    #: alpha -> live instance; when `flat`, the untracked tuple (ts, value)
-    #: of its latest extension, () before the first (see the module docstring)
+    #: wkey -> an empty window, of which each instance's is a fresh copy
+    window_plans: dict[int, PanedWindow] = field(default_factory=dict)
+    #: alpha -> live instance; when `flat` (one value kept, no window), the
+    #: untracked tuple (ts, value) of its latest extension, () before the first
     instances: dict[tuple, Instance | tuple] = field(default_factory=dict)
     flat: bool = False
     #: parameter positions -> their values -> alphas of live instances
@@ -240,7 +207,7 @@ class _StreamRT:
 
     def new_instance(self, alpha: tuple) -> None:
         plans = self.window_plans
-        windows = {p.wkey: p.new_state() for p in plans} if plans else _NO_WINDOWS
+        windows = {k: p.fresh() for k, p in plans.items()} if plans else _NO_WINDOWS
         self.instances[alpha] = () if self.flat else Instance(alpha, windows)
         if self.indexes:
             for subset, index in self.indexes.items():
@@ -342,8 +309,7 @@ class Monitor:
             target, label = self.streams[e.target], e.label
             width = self.pane_widths[label.wkey]
             agg = make_aggregator(label.agg, target.value_ty)
-            proto = PanedWindow(label.duration, width, agg)
-            target.window_plans.append(_WindowPlan(label.wkey, proto))
+            target.window_plans[label.wkey] = PanedWindow(label.duration, width, agg)
 
         # inputs and plain outputs exist from the start of the trace
         for rt in self.streams.values():
@@ -419,14 +385,8 @@ class Monitor:
     # -- public API -----------------------------------------------------------
 
     def process(self, event: Event) -> list[Verdict]:
-        """Run all due clock ticks, then the event's variable-rate step.
-
-        The timestamp must be a finite number, every binding must name a
-        declared input other than the `time input`, and every bound value
-        must have its input's type (see `Event`); otherwise this raises
-        EngineError before any tick or extension, and the monitor's state is
-        unchanged.
-        """
+        """Run all due clock ticks, then the event's variable-rate step. An
+        invalid event (see `Event`) raises EngineError and changes nothing."""
         return self.var_rate_step(event)
 
     def run(self, events: Iterable[Event]) -> Iterator[Verdict]:
@@ -453,412 +413,29 @@ class Monitor:
     def _kernel(self, tick: bool) -> Callable:
         """Builds and keeps the event kernel, kernel(m, ts, bindings), or
         with `tick` the tick kernel, kernel(m, ts, tick), each returning the
-        step's verdicts. The event kernel rejects an invalid event, runs the
-        ticks due at or before ts by `m.fixed_rate_step`, feeds the bound
-        inputs and the time input, and runs what inputs can reach of the
-        unclocked templates and terminations. The tick kernel runs the
-        clocked templates and terminations due at `tick` and the other
-        terminations. Each runs when its gate holds (see the module
-        docstring). The same source defines the step's trigger checks,
-        triggers(m, ts, extended, touched), which the kernel calls by
-        `m.evaluate_triggers`: every trigger reading a stream that the step
-        can extend, invoke or terminate, in declaration order. The source
-        depends on the spec's shape only: every object it reads is bound by
-        name."""
-        names = dict(_KERNEL_NAMES)
-        bind = partial(_bind, names)
+        step's verdicts, from the snippets of `kernel.KernelWriter`."""
+        from .kernel import KernelWriter  # which reads this module's names
 
-        def source(expr: Expr, params=(), own=None, scope=None) -> str:
-            """expr written inline, reading the kernel's alpha, ts and m."""
-            return Compiler(self.streams, params, own, scope).source(expr, names)
-
-        decls = self.tspec.spec.inputs
-        inputs = frozenset(d.name for d in decls)
-        #: bindable input -> the local holding its value, or MISSING if unbound
-        local = {d.name: f"v{k}" for k, d in enumerate(decls) if not d.is_time}
-        timed = inputs - local.keys()  # the time input, fed in every event step
-
-        def changed(streams: frozenset, record: str = "extended") -> str:
-            return f"not {bind(streams)}.isdisjoint({record})"
-
-        def gate(streams: frozenset) -> Optional[str]:
-            """Whether an event step fed or extended one of `streams`."""
-            if streams & timed:
-                return None
-            tests = [f"{v} is not MISSING" for s, v in local.items() if s in streams]
-            if streams - inputs:
-                tests.append(changed(streams - inputs))
-            return " or ".join(tests)
-
-        if tick:
-            head, fed = "def kernel(m, ts, tick", []
-            every = len(self._clocks) > 1  # else every tick is due
-            due = {
-                rt: f"not tick % {bind(rt.period)}" if every else None
-                for rt in self._clocked_order
-            }
-            templates = list(due.items())
-            ends = [
-                (rt, due[rt] if rt.period else changed(rt.ter_plan.gate))
-                for rt in self._with_terminate
-            ]
-        else:
-            head = "def kernel(m, ts, bindings"
-            fed = [self.streams[d.name] for d in decls]
-            reach = set(inputs)  # the streams that can extend in an event step
-            templates = []
-            for rt in self._var_order:
-                streams = rt.expr_gate if rt.ext_plan is None else rt.ext_plan.gate
-                if not streams.isdisjoint(reach):
-                    reach.add(rt.name)
-                    templates.append((rt, gate(streams)))
-            ends = [
-                (rt, gate(rt.ter_plan.gate))
-                for rt in self._with_terminate
-                if rt.period is None and rt.ter_plan.gate & reach
-            ]
-        # the streams the step can invoke or terminate an instance of, and the
-        # triggers reading one that it can change
-        extending = fed + [rt for rt, _ in templates]
-        moved = {dep.name for rt in extending for dep in rt.invokes}
-        moved.update(rt.name for rt, _ in ends)
-        can = moved.union(rt.name for rt in extending)
-        triggers = [
-            (trig, reads)
-            for trig in self.tspec.spec.triggers
-            if (reads := _reads(trig)) & can
-        ]
-        # each invoke runs once per step: in the extension of the one stream
-        # it reads that the step can extend, or after the last of several
-        readers: dict[_StreamRT, list[_StreamRT]] = {}
-        for rt in extending:
-            for dep in rt.invokes:
-                readers.setdefault(dep, []).append(rt)
-        code: list[str] = []
-
-        def put(depth: int, *lines: str) -> None:
-            code.extend("    " * depth + line for line in lines)
-
-        def when(condition: Optional[str]) -> int:
-            """Opens a block run when `condition` holds; returns its depth."""
-            if condition is None:
-                return 1
-            put(1, f"if {condition}:")
-            return 2
-
-        def fired(reads: frozenset) -> Optional[str]:
-            """A trigger's gate: whether the step changed one of `reads`;
-            none where the event step feeds the time input."""
-            if not tick and reads & timed:
-                return None
-            tests = [changed(reads)]
-            if reads & moved:
-                tests.append(changed(reads & moved, "touched"))
-            return " or ".join(tests)
-
-        if triggers:
-            put(0, "def triggers(m, ts, extended, touched):", "    verdicts = []")
-        for trig, reads in triggers:
-            loop = False
-            if trig.kind is TriggerKind.ANY:  # checked for what its scope extended
-                scope = self.streams[trig.scope]
-                key = bind(scope.name)
-                held = source(trig.condition, scope.tpl.params, scope=scope.name)
-                if scope.pinned is not None:  # its one instance, () the witness
-                    depth, test = when(f"{key} in extended"), f"{held} is True"
-                    fields = f"{key}, (), True"
-                else:
-                    put(1, f"alphas = extended.get({key})", "if alphas:")
-                    # the lowest witness wins
-                    alphas = "alphas if len(alphas) == 1 else sorted(set(alphas))"
-                    put(2, f"for alpha in {alphas}:")
-                    loop, depth = True, 3
-                    test = f"alpha in {bind(scope.instances)} and {held} is True"
-                    fields = f"{key}, alpha, True"
-                default = f"any({_expr_str(trig.condition)})"
-            elif trig.kind is TriggerKind.COUNT:
-                rt, depth = self.streams[trig.count_stream], when(fired(reads))
-                holds = "==" if trig.count_cmp == "=" else trig.count_cmp
-                test = f"(n := len({bind(rt.instances)})) {holds} "
-                test += bind(trig.count_value)
-                fields = f"{bind(rt.name)}, None, n"
-                default = f"count({rt.name}) {trig.count_cmp} {trig.count_value}"
-            else:
-                depth, test = when(fired(reads)), f"{source(trig.condition)} is True"
-                fields, default = "None, None, True", _expr_str(trig.condition)
-            message = bind(trig.message or default)
-            verdict = f"VERDICT(float(ts), 'trigger', {fields}, {message})"
-            put(depth, f"if {test}:", f"    verdicts.append({verdict})")
-            if loop:
-                put(depth, "    break")
-        if triggers:
-            put(1, "return verdicts")
-            head += ", triggers=triggers"  # a default: no cycle through the globals
-        put(0, head + "):")
-
-        def find(depth: int, rt: _StreamRT, plan: Optional[_CondPlan]) -> tuple:
-            """Opens a block visiting, as alpha, each live instance of rt that
-            `plan` can select (None: all, in invocation order); returns its
-            depth and whether it loops. Outside a loop, i is the instance."""
-            instances = bind(rt.instances)
-            if plan is not None and len(plan.disjuncts) == 1 and plan.disjuncts[0].full:
-                bufs = [bind(buf) for buf in plan.disjuncts[0].bufs]
-                values = "".join(f"{b}[-1][1], " for b in bufs)
-                put(depth, f"if {' and '.join(bufs)}:", f"    alpha = ({values})")
-                depth += 1
-            elif rt.pinned is not None:  # it lives for the whole trace
-                put(depth, "alpha = ()", f"i = {bind(rt.pinned)}")
-                return depth, False
-            elif not rt.tpl.params:
-                put(depth, "alpha = ()")
-            else:
-                found = f"sorted({instances})" if plan else f"list({instances})"
-                if plan and plan.disjuncts:
-                    found = f"candidates({bind(rt)}, {bind(plan)})"
-                put(depth, f"for alpha in {found}:")
-                return depth + 1, True
-            put(depth, f"i = {instances}.get(alpha)", "if i is not None:")
-            return depth + 1, False
-
-        def extend(depth: int, rt: _StreamRT, inst: str, alpha: str, coerce=True):
-            """Extends instance `inst` of rt, whose parameters are `alpha`, by
-            the value v: coerce, buffer and prune, register into windows,
-            charge the slots, record, emit, and try the invocations that
-            read rt alone of the streams the step can extend."""
-            key, plan = bind(rt.name), rt.buffer_plan
-            if rt.value_ty is ValueType.DOUBLE and coerce:
-                put(depth, "v = float(v)")
-            elif rt.value_ty is ValueType.INT:
-                warning = bind(f"{rt.name}: integer overflow, value saturated")
-                put(depth, "if not MIN <= v <= MAX:", "    v = saturate(v)")
-                put(depth, f"    m._warn(ts, {warning})")
-            b = f"b = {inst}.buf"
-            if rt.flat:  # the entry is replaced; its one slot is charged once
-                put(depth, f"g = 0 if {inst} else 1")
-                put(depth, f"{bind(rt.instances)}[{alpha}] = (ts, v)")
-            elif plan.time_keep is not None:  # prune by time
-                put(depth, b, "b.append((ts, v))", f"d = expired({bind(plan)}, b, ts)")
-                put(depth, "if d > 0:", "    del b[:d]", "g = 1 - max(d, 0)")
-            elif plan.count_keep == 1:  # a single slot, reused in place
-                put(depth, b, "if b:", "    b[0] = (ts, v)", "    g = 0")
-                put(depth, "else:", "    b.append((ts, v))", "    g = 1")
-            else:  # prune by count
-                put(depth, b, "b.append((ts, v))")
-                put(depth, f"if len(b) > {bind(plan.count_keep)}:", "    del b[0]")
-                put(depth, "    g = 0", "else:", "    g = 1")
-            if rt.pinned is not None:  # its windows are bound by name
-                for w in rt.pinned.windows.values():
-                    put(depth, f"g += {bind(w)}.register(v, ts)")
-            elif rt.window_plans:
-                put(depth, f"w = {inst}.windows")
-                for p in rt.window_plans:
-                    put(depth, f"g += w[{bind(p.wkey)}].register(v, ts)")
-            put(depth, "if g:", "    s = m.slots = m.slots + g")
-            put(depth, "    if s > m.peak_slots:", "        m.peak_slots = s")
-            if rt.tpl is None or not rt.tpl.params:  # extends once per step
-                put(depth, f"extended[{key}] = PINNED")
-            else:
-                put(depth, f"extended.setdefault({key}, []).append({alpha})")
-            if tick:
-                output = f"VERDICT(float(ts), 'output', {key}, {alpha}, v)"
-                put(depth, f"verdicts.append({output})")
-            for dep in rt.invokes:
-                if len(readers[dep]) == 1:
-                    invoke(depth, dep)
-
-        def invoke(depth: int, dep: _StreamRT) -> None:
-            """Evaluates dep's invoke clause and invokes the instance it
-            names if that is new."""
-            instances, clause = bind(dep.instances), dep.tpl.invoke
-            if not isinstance(clause, TupleExpr):
-                clause = TupleExpr(items=[clause])
-            put(depth, f"a = {source(clause)}")
-            put(depth, f"if a is not U and a not in {instances}:")
-            put(depth, f"    {bind(dep.new_instance)}(a)")
-            put(depth, f"    touched.add({bind(dep.name)})")
-            if dep.eta_bound is not None:
-                d, bound = bind(dep), bind(dep.eta_bound)
-                message = bind(
-                    f"{dep.name}: live instances exceed the declared bound "
-                    f"{dep.eta_bound}; the static memory total no longer applies"
-                )
-                over = f"len({instances}) > {bound}"
-                put(depth, f"    if {over} and not {d}.eta_warned:")
-                put(depth, f"        {d}.eta_warned = True")
-                put(depth, f"        m._warn(ts, {message})")
-
-        def invokes_after(rt: _StreamRT) -> None:
-            """The invokes that read several streams the step can extend, rt
-            the last of them: each once, if one of them extended."""
-            for dep in rt.invokes:
-                streams = readers[dep]
-                if len(streams) > 1 and streams[-1] is rt:
-                    invoke(when(changed(frozenset(s.name for s in streams))), dep)
-
-        if not tick:  # the event's checks; a NaN or inf ts would tick forever
-            for name, v in local.items():
-                put(1, f"{v} = bindings.get({bind(name)}, MISSING)")
-            bindable, unknown = bind(frozenset(local)), bind(_UNKNOWN)
-            put(1, f"if not bindings.keys() <= {bindable}:")
-            put(1, f"    names = ', '.join(sorted(bindings.keys() - {bindable}))")
-            put(1, f"    raise EngineError([Diagnostic({unknown}.format(names))])")
-            put(1, "if ts.__class__ not in TIMES or not -MAX_TIME <= ts <= MAX_TIME:")
-            put(1, "    message = f'timestamp {ts!r} is no finite number'")
-            put(1, "    raise EngineError([Diagnostic(message)])")
-            for name, v in local.items():
-                ty = self.streams[name].value_ty
-                ok = bind(_CLASSES[ty.name])
-                got = bind(f"input {name} ({ty.value}) got ")
-                put(1, f"if {v}.__class__ not in {ok} and {v} is not MISSING:")
-                put(1, f"    raise EngineError([Diagnostic({got} + repr({v}))])")
-        put(1, "if m.clock_ts is not None and ts < m.clock_ts:")
-        put(1, "    message = f'time regressed from {m.clock_ts} to {ts}'")
-        put(1, "    raise OutOfOrderError([Diagnostic(message)])")
-        put(1, "verdicts = []")
-        ticks = not tick and self._clocks
-        if ticks:  # the due ticks, on the integer grid, before the event
-            if self._dyadic:  # ts * D is exact (or inf, which the guard refuses)
-                put(1, f"last = ts * {self._grid}" if self._grid > 1 else "last = ts")
-            else:
-                put(1, "n, d = ts.as_integer_ratio()", f"last = n * {self._grid} // d")
-            fastest = self._clocks[0]  # the guard: at most MAX_TICKS of its ticks
-            c, most = bind(fastest), bind(MAX_TICKS * fastest[1])
-            put(1, f"if last >= {c}[0] + {most}:", f"    raise {bind(_far_ahead)}(m, ts)")
-            if len(self._clocks) == 1:  # one comparison per event
-                put(1, f"while (t := {c}[0]) <= last:", f"    {c}[0] = t + {c}[1]")
-            else:
-                c = bind(self._clocks)
-                put(1, f"while (t := min([c[0] for c in {c}])) <= last:")
-                put(2, f"for c in {c}:", "    if c[0] == t:", "        c[0] = t + c[1]")
-            put(2, "verdicts += m.fixed_rate_step(t)")
-            put(1, "ticked = len(verdicts)")
-        put(1, "m._verdicts = verdicts", "m.clock_ts = ts")
-        put(1, "extended = m._step_extended = {}", "touched = set()")
-        for rt in fed:
-            v = local.get(rt.name)
-            depth = when(f"{v} is not MISSING" if v else None)
-            put(depth, f"v = {v}" if v else "v = float(ts)")
-            extend(depth, rt, bind(rt.instances[()]), "()", coerce=v is not None)
-            invokes_after(rt)
-
-        # invocations happen inside the extensions or right after them, so
-        # invoked instances of later templates are picked up within the same
-        # pass
-        for rt, condition in templates:
-            depth, loop = find(when(condition), rt, None if rt.period else rt.ext_plan)
-            if rt.tpl.extend is not None:
-                put(depth, f"if {source(rt.tpl.extend, rt.tpl.params)} is True:")
-                depth += 1
-            value = source(rt.tpl.expr, rt.tpl.params, rt.name)
-            put(depth, f"v = {value}", "if v is U:")
-            put(depth, f"    m._warn(ts, undefined({bind(rt.name)}, alpha))", "else:")
-            if loop:
-                put(depth + 1, f"i = {bind(rt.instances)}[alpha]")
-            extend(depth + 1, rt, "i", "alpha")
-            invokes_after(rt)
-
-        for rt, condition in ends:
-            depth, _ = find(when(condition), rt, rt.ter_plan)
-            put(depth, f"if {source(rt.tpl.terminate, rt.tpl.params)} is True:")
-            depth += 1
-            refund = "1 if d else 0" if rt.flat else "len(d.buf)"
-            put(depth, f"d = {bind(rt.drop_instance)}(alpha)", f"m.slots -= {refund}")
-            if rt.window_plans:
-                put(depth, "m.slots -= sum(w.slot_count for w in d.windows.values())")
-            put(depth, f"touched.add({bind(rt.name)})")
-
-        if triggers:
-            put(1, "verdicts += m.evaluate_triggers(triggers, ts, extended, touched)")
-        put(1, f"m.verdicts_emitted += len(verdicts){' - ticked' if ticks else ''}")
-        if not tick:
-            put(1, "m.events_processed += 1")
-        put(1, "return verdicts")
-        exec(_code("\n".join(code)), names)
-        kernel = names.pop("kernel")  # no cycle through its globals
-        names.pop("triggers", None)
+        writer = KernelWriter(self, tick)
+        exec(_code(writer.write()), writer.names)
+        kernel = writer.names.pop("kernel")  # no cycle through its globals
+        writer.names.pop("triggers", None)
         setattr(self, "_tick_kernel" if tick else "_event_kernel", kernel)
         return kernel
-
-    # -- triggers --------------------------------------------------------------------
 
     def evaluate_triggers(
         self, triggers: Callable, ts, extended: dict, touched: set
     ) -> list[Verdict]:
         """The verdicts of a step's trigger checks, `triggers`, written with
-        its kernel (see `_kernel`), given what the step extended and the
-        streams it invoked or terminated an instance of. A kernel calls this
-        once in every step that has triggers: it is the call boundary at
-        which perfbench's tracer and tests/test_hooks.py time and count the
-        trigger layer."""
+        its kernel (see `kernel.KernelWriter.trigger`), given what the step
+        extended and the streams it invoked or terminated an instance of. A
+        kernel calls this once in every step that has triggers: it is the
+        call boundary at which perfbench's tracer and tests/test_hooks.py
+        time and count the trigger layer."""
         return triggers(self, ts, extended, touched)
 
     def _warn(self, ts, message: str) -> None:
         self._verdicts.append(Verdict(float(ts), "warning", message=message))
-
-
-_CLASSES = dict(BOOL={bool}, INT={int}, DOUBLE={int, float})
-#: what an event kernel reads for an input the event does not bind
-_MISSING = object()
-#: a step's record of the extension of a stream without parameters
-_PINNED = ((),)
-_UNKNOWN = (
-    "unknown input stream(s): {} (an event binds declared inputs only, "
-    "never the time input)"
-)
-
-
-def _reads(trig: TriggerDecl) -> frozenset[str]:
-    """The streams whose change in a step can change the trigger's verdict."""
-    if trig.kind is TriggerKind.COUNT:
-        return frozenset([trig.count_stream])
-    return frozenset(node.stream for node in accesses(trig.condition))
-
-
-def _far_ahead(m: Monitor, ts) -> EngineError:
-    """The error for an event at ts that more than MAX_TICKS ticks of the
-    monitor's fastest clock precede, naming how many."""
-    n, d = ts.as_integer_ratio()
-    next_tick, period = m._clocks[0]
-    count = (n * m._grid // d - next_tick) // period + 1
-    message = (
-        f"timestamp {ts!r} lies {count} clock ticks ahead; "
-        f"a replay runs at most {MAX_TICKS} before one event"
-    )
-    return EngineError([Diagnostic(message)])
-
-
-def _candidates(rt: _StreamRT, plan: _CondPlan) -> list[tuple]:
-    """The live instances a lookup plan can select, found through the
-    indexes without iterating the instance map."""
-    found: set[tuple] = set()
-    for d in plan.disjuncts:
-        values = []
-        for buf in d.bufs:
-            if not buf:
-                break
-            values.append(buf[-1][1])
-        else:
-            # a full disjunct binds positions 0..k-1: the key is the alpha
-            key = tuple(values)
-            if d.full:
-                if key in rt.instances:
-                    found.add(key)
-            else:
-                bucket = rt.indexes[d.positions].get(key)
-                if bucket:
-                    found.update(bucket)
-    return sorted(found)
-
-
-def _expired(plan: BufferPlan, buf: list, ts) -> int:
-    """How many of the oldest buffered values lie beyond the plan's horizon
-    ts - time_keep; zero or less when none. A value goes only if the next
-    one still lies at or before the horizon (sample-and-hold needs one value
-    there), and at least count_keep values stay."""
-    n, d = ts.as_integer_ratio()
-    kn, kd = plan.time_keep.numerator, plan.time_keep.denominator
-    held = count_until(buf, n * kd - kn * d, d * kd)  # at or before ts - keep
-    return min(held - 1, len(buf) - plan.count_keep)
 
 
 def _with_clock(tspec: TypedSpec, clock: Fraction) -> TypedSpec:
@@ -873,32 +450,6 @@ def _with_clock(tspec: TypedSpec, clock: Fraction) -> TypedSpec:
         spec=replace(tspec.spec, outputs=outputs),
         templates={tpl.name: tpl for tpl in outputs},
     )
-
-
-def _undefined(stream: str, alpha: tuple) -> str:
-    """The warning for an undefined value of the instance alpha of stream."""
-    name = f"{stream}({', '.join(map(repr, alpha))})" if alpha else stream
-    return f"{name}: undefined access without a default; value skipped"
-
-
-#: what every step kernel reads by name, besides what it binds
-_KERNEL_NAMES = dict(
-    NAMES,
-    MISSING=_MISSING,
-    PINNED=_PINNED,
-    VERDICT=Verdict,
-    TIMES={int, float},
-    MAX_TIME=sys.float_info.max,
-    MIN=INT64_MIN,
-    MAX=INT64_MAX,
-    saturate=saturate_i64,
-    expired=_expired,
-    candidates=_candidates,
-    undefined=_undefined,
-    EngineError=EngineError,
-    OutOfOrderError=OutOfOrderError,
-    Diagnostic=Diagnostic,
-)
 
 
 def _dnf(expr: Expr) -> Optional[list[list[Expr]]]:

@@ -172,7 +172,9 @@ class _Parser:
     def _lex(self, text: str) -> list[Token]:
         """The tokens of text, ending in EOF. A character no token starts
         with is one diagnostic, and so is an exact number too long to write
-        out (see the module docstring); lexing goes on after either."""
+        out (see the module docstring), which stays a token of its kind with
+        the value 1, so that the parser reports nothing further about it;
+        lexing goes on after either."""
         tokens: list[Token] = []
         pos, line, bol = 0, 1, 0  # bol: where the line begins
         while pos < len(text):
@@ -197,7 +199,8 @@ class _Parser:
                 if exact and _spelled(digits) > MAX_DIGITS:
                     message = f"number literal takes more than {MAX_DIGITS} digits written out"
                     self.diagnostics.append(self.diagnostic(message, SourceSpan(*at)))
-                elif _is_name(unit):
+                    digits = "1"  # a placeholder token of its kind, so parsing goes on
+                if _is_name(unit):
                     tokens.append(Token("NUMUNIT", (Fraction(digits), unit), *at, end - pos))
                 else:
                     end = m.end("digits")

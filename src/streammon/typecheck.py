@@ -216,7 +216,7 @@ class _Checker:
         bare_parameterized = []
         first_output = None
         for node in walk(trig.condition):
-            if not isinstance(node, StreamAccess):
+            if not isinstance(node, (StreamAccess, WindowAccess)):
                 continue
             tpl = self.templates.get(node.stream)
             if tpl is None:

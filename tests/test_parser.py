@@ -264,6 +264,19 @@ def test_unclosed_parameter_list_span():
     assert (diag.span.line, diag.span.column) == (1, 23)
 
 
+@pytest.mark.parametrize(
+    "definition",
+    ["a[1e10000000s, sum]", "a[-1" + "0" * 4300 + ", 0.0]"],
+    ids=["duration", "offset"],
+)
+def test_a_refused_number_literal_is_its_only_diagnostic(definition):
+    """The lexer keeps a number too long to write out as a token of its
+    kind, so the parser reports nothing about the tokens after it."""
+    with pytest.raises(ParseError) as err:
+        parse(f"input double a\noutput double x := {definition}")
+    assert [d.message for d in err.value.diagnostics] == [_LONG]
+
+
 def test_duplicate_declaration_reported():
     with pytest.raises(ParseError) as err:
         parse("input int x\ninput double x")
@@ -424,21 +437,33 @@ TOKENS = {
     ),
     # an exact number takes at most MAX_DIGITS (4300) digits written out
     "1" * 4300: ([("INT", int("1" * 4300), 1, 1, 4300), ("EOF", None, 1, 4301, 1)], []),
-    "1" * 4301: ([("EOF", None, 1, 4302, 1)], [(_LONG, 1, 1, "1" * 4301)]),
+    # a refused number stays a token of its kind, with the placeholder value 1
+    "1" * 4301: (
+        [("INT", 1, 1, 1, 4301), ("EOF", None, 1, 4302, 1)],
+        [(_LONG, 1, 1, "1" * 4301)],
+    ),
     "1e4299s": (
         [("NUMUNIT", (Fraction(10**4299), "s"), 1, 1, 7), ("EOF", None, 1, 8, 1)],
         [],
     ),
     "1e4300s x": (
-        [("IDENT", "x", 1, 9, 1), ("EOF", None, 1, 10, 1)],
+        [("NUMUNIT", (Fraction(1), "s"), 1, 1, 7)]
+        + [("IDENT", "x", 1, 9, 1), ("EOF", None, 1, 10, 1)],
         [(_LONG, 1, 1, "1e4300s x")],
     ),
-    ".5e-4299s": ([("EOF", None, 1, 10, 1)], [(_LONG, 1, 1, ".5e-4299s")]),
+    ".5e-4299s": (
+        [("NUMUNIT", (Fraction(1), "s"), 1, 1, 9), ("EOF", None, 1, 10, 1)],
+        [(_LONG, 1, 1, ".5e-4299s")],
+    ),
     "a[1e10000000s": (
-        [("IDENT", "a", 1, 1, 1), ("OP", "[", 1, 2, 1), ("EOF", None, 1, 14, 1)],
+        [("IDENT", "a", 1, 1, 1), ("OP", "[", 1, 2, 1)]
+        + [("NUMUNIT", (Fraction(1), "s"), 1, 3, 11), ("EOF", None, 1, 14, 1)],
         [(_LONG, 1, 3, "a[1e10000000s")],
     ),
-    "1e" + "9" * 20 + "Hz": ([("EOF", None, 1, 25, 1)], [(_LONG, 1, 1, "1e" + "9" * 20 + "Hz")]),
+    "1e" + "9" * 20 + "Hz": (
+        [("NUMUNIT", (Fraction(1), "Hz"), 1, 1, 24), ("EOF", None, 1, 25, 1)],
+        [(_LONG, 1, 1, "1e" + "9" * 20 + "Hz")],
+    ),
     # a float may be inf
     "1e10000000": ([("FLOAT", math.inf, 1, 1, 10), ("EOF", None, 1, 11, 1)], []),
 }

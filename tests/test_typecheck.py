@@ -403,10 +403,10 @@ DIAGNOSTICS = {
         _X + "trigger any(x(true) > 0)",
         [("trigger: instance argument for 'p' has type bool, expected int", 5, 15, 4)],
     ),
+    # the window reads x, which makes x the scope: its faults come first
     "any-scope-window": (
         _X + "trigger any(x[1s, sum] > 0)",
         [
-            ("any-trigger condition must reference an output stream", 0, 0, 1),
             ("trigger: 'x' expects 1 instance argument(s), got 0", 5, 13, 1),
             (
                 "windows are not allowed in trigger conditions; compute them in "
