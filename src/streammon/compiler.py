@@ -86,11 +86,13 @@ class Compiler:
         params: Iterable[Param] = (),
         own: Optional[str] = None,
         scope: Optional[str] = None,
+        keys: Optional[dict] = None,
     ):
         self.streams = streams
         self.positions = {p.name: i for i, p in enumerate(params)}
         self.own = own
         self.scope = scope
+        self.keys = keys or {}  # inputs -> the local holding their key
         self.temps = 0
 
     def source(self, expr: Expr, names: dict) -> str:
@@ -183,11 +185,10 @@ class Compiler:
 
     def _read(self, node: StreamAccess | WindowAccess, names: dict) -> str:
         """The access's value: how to get the instance, then how to read it.
-        A pinned instance is bound by name; any other is looked up by the key
-        alpha for the any-trigger scope, () for a plain stream, or else the
-        strict tuple of the access's arguments."""
+        A pinned instance is bound by name; any other is looked up by a key
+        `_key` names, or else by the strict tuple of the access's arguments."""
         rt = self.streams[node.stream]
-        pinned = None if node.args else rt.pinned
+        pinned, args = None if node.args else rt.pinned, None
         match node:
             case WindowAccess(wkey=wkey) if pinned is not None:
                 return _evaluate(_bind(names, pinned.windows[wkey]))
@@ -197,9 +198,9 @@ class Compiler:
         if pinned is not None:
             inst = _bind(names, pinned)
         else:
-            key = _tuple(len(node.args)) if node.args else "()"
-            if node.stream == self.scope and rt.tpl.params and not node.args:
-                key = "alpha"
+            key = self._key(node, rt)
+            if key is None:
+                key, args = _tuple(len(node.args)), node.args
             get = _bind(names, rt.instances.get)
             inst = f"{get}({key}, NO_INSTANCE)"
         match node:
@@ -218,7 +219,25 @@ class Compiler:
             case StreamAccess(offset=RealTimeOffset(seconds=d)):
                 dn, dd = _bind(names, d.numerator), _bind(names, d.denominator)
                 read = f"at_time({inst}, ts, {dn}, {dd})"
-        return self._strict(node.args, names, read) if node.args else read
+        return self._strict(args, names, read) if args else read
+
+    def _key(self, node: StreamAccess | WindowAccess, rt) -> Optional[str]:
+        """What holds the key of node's instance, if anything does: () for a
+        plain stream, alpha for the any-trigger scope and for the reader's own
+        parameters in order, or a key the kernel built (U finds none)."""
+        if not node.args:
+            return "alpha" if node.stream == self.scope and rt.tpl.params else "()"
+        if [getattr(a, "name", None) for a in node.args] == [*self.positions]:
+            return "alpha"
+        return self.keys.get(input_key(node.args, self.streams))
+
+
+def input_key(items: list[Expr], streams: dict) -> Optional[tuple[str, ...]]:
+    """The inputs `items` read, if each is a bare current read of an input."""
+    bare = [e for e in items if isinstance(e, StreamAccess) and e.offset == DiscreteOffset(0)]
+    if len(bare) == len(items) and all(streams[e.stream].tpl is None for e in bare):
+        return tuple(e.stream for e in bare)
+    return None
 
 
 def count_until(buf: list, n: int, d: int) -> int:

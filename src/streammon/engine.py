@@ -16,8 +16,9 @@ trace:
   instants.
   Parameterized templates extend here only when efficiently bound (their
   extend condition pins parameters to input values; a single such disjunct
-  binding every parameter is one tuple lookup), so the per-event cost is
-  independent of how many instances are alive.
+  binding every parameter is one lookup by a key the step builds once and
+  shares with invokes and terminations, see `kernel`), so the per-event
+  cost is independent of how many instances are alive.
 
 * the fixed-rate step runs at every clock tick k/y, by the monitor's tick
   kernel: the instances of each clocked template due at the tick, in
@@ -142,8 +143,9 @@ class Verdict:
 class Instance:
     """Live instance of a stream: bounded value buffer plus the window states
     of every window expression that targets this stream. A parameterized
-    template keeping one value and no window stores flat entries instead,
-    which the collector does not walk (see `_StreamRT.instances`)."""
+    template keeping one value, no window and no double parameter stores
+    flat entries instead, which the collector does not walk (see
+    `_StreamRT.instances`)."""
 
     __slots__ = ("alpha", "buf", "windows")
 
@@ -167,6 +169,8 @@ class _CondPlan:
     gate: frozenset[str]  # evaluate only when one of these streams extended
     #: the disjuncts a lookup goes through; none for a scan
     disjuncts: list[_Disjunct] = field(default_factory=list)
+    #: the inputs bound to the parameters in order, if one disjunct binds all
+    key: Optional[tuple[str, ...]] = None
 
 
 _MAX_DISJUNCTS = 64
@@ -316,8 +320,9 @@ class Monitor:
             rt.buffer_plan = plans[rt.name]
             if rt.tpl is None or not rt.tpl.params:
                 rt.new_instance(())
-            else:
+            else:  # an Instance keeps the alpha that a double's lookup names
                 rt.flat = rt.buffer_plan == BufferPlan() and not rt.window_plans
+                rt.flat &= all(p.ty is not ValueType.DOUBLE for p in rt.tpl.params)
 
         # invoke table and lifecycle plans
         for tpl in tspec.spec.outputs:
@@ -380,7 +385,8 @@ class Monitor:
             pos = tuple(sorted(bound))
             bufs = tuple(self.streams[bound[i]].instances[()].buf for i in pos)
             disjuncts.append(_Disjunct(pos, bufs, len(bound) == k))
-        return _CondPlan(gate, disjuncts)
+        lookup = len(disjuncts) == 1 and disjuncts[0].full
+        return _CondPlan(gate, disjuncts, tuple(map(bound.get, range(k))) if lookup else None)
 
     # -- public API -----------------------------------------------------------
 

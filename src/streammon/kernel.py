@@ -9,8 +9,24 @@ the loop over the ticks due before an event; `feed`, an input's feed;
 `extend`, a stream's extension (coercion, saturation, pruning, window
 registration, slot charge, extension record and invokes); `invoke`, and
 `invokes_after` for an invoke placed after the last of several streams it
-reads; `step`, a template's step (gate, instance lookup by `find`, extend
-test and value); `terminate`, a termination.
+reads; `step`, a template's step (gate, instances by `find`, value);
+`terminate`, a termination.
+
+A lookup key is the tuple of the inputs that an extend or terminate plan's
+one full disjunct binds (`_CondPlan.key`), or that an invoke clause lists.
+Each is one local k{n} per step that invokes, finds and reads by those
+inputs share: a key of one input is built in its feed (and in its else
+branch, by its buffer, if a lookup's block is not gated by the feed); any
+other before the first block that reads it. An access by the reader's own
+parameters in order reads through alpha. `find` splits a conjunctive
+extend or terminate condition three ways: the `param = input` atoms of
+int and bool parameters that the lookup bound are not written; conjuncts
+reading no parameter and not the template itself are tested once, before
+the lookup or scan; the rest per instance, in order. A double's atom stays,
+as NaN != NaN though the lookup finds a NaN key by identity, and alpha is
+then the instance's own (0.0 where the key holds -0.0). A condition with a
+window keeps every conjunct per instance: a hoisted test that failed would
+skip an evaluation, and with it the evictions the slot count records.
 
 Every object the source reads is bound by name in `names`, so the source
 depends on the spec's shape only. Bind order is part of the source: `bind`
@@ -24,9 +40,10 @@ import sys
 from typing import Optional
 
 from . import engine
-from .analysis import BufferPlan
-from .ast import Expr, TriggerDecl, TriggerKind, TupleExpr, ValueType, accesses
-from .compiler import NAMES, Compiler, _bind, count_until
+from .analysis import BufferPlan, param_input_atom
+from .ast import Binary, Expr, ParamRef, TriggerDecl, TriggerKind, TupleExpr, ValueType
+from .ast import StreamAccess, WindowAccess, accesses, chain, operands, walk
+from .compiler import NAMES, Compiler, _bind, count_until, input_key
 from .diagnostics import Diagnostic, EngineError, OutOfOrderError
 from .parser import _expr_str
 from .values import INT64_MAX, INT64_MIN, saturate_i64
@@ -93,9 +110,25 @@ class KernelWriter:
         for rt in extending:
             for dep in rt.invokes:
                 self.readers.setdefault(dep, []).append(rt)
+        # lookup keys (see the module docstring): inputs -> the local k{n}
+        uses = [(None if rt.period else rt.ext_plan, c) for rt, c in self.templates]
+        uses += [(rt.ter_plan, c) for rt, c in self.ends]
+        lookups = [(plan.key, c) for plan, c in uses if plan and plan.key]
+        clauses = {dep: dep.tpl.invoke for dep in self.readers}  # a key if they list inputs
+        self.invoked = {d: input_key(getattr(c, "items", [c]), m.streams) for d, c in clauses.items()}
+        keys = [*filter(None, self.invoked.values()), *(k for k, _ in lookups)]
+        self.keys = {k: f"k{n}" for n, k in enumerate(dict.fromkeys(keys))}
+        #: built key -> the condition of the feed building it, None: every path
+        self.built: dict[tuple, Optional[str]] = {}
+        #: the keys of one input that a lookup reads in a block its feed does
+        #: not gate: the feed's else branch builds them too
+        self.otherwise = {k for k, c in lookups if c != self.gate({k[0]})}
+        #: the condition of the block being written; whether a gate reads `touched`
+        self.condition, self.touching = None, False
 
     def write(self) -> str:
-        """The source: the trigger function, if any, then the kernel."""
+        """The source: the trigger function, if any, then the kernel, whose
+        `touched` set exists only when a trigger's gate reads it."""
         put, tick = self.put, self.tick
         head = "def kernel(m, ts, tick" if tick else "def kernel(m, ts, bindings"
         if self.triggers:
@@ -111,7 +144,7 @@ class KernelWriter:
         if ticks := not tick and self.m._clocks:
             self.due_ticks()
         put(1, "m._verdicts = verdicts", "m.clock_ts = ts")
-        put(1, "extended = m._step_extended = {}", "touched = set()")
+        put(1, "extended = m._step_extended = {}", *["touched = set()"] * self.touching)
         for rt in self.fed:
             self.feed(rt)
         # invoked instances of later templates extend within the same pass
@@ -120,7 +153,8 @@ class KernelWriter:
         for rt, condition in self.ends:
             self.terminate(rt, condition)
         if self.triggers:
-            put(1, "verdicts += m.evaluate_triggers(triggers, ts, extended, touched)")
+            touched = "touched" if self.touching else "None"  # no set read
+            put(1, f"verdicts += m.evaluate_triggers(triggers, ts, extended, {touched})")
         put(1, f"m.verdicts_emitted += len(verdicts){' - ticked' if ticks else ''}")
         if not tick:
             put(1, "m.events_processed += 1")
@@ -135,14 +169,28 @@ class KernelWriter:
 
     def when(self, condition: Optional[str]) -> int:
         """Opens a block run when `condition` holds; returns its depth."""
+        self.condition = condition
         if condition is None:
             return 1
         self.put(1, f"if {condition}:")
         return 2
 
     def source(self, expr: Expr, params=(), own=None, scope=None) -> str:
-        """expr written inline, reading the kernel's alpha, ts and m."""
-        return Compiler(self.m.streams, params, own, scope).source(expr, self.names)
+        """expr written inline, reading the kernel's alpha, ts, m and the
+        lookup keys built on every path to the block being written."""
+        keys = {k: self.keys[k] for k, c in self.built.items() if c in (None, self.condition)}
+        return Compiler(self.m.streams, params, own, scope, keys).source(expr, self.names)
+
+    def key(self, inputs: Optional[tuple]) -> Optional[str]:
+        """The local of the key of `inputs`, if any, built here if not yet."""
+        if inputs in self.keys and inputs not in self.built:
+            self.put(1, f"{self.keys[inputs]} = {self.stored(inputs)}")
+            self.built[inputs] = None
+        return self.keys.get(inputs)
+
+    def stored(self, inputs: tuple) -> str:
+        """The key of `inputs` from their buffers, U while one is empty."""
+        return self.source(TupleExpr(items=[StreamAccess(stream=x) for x in inputs]))
 
     def changed(self, streams: frozenset, record: str = "extended") -> str:
         return f"not {self.bind(streams)}.isdisjoint({record})"
@@ -163,6 +211,7 @@ class KernelWriter:
         tests = [self.changed(reads)]
         if reads & self.moved:
             tests.append(self.changed(reads & self.moved, "touched"))
+            self.touching = True
         return " or ".join(tests)
 
     def trigger_function(self) -> None:
@@ -250,10 +299,17 @@ class KernelWriter:
         depth = self.when(f"{v} is not MISSING" if v else None)
         self.put(depth, f"v = {v}" if v else "v = float(ts)")
         self.extend(depth, rt, self.bind(rt.instances[()]), "()", coerce=v is not None)
+        if otherwise := [k for k in self.otherwise if {*k} == {rt.name} and v]:
+            self.put(1, "else:")
+        for k in otherwise:
+            self.put(2, f"{self.keys[k]} = {self.stored(k)}")
+            self.built[k] = None
+        self.invokes_after(rt)
 
     def extend(self, depth: int, rt, inst: str, alpha: str, coerce=True) -> None:
         """Extends instance `inst` of rt, whose parameters are `alpha`, by the
-        value v, and runs the invokes reading rt (see `readers`)."""
+        value v, builds the keys of input rt alone and runs the invokes
+        reading rt (see `readers`)."""
         bind, put = self.bind, self.put
         key, plan = bind(rt.name), rt.buffer_plan
         if rt.value_ty is ValueType.DOUBLE and coerce:
@@ -292,22 +348,27 @@ class KernelWriter:
         if self.tick:
             output = f"VERDICT(float(ts), 'output', {key}, {alpha}, v)"
             put(depth, f"verdicts.append({output})")
+        for k in (k for k in self.keys if {*k} == {rt.name}):
+            put(depth, f"{self.keys[k]} = ({'v, ' * len(k)})")  # in rt's feed
+            self.built[k] = self.condition
         for dep in rt.invokes:
             if len(self.readers[dep]) == 1:
                 self.invoke(depth, dep)
-        self.invokes_after(rt)
 
     def invoke(self, depth: int, dep: engine._StreamRT) -> None:
         """Evaluates dep's invoke clause and invokes the instance it names if
         that is new, warning once past dep's declared instance bound."""
         bind, put = self.bind, self.put
         instances, clause = bind(dep.instances), dep.tpl.invoke
-        if not isinstance(clause, TupleExpr):
-            clause = TupleExpr(items=[clause])
-        put(depth, f"a = {self.source(clause)}")
-        put(depth, f"if a is not U and a not in {instances}:")
-        put(depth, f"    {bind(dep.new_instance)}(a)")
-        put(depth, f"    touched.add({bind(dep.name)})")
+        if (key := self.key(inputs := self.invoked[dep])) is None:
+            if not isinstance(clause, TupleExpr):
+                clause = TupleExpr(items=[clause])
+            put(depth, f"a = {self.source(clause)}")
+        a, defined = key or "a", key and self.built[inputs]  # fed here: (v, ...)
+        put(depth, f"if {'' if defined else f'{a} is not U and '}{a} not in {instances}:")
+        put(depth, f"    {bind(dep.new_instance)}({a})")
+        if self.touching:
+            put(depth, f"    touched.add({bind(dep.name)})")
         if dep.eta_bound is not None:
             d, bound = bind(dep), bind(dep.eta_bound)
             message = bind(
@@ -324,58 +385,87 @@ class KernelWriter:
             streams = self.readers[dep]
             if len(streams) > 1 and streams[-1] is rt:
                 names = frozenset(s.name for s in streams)
+                self.key(self.invoked[dep])
                 self.invoke(self.when(self.changed(names)), dep)
 
     def step(self, rt: engine._StreamRT, condition: Optional[str]) -> None:
         """Extends the instances of template rt that its extend condition
         selects, when `condition` holds."""
         plan = None if rt.period else rt.ext_plan
-        depth, loop = self.find(self.when(condition), rt, plan)
-        if rt.tpl.extend is not None:
-            self.put(depth, f"if {self.source(rt.tpl.extend, rt.tpl.params)} is True:")
-            depth += 1
+        depth, loop = self.find(condition, rt, plan, rt.tpl.extend)
         value = self.source(rt.tpl.expr, rt.tpl.params, rt.name)
         undefined = f"    m._warn(ts, undefined({self.bind(rt.name)}, alpha))"
         self.put(depth, f"v = {value}", "if v is U:", undefined, "else:")
         if loop:
             self.put(depth + 1, f"i = {self.bind(rt.instances)}[alpha]")
         self.extend(depth + 1, rt, "i", "alpha")
+        self.invokes_after(rt)
 
     def terminate(self, rt: engine._StreamRT, condition: Optional[str]) -> None:
         """Drops each instance of rt whose terminate condition holds."""
         put = self.put
-        depth, _ = self.find(self.when(condition), rt, rt.ter_plan)
-        put(depth, f"if {self.source(rt.tpl.terminate, rt.tpl.params)} is True:")
-        depth += 1
+        depth, _ = self.find(condition, rt, rt.ter_plan, rt.tpl.terminate)
         refund = "1 if d else 0" if rt.flat else "len(d.buf)"
         put(depth, f"d = {self.bind(rt.drop_instance)}(alpha)", f"m.slots -= {refund}")
         if rt.window_plans:
             put(depth, "m.slots -= sum(w.slot_count for w in d.windows.values())")
-        put(depth, f"touched.add({self.bind(rt.name)})")
+        if self.touching:
+            put(depth, f"touched.add({self.bind(rt.name)})")
 
-    def find(self, depth: int, rt, plan: Optional[engine._CondPlan]) -> tuple:
-        """Opens a block visiting, as alpha, each live instance of rt that
-        `plan` selects (None: all), i outside a loop; returns (depth, loops)."""
+    def split(self, rt, cond: Optional[Expr], plan) -> tuple[list, Optional[Expr]]:
+        """The conjuncts of cond tested once per step, and the conjunction of
+        those tested per instance, None if none (see the module docstring)."""
+        top = getattr(cond, "op", None) == "&"
+        conjuncts = operands(chain(cond)) if top else [cond] if cond else []
+        pairs = zip(rt.tpl.params, plan.key if plan and plan.key else ())
+        decided = {(p.name, x) for p, x in pairs if p.ty is not ValueType.DOUBLE}
+        kept = [c for c in conjuncts if param_input_atom(c, self.m.tspec) not in decided]
+        pure = not any(isinstance(n, WindowAccess) for c in kept for n in walk(c))
+        once = [c for c in kept if pure and not any(_reads_param(n, rt.name) for n in walk(c))]
+        each = [c for c in kept if c not in once]
+        if each and len(each) < len(conjuncts):  # a chain of its own
+            cond = each[0]
+            for c in each[1:]:
+                cond = Binary(op="&", left=cond, right=c)
+        return once, cond if each else None
+
+    def find(self, condition, rt, plan: Optional[engine._CondPlan], cond) -> tuple:
+        """Opens a block run when `condition` holds, visiting as alpha each
+        live instance of rt that `plan` selects (None: all) and lifecycle
+        condition `cond` holds, i outside a loop; returns (depth, loops)."""
         bind, put = self.bind, self.put
-        instances = bind(rt.instances)
-        if plan is not None and len(plan.disjuncts) == 1 and plan.disjuncts[0].full:
-            bufs = [bind(buf) for buf in plan.disjuncts[0].bufs]
-            values = "".join(f"{b}[-1][1], " for b in bufs)
-            put(depth, f"if {' and '.join(bufs)}:", f"    alpha = ({values})")
+        instances, params = bind(rt.instances), rt.tpl.params
+        once, each = self.split(rt, cond, plan)
+        key = self.key(plan and plan.key)  # built before the block if not yet
+        depth = self.when(condition)
+        if once:
+            tests = " and ".join(f"{self.source(c, params)} is True" for c in once)
+            put(depth, f"if {tests}:")
+            depth += 1
+        loop = False
+        if key is not None or not params and rt.pinned is None:
+            put(depth, f"alpha = {key or '()'}", f"i = {instances}.get(alpha)")
+            put(depth, "if i is not None:")
             depth += 1
         elif rt.pinned is not None:  # it lives for the whole trace
             put(depth, "alpha = ()", f"i = {bind(rt.pinned)}")
-            return depth, False
-        elif not rt.tpl.params:
-            put(depth, "alpha = ()")
         else:
             found = f"sorted({instances})" if plan else f"list({instances})"
             if plan and plan.disjuncts:
                 found = f"candidates({bind(rt)}, {bind(plan)})"
             put(depth, f"for alpha in {found}:")
-            return depth + 1, True
-        put(depth, f"i = {instances}.get(alpha)", "if i is not None:")
-        return depth + 1, False
+            depth, loop = depth + 1, True
+        if key is not None and any(p.ty is ValueType.DOUBLE for p in params):
+            put(depth, "alpha = i.alpha")  # an equal key may be -0.0 for 0.0
+        if each is not None:
+            put(depth, f"if {self.source(each, params)} is True:")
+            depth += 1
+        return depth, loop
+
+
+def _reads_param(node: Expr, own: str) -> bool:
+    """Whether node is a parameter or an access to the stream `own`."""
+    return isinstance(node, ParamRef) or getattr(node, "stream", None) == own
 
 
 def _reads(trig: TriggerDecl) -> frozenset[str]:
@@ -407,8 +497,8 @@ def _candidates(rt: engine._StreamRT, plan: engine._CondPlan) -> list[tuple]:
             key = tuple(buf[-1][1] for buf in d.bufs)
             if not d.full:
                 found.update(rt.indexes[d.positions].get(key, ()))
-            elif key in rt.instances:  # binding positions 0..k-1, key is the alpha
-                found.add(key)
+            elif (i := rt.instances.get(key)) is not None:  # key names the alpha
+                found.add(key if rt.flat else i.alpha)  # a double's may be -0.0
     return sorted(found)
 
 

@@ -30,6 +30,7 @@ trapezoids are multiples of 1/16. A median sorts the same retained values
 on both sides.
 """
 
+import math
 import random
 from collections import Counter
 from fractions import Fraction
@@ -214,6 +215,8 @@ def _check(tspec, events, names=OUTPUTS, **mode):
         for name in names:
             live, ref_live = engine.streams[name].instances, ref.live[name]
             assert live.keys() == ref_live.keys(), (name, ev)
+            # each key is the invoking one, by repr: -0.0 is no 0.0
+            assert sorted(map(repr, live)) == sorted(map(repr, ref_live)), (name, ev)
             for alpha, entry in live.items():
                 history, count = ref_live[alpha].history, extensions[name, alpha]
                 assert count == len(history), (name, alpha, ev)
@@ -227,17 +230,18 @@ def _check(tspec, events, names=OUTPUTS, **mode):
     ]
     assert len(mine) == len(ref.verdicts)
     for m, r in zip(_settled(mine), _settled(ref.verdicts)):
-        assert m[:4] == r[:4] and _same(m[4], r[4]), (m, r)
+        assert m[:3] == r[:3] and repr(m[3]) == repr(r[3]) and _same(m[4], r[4]), (m, r)
     return got
 
 
 def _settled(verdicts):
     """The verdicts in emitted order, except that each run of consecutive
     output verdicts of one instant is sorted by stream and parameters: the
-    engine emits them in dependency order, the reference as it settles them."""
+    engine emits them in dependency order, the reference as it settles them.
+    Parameters are sorted by repr, which orders tuples holding NaN too."""
     out = []
     for (outputs, _), run in groupby(verdicts, lambda v: (v[0] == "output", v[1])):
-        out += sorted(run, key=lambda v: (v[2], v[3] or ())) if outputs else run
+        out += sorted(run, key=lambda v: (v[2], repr(v[3]))) if outputs else run
     return out
 
 
@@ -321,8 +325,31 @@ FAMILY_LEAVES = {
     "bool": LEAVES["bool"],
 }
 G_LEAVES = dict(FAMILY_LEAVES, double=FAMILY_LEAVES["double"] + ["f(k)", "f(k)?(0.5)"])
-BINDS = ["k = i", "k = j", "i = k", "(k = i) | (k = j)", "(k = i) & (k = j)"]
-ENDS = ["k = j", "p & (k = j)", "(k = i) & !p", "(k = j) | ((k = i) & p)", "p"]
+#: conjunctions also put a conjunct reading no parameter, which a step may
+#: test once before its lookup unless a conjunct reads a window, before and
+#: after the lookup atoms: a window, a past offset or a defaulted input that
+#: may be unbound
+BINDS = [
+    "k = i",
+    "k = j",
+    "i = k",
+    "(k = i) | (k = j)",
+    "(k = i) & (k = j)",
+    "(a[1s, sum] > 0.0) & (k = i)",
+    "(k = j) & (b[2s, count] > 1)",
+    "(j[-1, 0] > 0) & (k = i)",
+    "(k = i) & ((b)?(0.0) >= 0.0) & (k = j)",
+]
+ENDS = [
+    "k = j",
+    "p & (k = j)",
+    "(k = i) & !p",
+    "(k = j) | ((k = i) & p)",
+    "p",
+    "(k = j) & (a[1s, max] > 0.5)",
+    "(p)?(false) & (k = j)",
+    "(k = i) & (i[-2, 0] = 1)",
+]
 
 
 @st.composite
@@ -359,7 +386,16 @@ def test_parameterized_family_matches_reference(src, seed):
 #: both parameters, one of them, or each of two binds one, so lookups go
 #: through the alpha itself and through the partial indexes
 PAIR_BINDS = ["(k = i) & (l = j)", "k = i", "l = j", "(k = i) | (l = j)", "(k = j) & (l = i)"]
-PAIR_ENDS = ["l = j", "p & (k = i)", "(k = i) & (l = j)", "(l = i) | p", "p"]
+PAIR_ENDS = [
+    "l = j",
+    "p & (k = i)",
+    "(k = i) & (l = j)",
+    "(l = i) | p",
+    "p",
+    "(b[1s, avg] > 0.0) & (k = i) & (l = j)",
+    "(k = i) & (j[-1, 0] != 0) & (l = j)",
+    "(l = j) & ((a)?(1.0) > 0.5)",
+]
 PAIR_LEAVES = dict(FAMILY_LEAVES, int=FAMILY_LEAVES["int"] + ["l"])
 
 
@@ -427,6 +463,16 @@ _FAMILY = "output double f<int k>\n  invoke: i\n  extend: {}\n{}  := (a)?(0.5)\n
 #: more disjuncts than a lookup plan takes, so the extension scans
 _SCAN = " | ".join(["(k = i)", "(k = j)"] * 33)
 
+def _signed_zeros(events):
+    """`a` drawn from 0.0, -0.0, 0.5, NaN and 1.0: a double parameter bound
+    to it is looked up by a key equal to another (-0.0 = 0.0), or to none."""
+    values = {-1.0: -0.0, -0.5: math.nan, 0.0: 0.0, 0.5: 0.5, 1.0: 1.0, 1.5: -0.0}
+    for ev in events:
+        if "a" in ev.bindings:
+            ev.bindings["a"] = values[ev.bindings["a"]]
+    return events
+
+
 #: spec beside INPUTS, the streams compared, and how the trace is changed;
 #: together they reach every variant of a kernel's extension and finder
 VARIANTS = {
@@ -476,6 +522,29 @@ VARIANTS = {
         "output double d := a / b * 2.0 % (b)?(1.5) / 0.5 * j\n",
         "uvwd",
         None,
+    ),
+    # lifecycle conditions split around their lookup: a conjunct reading no
+    # parameter is tested once per step (e and the terminations) unless a
+    # conjunct reads a window (f's extend); in fixed mode they scan
+    "split": (
+        "output double f<int k>\n  invoke: i\n"
+        "  extend: ((j)?(0) > 0) & (k = i) & (a[2s, sum] > 0.0)\n"
+        "  terminate: (k = j) & (b[-1, 0.0] > 0.0)\n  := (a)?(0.5)\n"
+        "output int e<int k>\n  invoke: j\n  extend: (b[-1, 0.0] >= 0.0) & (k = j)\n"
+        "  terminate: p & (k = i) & ((i)?(0) > 0)\n  := k + e(k)[-1, 0]\n",
+        "fe",
+        None,
+    ),
+    # double and bool parameters: a double's key atom stays per instance,
+    # and verdicts name the invoked alpha, 0.0 where -0.0 found it
+    "double-bool-params": (
+        "output double h<double x>\n  invoke: a\n  extend: x = a\n"
+        "  terminate: p & (x = a)\n  := x + (b)?(0.0)\n"
+        "output int q<bool r>\n  invoke: p\n  extend: r = p\n"
+        "  terminate: (r = p) & ((j)?(0) = 1)\n  := if r then 1 else 0\n"
+        "trigger any(h > 0.25)\ntrigger any(q > 0)\n",
+        "hq",
+        _signed_zeros,
     ),
     # clocks due alone and together; a clocked family ends on its own ticks
     "two-clocks": (

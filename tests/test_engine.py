@@ -336,6 +336,53 @@ def test_fleet_suspicious_is_flat_and_windowed_streams_keep_instances(monkeypatc
     assert all(isinstance(i, Instance) for i in orp.instances.values())
 
 
+class _CountingDict(dict):
+    """Instance map that counts its lookups by `get`."""
+
+    def __init__(self):
+        super().__init__()
+        self.gets = 0
+
+    def get(self, *args):
+        self.gets += 1
+        return super().get(*args)
+
+
+def test_fleet_terminations_look_up_only_when_retire_holds(monkeypatch):
+    """Outside its trigger checks, an event of the golden fleet trace looks
+    up its car's orp instance twice (orp's step and suspicious's read of
+    orp(cid)) and its suspicious instance once (suspicious's step). The
+    terminations test `retire` once per step, before their lookups: only
+    the retiring event looks up each map once more."""
+    make = _StreamRT.__init__
+
+    def with_counting_map(rt, *args, **kwargs):
+        make(rt, *args, **kwargs)
+        rt.instances = _CountingDict()
+
+    monkeypatch.setattr(_StreamRT, "__init__", with_counting_map)
+    m = Monitor(typed(FLEET_SPEC), instance_bounds={"orp": 60, "suspicious": 60})
+    monkeypatch.undo()
+    orp, suspicious = m.streams["orp"].instances, m.streams["suspicious"].instances
+    checks = m.evaluate_triggers
+
+    def uncounted(*args):  # the any trigger reads suspicious by `get`
+        gets = orp.gets, suspicious.gets
+        verdicts = checks(*args)
+        orp.gets, suspicious.gets = gets
+        return verdicts
+
+    m.evaluate_triggers = uncounted
+    retired = 0
+    for ev in _fleet_events(7):
+        before = orp.gets, suspicious.gets
+        m.process(ev)
+        more = int(ev.bindings["retire"])
+        assert (orp.gets - before[0], suspicious.gets - before[1]) == (2 + more, 1 + more)
+        retired += more
+    assert retired == 1
+
+
 def test_pid_streams_keep_instances():
     m = Monitor(typed(PID_SPEC))
     for ev in _pid_events(7)[:100]:

@@ -143,42 +143,43 @@ def test_verdict_digest_matches_golden(name):
 
 
 #: the generated event and tick kernel sources of the benchmark's four
-#: workloads, as sha256 digests, recorded before the parser, the type checker
-#: and the compiler learned chains: the expression pipeline's changes leave
-#: the hot path's code as it was
+#: workloads, as sha256 digests. Recorded again when the kernels learned one
+#: lookup key per step, tested lifecycle conditions only where they can fail
+#: and dropped the `touched` set no trigger read: every kernel lost that set,
+#: the fleet and bind event kernels build each key once and elide the
+#: `param = input` test the lookup decided, and fleet tests `retire` once
+#: before its terminations' lookups; verdicts did not move (CASES)
 KERNELS = {
     "pid-variable": (
         PID_SPEC,
         {},
-        ["2237b8c36baf77594a7a4a536a737b86b6d1fc6e621f9045aa4cf69c85b921c8"],
+        ["c7cdd4cf1bce7e8bf459c75e451d1a3e9897791d470748bc8df8150c8e1ab8f8"],
     ),
     "pid-fixed-1Hz": (
         PID_SPEC,
         {"mode": "fixed", "frequency": Fraction(1)},
         [
-            "ed0eba9f0468b2da564a151882cd29c8c1d243dce07603de20cdb5172e480ff4",
-            "d2b2b0a71ca489fccdc8313f4b32ace210a50fff4699ec7d95485e78231ef846",
+            "e1bb3d24cf7c269aeef6362faab23c6b3a72126d894cf270e886515cd941725b",
+            "b6073b1bf233f970ab65c0d7b9f205821a53732a467a829e94d1e9a5068e8ba8",
         ],
     ),
     "fleet-bounded": (
         FLEET_SPEC,
         {"instance_bounds": {"orp": 500, "suspicious": 500}},
-        ["21ddf4a49026fb7cfca8f0b1def0bb84e4e861b4011939a63b6a0962919c7d17"],
+        ["0fe0b9f975fc08fd28f2acfa643e1c285be4a76a86347a71182fa9e6a43737fc"],
     ),
     "bind": (
         _EFFICIENT_SPEC,
         {"instance_bounds": {"f": 100_000}},
-        ["05fdfcfb08134f15bc50ae52280cc8a56cb9f218b8dfe4493f9203cb019daca0"],
+        ["91cdf22a6d3d496ae34bd5a1545c8cd9f58dc3aaa2e66b7bf17c8185c803dff8"],
     ),
 }
 
 
-@pytest.mark.parametrize("name", sorted(KERNELS))
-def test_benchmark_kernel_sources_are_pinned(name, monkeypatch):
+def _check_kernels(spec, kwargs, expected, monkeypatch):
     """The event kernel's source, then the tick kernel's when the spec has
-    clocks, hash to their recorded digests. A change that alters them on
-    purpose records the new digests and says why."""
-    spec, kwargs, expected = KERNELS[name]
+    clocks, hash to `expected`. On a mismatch each source is printed with
+    its digest, so that a new pin can be read in the test's output."""
     sources = []
     code = engine._code
     monkeypatch.setattr(engine, "_code", lambda s: sources.append(s) or code(s))
@@ -186,7 +187,19 @@ def test_benchmark_kernel_sources_are_pinned(name, monkeypatch):
     monitor._kernel(tick=False)
     if monitor._clocks:
         monitor._kernel(tick=True)
-    assert [hashlib.sha256(s.encode()).hexdigest() for s in sources] == expected
+    digests = [hashlib.sha256(s.encode()).hexdigest() for s in sources]
+    if digests != expected:
+        for source, digest in zip(sources, digests):
+            print(f"--- sha256 {digest}\n{source}")
+    assert digests == expected
+
+
+@pytest.mark.parametrize("name", sorted(KERNELS))
+def test_benchmark_kernel_sources_are_pinned(name, monkeypatch):
+    """The kernel sources of the benchmark's workloads hash to their
+    recorded digests. A change that alters them on purpose records the new
+    digests and says why."""
+    _check_kernels(*KERNELS[name], monkeypatch)
 
 
 #: the five inputs and two clocks of
@@ -231,39 +244,41 @@ trigger t > 1000.0
 """
 
 #: event and tick kernel sources of the kernel shapes that KERNELS leaves
-#: out, as sha256 digests, recorded before kernel generation moved out of
-#: `Monitor._kernel` into its own module
+#: out, as sha256 digests, recorded again with KERNELS: each lost the
+#: `touched` set but branches, whose count trigger reads it; cars shares its
+#: invoke and lookup key, and branches builds its tuple key once and tests
+#: `p` once per step
 SHAPES = {
     "pid-fixed-2.5Hz": (
         CASES["pid-fixed-2.5Hz"][0],
         CASES["pid-fixed-2.5Hz"][2],
         [
-            "fc440dba3fd2be3ff48c1dda5459184d0a72716e603cd513b80f2a3c8c400ab6",
-            "d2b2b0a71ca489fccdc8313f4b32ace210a50fff4699ec7d95485e78231ef846",
+            "805a65740dfcc45bc0ec28836e5056ade5f4e0037417c9874f517a3eff6aafc8",
+            "b6073b1bf233f970ab65c0d7b9f205821a53732a467a829e94d1e9a5068e8ba8",
         ],
     ),
     "cars-0.1Hz": (
         CASES["cars-0.1Hz"][0],
         CASES["cars-0.1Hz"][2],
         [
-            "cda447adc229a470e8aad5d30187f068b848ccaba21b9042fcd0b951f8f4e97a",
-            "aa35e1ecef89331bd1d450e8bd72beb0085c89cba8f9e8933117b9e6eb627444",
+            "19ede7d25343398ba3e4ca18f5b4c2de8956595c99c35ede583d5d3f999616dd",
+            "074b18bd8896acafd70dd167d93e3f3bddf0d6c6940b87a86783c4c5def3dcea",
         ],
     ),
     "two-clocks": (
         _TWO_CLOCKS_SPEC,
         {},
         [
-            "f96fbae8b323b3823b8c80d5651a013c5f996aae5805a1f4beaae9123e4a806e",
-            "38b6f0b0338a0367e282693e711c8668355f755e0de99458416fc1d7b9d128b2",
+            "bad1d154553b2bf9a5b6fe41d3b9d31a571e3d81ce4589d03c4cf69e56a71029",
+            "f17be51db270079de33639980717ed507025c5445f7dfab6f543a3df089aafd8",
         ],
     ),
     "branches": (
         _BRANCHES_SPEC,
         {"instance_bounds": {"f": 4}},
         [
-            "ba38220dd255c64206008b43109f488da2042416bc824ff5cdccca6b71dbfb1e",
-            "0ec84fd0917e57757887c80daf4592ad05a3ff81e2f71ca542b728d0fdd40431",
+            "def725dc3cef71eba35736417a9184d375dc0f1dbc496e7a86349198ebba97fb",
+            "1ad379ac61e1c6a8771902d4c51bcaf29f87fe472ec3d1daccfb497473730e3b",
         ],
     ),
 }
@@ -272,11 +287,4 @@ SHAPES = {
 @pytest.mark.parametrize("name", sorted(SHAPES))
 def test_more_kernel_shapes_are_pinned(name, monkeypatch):
     """As test_benchmark_kernel_sources_are_pinned, for SHAPES."""
-    spec, kwargs, expected = SHAPES[name]
-    sources = []
-    code = engine._code
-    monkeypatch.setattr(engine, "_code", lambda s: sources.append(s) or code(s))
-    monitor = Monitor(typed(spec), **kwargs)
-    monitor._kernel(tick=False)
-    monitor._kernel(tick=True)
-    assert [hashlib.sha256(s.encode()).hexdigest() for s in sources] == expected
+    _check_kernels(*SHAPES[name], monkeypatch)
