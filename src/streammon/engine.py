@@ -16,9 +16,14 @@ trace:
   instants.
   Parameterized templates extend here only when efficiently bound (their
   extend condition pins parameters to input values; a single such disjunct
-  binding every parameter is one lookup by a key the step builds once and
-  shares with invokes and terminations, see `kernel`), so the per-event
-  cost is independent of how many instances are alive.
+  binding every parameter is one lookup by a key, the tuple of those
+  inputs, that the step builds once and shares with invokes, terminations
+  and reads), so the per-event cost is independent of how many instances
+  are alive. The lookup decides its `param = input` atoms for int and bool
+  parameters, which are not tested again; a double's are, as NaN != NaN.
+  Conjuncts of an extend or terminate condition that read no parameter are
+  tested once per step, before the lookup, unless one reads a window (see
+  `kernel`).
 
 * the fixed-rate step runs at every clock tick k/y, by the monitor's tick
   kernel: the instances of each clocked template due at the tick, in

@@ -110,11 +110,13 @@ class KernelWriter:
         for rt in extending:
             for dep in rt.invokes:
                 self.readers.setdefault(dep, []).append(rt)
-        # lookup keys (see the module docstring): inputs -> the local k{n}
+        # lookup keys (see the module docstring): inputs -> the local k{n};
+        # the (key, block condition) of each lookup, and dep -> the inputs
+        # its invoke clause lists, if it lists inputs only
         uses = [(None if rt.period else rt.ext_plan, c) for rt, c in self.templates]
         uses += [(rt.ter_plan, c) for rt, c in self.ends]
         lookups = [(plan.key, c) for plan, c in uses if plan and plan.key]
-        clauses = {dep: dep.tpl.invoke for dep in self.readers}  # a key if they list inputs
+        clauses = {dep: dep.tpl.invoke for dep in self.readers}
         self.invoked = {d: input_key(getattr(c, "items", [c]), m.streams) for d, c in clauses.items()}
         keys = [*filter(None, self.invoked.values()), *(k for k, _ in lookups)]
         self.keys = {k: f"k{n}" for n, k in enumerate(dict.fromkeys(keys))}
