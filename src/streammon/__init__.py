@@ -25,6 +25,7 @@ from .diagnostics import (
     format_diagnostics,
 )
 from .engine import Event, Monitor, Verdict
+from . import kernel  # noqa: F401  loaded here, not by a first event
 from .parser import format_spec, parse, parse_frequency
 from .typecheck import TypedSpec, check_types
 from .values import UNDEFINED

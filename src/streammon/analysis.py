@@ -263,12 +263,11 @@ def param_input_atom(atom: Expr, tspec: TypedSpec) -> Optional[tuple[str, str]]:
 
 
 def classify_efficiently_bound(tpl: StreamTemplate, tspec: TypedSpec) -> bool:
-    """Whether at most one instance of the template can extend per event.
-
-    True when the extend condition is a positive boolean combination of
-    `parameter = inputStream` equalities (no negation), and trivially true
-    for zero-parameter templates.
-    """
+    """Whether the extend condition is a positive boolean combination of
+    `parameter = inputStream` equalities (no negation); trivially true for
+    zero-parameter templates. Each disjunct then binds a parameter, so an
+    event selects instances by value: `(k = i) | (k = j)` can extend two.
+    The engine does not gate on it (see `engine.Monitor._cond_plan`)."""
     if not tpl.params:
         return True
     if tpl.extend is None:

@@ -14,16 +14,16 @@ trace:
   looks only at the instances of its scope that the step extended. Plain
   unclocked streams tick on the union of their dependencies' extension
   instants.
-  Parameterized templates extend here only when efficiently bound (their
-  extend condition pins parameters to input values; a single such disjunct
-  binding every parameter is one lookup by a key, the tuple of those
-  inputs, that the step builds once and shares with invokes, terminations
-  and reads), so the per-event cost is independent of how many instances
-  are alive. The lookup decides its `param = input` atoms for int and bool
-  parameters, which are not tested again; a double's are, as NaN != NaN.
-  Conjuncts of an extend or terminate condition that read no parameter are
-  tested once per step, before the lookup, unless one reads a window (see
-  `kernel`).
+  Parameterized templates find the instances that an extend or terminate
+  condition selects by one rule, `Monitor._cond_plan`: a lookup by a key
+  when one disjunct binds every parameter to an input (the tuple of those
+  inputs, built once a step and shared with invokes and reads), the partial
+  indexes when each binds some, else a scan, whose cost alone grows with
+  the live instances; without an extend clause every instance extends. The
+  lookup decides its `param = input` atoms for int and bool parameters; a
+  double's are tested again, as NaN != NaN. Conjuncts reading no parameter
+  are tested once per step, before the lookup or scan, unless one reads a
+  window (see `kernel`).
 
 * the fixed-rate step runs at every clock tick k/y, by the monitor's tick
   kernel: the instances of each clocked template due at the tick, in
@@ -82,7 +82,7 @@ from .analysis import (
     BufferPlan,
     MemoryReport,
     buffer_plans,
-    classify_efficiently_bound,
+    classify_efficiently_bound,  # uncalled; perfbench's tracer wraps it here
     compute_memory,
     build_adg,
     default_pane_widths,
@@ -204,7 +204,6 @@ class _StreamRT:
     flat: bool = False
     #: parameter positions -> their values -> alphas of live instances
     indexes: dict[tuple, dict] = field(default_factory=dict)
-    efficient: bool = True
     ext_plan: Optional[_CondPlan] = None
     ter_plan: Optional[_CondPlan] = None
     expr_gate: frozenset[str] = frozenset()
@@ -309,7 +308,6 @@ class Monitor:
             self.streams[decl.name] = _StreamRT(decl.name, None, decl.ty)
         for tpl in tspec.spec.outputs:
             rt = _StreamRT(tpl.name, tpl, tpl.ty)
-            rt.efficient = classify_efficiently_bound(tpl, tspec)
             rt.eta_bound = instance_bounds.get(tpl.name)
             self.streams[tpl.name] = rt
 
@@ -349,15 +347,10 @@ class Monitor:
                         if not d.full:
                             rt.indexes[d.positions] = {}
 
-        # evaluation orders: unclocked templates that can extend on an
-        # event, clocked templates, and templates that can terminate
+        # evaluation orders: unclocked templates, which extend on events,
+        # clocked templates, and templates that can terminate
         order = [self.streams[name] for name in self.adg.order]
-        self._var_order = [
-            rt
-            for rt in order
-            if rt.tpl.clock is None
-            and (not rt.tpl.params or (rt.efficient and rt.ext_plan is not None))
-        ]
+        self._var_order = [rt for rt in order if rt.tpl.clock is None]
         self._clocked_order = [rt for rt in order if rt.tpl.clock is not None]
         self._with_terminate = [rt for rt in order if rt.tpl.terminate is not None]
 
@@ -425,7 +418,7 @@ class Monitor:
         """Builds and keeps the event kernel, kernel(m, ts, bindings), or
         with `tick` the tick kernel, kernel(m, ts, tick), each returning the
         step's verdicts, from the snippets of `kernel.KernelWriter`."""
-        from .kernel import KernelWriter  # which reads this module's names
+        from .kernel import KernelWriter  # loaded with the package; reads this module
 
         writer = KernelWriter(self, tick)
         exec(_code(writer.write()), writer.names)

@@ -12,6 +12,8 @@ registration, slot charge, extension record and invokes); `invoke`, and
 reads; `step`, a template's step (gate, instances by `find`, value);
 `terminate`, a termination.
 
+`find` visits what the plan of `engine.Monitor._cond_plan` selects: the
+instance of a lookup key, the candidates of the partial indexes, or all.
 A lookup key is the tuple of the inputs that an extend or terminate plan's
 one full disjunct binds (`_CondPlan.key`), or that an invoke clause lists.
 Each is one local k{n} per step that invokes, finds and reads by those

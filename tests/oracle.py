@@ -33,7 +33,6 @@ from streammon.ast import (
     WindowAccess,
     accesses,
     chain,
-    operands,
 )
 
 UNDEF = object()
@@ -173,13 +172,8 @@ class RefMonitor:
             if name not in self.due:
                 return False
             return tpl.extend is None or self._eval(tpl.extend, env) is True
-        if tpl.params:
-            # efficiently-bound extension: positive param=input equalities
-            if not _positive_equalities(tpl.extend, self.inputs):
-                return False
-            if not self._gate(tpl.extend):
-                return False
-            return self._eval(tpl.extend, env) is True
+        if tpl.params and tpl.extend is not None:
+            return self._gate(tpl.extend) and self._eval(tpl.extend, env) is True
         if not self._gate_current(tpl):
             return False
         if tpl.extend is not None and self._eval(tpl.extend, env) is not True:
@@ -456,20 +450,3 @@ def _aggregate(agg, samples, out_ty):
         return area
     raise AssertionError(agg)
 
-
-def _positive_equalities(expr, inputs) -> bool:
-    match expr:
-        case Binary(op="&" | "|"):
-            terms = operands(chain(expr))
-            return all(_positive_equalities(e, inputs) for e in terms)
-        case Binary(op="=", left=l, right=r):
-            pairs = ((l, r), (r, l))
-            return any(
-                isinstance(a, ParamRef)
-                and isinstance(b, StreamAccess)
-                and not b.args
-                and b.stream in inputs
-                for a, b in pairs
-            )
-        case _:
-            return False

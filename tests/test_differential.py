@@ -15,10 +15,11 @@ they are declared in a drawn order, which a step must not depend on. A
 second property lets earlier outputs read later ones through past offsets
 (`x` reads `y` and `z`, `y` reads `z`), which the evaluation order must put
 first. A third monitors a parameterized family whose invoke, extend and
-terminate conditions bind its parameter to inputs, under the same random
-binding subsets, and compares every instance. A fourth invokes a family of
-two parameters by a tuple of two inputs, which one event may both bind: the
-step must invoke one instance for it, with both values.
+terminate conditions bind its parameter to inputs, or bind none so that a
+step scans, under the same random binding subsets, and compares every
+instance. A fourth invokes a family of two parameters by a tuple of two
+inputs, which one event may both bind: the step must invoke one instance
+for it, with both values.
 
 The trace keeps both sides exact. Timestamps are multiples of 1/4 s and
 windows last 500 ms, 1 s or 2 s, so every evaluation instant is
@@ -174,17 +175,20 @@ def _same(u, v):
     return u == v and type(u) is type(v)
 
 
-def _extensions(engine):
+def _extensions(engine, seen=None):
     """Extensions per (stream, alpha) of the engine's live instances, counted
     from each step's record of what it extended; an instance that a step
-    drops starts again from zero."""
+    drops starts again from zero. The name of each stream that extends is
+    added to the set `seen`, if given."""
     counts = Counter()
+    seen = set() if seen is None else seen
 
     def counting(step):
         def counted(*args, **kwargs):
             verdicts = step(*args, **kwargs)
             for name, alphas in engine._step_extended.items():
                 counts.update((name, alpha) for alpha in alphas)
+                seen.add(name)
             for name, alpha in list(counts):
                 if alpha not in engine.streams[name].instances:
                     del counts[name, alpha]
@@ -202,16 +206,27 @@ def _check(tspec, events, names=OUTPUTS, **mode):
     streams `names`, their extension counts and latest values, and in the
     end the verdicts other than warnings, must be the same, in the same
     order but for the outputs of one instant (see `_settled`). After every
-    event the engine's slot count must equal the slots its instances hold."""
+    event the engine's slot count must equal the slots its instances hold,
+    and each stream of finite static bound must hold at most that bound per
+    live instance. Returns the engine's verdicts and the names of the
+    streams it extended."""
     # a real-time offset into an input needs unbounded memory
     engine = Monitor(tspec, allow_unbounded=True, **mode)
     ref = RefMonitor(tspec, **mode)
-    extensions = _extensions(engine)
+    seen = set()
+    extensions = _extensions(engine, seen)
+    bounds = engine.report.per_stream
     got = []
     for ev in events:
         got += engine.process(ev)
         ref.run([ev])
-        assert engine.slots == sum(map(_retained, engine.streams.values())), ev
+        total = 0
+        for name, rt in engine.streams.items():
+            slots = _retained(rt)
+            limit = bounds[name] * len(rt.instances)
+            assert bounds[name] == math.inf or slots <= limit, (name, ev, slots, limit)
+            total += slots
+        assert engine.slots == total, ev
         for name in names:
             live, ref_live = engine.streams[name].instances, ref.live[name]
             assert live.keys() == ref_live.keys(), (name, ev)
@@ -231,7 +246,7 @@ def _check(tspec, events, names=OUTPUTS, **mode):
     assert len(mine) == len(ref.verdicts)
     for m, r in zip(_settled(mine), _settled(ref.verdicts)):
         assert m[:3] == r[:3] and repr(m[3]) == repr(r[3]) and _same(m[4], r[4]), (m, r)
-    return got
+    return got, seen
 
 
 def _settled(verdicts):
@@ -328,7 +343,8 @@ G_LEAVES = dict(FAMILY_LEAVES, double=FAMILY_LEAVES["double"] + ["f(k)", "f(k)?(
 #: conjunctions also put a conjunct reading no parameter, which a step may
 #: test once before its lookup unless a conjunct reads a window, before and
 #: after the lookup atoms: a window, a past offset or a defaulted input that
-#: may be unbound
+#: may be unbound; the last three leave a disjunct that binds no parameter,
+#: so the step scans
 BINDS = [
     "k = i",
     "k = j",
@@ -339,6 +355,9 @@ BINDS = [
     "(k = j) & (b[2s, count] > 1)",
     "(j[-1, 0] > 0) & (k = i)",
     "(k = i) & ((b)?(0.0) >= 0.0) & (k = j)",
+    "!(k = i)",
+    "(j)?(0) > k",
+    "(k = i) | ((b)?(0.0) > 0.5)",
 ]
 ENDS = [
     "k = j",
@@ -385,7 +404,14 @@ def test_parameterized_family_matches_reference(src, seed):
 #: extend and terminate conditions of `f<int k, int l>`: one disjunct binds
 #: both parameters, one of them, or each of two binds one, so lookups go
 #: through the alpha itself and through the partial indexes
-PAIR_BINDS = ["(k = i) & (l = j)", "k = i", "l = j", "(k = i) | (l = j)", "(k = j) & (l = i)"]
+PAIR_BINDS = [
+    "(k = i) & (l = j)",
+    "k = i",
+    "l = j",
+    "(k = i) | (l = j)",
+    "(k = j) & (l = i)",
+    "(k = i) & !(l = j)",
+]
 PAIR_ENDS = [
     "l = j",
     "p & (k = i)",
@@ -494,6 +520,14 @@ VARIANTS = {
     "single-lookup": (_FAMILY.format("k = i", ""), "f", None),
     "candidates": (_FAMILY.format("(k = i) | (k = j)", ""), "f", None),
     "scan": (_FAMILY.format(_SCAN, "  terminate: p & (k > 0)\n"), "f", None),
+    # no extend clause, and an extend condition binding no parameter: every
+    # live instance is visited, in invocation order or by a scan
+    "scan-extend": (
+        "output int g<int k>\n  invoke: i\n  := k + (j)?(0)\n"
+        "output double h<int k>\n  invoke: i\n  extend: !(k = j)\n  := (a)?(0.5) + k\n",
+        "gh",
+        None,
+    ),
     # a terminate clause whose operand alone has too many disjuncts
     "nested-scan": (_FAMILY.format("k = i", f"  terminate: ({_SCAN}) & p\n"), "f", None),
     "dynamic-gate": ("output int x := i + j\noutput int y := (x)?(0) + 1\n", "xy", None),
@@ -579,14 +613,19 @@ def test_every_kernel_variant_matches_reference(variant, mode):
     src, names, change = VARIANTS[variant]
     tspec = check_types(parse(INPUTS + src + "trigger any(f > 1.0)\n" * ("f" in names)))
     kwargs = {"mode": "fixed", "frequency": Fraction(1)} if mode == "fixed" else {}
-    overflows = 0
+    overflows, extended = 0, set()
     for seed in range(6):
         events = _trace(seed)
         if change is not None:
             events = change(events)
-        got = _check(tspec, events, names, **kwargs)
+        got, seen = _check(tspec, events, names, **kwargs)
+        extended |= seen
         # the reference keeps unbounded ints: it has no saturation warning
         saturated = sum("integer overflow" in (v.message or "") for v in got)
         assert saturated == sum(ev.bindings.get("i", 0) > 2**63 - 1 for ev in events)
         overflows += saturated
     assert overflows > 0 or variant != "int-saturation"
+    # every compared stream runs; `g := k + 1` reads no stream, so only
+    # clocks extend it
+    idle = {"g"} if (variant, mode) == ("invoke", "variable") else set()
+    assert set(names) - extended == idle, extended
