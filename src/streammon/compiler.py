@@ -1,8 +1,9 @@
 """Python source for typed expressions.
 
 `Compiler.source` writes an expression as one Python expression over the
-locals `alpha`, the tuple of the evaluated instance's parameter values,
-indexed by position, `ts`, the instant of the step, and `m`, the monitor,
+locals `alpha`, the key of the evaluated instance (its one parameter's
+value, else the tuple of its values, indexed by position: see `kernel`),
+`ts`, the instant of the step, and `m`, the monitor,
 whose slot count a window evaluation charges. Stream instances, parameter
 positions, offsets, operators and the `/`-by-type rule are resolved here,
 so evaluation dispatches on no syntax node and calls no function per
@@ -30,7 +31,7 @@ its length.
 `Compiler._read` writes every stream or window access in one shape: first
 the instance, bound by name when it is pinned (an input's, or a plain
 template's without a terminate clause, which lives for the whole trace) and
-otherwise looked up by its parameter tuple; then the read, the current value
+otherwise looked up by its key; then the read, the current value
 inline and a past offset, a real-time offset or a window evaluation as a
 call of one helper each. A window evaluated at the instant it last swept
 evicts nothing, and is evaluated by a direct call instead (`_evaluate`).
@@ -99,10 +100,12 @@ class Compiler:
         """expr's value, or UNDEFINED, as Python source that stands as an
         operand anywhere (a name, call, subscription or parenthesized form),
         with the objects it reads bound in `names`. An invoke's TupleExpr
-        gives the parameter tuple."""
+        gives the instance's key, the one item's value itself."""
         match expr:
             case Const(value=v):
                 return _bind(names, v)
+            case ParamRef(name=name) if len(self.positions) == 1 and name in self.positions:
+                return "alpha"
             case ParamRef(name=name) if name in self.positions:
                 return f"alpha[{self.positions[name]}]"
             case ParamRef(name=name):
@@ -127,8 +130,10 @@ class Compiler:
                 return f"(U if ({t} := {c}) is U else {a} if {t} else {b})"
             case FnCall(fn=name, args=args):
                 return self._strict(args, names, _function(name, expr.ty, len(args)))
+            case TupleExpr(items=[item]):  # a key of one value is that value
+                return self.source(item, names)
             case TupleExpr(items=items):
-                return self._strict(items, names, _tuple(len(items)))
+                return self._strict(items, names, key_format(len(items)))
         raise EngineError([Diagnostic(f"cannot evaluate {expr!r}")])
 
     def _temp(self) -> str:
@@ -186,7 +191,7 @@ class Compiler:
     def _read(self, node: StreamAccess | WindowAccess, names: dict) -> str:
         """The access's value: how to get the instance, then how to read it.
         A pinned instance is bound by name; any other is looked up by a key
-        `_key` names, or else by the strict tuple of the access's arguments."""
+        `_key` names, or else by the strict key of the access's arguments."""
         rt = self.streams[node.stream]
         pinned, args = None if node.args else rt.pinned, None
         match node:
@@ -200,7 +205,7 @@ class Compiler:
         else:
             key = self._key(node, rt)
             if key is None:
-                key, args = _tuple(len(node.args)), node.args
+                key, args = key_format(len(node.args)), node.args
             get = _bind(names, rt.instances.get)
             inst = f"{get}({key}, NO_INSTANCE)"
         match node:
@@ -255,11 +260,11 @@ def count_until(buf: list, n: int, d: int) -> int:
     return lo
 
 
-def _past(inst, back: int, own: Optional[tuple]):
+def _past(inst, back: int, own):
     """The value `back` extensions before the latest of `inst`, or
     UNDEFINED. `own` is the alpha whose value the reading template is
     computing: when inst is that instance, the value counts as its latest."""
-    if own is not None and inst.alpha == own:
+    if own is not None and (inst.alpha is own or inst.alpha == own):  # NaN is own
         back -= 1
     buf = inst.buf
     return buf[-1 - back][1] if len(buf) > back else UNDEFINED
@@ -303,9 +308,10 @@ def _code(source: str):
     return compile(source, "<compiled expression>", "exec")
 
 
-def _tuple(n: int) -> str:
-    """A tuple of n > 0 items, as a format."""
-    return "({},)".format(", ".join(["{}"] * n))
+def key_format(n: int) -> str:
+    """The key of an instance of n > 0 parameters, as a format over their
+    values: the one value itself, else their tuple (see `kernel`)."""
+    return "{}" if n == 1 else "({},)".format(", ".join(["{}"] * n))
 
 
 def _operation(op: str, ty: Optional[ValueType]) -> str:

@@ -16,7 +16,7 @@ trace:
   instants.
   Parameterized templates find the instances that an extend or terminate
   condition selects by one rule, `Monitor._cond_plan`: a lookup by a key
-  when one disjunct binds every parameter to an input (the tuple of those
+  when one disjunct binds every parameter to an input (the key of those
   inputs, built once a step and shared with invokes and reads), the partial
   indexes when each binds some, else a scan, whose cost alone grows with
   the live instances; without an extend clause every instance extends. The
@@ -51,7 +51,8 @@ warnings only.
 Each step is one function, a kernel, written on first use from the named
 snippets of `kernel.KernelWriter`, so a step walks no syntax tree and
 building the Monitor compiles nothing. Parameters travel as the instance's
-alpha tuple, indexed by position.
+key alpha: the one parameter's value, else their tuple indexed by position
+(see `kernel`); a verdict's params are always a tuple.
 
 Clock ticks are integers on a grid of 1/D seconds, D being the least common
 multiple of the clock frequencies' numerators, so a clock of p/q Hz ticks
@@ -154,7 +155,7 @@ class Instance:
 
     __slots__ = ("alpha", "buf", "windows")
 
-    def __init__(self, alpha: tuple, windows: dict[int, PanedWindow]):
+    def __init__(self, alpha, windows: dict[int, PanedWindow]):
         self.alpha = alpha
         self.buf: list[tuple] = []  # (ts, value), ascending ts
         self.windows = windows
@@ -198,9 +199,10 @@ class _StreamRT:
     buffer_plan: BufferPlan = field(default_factory=BufferPlan)
     #: wkey -> an empty window, of which each instance's is a fresh copy
     window_plans: dict[int, PanedWindow] = field(default_factory=dict)
-    #: alpha -> live instance; when `flat` (one value kept, no window), the
-    #: untracked tuple (ts, value) of its latest extension, () before the first
-    instances: dict[tuple, Instance | tuple] = field(default_factory=dict)
+    #: key alpha (see `kernel`) -> live instance; when `flat` (one value
+    #: kept, no window), the untracked tuple (ts, value) of its latest
+    #: extension, () before the first
+    instances: dict[object, Instance | tuple] = field(default_factory=dict)
     flat: bool = False
     #: parameter positions -> their values -> alphas of live instances
     indexes: dict[tuple, dict] = field(default_factory=dict)
@@ -213,7 +215,7 @@ class _StreamRT:
     #: templates whose invoke expression reads this stream
     invokes: list[_StreamRT] = field(default_factory=list)
 
-    def new_instance(self, alpha: tuple) -> None:
+    def new_instance(self, alpha) -> None:
         plans = self.window_plans
         windows = {k: p.fresh() for k, p in plans.items()} if plans else _NO_WINDOWS
         self.instances[alpha] = () if self.flat else Instance(alpha, windows)
@@ -221,7 +223,7 @@ class _StreamRT:
             for subset, index in self.indexes.items():
                 index.setdefault(tuple(alpha[i] for i in subset), set()).add(alpha)
 
-    def drop_instance(self, alpha: tuple) -> Instance | tuple:
+    def drop_instance(self, alpha) -> Instance | tuple:
         inst = self.instances.pop(alpha)
         for subset, index in self.indexes.items():
             key = tuple(alpha[i] for i in subset)
@@ -295,7 +297,7 @@ class Monitor:
         self._event_kernel = self._tick_kernel = None
 
         # per-step scratch: what the step extended, and its warnings
-        self._step_extended: dict[str, list[tuple]] = {}
+        self._step_extended: dict[str, list] = {}
         self._verdicts: list[Verdict] = []
 
     # -- construction -------------------------------------------------------

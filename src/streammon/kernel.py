@@ -12,19 +12,28 @@ registration, slot charge, extension record and invokes); `invoke`, and
 reads; `step`, a template's step (gate, instances by `find`, value);
 `terminate`, a termination.
 
+An instance's key, alpha, is its parameter's value when its template has
+one parameter, the tuple of its values when it has more, and () when it
+has none (`compiler.key_format` writes it). The tuple (alpha,) is built
+only where an instance leaves the engine: a verdict's params, which are
+always a tuple, and the undefined-value warning. A double key behaves as
+its 1-tuple did: -0.0 and 0.0 find each other, and a NaN key is found only
+by identity.
+
 `find` visits what the plan of `engine.Monitor._cond_plan` selects: the
 instance of a lookup key, the candidates of the partial indexes, or all.
-A lookup key is the tuple of the inputs that an extend or terminate plan's
+A lookup key is the key of the inputs that an extend or terminate plan's
 one full disjunct binds (`_CondPlan.key`), or that an invoke clause lists.
 Each is one local k{n} per step that invokes, finds and reads by those
 inputs share: a key of one input is built in its feed (and in its else
 branch, by its buffer, if a lookup's block is not gated by the feed); any
-other before the first block that reads it. An access by the reader's own
-parameters in order reads through alpha. `find` splits a conjunctive
-extend or terminate condition three ways: the `param = input` atoms of
-int and bool parameters that the lookup bound are not written; conjuncts
-reading no parameter and not the template itself are tested once, before
-the lookup or scan; the rest per instance, in order. A double's atom stays,
+other before the first block that reads it. A template keeping flat
+entries and no index invokes inline, not by `new_instance`. An access by
+the reader's own parameters in order reads through alpha. `find` splits a
+conjunctive extend or terminate condition three ways: the `param = input`
+atoms of int and bool parameters that the lookup bound are not written;
+conjuncts reading no parameter and not the template itself are tested
+once, before the lookup or scan; the rest per instance, in order. A double's atom stays,
 as NaN != NaN though the lookup finds a NaN key by identity, and alpha is
 then the instance's own (0.0 where the key holds -0.0). A condition with a
 window keeps every conjunct per instance: a hoisted test that failed would
@@ -45,7 +54,7 @@ from . import engine
 from .analysis import BufferPlan, param_input_atom
 from .ast import Binary, Expr, ParamRef, TriggerDecl, TriggerKind, TupleExpr, ValueType
 from .ast import StreamAccess, WindowAccess, accesses, chain, operands, walk
-from .compiler import NAMES, Compiler, _bind, count_until, input_key
+from .compiler import NAMES, Compiler, _bind, count_until, input_key, key_format
 from .diagnostics import Diagnostic, EngineError, OutOfOrderError
 from .parser import _expr_str
 from .values import INT64_MAX, INT64_MIN, saturate_i64
@@ -241,7 +250,7 @@ class KernelWriter:
                 put(2, f"for alpha in {alphas}:")
                 loop, depth = True, 3
                 test = f"alpha in {bind(scope.instances)} and {held} is True"
-                fields = f"{key}, alpha, True"
+                fields = f"{key}, {_params(scope, 'alpha')}, True"
             default = f"any({_expr_str(trig.condition)})"
         elif trig.kind is TriggerKind.COUNT:
             rt, depth = self.m.streams[trig.count_stream], self.when(self.fired(reads))
@@ -350,10 +359,10 @@ class KernelWriter:
         else:
             put(depth, f"extended.setdefault({key}, []).append({alpha})")
         if self.tick:
-            output = f"VERDICT(float(ts), 'output', {key}, {alpha}, v)"
+            output = f"VERDICT(float(ts), 'output', {key}, {_params(rt, alpha)}, v)"
             put(depth, f"verdicts.append({output})")
         for k in (k for k in self.keys if {*k} == {rt.name}):
-            put(depth, f"{self.keys[k]} = ({'v, ' * len(k)})")  # in rt's feed
+            put(depth, f"{self.keys[k]} = " + key_format(len(k)).format(*["v"] * len(k)))
             self.built[k] = self.condition
         for dep in rt.invokes:
             if len(self.readers[dep]) == 1:
@@ -363,14 +372,15 @@ class KernelWriter:
         """Evaluates dep's invoke clause and invokes the instance it names if
         that is new, warning once past dep's declared instance bound."""
         bind, put = self.bind, self.put
-        instances, clause = bind(dep.instances), dep.tpl.invoke
+        instances = bind(dep.instances)
         if (key := self.key(inputs := self.invoked[dep])) is None:
-            if not isinstance(clause, TupleExpr):
-                clause = TupleExpr(items=[clause])
-            put(depth, f"a = {self.source(clause)}")
-        a, defined = key or "a", key and self.built[inputs]  # fed here: (v, ...)
+            put(depth, f"a = {self.source(dep.tpl.invoke)}")
+        a, defined = key or "a", key and self.built[inputs]  # fed here: v or (v, ...)
         put(depth, f"if {'' if defined else f'{a} is not U and '}{a} not in {instances}:")
-        put(depth, f"    {bind(dep.new_instance)}({a})")
+        if dep.flat and not dep.indexes:  # no Instance and no index to fill
+            put(depth, f"    {instances}[{a}] = ()")
+        else:
+            put(depth, f"    {bind(dep.new_instance)}({a})")
         if self.touching:
             put(depth, f"    touched.add({bind(dep.name)})")
         if dep.eta_bound is not None:
@@ -398,7 +408,7 @@ class KernelWriter:
         plan = None if rt.period else rt.ext_plan
         depth, loop = self.find(condition, rt, plan, rt.tpl.extend)
         value = self.source(rt.tpl.expr, rt.tpl.params, rt.name)
-        undefined = f"    m._warn(ts, undefined({self.bind(rt.name)}, alpha))"
+        undefined = f"    m._warn(ts, undefined({self.bind(rt.name)}, {_params(rt, 'alpha')}))"
         self.put(depth, f"v = {value}", "if v is U:", undefined, "else:")
         if loop:
             self.put(depth + 1, f"i = {self.bind(rt.instances)}[alpha]")
@@ -467,6 +477,12 @@ class KernelWriter:
         return depth, loop
 
 
+def _params(rt: engine._StreamRT, alpha: str) -> str:
+    """The params, a tuple, that a verdict or warning gives rt's instance
+    keyed by `alpha` (see the module docstring)."""
+    return f"({alpha},)" if len(rt.tpl.params) == 1 else alpha
+
+
 def _reads_param(node: Expr, own: str) -> bool:
     """Whether node is a parameter or an access to the stream `own`."""
     return isinstance(node, ParamRef) or getattr(node, "stream", None) == own
@@ -492,16 +508,18 @@ def _far_ahead(m: engine.Monitor, ts) -> EngineError:
     return EngineError([Diagnostic(message)])
 
 
-def _candidates(rt: engine._StreamRT, plan: engine._CondPlan) -> list[tuple]:
+def _candidates(rt: engine._StreamRT, plan: engine._CondPlan) -> list:
     """The live instances a lookup plan can select, found through the
     indexes without iterating the instance map."""
     found: set[tuple] = set()
     for d in plan.disjuncts:
         if all(d.bufs):
             key = tuple(buf[-1][1] for buf in d.bufs)
-            if not d.full:
+            if not d.full:  # of two or more parameters
                 found.update(rt.indexes[d.positions].get(key, ()))
-            elif (i := rt.instances.get(key)) is not None:  # key names the alpha
+                continue
+            key = key if len(key) > 1 else key[0]  # an instance's key
+            if (i := rt.instances.get(key)) is not None:  # key names the alpha
                 found.add(key if rt.flat else i.alpha)  # a double's may be -0.0
     return sorted(found)
 

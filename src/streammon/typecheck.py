@@ -54,6 +54,7 @@ from .ast import (
     walk,
 )
 from .diagnostics import Diagnostic, SourceSpan, TypeCheckError
+from .values import INT64_MAX, INT64_MIN
 
 BOOL, INT, DOUBLE = ValueType.BOOL, ValueType.INT, ValueType.DOUBLE
 
@@ -249,6 +250,8 @@ class _Checker:
                     expr.ty = BOOL
                 elif isinstance(v, int):
                     expr.ty = INT
+                    if not INT64_MIN <= v <= INT64_MAX:  # no int value holds it
+                        self.error(f"{ctx.where}: int literal outside the 64-bit range", expr)
                 else:
                     expr.ty = DOUBLE
                 return expr

@@ -91,6 +91,18 @@ def typed(src: str):
     return check_types(parse(src))
 
 
+def alpha(rt, key) -> tuple:
+    """The parameter tuple, as RefMonitor keys it, of the instance of
+    stream runtime rt that the engine keys by `key`: an instance of a
+    one-parameter template is keyed by that parameter's value."""
+    return (key,) if rt.tpl is not None and len(rt.tpl.params) == 1 else key
+
+
+def live(rt) -> dict:
+    """The live instances of stream runtime rt by their parameter tuples."""
+    return {alpha(rt, key): entry for key, entry in rt.instances.items()}
+
+
 @pytest.fixture
 def pid_tspec():
     return typed(PID_SPEC)

@@ -20,6 +20,7 @@ from conftest import (
     PHI_PRIME_SPEC,
     PHI_SPEC,
     PID_SPEC,
+    live,
     typed,
 )
 from oracle import RefMonitor
@@ -325,7 +326,7 @@ def test_criterion_6_fleet_lifecycle_against_recount():
         if v.params == (7,) and v.ts > retire_at
     ]
     assert mentions_after == []
-    assert (7,) not in monitor.streams["suspicious"].instances
+    assert (7,) not in live(monitor.streams["suspicious"])
     _report(6, f"per-car decisions equal brute-force recount ({len(expected)} firings)")
 
 
@@ -428,7 +429,7 @@ def test_criterion_7_efficient_binding(monkeypatch):
     finally:
         _NoIterationDict.armed = False
     # f(3) extended in the armed loop: its flat entry holds that extension
-    assert rt.instances[(3,)] == (extended_at, 3.0)
+    assert live(rt)[(3,)] == (extended_at, 3.0)
 
     # timing half: per-event cost flat within 3x from 1e2 to 1e5 instances
     small, ts_small = _populated_monitor(100)

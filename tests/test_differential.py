@@ -41,6 +41,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import alpha, live
 from oracle import RefMonitor
 from test_stream_bounds import _retained, held
 from streammon import Event, Monitor, TypeCheckError, check_types, parse
@@ -176,9 +177,9 @@ def _same(u, v):
 
 
 def _extensions(engine, seen=None):
-    """Extensions per (stream, alpha) of the engine's live instances, counted
-    from each step's record of what it extended; an instance that a step
-    drops starts again from zero. The name of each stream that extends is
+    """Extensions per (stream, parameter tuple) of the engine's live
+    instances, counted from each step's record of what it extended; an
+    instance that a step drops starts again from zero. The name of each stream that extends is
     added to the set `seen`, if given."""
     counts = Counter()
     seen = set() if seen is None else seen
@@ -186,12 +187,14 @@ def _extensions(engine, seen=None):
     def counting(step):
         def counted(*args, **kwargs):
             verdicts = step(*args, **kwargs)
-            for name, alphas in engine._step_extended.items():
-                counts.update((name, alpha) for alpha in alphas)
+            for name, keys in engine._step_extended.items():
+                rt = engine.streams[name]
+                counts.update((name, alpha(rt, key)) for key in keys)
                 seen.add(name)
-            for name, alpha in list(counts):
-                if alpha not in engine.streams[name].instances:
-                    del counts[name, alpha]
+            alive = {name: live(engine.streams[name]) for name in {n for n, _ in counts}}
+            for name, params in list(counts):
+                if params not in alive[name]:
+                    del counts[name, params]
             return verdicts
 
         return counted
@@ -228,18 +231,18 @@ def _check(tspec, events, names=OUTPUTS, **mode):
             total += slots
         assert engine.slots == total, ev
         for name in names:
-            live, ref_live = engine.streams[name].instances, ref.live[name]
-            assert live.keys() == ref_live.keys(), (name, ev)
+            got_live, ref_live = live(engine.streams[name]), ref.live[name]
+            assert got_live.keys() == ref_live.keys(), (name, ev)
             # each key is the invoking one, by repr: -0.0 is no 0.0
-            assert sorted(map(repr, live)) == sorted(map(repr, ref_live)), (name, ev)
-            for alpha, entry in live.items():
-                history, count = ref_live[alpha].history, extensions[name, alpha]
-                assert count == len(history), (name, alpha, ev)
+            assert sorted(map(repr, got_live)) == sorted(map(repr, ref_live)), (name, ev)
+            for params, entry in got_live.items():
+                history, count = ref_live[params].history, extensions[name, params]
+                assert count == len(history), (name, params, ev)
                 if isinstance(entry, Instance):  # each value held was recorded
-                    assert min(count, 1) <= len(entry.buf) <= count, (name, alpha, ev)
+                    assert min(count, 1) <= len(entry.buf) <= count, (name, params, ev)
                 if history:
                     (t, u), (s, v) = held(entry)[-1], history[-1]
-                    assert t == s and _same(u, v), (name, alpha, ev, u, v)
+                    assert t == s and _same(u, v), (name, params, ev, u, v)
     mine = [
         (v.kind, v.ts, v.stream, v.params, v.value) for v in got if v.kind != "warning"
     ]

@@ -6,13 +6,14 @@ import operator
 import random
 import re
 import sys
+import tracemalloc
 import weakref
 from collections import Counter
 from fractions import Fraction
 
 import pytest
 
-from conftest import CARS_SPEC, FLEET_SPEC, INTRO_SPEC, PID_SPEC, typed
+from conftest import CARS_SPEC, FLEET_SPEC, INTRO_SPEC, PID_SPEC, alpha, live, typed
 from oracle import RefMonitor
 from test_differential import _extensions, _settled
 from test_golden import BIND_SPEC, _fleet_events, _pid_events
@@ -50,8 +51,8 @@ def constant_trace(duration, dt, **streams):
 def test_cars_event_invokes_both_templates():
     m = Monitor(typed(CARS_SPEC), allow_unbounded=True)
     m.process(Event(0.0, {"CID": 7}))
-    assert (7,) in m.streams["offRoadPickUp"].instances
-    assert (7,) in m.streams["suspicious"].instances
+    assert (7,) in live(m.streams["offRoadPickUp"])
+    assert (7,) in live(m.streams["suspicious"])
 
 
 def test_event_on_unused_input_only_extends_that_input():
@@ -280,9 +281,84 @@ def test_flat_instances_are_not_tracked_by_the_collector():
         m.process(Event(0.001 * k, {"ID": k}))
     gc.collect()
     assert len(gc.get_objects()) - before < 1000
-    f = m.streams["f"].instances
+    f = live(m.streams["f"])
     assert len(f) == 10_000 and f[(9_999,)] == (0.001 * 9_999, 0.0)
     assert not any(map(gc.is_tracked, f.values()))
+
+
+def test_one_parameter_instances_allocate_no_key_tuple():
+    """An instance of the one-parameter f is keyed by its id itself: invoking
+    10,000 of them allocates at most 100 bytes each (about 86: its flat
+    entry and its share of the map), and a 1-tuple key would add 48."""
+    n = 10_000
+    m = Monitor(typed(BIND_SPEC), instance_bounds={"f": n + 1})
+    events = [Event(0.001 * k, {"ID": k}) for k in range(1, n + 1)]
+    m.process(Event(0.0, {"ID": 0}))  # writes the kernel before tracing
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for ev in events:
+            m.process(ev)
+        grown = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(m.streams["f"].instances) == n + 1
+    assert grown / n <= 100, grown / n
+
+
+_NAMED_SPEC = """
+input int ID
+input double D
+input double x
+
+output double f<int id>
+  invoke: ID
+  extend: id = ID
+  := x
+output double h<double d>
+  invoke: D
+  extend: d = D
+  := x
+
+trigger any(f > 1.0)
+trigger any(h > 1.0)
+"""
+
+
+@pytest.mark.parametrize("mode", [{}, {"mode": "fixed", "frequency": Fraction(1)}])
+def test_one_parameter_instances_are_named_by_their_tuples(mode):
+    """The instances f(3) and h(-0.0), keyed by their values, are named so in
+    the undefined-value warning, and their trigger and output verdicts carry
+    the tuples (3,) and (-0.0,)."""
+    m = Monitor(typed(_NAMED_SPEC), instance_bounds={"f": 1, "h": 1}, **mode)
+    events = [Event(0.5, {"ID": 3, "D": -0.0}), Event(1.5, {"ID": 3, "D": -0.0, "x": 2.0})]
+    verdicts = drain(m, events + [Event(2.5, {"ID": 3})])
+    warnings = sorted(v.message for v in verdicts if v.kind == "warning")
+    assert warnings == [
+        f"{name}: undefined access without a default; value skipped"
+        for name in ("f(3)", "h(-0.0)")
+    ]
+    for kind in ("trigger", "output") if mode else ("trigger",):
+        named = {v.stream: v.params for v in verdicts if v.kind == kind}
+        assert named == {"f": (3,), "h": (-0.0,)}, kind
+        assert type(named["f"]) is tuple and repr(named["h"]) == "(-0.0,)"
+
+
+def test_nan_keyed_instance_reads_its_own_past():
+    """h(NaN) is keyed by a NaN, which equals itself by identity only: its
+    own value, still being computed, counts as its latest for its past
+    offset, as h(0.5)'s does, and the reference monitor agrees."""
+    src = "input double a\ninput double b\noutput double h<double x>\n  invoke: a\n"
+    src += "  := h(x)[-1, 0.0] + b?0.0\n"
+    m, ref = Monitor(typed(src), allow_unbounded=True), RefMonitor(typed(src))
+    events = [Event(1.0, {"a": math.nan, "b": 1.0}), Event(2.0, {"a": 0.5, "b": 1.0})]
+    events += [Event(3.0 + k, {"b": 1.0}) for k in range(3)]
+    drain(m, events)
+    ref.run(events)
+    got = {repr(k[0]): held(entry) for k, entry in live(m.streams["h"]).items()}
+    assert [v for _, v in got["nan"]] == [4.0, 5.0] and [v for _, v in got["0.5"]] == [3.0, 4.0]
+    assert got == {repr(k[0]): r.history[-2:] for k, r in ref.live["h"].items()}
 
 
 @pytest.mark.parametrize(
@@ -408,15 +484,16 @@ def test_terminated_instance_never_mentioned_again():
     for ev in events:
         verdicts += m.process(ev)
         if ev.ts > 10.0:  # a step records the instances it extended
-            extensions += m._step_extended.get("suspicious", []).count((1,))
+            keys = m._step_extended.get("suspicious", [])
+            extensions += [alpha(m.streams["suspicious"], k) for k in keys].count((1,))
     mentions_after = [
         v for v in verdicts if v.ts > 10.0 and v.params == (1,) and v.stream == "suspicious"
     ]
     assert mentions_after == []
-    assert (1,) in m.streams["suspicious"].instances  # re-invoked fresh at 11.0
+    assert (1,) in live(m.streams["suspicious"])  # re-invoked fresh at 11.0
     assert extensions == 5
     # suspicious keeps one value and no window reads it: a flat entry
-    assert m.streams["suspicious"].instances[(1,)] == (15.0, False)
+    assert live(m.streams["suspicious"])[(1,)] == (15.0, False)
 
 
 @pytest.mark.parametrize("mode", ["variable", "fixed"])
@@ -614,10 +691,10 @@ def test_instance_invoked_by_later_stream_extends_in_the_same_step():
         ref.run([ev])
         # s = a invokes u(s[-1] + 1) = u(a), which k = a then extends to 2a
         k = ev.bindings["a"]
-        assert held(m.streams["u"].instances[(k,)]) == [(ev.ts, 2 * k)]
-        live = m.streams["u"].instances
-        assert live.keys() == ref.live["u"].keys()
-        assert all(held(live[k]) == ref.live["u"][k].history for k in live)
+        got = live(m.streams["u"])
+        assert held(got[(k,)]) == [(ev.ts, 2 * k)]
+        assert got.keys() == ref.live["u"].keys()
+        assert all(held(got[k]) == ref.live["u"][k].history for k in got)
 
 
 def test_instance_invoked_at_a_tick_by_later_stream():
@@ -1275,7 +1352,7 @@ def test_long_extend_condition_builds_a_monitor(op):
     events.append(Event(3.0, {"ID": 4, "x": 1.0}))
     drain(m, events)
     ref.run(events)
-    assert m.streams["f"].instances[(3,)] == (2.0, 5.0)
-    assert m.streams["f"].instances == {
+    assert live(m.streams["f"])[(3,)] == (2.0, 5.0)
+    assert live(m.streams["f"]) == {
         alpha: inst.history[-1] for alpha, inst in ref.live["f"].items()
     }

@@ -12,6 +12,7 @@ that alters verdicts on purpose records the new digests and says why.
 import hashlib
 import json
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -148,7 +149,11 @@ def test_verdict_digest_matches_golden(name):
 #: and dropped the `touched` set no trigger read: every kernel lost that set,
 #: the fleet and bind event kernels build each key once and elide the
 #: `param = input` test the lookup decided, and fleet tests `retire` once
-#: before its terminations' lookups; verdicts did not move (CASES)
+#: before its terminations' lookups; verdicts did not move (CASES). The
+#: fleet and bind kernels were recorded again when an instance of a
+#: one-parameter template came to be keyed by its bare value: their keys
+#: are `k0 = v` and `alpha`, their flat templates invoke inline, and only
+#: their verdicts and warnings build (alpha,); the PID kernels did not move
 KERNELS = {
     "pid-variable": (
         PID_SPEC,
@@ -166,20 +171,19 @@ KERNELS = {
     "fleet-bounded": (
         FLEET_SPEC,
         {"instance_bounds": {"orp": 500, "suspicious": 500}},
-        ["0fe0b9f975fc08fd28f2acfa643e1c285be4a76a86347a71182fa9e6a43737fc"],
+        ["36fcb7fca8a9f78fd155355119b84a67b5683c700dcc18590f01cd89e51df425"],
     ),
     "bind": (
         _EFFICIENT_SPEC,
         {"instance_bounds": {"f": 100_000}},
-        ["91cdf22a6d3d496ae34bd5a1545c8cd9f58dc3aaa2e66b7bf17c8185c803dff8"],
+        ["41a6fdc3380252c233ea8daaf99855f08b9f7644b9db2b5e5e60008e7fd04e6e"],
     ),
 }
 
 
-def _check_kernels(spec, kwargs, expected, monkeypatch):
+def _sources(spec, kwargs, monkeypatch) -> list[str]:
     """The event kernel's source, then the tick kernel's when the spec has
-    clocks, hash to `expected`. On a mismatch each source is printed with
-    its digest, so that a new pin can be read in the test's output."""
+    clocks."""
     sources = []
     code = engine._code
     monkeypatch.setattr(engine, "_code", lambda s: sources.append(s) or code(s))
@@ -187,6 +191,14 @@ def _check_kernels(spec, kwargs, expected, monkeypatch):
     monitor._kernel(tick=False)
     if monitor._clocks:
         monitor._kernel(tick=True)
+    return sources
+
+
+def _check_kernels(spec, kwargs, expected, monkeypatch):
+    """The kernel sources (`_sources`) hash to `expected`. On a mismatch
+    each source is printed with its digest, so that a new pin can be read
+    in the test's output."""
+    sources = _sources(spec, kwargs, monkeypatch)
     digests = [hashlib.sha256(s.encode()).hexdigest() for s in sources]
     if digests != expected:
         for source, digest in zip(sources, digests):
@@ -247,7 +259,8 @@ trigger t > 1000.0
 #: out, as sha256 digests, recorded again with KERNELS: each lost the
 #: `touched` set but branches, whose count trigger reads it; cars shares its
 #: invoke and lookup key, and branches builds its tuple key once and tests
-#: `p` once per step
+#: `p` once per step. Cars was recorded again with the bare keys of KERNELS;
+#: branches, whose `f<int a, int b>` keeps its tuple key, did not move
 SHAPES = {
     "pid-fixed-2.5Hz": (
         CASES["pid-fixed-2.5Hz"][0],
@@ -261,8 +274,8 @@ SHAPES = {
         CASES["cars-0.1Hz"][0],
         CASES["cars-0.1Hz"][2],
         [
-            "19ede7d25343398ba3e4ca18f5b4c2de8956595c99c35ede583d5d3f999616dd",
-            "074b18bd8896acafd70dd167d93e3f3bddf0d6c6940b87a86783c4c5def3dcea",
+            "1038b6a982018ec65985ac7851699bcb17d0c092ba5957b040e005fe364d315c",
+            "8afeb0074371edf53417e9bc3f31234df455983e48f836aed34c59773359b88c",
         ],
     ),
     "two-clocks": (
@@ -288,3 +301,14 @@ SHAPES = {
 def test_more_kernel_shapes_are_pinned(name, monkeypatch):
     """As test_benchmark_kernel_sources_are_pinned, for SHAPES."""
     _check_kernels(*SHAPES[name], monkeypatch)
+
+
+@pytest.mark.parametrize("name", ["fleet-bounded", "bind", "cars-0.1Hz"])
+def test_one_parameter_kernels_build_no_one_item_tuple(name, monkeypatch):
+    """The pinned kernels whose templates have one parameter key their
+    instances by its value: no source builds a one-item tuple but the
+    (alpha,) of a verdict's params or of a warning."""
+    spec, kwargs, _ = {**KERNELS, **SHAPES}[name]
+    for source in _sources(spec, kwargs, monkeypatch):
+        assert {*re.findall(r"\(\w+, ?\)", source)} <= {"(alpha,)"}
+        assert "(alpha,)" in source

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import CARS_SPEC, INTRO_SPEC, PHI_SPEC, PID_SPEC, typed
+from conftest import CARS_SPEC, INTRO_SPEC, PHI_SPEC, PID_SPEC, live, typed
 from streammon import (
     Event,
     Monitor,
@@ -182,7 +182,7 @@ def test_invoke_clause_goes_on_after_a_parenthesized_item(invoke, shape, alphas)
     monitor = Monitor(typed(text), allow_unbounded=True)
     for cid in (3, 7):
         monitor.process(Event(float(cid), {"CID": cid}))
-    assert sorted(monitor.streams["s"].instances) == alphas
+    assert sorted(live(monitor.streams["s"])) == alphas
 
 
 @pytest.mark.parametrize("second", ["<", "=", ">="])

@@ -547,6 +547,12 @@ DIAGNOSTICS = {
             ("output 'x': declared type int but expression has type bool", 1, 17, 1),
         ],
     ),
+    # an int literal past int64, which an int64 value never reaches
+    "int-literal-range": (
+        "input double a\noutput double x := a?0.0 + " + "1" * 400,
+        [("output 'x': int literal outside the 64-bit range", 2, 28, 400)],
+    ),
+    "int-literal-min": ("output int x := -9223372036854775808", []),
     "if-int": (
         "output int x := if 1 then true else 2",
         [
