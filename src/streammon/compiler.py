@@ -104,7 +104,7 @@ class Compiler:
         match expr:
             case Const(value=v):
                 return _bind(names, v)
-            case ParamRef(name=name) if len(self.positions) == 1 and name in self.positions:
+            case ParamRef(name=name) if bare_key(len(self.positions)) and name in self.positions:
                 return "alpha"
             case ParamRef(name=name) if name in self.positions:
                 return f"alpha[{self.positions[name]}]"
@@ -130,8 +130,8 @@ class Compiler:
                 return f"(U if ({t} := {c}) is U else {a} if {t} else {b})"
             case FnCall(fn=name, args=args):
                 return self._strict(args, names, _function(name, expr.ty, len(args)))
-            case TupleExpr(items=[item]):  # a key of one value is that value
-                return self.source(item, names)
+            case TupleExpr(items=items) if bare_key(len(items)):
+                return self.source(items[0], names)
             case TupleExpr(items=items):
                 return self._strict(items, names, key_format(len(items)))
         raise EngineError([Diagnostic(f"cannot evaluate {expr!r}")])
@@ -308,10 +308,18 @@ def _code(source: str):
     return compile(source, "<compiled expression>", "exec")
 
 
+def bare_key(n: int) -> bool:
+    """Whether an instance of a template of n parameters is keyed by its
+    one parameter's value rather than by the tuple of its values: the key
+    rule of `kernel`, which every place that keys, reads or names an
+    instance asks."""
+    return n == 1
+
+
 def key_format(n: int) -> str:
     """The key of an instance of n > 0 parameters, as a format over their
-    values: the one value itself, else their tuple (see `kernel`)."""
-    return "{}" if n == 1 else "({},)".format(", ".join(["{}"] * n))
+    values (`bare_key`)."""
+    return "{}" if bare_key(n) else "({},)".format(", ".join(["{}"] * n))
 
 
 def _operation(op: str, ty: Optional[ValueType]) -> str:

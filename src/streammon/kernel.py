@@ -14,11 +14,11 @@ reads; `step`, a template's step (gate, instances by `find`, value);
 
 An instance's key, alpha, is its parameter's value when its template has
 one parameter, the tuple of its values when it has more, and () when it
-has none (`compiler.key_format` writes it). The tuple (alpha,) is built
-only where an instance leaves the engine: a verdict's params, which are
-always a tuple, and the undefined-value warning. A double key behaves as
-its 1-tuple did: -0.0 and 0.0 find each other, and a NaN key is found only
-by identity.
+has none (`compiler.bare_key`, which every place that keys, reads or names
+an instance asks). The tuple (alpha,) is built only where an instance
+leaves the engine: a verdict's params, which are always a tuple, and the
+undefined-value warning. A double key behaves as its 1-tuple did: -0.0
+and 0.0 find each other, and a NaN key is found only by identity.
 
 `find` visits what the plan of `engine.Monitor._cond_plan` selects: the
 instance of a lookup key, the candidates of the partial indexes, or all.
@@ -27,13 +27,12 @@ one full disjunct binds (`_CondPlan.key`), or that an invoke clause lists.
 Each is one local k{n} per step that invokes, finds and reads by those
 inputs share: a key of one input is built in its feed (and in its else
 branch, by its buffer, if a lookup's block is not gated by the feed); any
-other before the first block that reads it. A template keeping flat
-entries and no index invokes inline, not by `new_instance`. An access by
-the reader's own parameters in order reads through alpha. `find` splits a
-conjunctive extend or terminate condition three ways: the `param = input`
-atoms of int and bool parameters that the lookup bound are not written;
-conjuncts reading no parameter and not the template itself are tested
-once, before the lookup or scan; the rest per instance, in order. A double's atom stays,
+other before the first block that reads it. An access by the reader's own
+parameters in order reads through alpha. `find` splits a conjunctive
+extend or terminate condition three ways: the `param = input` atoms of
+int and bool parameters that the lookup bound are not written; conjuncts
+reading no parameter and not the template itself are tested once, before
+the lookup or scan; the rest per instance, in order. A double's atom stays,
 as NaN != NaN though the lookup finds a NaN key by identity, and alpha is
 then the instance's own (0.0 where the key holds -0.0). A condition with a
 window keeps every conjunct per instance: a hoisted test that failed would
@@ -54,7 +53,7 @@ from . import engine
 from .analysis import BufferPlan, param_input_atom
 from .ast import Binary, Expr, ParamRef, TriggerDecl, TriggerKind, TupleExpr, ValueType
 from .ast import StreamAccess, WindowAccess, accesses, chain, operands, walk
-from .compiler import NAMES, Compiler, _bind, count_until, input_key, key_format
+from .compiler import NAMES, Compiler, _bind, bare_key, count_until, input_key, key_format
 from .diagnostics import Diagnostic, EngineError, OutOfOrderError
 from .parser import _expr_str
 from .values import INT64_MAX, INT64_MIN, saturate_i64
@@ -377,10 +376,7 @@ class KernelWriter:
             put(depth, f"a = {self.source(dep.tpl.invoke)}")
         a, defined = key or "a", key and self.built[inputs]  # fed here: v or (v, ...)
         put(depth, f"if {'' if defined else f'{a} is not U and '}{a} not in {instances}:")
-        if dep.flat and not dep.indexes:  # no Instance and no index to fill
-            put(depth, f"    {instances}[{a}] = ()")
-        else:
-            put(depth, f"    {bind(dep.new_instance)}({a})")
+        put(depth, f"    {bind(dep.new_instance)}({a})")
         if self.touching:
             put(depth, f"    touched.add({bind(dep.name)})")
         if dep.eta_bound is not None:
@@ -480,7 +476,7 @@ class KernelWriter:
 def _params(rt: engine._StreamRT, alpha: str) -> str:
     """The params, a tuple, that a verdict or warning gives rt's instance
     keyed by `alpha` (see the module docstring)."""
-    return f"({alpha},)" if len(rt.tpl.params) == 1 else alpha
+    return f"({alpha},)" if bare_key(len(rt.tpl.params)) else alpha
 
 
 def _reads_param(node: Expr, own: str) -> bool:
@@ -518,7 +514,7 @@ def _candidates(rt: engine._StreamRT, plan: engine._CondPlan) -> list:
             if not d.full:  # of two or more parameters
                 found.update(rt.indexes[d.positions].get(key, ()))
                 continue
-            key = key if len(key) > 1 else key[0]  # an instance's key
+            key = key[0] if bare_key(len(key)) else key  # an instance's key
             if (i := rt.instances.get(key)) is not None:  # key names the alpha
                 found.add(key if rt.flat else i.alpha)  # a double's may be -0.0
     return sorted(found)

@@ -6,6 +6,7 @@ import pytest
 sys.path.insert(0, str(Path(__file__).parent))
 
 from streammon import check_types, parse
+from streammon.compiler import bare_key
 
 # -- specification corpus ----------------------------------------------------
 
@@ -95,7 +96,7 @@ def alpha(rt, key) -> tuple:
     """The parameter tuple, as RefMonitor keys it, of the instance of
     stream runtime rt that the engine keys by `key`: an instance of a
     one-parameter template is keyed by that parameter's value."""
-    return (key,) if rt.tpl is not None and len(rt.tpl.params) == 1 else key
+    return (key,) if rt.tpl is not None and bare_key(len(rt.tpl.params)) else key
 
 
 def live(rt) -> dict:

@@ -553,6 +553,8 @@ DIAGNOSTICS = {
         [("output 'x': int literal outside the 64-bit range", 2, 28, 400)],
     ),
     "int-literal-min": ("output int x := -9223372036854775808", []),
+    # the parser folds a minus into the literal through parentheses
+    "int-literal-min-parenthesized": ("output int x := -(9223372036854775808)", []),
     "if-int": (
         "output int x := if 1 then true else 2",
         [
