@@ -27,7 +27,10 @@ one full disjunct binds (`_CondPlan.key`), or that an invoke clause lists.
 Each is one local k{n} per step that invokes, finds and reads by those
 inputs share: a key of one input is built in its feed (and in its else
 branch, by its buffer, if a lookup's block is not gated by the feed); any
-other before the first block that reads it. An access by the reader's own
+other before the first block that reads it. A template keeping flat
+entries and no index invokes by a store of () into its map, not by
+`new_instance`: on bind-1e5, where five events in six invoke, that is
+1.03x the events per second of calling it. An access by the reader's own
 parameters in order reads through alpha. `find` splits a conjunctive
 extend or terminate condition three ways: the `param = input` atoms of
 int and bool parameters that the lookup bound are not written; conjuncts
@@ -376,7 +379,10 @@ class KernelWriter:
             put(depth, f"a = {self.source(dep.tpl.invoke)}")
         a, defined = key or "a", key and self.built[inputs]  # fed here: v or (v, ...)
         put(depth, f"if {'' if defined else f'{a} is not U and '}{a} not in {instances}:")
-        put(depth, f"    {bind(dep.new_instance)}({a})")
+        if dep.flat and not dep.indexes:  # no Instance and no index to fill
+            put(depth, f"    {instances}[{a}] = ()")
+        else:
+            put(depth, f"    {bind(dep.new_instance)}({a})")
         if self.touching:
             put(depth, f"    touched.add({bind(dep.name)})")
         if dep.eta_bound is not None:

@@ -152,8 +152,8 @@ def test_verdict_digest_matches_golden(name):
 #: before its terminations' lookups; verdicts did not move (CASES). The
 #: fleet and bind kernels were recorded again when an instance of a
 #: one-parameter template came to be keyed by its bare value: their keys
-#: are `k0 = v` and `alpha`, and only their verdicts and warnings build
-#: (alpha,); the PID kernels did not move
+#: are `k0 = v` and `alpha`, their flat templates invoke inline, and only
+#: their verdicts and warnings build (alpha,); the PID kernels did not move
 KERNELS = {
     "pid-variable": (
         PID_SPEC,
@@ -171,12 +171,12 @@ KERNELS = {
     "fleet-bounded": (
         FLEET_SPEC,
         {"instance_bounds": {"orp": 500, "suspicious": 500}},
-        ["73f53836b07944f53189c017d87cb6d3567b1611f164ddffca02cb193f1c6610"],
+        ["36fcb7fca8a9f78fd155355119b84a67b5683c700dcc18590f01cd89e51df425"],
     ),
     "bind": (
         _EFFICIENT_SPEC,
         {"instance_bounds": {"f": 100_000}},
-        ["f1851cf25a7c53e69aa8ffce1f2c4ead0b4b3539206a14904234019afb7ad2f3"],
+        ["41a6fdc3380252c233ea8daaf99855f08b9f7644b9db2b5e5e60008e7fd04e6e"],
     ),
 }
 
@@ -274,7 +274,7 @@ SHAPES = {
         CASES["cars-0.1Hz"][0],
         CASES["cars-0.1Hz"][2],
         [
-            "bf55763a41c4e3031dceb1f34eee8f5d20fc0c94b7cfae015fd8fa31da66004a",
+            "1038b6a982018ec65985ac7851699bcb17d0c092ba5957b040e005fe364d315c",
             "8afeb0074371edf53417e9bc3f31234df455983e48f836aed34c59773359b88c",
         ],
     ),
