@@ -108,7 +108,7 @@ from .windows import PanedWindow, make_aggregator
 __all__ = ["Event", "Verdict", "Monitor"]
 
 
-@dataclass
+@dataclass(slots=True)
 class Event:
     """One trace record: at least one input stream gets a value at time ts.
 
@@ -125,7 +125,7 @@ class Event:
     bindings: dict[str, object]
 
 
-@dataclass
+@dataclass(slots=True)
 class Verdict:
     ts: float
     kind: str  # 'output' | 'trigger' | 'warning'

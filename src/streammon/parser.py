@@ -481,13 +481,21 @@ class _Parser:
             expr = self._parse_unary()
             number = isinstance(expr, Const) and not isinstance(expr.value, bool)
             if op.value == "-" and number:  # a negative constant
-                expr = Const(-expr.value, span=op.span)
+                expr = Const(-expr.value, span=self._span_from(op))
             else:
                 expr = Unary(op.value, expr, span=op.span)
         else:
             expr = self._parse_postfix()
         self.depth -= 1
         return expr
+
+    def _span_from(self, first: Token) -> SourceSpan:
+        """The span from token `first` to the end of the last token consumed,
+        or `first`'s own span when they lie on different lines."""
+        last = self.tokens[self.i - 1]
+        if last.line != first.line:
+            return first.span
+        return SourceSpan(first.line, first.col, last.col + last.length - first.col)
 
     def _parse_postfix(self) -> Expr:
         expr = self._parse_primary()

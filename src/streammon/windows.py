@@ -7,25 +7,54 @@ to the pane that *ends* there, so at pane-aligned evaluation times the
 retained panes tile the window exactly and consecutive windows of width
 equal to the evaluation period never double-count a boundary value.
 
-Registering a value folds it into its pane's summary only; evaluating a
-window combines the summaries of the retained panes and lowers the combined
-summary to a value. At non-aligned evaluation times the oldest, partially
-covered pane is included whole, an approximation of at most z.
+Registering a value folds it into its pane's summary, and under
+Subtract-on-Evict into the window's running summary too; evaluating a window
+lowers the summary of the retained panes to a value. At non-aligned
+evaluation times the oldest, partially covered pane is included whole, an
+approximation of at most z.
 
 Retained panes never exceed ceil(r / z) + 1: registration and evaluation both
 evict panes whose entire span lies at or before ts - r.
 
-Cost model, in summary merges (Li et al., "No pane, no gain", SIGMOD Record
-2005, for the panes; Tangwongsan, Hirzel and Schneider, "General Incremental
-Sliding-Window Aggregation", PVLDB 2015, and "In-Order Sliding-Window
-Aggregation in Worst-Case Constant Time", VLDB Journal 2021, for their
-aggregation; Okasaki, "Simple and efficient purely functional queues and
-deques", JFP 1995, for the rotation):
+Cost model, in summary operations (Li et al., "No pane, no gain", SIGMOD
+Record 2005, for the panes; Tangwongsan, Hirzel and Schneider, "General
+Incremental Sliding-Window Aggregation", PVLDB 2015, for Subtract-on-Evict
+and Two-Stacks, and "In-Order Sliding-Window Aggregation in Worst-Case
+Constant Time", VLDB Journal 2021, for the latter's deamortization; Okasaki,
+"Simple and efficient purely functional queues and deques", JFP 1995, for
+the rotation):
 
-- worst case, independent of r / z: `register` does at most 2 merges and
-  `evaluate` at most 3, each plus 2 per pane it evicts, and `evict` 2 per
-  pane it evicts. A registration into the open pane does none.
-- the panes form a FIFO aggregated as a deamortized Two-Stacks. In time
+- two schemes, chosen by the aggregation alone (`make_aggregator`): the
+  aggregations whose summaries are exact integers, count over any type and
+  sum and avg over int, subtract on evict; float sum and avg, min, max and
+  integral aggregate their panes as a deamortized Two-Stacks. Only exact
+  summaries may subtract. Min and max have no inverse. A float sum less
+  its oldest part is not the float sum of the rest: subtracting would
+  re-associate the additions, so results and the verdict digests would
+  move in their last bits, and the running sum would keep the rounding
+  error of every value that ever passed through it (1e20 + 1 - 1e20 is 0).
+  Int `+` and `-` are exact, so both schemes give the same integers.
+- Subtract-on-Evict: a window keeps its per-pane summaries, a FIFO of the
+  retained pane indices, oldest first, and one running summary of all
+  retained panes. `register` adds the value to its pane and to the running
+  summary; each evicted pane is subtracted from it once (the inverse
+  snippet); `evaluate` lowers the running summary. Worst case, independent
+  of r / z: `register` does 2 adds and no merge, `evaluate` no add and no
+  merge, each plus one inverse per pane it evicts, and `evict` one inverse
+  per pane it evicts. A step evicts at most the ceil(r / z) + 1 retained
+  panes, and each pane is evicted once, so over a run the inverses number
+  at most the panes opened. The oldest pane comes from the FIFO, not from
+  the pane dict: finding a dict's first key walks every entry deleted at
+  its front, a cost that grows with the panes the window ever evicted. The
+  FIFO is a list, and a step drops the indices it evicted with one `del` of
+  that prefix, a move of at most ceil(r / z) + 1 pointers; a deque would
+  cost some 760 bytes per window, more than the list for windows of up to
+  about 90 panes.
+- Two-Stacks, worst case, independent of r / z: `register` does at most 2
+  merges and `evaluate` at most 3, each plus 2 per pane it evicts, and
+  `evict` 2 per pane it evicts. A registration into the open pane does
+  none.
+- the Two-Stacks panes form a FIFO aggregated in two stacks. In time
   order: a "front" stack of suffix aggregates over the oldest closed panes,
   whose top covers them all; while a rotation runs, the "frozen" panes
   after them, with their summary; the "back" panes after those, with
@@ -61,15 +90,16 @@ deques", JFP 1995, for the rotation):
   into the open pane clears it.
 - no call per summary operation or rotation step: each combinable
   aggregation is defined once, as Python source snippets for its empty
-  summary, add, merge and lower (`make_aggregator`). `_TEMPLATE` writes
-  them inline, with the rotation steps (`_ROTATE`), into the aggregation's
-  register, evict and evaluate functions and into the reference methods
-  `new`, `add`, `merge` and `lower`. That code is built once per
-  aggregation and process, and `PanedWindow`'s methods delegate to it in
-  one call.
+  summary, add, merge, lower and, if exact, inverse (`make_aggregator`).
+  `_FUNCTIONS` writes them into the reference methods `new`, `add`, `merge`
+  and `lower`, and `_SUBTRACT`, or `_TWO_STACKS` with the rotation steps
+  (`_ROTATE`), inline into the aggregation's register, evict and evaluate
+  functions. That code is built once per aggregation and process, and
+  `PanedWindow`'s methods delegate to it in one call.
 - median is the exception: its panes keep raw values, and an evaluation
   concatenates all retained panes once and sorts them; a NaN anywhere in
-  the window makes the median NaN, as it does min and max.
+  the window makes the median NaN, as it does min and max. Its oldest pane
+  comes from a FIFO of pane indices, as under Subtract-on-Evict.
 - slot_count: O(1), kept as a running count. A pane of a combinable
   aggregation is one slot; a median pane holds one slot per value.
 """
@@ -88,7 +118,7 @@ from .diagnostics import Diagnostic, OutOfOrderError
 from .values import UNDEFINED, nan_max, nan_min
 
 #: the rotation steps of the deamortized Two-Stacks (see the module
-#: docstring), written into the eviction loops of `_TEMPLATE`: one step for
+#: docstring), written into the eviction loops of `_TWO_STACKS`: one step for
 #: each of `steps`, after a pane closed or evicted, while `due`, twice the
 #: front's length less the back's, is negative, as it is while a rotation
 #: runs or when the back is to be frozen. A step moves the newest pane not
@@ -150,10 +180,10 @@ _PLACE = """
         kill = q - k - (rem * rd < fr * d)
 """
 
-#: the functions of a combinable aggregation. In a snippet, s is a summary,
-#: ts and v an instant and a value, and a and b the summaries of two adjacent
-#: time ranges, a's before b's; {empty} is an empty window's value
-_TEMPLATE = """
+#: the functions of every combinable aggregation. In a snippet, s is a
+#: summary, ts and v an instant and a value, and a and b the summaries of two
+#: adjacent time ranges, a's before b's; {empty} is an empty window's value
+_FUNCTIONS = """
 def new():
     return {new}
 
@@ -165,6 +195,21 @@ def merge(a, b):
 
 def lower(s):
     return {lower}
+
+def evict(w, ts):
+    if ts < w.last_ts:
+        raise late(f'window swept at {{ts}} before {{w.last_ts}}')
+    sweep(w, ts)
+    w.swept = w.last_ts = ts
+"""
+
+#: the window code of the Two-Stacks scheme (see the module docstring)
+_TWO_STACKS = """
+def clear(w):
+    w._front = []
+    w._queue = []
+    w._back = w._mid = w._frozen = w._new = None
+    w._cursor = w._due = 0
 
 def register(w, v, ts):
     if ts < w.last_ts:
@@ -206,12 +251,6 @@ def register(w, v, ts):
     w._due = due
     w.slots += gained
     return gained
-
-def evict(w, ts):
-    if ts < w.last_ts:
-        raise late(f'window swept at {{ts}} before {{w.last_ts}}')
-    sweep(w, ts)
-    w.swept = w.last_ts = ts
 
 def sweep(w, ts):
     # evicts the panes i with i + 1 <= kill, oldest first, as `register` does{place}
@@ -256,6 +295,79 @@ def evaluate(w, ts):
     return {lower}
 """
 
+#: the window code of the Subtract-on-Evict scheme (see the module
+#: docstring). In the inverse snippet, a summarizes a time range and b the
+#: oldest part of it; it gives the summary of the rest
+_SUBTRACT = """
+def clear(w):
+    w._order = []
+    w._total = {new}
+
+def register(w, v, ts):
+    if ts < w.last_ts:
+        raise late(f'window registration at {{ts}} after {{w.last_ts}}')
+    w.last_ts = ts
+    panes = w.panes{place}
+    idx = q if rem else q - 1
+    s = w._total
+    w._total = {add}
+    if idx == w._open:
+        s = panes[idx]
+        panes[idx] = {add}
+        w.swept = None  # an evaluation must check its instant again
+        return 0
+    s = {new}
+    panes[idx] = {add}
+    w._open = idx
+    w.swept = ts
+    order = w._order
+    order.append(idx)
+    # the panes i with i + 1 <= kill are evicted, oldest first; the new pane
+    # is not among them
+    if order[0] >= kill:
+        w.slots += 1
+        return 1
+    a = w._total
+    j = 0
+    while order[j] < kill:
+        b = panes.pop(order[j])
+        a = {inverse}
+        j += 1
+    del order[:j]
+    w._total = a
+    w.slots += 1 - j
+    return 1 - j
+
+def sweep(w, ts):
+    # evicts the panes i with i + 1 <= kill, oldest first, as `register` does{place}
+    order = w._order
+    if order and order[0] < kill:
+        panes = w.panes
+        a = w._total
+        n = len(order)
+        j = 0
+        while j < n and order[j] < kill:
+            b = panes.pop(order[j])
+            a = {inverse}
+            j += 1
+        del order[:j]
+        w._total = a
+        w.slots -= j
+        if not order:
+            w._open = None
+
+def evaluate(w, ts):
+    if ts != w.swept:
+        if ts < w.last_ts:
+            raise late(f'window evaluated at {{ts}} before {{w.last_ts}}')
+        sweep(w, ts)
+        w.swept = w.last_ts = ts
+    if w._open is None:
+        return {empty}
+    s = w._total
+    return {lower}
+"""
+
 
 def _late(message: str) -> OutOfOrderError:
     return OutOfOrderError([Diagnostic(message)])
@@ -265,7 +377,12 @@ def _define(source: str, **names) -> dict:
     """The scope in which `source` ran, its definitions reading `names` and
     what every window function reads by name."""
     scope = dict(
-        names, U=UNDEFINED, late=_late, nan_max=nan_max, nan_min=nan_min, EXACT=_EXACT
+        names,
+        U=UNDEFINED,
+        late=_late,
+        nan_max=nan_max,
+        nan_min=nan_min,
+        EXACT=_EXACT,
     )
     exec(_code(source), scope)
     return scope
@@ -281,23 +398,40 @@ _span = _define(
 
 class Aggregator:
     """One combinable aggregation: its summary arithmetic as snippets, and
-    the functions `_TEMPLATE` builds from them. merge(a, b) requires that a
+    the window functions built from them. merge(a, b) requires that a
     summarizes a time range entirely before b's; adjacent-range merging is
-    associative for all of these summaries. `names` are objects the
-    snippets read."""
+    associative for all of these summaries. With an `inverse` snippet, which
+    takes the oldest part b out of a, the windows subtract each evicted pane
+    from one running summary (`_SUBTRACT`); without one, they aggregate the
+    panes as a Two-Stacks (`_TWO_STACKS`). `names` are objects the snippets
+    read."""
 
-    def __init__(self, empty: str, new: str, add: str, merge: str, lower: str, **names):
+    def __init__(
+        self,
+        empty: str,
+        new: str,
+        add: str,
+        merge: str,
+        lower: str,
+        inverse: str | None = None,
+        **names,
+    ):
         self.snippets = dict(empty=empty, new=new, add=add, merge=merge, lower=lower)
-        rotate = _ROTATE.format(**self.snippets)
-        source = _TEMPLATE.format(rotate=rotate, place=_PLACE, **self.snippets)
-        scope = _define(source, **names)
-        for name in ("new", "add", "merge", "lower", "register", "evict", "evaluate"):
+        if inverse is None:
+            rotate = _ROTATE.format(**self.snippets)
+            window = _TWO_STACKS.format(rotate=rotate, place=_PLACE, **self.snippets)
+        else:
+            self.snippets["inverse"] = inverse
+            window = _SUBTRACT.format(place=_PLACE, **self.snippets)
+        scope = _define(_FUNCTIONS.format(**self.snippets) + window, **names)
+        for name in ("new", "add", "merge", "lower", "clear", "register", "evict", "evaluate"):
             setattr(self, name, scope[name])
 
 
 class _Median(Aggregator):
     """Not pane-combinable: each pane keeps its raw values, one slot per
-    value, re-merged on evaluation."""
+    value, re-merged on evaluation. `_order` holds the retained pane
+    indices, oldest first, as under `_SUBTRACT`."""
 
     def __init__(self, int_result: bool):
         self.int_result = int_result
@@ -313,6 +447,10 @@ class _Median(Aggregator):
             return math.nan
         return statistics.median(summary)
 
+    @staticmethod
+    def clear(w) -> None:
+        w._order = []
+
     def register(self, w, value, ts) -> int:
         if ts < w.last_ts:
             raise _late(f"window registration at {ts} after {w.last_ts}")
@@ -326,6 +464,7 @@ class _Median(Aggregator):
             return 1
         w.panes[idx] = [value]
         w._open = idx
+        w._order.append(idx)
         self._sweep(w, kill)
         w.swept = ts
         return w.slots - slots
@@ -338,13 +477,15 @@ class _Median(Aggregator):
 
     @staticmethod
     def _sweep(w, kill: int) -> None:
-        panes = w.panes
-        while panes:
-            first = next(iter(panes))  # insertion order = ascending index
-            if first >= kill:
-                return
-            w.slots -= len(panes.pop(first))
-        w._open = None
+        order = w._order
+        n = len(order)
+        j = 0
+        while j < n and order[j] < kill:
+            w.slots -= len(w.panes.pop(order[j]))
+            j += 1
+        del order[:j]
+        if not order:
+            w._open = None
 
     def evaluate(self, w, ts):
         self.evict(w, ts)
@@ -366,19 +507,26 @@ _TRAPEZOIDS = (
 
 @lru_cache(maxsize=None)
 def make_aggregator(agg: AggFn, target_ty: ValueType) -> Aggregator:
-    """The aggregator of `agg` over `target_ty` values. Aggregators hold no
-    state, so each is built once per process and shared by every window."""
+    """The aggregator of `agg` over `target_ty` values. Those whose
+    summaries are exact integers, count over any type and sum and avg over
+    int, get an inverse snippet and so subtract on eviction; the others
+    aggregate their panes as a Two-Stacks (see the module docstring).
+    Aggregators hold no state, so each is built once per process and shared
+    by every window."""
     integer = target_ty is ValueType.INT
     match agg:
         case AggFn.COUNT:
-            return Aggregator("0", "0", "s + 1", "a + b", "s")
+            return Aggregator("0", "0", "s + 1", "a + b", "s", "a - b")
+        case AggFn.SUM if integer:
+            return Aggregator("0", "0", "s + v", "a + b", "s", "a - b")
         case AggFn.SUM:
-            zero = "0" if integer else "0.0"
-            return Aggregator(zero, zero, "s + v", "a + b", "s")
+            return Aggregator("0.0", "0.0", "s + v", "a + b", "s")
         case AggFn.AVG:
             pair = "(s[0] + v, s[1] + 1)", "(a[0] + b[0], a[1] + b[1])"
-            lower = "s[0] // s[1]" if integer else "s[0] / s[1]"
-            return Aggregator("U", "(0, 0)", *pair, lower)
+            if integer:
+                inverse = "(a[0] - b[0], a[1] - b[1])"
+                return Aggregator("U", "(0, 0)", *pair, "s[0] // s[1]", inverse)
+            return Aggregator("U", "(0, 0)", *pair, "s[0] / s[1]")
         case AggFn.MIN | AggFn.MAX:
             pick = "nan_max" if agg is AggFn.MAX else "nan_min"
             add = f"v if s is None else {pick}(s, v)"
@@ -396,20 +544,23 @@ class PanedWindow:
 
     `panes` maps pane index to the raw summary of that pane, in ascending
     index order; the last pane, `_open`, is the only one that `register`
-    still folds values into. For a combinable aggregation, the closed panes
-    are also aggregated as a deamortized Two-Stacks (see the module
-    docstring), in time order front, frozen, back:
+    still folds values into. The rest of the state depends on the
+    aggregator's scheme (see the module docstring), which sets it up
+    (`clear`):
 
-    - `_front` holds (pane index, summary of that pane and every later
-      front pane) with the oldest pane on top;
-    - `_queue` holds the index of each back pane, oldest first, and
-      `_back` is their summary, None when there are none;
-    - while a rotation runs, `_mid` is the summary of the frozen panes,
-      and None otherwise. `_frozen` holds the frozen panes not yet in the
-      new front `_new`, oldest first, and `_cursor` counts the front panes
-      that are, from the bottom;
-    - `_due` is twice the front's length less the back's while no rotation
-      runs, and negative while one does.
+    - Subtract-on-Evict: `_order` holds the retained pane indices, oldest
+      first, and `_total` is the summary of every retained pane;
+    - median: `_order` as above;
+    - Two-Stacks: the closed panes are aggregated in time order front,
+      frozen, back. `_front` holds (pane index, summary of that pane and
+      every later front pane) with the oldest pane on top. `_queue` holds
+      the index of each back pane, oldest first, and `_back` is their
+      summary, None when there are none. While a rotation runs, `_mid` is
+      the summary of the frozen panes, and None otherwise; `_frozen` holds
+      the frozen panes not yet in the new front `_new`, oldest first, and
+      `_cursor` counts the front panes that are, from the bottom. `_due`
+      is twice the front's length less the back's while no rotation runs,
+      and negative while one does.
 
     `last_ts` is the latest instant any operation saw, and an operation at
     an earlier one is rejected; `swept` is the instant of the last
@@ -439,6 +590,8 @@ class PanedWindow:
         "_new",
         "_cursor",
         "_due",
+        "_order",
+        "_total",
         "slots",
     )
 
@@ -458,11 +611,8 @@ class PanedWindow:
         self.panes: dict[int, object] = {}  # index -> summary, ascending
         self.last_ts = self.swept = -math.inf
         self._open: int | None = None  # index of the newest pane
-        self._front: list[tuple[int, object]] = []
-        self._queue: list[tuple[int, object]] = []
-        self._back = self._mid = self._frozen = self._new = None
-        self._cursor = self._due = 0
         self.slots = 0
+        self.agg.clear(self)
 
     def fresh(self) -> PanedWindow:
         """A new, empty window of this one's duration, width and aggregation,
@@ -474,8 +624,9 @@ class PanedWindow:
         return w
 
     def register(self, value, ts) -> int:
-        """Fold a value into its pane; no window-level aggregation happens.
-        Eviction runs only when a new pane opens: folding into an existing
+        """Fold a value into its pane, and into the running summary of a
+        window that subtracts on eviction; no panes are merged. Eviction
+        runs only when a new pane opens: folding into an existing
         pane cannot raise the pane count. Returns the change in slot_count,
         so that a caller charging slots need not read it around the call."""
         return self.agg.register(self, value, ts)

@@ -24,6 +24,7 @@ from streammon import (
     Event,
     Monitor,
     OutOfOrderError,
+    Verdict,
     analyze,
 )
 from streammon import compiler, engine
@@ -1355,4 +1356,29 @@ def test_long_extend_condition_builds_a_monitor(op):
     assert live(m.streams["f"])[(3,)] == (2.0, 5.0)
     assert live(m.streams["f"]) == {
         alpha: inst.history[-1] for alpha, inst in ref.live["f"].items()
+    }
+
+
+def test_events_and_verdicts_keep_no_instance_dict():
+    """An Event is made per trace record and a Verdict per verdict, so both
+    keep their fields in slots, and a verdict serializes as before."""
+    event = Event(1.5, {"a": 1})
+    verdict = Verdict(2.0, "output", "x", (1, math.nan), -math.inf)
+    for record in (event, verdict, Verdict(3.0, "warning", message="m")):
+        assert not hasattr(record, "__dict__")
+    assert verdict.to_json_dict() == {
+        "ts": 2.0,
+        "kind": "output",
+        "stream": "x",
+        "params": [1, "NaN"],
+        "value": "-Infinity",
+        "message": None,
+    }
+    assert Verdict(3.0, "warning", message="m").to_json_dict() == {
+        "ts": 3.0,
+        "kind": "warning",
+        "stream": None,
+        "params": None,
+        "value": None,
+        "message": "m",
     }

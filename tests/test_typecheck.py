@@ -555,6 +555,15 @@ DIAGNOSTICS = {
     "int-literal-min": ("output int x := -9223372036854775808", []),
     # the parser folds a minus into the literal through parentheses
     "int-literal-min-parenthesized": ("output int x := -(9223372036854775808)", []),
+    # a folded negative literal spans from its minus to its end
+    "int-literal-below-min": (
+        "output int x := -9223372036854775809",
+        [("output 'x': int literal outside the 64-bit range", 1, 17, 20)],
+    ),
+    "int-literal-below-min-parenthesized": (
+        "output int x := -(9223372036854775809)",
+        [("output 'x': int literal outside the 64-bit range", 1, 17, 22)],
+    ),
     "if-int": (
         "output int x := if 1 then true else 2",
         [

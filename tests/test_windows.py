@@ -2,6 +2,7 @@ import math
 import random
 import statistics
 import sys
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -396,7 +397,7 @@ def test_extremum_nan_wins_wherever_it_arrives(trace, agg, data):
         assert _close(w.evaluate(ts), _oracle(agg, events, ts, r, z))
 
 
-# -- Two-Stacks against a left-fold re-merge ----------------------------------
+# -- window code against a left-fold re-merge ---------------------------------
 
 #: (aggregation, value type, exact): exact results must match the left fold
 #: bit for bit; the others only reassociate float additions
@@ -494,17 +495,30 @@ def test_two_stacks_equals_left_fold(case, ratio, ops):
 # -- evaluation cost does not grow with r/z -----------------------------------
 
 
-def _counting(agg):
-    """agg's aggregation with each merge that its window code runs counted
-    in the returned list's one element."""
-    merges = [0]
+def _tallied(snippets, *names):
+    """The aggregator built from `snippets`, with each evaluation of the
+    named snippets that its window code runs counted by name in the
+    returned Counter."""
+    counts = Counter()
 
-    def tally(summary):
-        merges[0] += 1
+    def tally(name, summary):
+        counts[name] += 1
         return summary
 
-    merge = f"tally({agg.snippets['merge']})"
-    return Aggregator(**dict(agg.snippets, merge=merge), tally=tally), merges
+    wrapped = {name: f"tally({name!r}, {snippets[name]})" for name in names}
+    return Aggregator(**dict(snippets, **wrapped), tally=tally), counts
+
+
+def _two_stacks(snippets):
+    """The snippets of an aggregation without its inverse, if it has one:
+    the aggregator built from them is a Two-Stacks."""
+    return {name: code for name, code in snippets.items() if name != "inverse"}
+
+
+def _counting(agg):
+    """agg's aggregation as a Two-Stacks, with each merge that its window
+    code runs counted under "merge" in the returned Counter."""
+    return _tallied(_two_stacks(agg.snippets), "merge")
 
 
 @pytest.mark.parametrize("ratio", [4, 256])
@@ -529,7 +543,7 @@ def test_evaluate_merges_do_not_grow_with_panes(ratio, monkeypatch):
         for w in windows:
             w.register(value, t)
             w.evaluate(t)
-    assert 1 <= merges[0] / n <= 5, merges[0] / n
+    assert 1 <= merges["merge"] / n <= 5, merges["merge"] / n
     assert not median_merges, len(median_merges) / n
 
 
@@ -569,12 +583,12 @@ def test_counting_aggregator_counts_every_merge():
     ops += [("evaluate", 14.5), ("evaluate", 104.5), ("evaluate", 111.5)]
     counts, values = [], []
     for op, t in ops:
-        before = merges[0]
+        before = merges["merge"]
         if op == "register":
             w.register(t + 0.5, t)
         else:
             values.append(w.evaluate(t))
-        counts.append(merges[0] - before)
+        counts.append(merges["merge"] - before)
     assert counts == [0, 0, 0, 1, 2, 2, 1, 3, 2] + [1] * 6 + [2, 1, 3, 8, 2]
     # averages of 1..5, 1..6, 1..15, 5..15 and 12..15
     assert values == [3.0, 3.5, 8.0, 10.0, 13.5]
@@ -647,7 +661,7 @@ def test_merges_per_step_are_bounded(ratio):
             newest = next(reversed(w.panes), None)
             after = ["evaluate", "evict"] if k % 8 == 3 else ["evict", "evaluate"]
             for step, at in [("register", t)] + [(s, late) for s in after]:
-                panes, before = len(w.panes), merges[0]
+                panes, before = len(w.panes), merges["merge"]
                 if step == "register":
                     w.register(v, t)
                 else:
@@ -655,7 +669,7 @@ def test_merges_per_step_are_bounded(ratio):
                 evicted = panes - len(w.panes)
                 if step == "register":
                     evicted += next(reversed(w.panes)) != newest  # it opened one
-                over = merges[0] - before - 2 * evicted
+                over = merges["merge"] - before - 2 * evicted
                 assert over <= bound[step], (name, step, t, over)
                 worst[step] = max(worst[step], over)
             if k % 16 == 0:
@@ -663,6 +677,100 @@ def test_merges_per_step_are_bounded(ratio):
         assert w.evaluate(late) == _oracle(AggFn.SUM, events, late, r, z), name
     if ratio == 256:
         assert worst == bound  # reached
+
+
+# -- Subtract-on-Evict against Two-Stacks -------------------------------------
+
+#: the aggregations whose summaries are exact integers, which subtract each
+#: evicted pane from a running summary
+_SUBTRACTING = [
+    (AggFn.COUNT, ValueType.INT),
+    (AggFn.COUNT, ValueType.DOUBLE),
+    (AggFn.COUNT, ValueType.BOOL),
+    (AggFn.SUM, ValueType.INT),
+    (AggFn.AVG, ValueType.INT),
+]
+
+
+def _value(raw, ty):
+    return {ValueType.INT: raw, ValueType.DOUBLE: raw / 7.0, ValueType.BOOL: raw % 2 == 0}[ty]
+
+
+@given(
+    st.sampled_from(_SUBTRACTING),
+    st.sampled_from([1, 4, 256, Fraction(5, 2)]),
+    st.lists(
+        st.tuples(
+            st.sampled_from(["register", "register", "evaluate", "evict"]),
+            _STEP,
+            st.integers(-10**6, 10**6),
+            st.booleans(),  # at the instant last registered or swept
+        ),
+        min_size=1,
+        max_size=150,
+    ),
+)
+@settings(max_examples=300, deadline=None)
+def test_subtract_on_evict_equals_two_stacks(case, ratio, ops):
+    """A window that subtracts evicted panes from its running summary and a
+    Two-Stacks window built from the same snippets without the inverse
+    agree after every operation: on its result, the value and type of an
+    evaluation, the slots and the panes, in order."""
+    agg_fn, ty = case
+    agg = make_aggregator(agg_fn, ty)
+    assert "inverse" in agg.snippets
+    r = Fraction(8)
+    z = r / ratio
+    subtracting = PanedWindow(r, z, agg)
+    stacked = PanedWindow(r, z, Aggregator(**_two_stacks(agg.snippets)))
+    now = 0.0
+    for op, dt, raw, stay in ops:
+        if not stay:
+            now += dt
+        states = []
+        for w in (subtracting, stacked):
+            if op == "register":
+                got = w.register(_value(raw, ty), now)
+            else:
+                got = getattr(w, op)(now)
+            state = (got, type(got), w.slots, list(w.panes.items()))
+            value = w.evaluate(now)
+            states.append(state + (value, type(value), w.slots, list(w.panes.items())))
+        assert states[0] == states[1], (op, now)
+        assert list(subtracting._order) == list(subtracting.panes)
+
+
+def test_subtract_on_evict_merges_nothing():
+    """At r / z = 256 a subtracting window merges no summaries: a
+    registration adds its value to its pane and to the running summary,
+    two adds at most, and each pane a registration, an eviction or an
+    evaluation evicts is subtracted once. The steps are those of
+    `test_merges_per_step_are_bounded`."""
+    traces = list(_bound_traces())
+    traces = traces[:10] + traces[-3:]  # ten of criterion 3's and the rest
+    for agg_fn, ty in _SUBTRACTING:
+        agg, counts = _tallied(make_aggregator(agg_fn, ty).snippets, "add", "merge", "inverse")
+        for name, r, events in traces:
+            z = r / 256
+            w = PanedWindow(r, z, agg)
+            for k, (t, v) in enumerate(events):
+                late = t
+                if k % 4 == 3:  # a little later, but not after the next event
+                    late = min([t + float(z) / 3] + [e[0] for e in events[k + 1 : k + 2]])
+                newest = next(reversed(w.panes), None)
+                for step, at in [("register", t), ("evict", late), ("evaluate", late)]:
+                    panes = len(w.panes)
+                    counts.clear()
+                    if step == "register":
+                        w.register(_value(v, ty), t)
+                    else:
+                        getattr(w, step)(at)
+                    evicted = panes - len(w.panes)
+                    if step == "register":
+                        evicted += next(reversed(w.panes)) != newest  # it opened one
+                    assert counts["inverse"] == evicted, (name, step, t)
+                    assert counts["add"] <= (2 if step == "register" else 0), (name, step, t)
+                    assert counts["merge"] == 0, (name, step, t)
 
 
 @given(
