@@ -18,11 +18,10 @@ evict panes whose entire span lies at or before ts - r.
 
 Cost model, in summary operations (Li et al., "No pane, no gain", SIGMOD
 Record 2005, for the panes; Tangwongsan, Hirzel and Schneider, "General
-Incremental Sliding-Window Aggregation", PVLDB 2015, for Subtract-on-Evict
-and Two-Stacks, and "In-Order Sliding-Window Aggregation in Worst-Case
-Constant Time", VLDB Journal 2021, for the latter's deamortization; Okasaki,
-"Simple and efficient purely functional queues and deques", JFP 1995, for
-the rotation):
+Incremental Sliding-Window Aggregation", PVLDB 2015, for Subtract-on-Evict,
+and "In-Order Sliding-Window Aggregation in Worst-Case Constant Time", VLDB
+Journal 2021, for the deamortized Two-Stacks; Okasaki, "Simple and efficient
+purely functional queues and deques", JFP 1995, for the rotation):
 
 - two schemes, chosen by the aggregation alone (`make_aggregator`): the
   aggregations whose summaries are exact integers, count over any type and
