@@ -389,7 +389,7 @@ def _define(source: str, **names) -> dict:
 
 #: span(w, ts): the pane that holds ts, ceil(ts / z) - 1, and the eviction
 #: horizon floor((ts - r) / z) in window w, exactly, by the arithmetic that
-#: `_TEMPLATE` writes inline
+#: the window templates write inline (`_PLACE`)
 _span = _define(
     f"def span(w, ts):{_PLACE}    return (q if rem else q - 1), kill"
 )["span"]
