@@ -40,7 +40,8 @@ class AggFn(enum.Enum):
 
     @property
     def homomorphic(self) -> bool:
-        """Whether per-pane summaries combine into the whole-window result."""
+        """Whether a pane of this aggregation is one slot, whatever the
+        values it holds; a median pane holds one slot per value."""
         return self is not AggFn.MEDIAN
 
     def __str__(self) -> str:

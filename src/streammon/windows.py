@@ -23,36 +23,49 @@ and "In-Order Sliding-Window Aggregation in Worst-Case Constant Time", VLDB
 Journal 2021, for the deamortized Two-Stacks; Okasaki, "Simple and efficient
 purely functional queues and deques", JFP 1995, for the rotation):
 
-- two schemes, chosen by the aggregation alone (`make_aggregator`): the
-  aggregations whose summaries are exact integers, count over any type and
-  sum and avg over int, subtract on evict; float sum and avg, min, max and
-  integral aggregate their panes as a deamortized Two-Stacks. Only exact
-  summaries may subtract. Min and max have no inverse. A float sum less
-  its oldest part is not the float sum of the rest: subtracting would
-  re-associate the additions, so results and the verdict digests would
-  move in their last bits, and the running sum would keep the rounding
-  error of every value that ever passed through it (1e20 + 1 - 1e20 is 0).
-  Int `+` and `-` are exact, so both schemes give the same integers.
+- two schemes, picked by whether the summary has an exact inverse
+  (`make_aggregator`): count over any type and sum and avg over int, whose
+  summaries are exact integers, and median, whose summary is a multiset,
+  subtract on evict; float sum and avg, min, max and integral aggregate
+  their panes as a deamortized Two-Stacks. Min and max have no inverse. A
+  float sum less its oldest part is not the float sum of the rest:
+  subtracting would re-associate the additions, so results and the
+  verdict digests would move in their last bits, and the running sum would
+  keep the rounding error of every value that ever passed through it (1e20
+  + 1 - 1e20 is 0). Int `+` and `-` are exact, so both schemes give the
+  same integers.
 - Subtract-on-Evict: a window keeps its per-pane summaries, a FIFO of the
   retained pane indices, oldest first, and one running summary of all
   retained panes. `register` adds the value to its pane and to the running
   summary; each evicted pane is subtracted from it once (the inverse
   snippet); `evaluate` lowers the running summary. Worst case, independent
   of r / z: `register` does 2 adds and no merge, `evaluate` no add and no
-  merge, each plus one inverse per pane it evicts, and `evict` one inverse
-  per pane it evicts. A step evicts at most the ceil(r / z) + 1 retained
-  panes, and each pane is evicted once, so over a run the inverses number
-  at most the panes opened. The oldest pane comes from the FIFO, not from
-  the pane dict: finding a dict's first key walks every entry deleted at
-  its front, a cost that grows with the panes the window ever evicted. The
-  FIFO is a list, and a step drops the indices it evicted with one `del` of
-  that prefix, a move of at most ceil(r / z) + 1 pointers; a deque would
-  cost some 760 bytes per window, more than the list for windows of up to
-  about 90 panes.
+  merge, each plus one inverse per pane it evicts. A step evicts at most
+  the ceil(r / z) + 1 retained panes, and each pane is evicted once, so
+  over a run the inverses number at most the panes opened. The oldest pane
+  comes from the FIFO, not from the pane dict: finding a dict's first key
+  walks every entry deleted at its front, a cost that grows with the panes
+  the window ever evicted. The FIFO is a list, and a step drops the
+  indices it evicted with one `del` of that prefix, a move of at most
+  ceil(r / z) + 1 pointers; a deque would cost some 760 bytes per window,
+  more than the list for windows of up to about 90 panes.
+- median (Gray et al., "Data Cube", DMKD 1997: no pane summary of bounded
+  size gives it) summarizes a range by its NaN count and its other values,
+  sorted, equal ones in arrival order: a pane holds one slot per value, and
+  each retained value is referenced twice, by its pane and by the running
+  summary. Over n retained values, `register` does 2 inserts of O(log n)
+  comparisons each (`bisect.insort`, after the values equal to it), and
+  `evaluate` reads O(1) entries: the NaN count, and then the middle one or
+  two values, which give `statistics.median_low` over int and
+  `statistics.median` over double bit for bit; a NaN anywhere in the
+  window makes the median NaN, as it does min and max. Eviction removes
+  each value of each evicted pane from the running summary by bisection,
+  as the first of the values equal to it: the evicted values are the
+  oldest retained, so what is left, down to the order of 0.0 and -0.0, is
+  what a stable sort of the remaining values gives.
 - Two-Stacks, worst case, independent of r / z: `register` does at most 2
-  merges and `evaluate` at most 3, each plus 2 per pane it evicts, and
-  `evict` 2 per pane it evicts. A registration into the open pane does
-  none.
+  merges and `evaluate` at most 3, each plus 2 per pane it evicts. A
+  registration into the open pane does none.
 - the Two-Stacks panes form a FIFO aggregated in two stacks. In time
   order: a "front" stack of suffix aggregates over the oldest closed panes,
   whose top covers them all; while a rotation runs, the "frozen" panes
@@ -87,29 +100,28 @@ purely functional queues and deques", JFP 1995, for the rotation):
   opens a pane evicts, and so does an evaluation), so an evaluation at that
   instant skips the arithmetic and the out-of-order check; a registration
   into the open pane clears it.
-- no call per summary operation or rotation step: each combinable
-  aggregation is defined once, as Python source snippets for its empty
-  summary, add, merge, lower and, if exact, inverse (`make_aggregator`).
+- no call per summary operation or rotation step: each aggregation is
+  defined once, as Python source snippets for its empty summary, add,
+  merge, lower and, if it has one, inverse (`make_aggregator`).
   `_FUNCTIONS` writes them into the reference methods `new`, `add`, `merge`
   and `lower`, and `_SUBTRACT`, or `_TWO_STACKS` with the rotation steps
-  (`_ROTATE`), inline into the aggregation's register, evict and evaluate
-  functions. That code is built once per aggregation and process, and
-  `PanedWindow`'s methods delegate to it in one call.
-- median is the exception: its panes keep raw values, and an evaluation
-  concatenates all retained panes once and sorts them; a NaN anywhere in
-  the window makes the median NaN, as it does min and max. Its oldest pane
-  comes from a FIFO of pane indices, as under Subtract-on-Evict.
-- slot_count: O(1), kept as a running count. A pane of a combinable
-  aggregation is one slot; a median pane holds one slot per value.
+  (`_ROTATE`), inline into the aggregation's register and evaluate
+  functions; only median's inverse, a loop, is a function call
+  (`_remove_oldest`), one per evicted pane. That code is built once per
+  aggregation and process, and `PanedWindow`'s methods delegate to it in
+  one call.
+- slot_count: O(1), kept as a running count. A pane is one slot, except a
+  median pane, which holds one slot per value: that rule is snippet text
+  of `_SUBTRACT` too (`_ONE_SLOT`).
 """
 
 from __future__ import annotations
 
 import math
-import statistics
+from bisect import bisect_left, insort
 from fractions import Fraction
 from functools import lru_cache
-from itertools import chain
+from operator import setitem
 
 from .ast import AggFn, ValueType
 from .compiler import _code
@@ -179,7 +191,7 @@ _PLACE = """
         kill = q - k - (rem * rd < fr * d)
 """
 
-#: the functions of every combinable aggregation. In a snippet, s is a
+#: the reference functions of every aggregation. In a snippet, s is a
 #: summary, ts and v an instant and a value, and a and b the summaries of two
 #: adjacent time ranges, a's before b's; {empty} is an empty window's value
 _FUNCTIONS = """
@@ -194,12 +206,6 @@ def merge(a, b):
 
 def lower(s):
     return {lower}
-
-def evict(w, ts):
-    if ts < w.last_ts:
-        raise late(f'window swept at {{ts}} before {{w.last_ts}}')
-    sweep(w, ts)
-    w.swept = w.last_ts = ts
 """
 
 #: the window code of the Two-Stacks scheme (see the module docstring)
@@ -296,7 +302,10 @@ def evaluate(w, ts):
 
 #: the window code of the Subtract-on-Evict scheme (see the module
 #: docstring). In the inverse snippet, a summarizes a time range and b the
-#: oldest part of it; it gives the summary of the rest
+#: oldest part of it; it gives the summary of the rest. The slot rule enters
+#: as two snippets: `fold` ends a registration into the open pane and
+#: returns the slots it added, and `held` is the slot count after an
+#: eviction, of the running summary a and the retained panes `order`
 _SUBTRACT = """
 def clear(w):
     w._order = []
@@ -314,7 +323,7 @@ def register(w, v, ts):
         s = panes[idx]
         panes[idx] = {add}
         w.swept = None  # an evaluation must check its instant again
-        return 0
+        {fold}
     s = {new}
     panes[idx] = {add}
     w._open = idx
@@ -334,8 +343,9 @@ def register(w, v, ts):
         j += 1
     del order[:j]
     w._total = a
-    w.slots += 1 - j
-    return 1 - j
+    gained = {held} - w.slots
+    w.slots += gained
+    return gained
 
 def sweep(w, ts):
     # evicts the panes i with i + 1 <= kill, oldest first, as `register` does{place}
@@ -351,7 +361,7 @@ def sweep(w, ts):
             j += 1
         del order[:j]
         w._total = a
-        w.slots -= j
+        w.slots = {held}
         if not order:
             w._open = None
 
@@ -367,6 +377,11 @@ def evaluate(w, ts):
     return {lower}
 """
 
+#: the slot rule of `_SUBTRACT` where a pane is one slot, and where each
+#: value is one, with the slot count of the running summary a as `held`
+_ONE_SLOT = dict(fold="return 0", held="len(order)")
+_VALUE_SLOT = dict(fold="w.slots += 1\n        return 1")
+
 
 def _late(message: str) -> OutOfOrderError:
     return OutOfOrderError([Diagnostic(message)])
@@ -381,29 +396,26 @@ def _define(source: str, **names) -> dict:
         late=_late,
         nan_max=nan_max,
         nan_min=nan_min,
+        nan=math.nan,
+        insort=insort,
+        setitem=setitem,
+        remove_oldest=_remove_oldest,
         EXACT=_EXACT,
     )
     exec(_code(source), scope)
     return scope
 
 
-#: span(w, ts): the pane that holds ts, ceil(ts / z) - 1, and the eviction
-#: horizon floor((ts - r) / z) in window w, exactly, by the arithmetic that
-#: the window templates write inline (`_PLACE`)
-_span = _define(
-    f"def span(w, ts):{_PLACE}    return (q if rem else q - 1), kill"
-)["span"]
-
-
 class Aggregator:
-    """One combinable aggregation: its summary arithmetic as snippets, and
-    the window functions built from them. merge(a, b) requires that a
-    summarizes a time range entirely before b's; adjacent-range merging is
-    associative for all of these summaries. With an `inverse` snippet, which
-    takes the oldest part b out of a, the windows subtract each evicted pane
-    from one running summary (`_SUBTRACT`); without one, they aggregate the
-    panes as a Two-Stacks (`_TWO_STACKS`). `names` are objects the snippets
-    read."""
+    """One aggregation: its summary arithmetic as snippets, and the window
+    functions built from them. merge(a, b) requires that a summarizes a time
+    range entirely before b's; adjacent-range merging is associative for all
+    of these summaries. With an `inverse` snippet, which takes the oldest
+    part b out of a, the windows subtract each evicted pane from one running
+    summary (`_SUBTRACT`); without one, they aggregate the panes as a
+    Two-Stacks (`_TWO_STACKS`). A pane is one slot, unless a subtracting
+    aggregation gives `slots`, the slot count of a summary a: then each
+    value is one. `names` are objects the snippets read."""
 
     def __init__(
         self,
@@ -413,6 +425,7 @@ class Aggregator:
         merge: str,
         lower: str,
         inverse: str | None = None,
+        slots: str | None = None,
         **names,
     ):
         self.snippets = dict(empty=empty, new=new, add=add, merge=merge, lower=lower)
@@ -421,76 +434,23 @@ class Aggregator:
             window = _TWO_STACKS.format(rotate=rotate, place=_PLACE, **self.snippets)
         else:
             self.snippets["inverse"] = inverse
-            window = _SUBTRACT.format(place=_PLACE, **self.snippets)
+            rule = _ONE_SLOT
+            if slots is not None:
+                self.snippets["slots"] = slots
+                rule = dict(_VALUE_SLOT, held=slots)
+            window = _SUBTRACT.format(place=_PLACE, **rule, **self.snippets)
         scope = _define(_FUNCTIONS.format(**self.snippets) + window, **names)
-        for name in ("new", "add", "merge", "lower", "clear", "register", "evict", "evaluate"):
+        for name in ("new", "add", "merge", "lower", "clear", "register", "evaluate"):
             setattr(self, name, scope[name])
 
 
-class _Median(Aggregator):
-    """Not pane-combinable: each pane keeps its raw values, one slot per
-    value, re-merged on evaluation. `_order` holds the retained pane
-    indices, oldest first, as under `_SUBTRACT`."""
-
-    def __init__(self, int_result: bool):
-        self.int_result = int_result
-
-    def merge(self, left, right):
-        return left + right
-
-    def lower(self, summary):
-        if self.int_result:
-            return statistics.median_low(summary)
-        # sorting with NaN depends on the input order; NaN wins as in min/max
-        if any(map(math.isnan, summary)):
-            return math.nan
-        return statistics.median(summary)
-
-    @staticmethod
-    def clear(w) -> None:
-        w._order = []
-
-    def register(self, w, value, ts) -> int:
-        if ts < w.last_ts:
-            raise _late(f"window registration at {ts} after {w.last_ts}")
-        w.last_ts = ts
-        idx, kill = _span(w, ts)
-        slots = w.slots
-        w.slots = slots + 1
-        if idx == w._open:
-            w.panes[idx].append(value)
-            w.swept = None
-            return 1
-        w.panes[idx] = [value]
-        w._open = idx
-        w._order.append(idx)
-        self._sweep(w, kill)
-        w.swept = ts
-        return w.slots - slots
-
-    def evict(self, w, ts) -> None:
-        if ts < w.last_ts:
-            raise _late(f"window swept at {ts} before {w.last_ts}")
-        self._sweep(w, _span(w, ts)[1])
-        w.swept = w.last_ts = ts
-
-    @staticmethod
-    def _sweep(w, kill: int) -> None:
-        order = w._order
-        n = len(order)
-        j = 0
-        while j < n and order[j] < kill:
-            w.slots -= len(w.panes.pop(order[j]))
-            j += 1
-        del order[:j]
-        if not order:
-            w._open = None
-
-    def evaluate(self, w, ts):
-        self.evict(w, ts)
-        if not w.panes:
-            return UNDEFINED
-        return self.lower(list(chain.from_iterable(w.panes.values())))
+def _remove_oldest(a: list, b: list) -> list:
+    """The median summary a less b, the summary of its oldest values: each
+    value of b goes as the first of the values in a equal to it."""
+    a[0] -= b[0]
+    for v in b[1:]:
+        del a[bisect_left(a, v, 1)]
+    return a
 
 
 #: an integral summary is (t_first, v_first, t_last, v_last, area): the
@@ -507,9 +467,9 @@ _TRAPEZOIDS = (
 @lru_cache(maxsize=None)
 def make_aggregator(agg: AggFn, target_ty: ValueType) -> Aggregator:
     """The aggregator of `agg` over `target_ty` values. Those whose
-    summaries are exact integers, count over any type and sum and avg over
-    int, get an inverse snippet and so subtract on eviction; the others
-    aggregate their panes as a Two-Stacks (see the module docstring).
+    summaries have an exact inverse, count over any type, sum and avg over
+    int and median, get an inverse snippet and so subtract on eviction; the
+    others aggregate their panes as a Two-Stacks (see the module docstring).
     Aggregators hold no state, so each is built once per process and shared
     by every window."""
     integer = target_ty is ValueType.INT
@@ -534,7 +494,16 @@ def make_aggregator(agg: AggFn, target_ty: ValueType) -> Aggregator:
         case AggFn.INTEGRAL:
             return Aggregator("U", "None", *_TRAPEZOIDS, "s[4]")
         case AggFn.MEDIAN:
-            return _Median(integer)
+            # [NaN count, *the other values, sorted]; a NaN is only counted
+            add = "(insort(s, v, 1) if v == v else setitem(s, 0, s[0] + 1)) or s"
+            merge = "[a[0] + b[0], *sorted(a[1:] + b[1:])]"
+            mid = "s[len(s) // 2]"  # the middle value, or the lower middle one
+            lower = mid if integer else (
+                f"nan if s[0] else {mid} if len(s) % 2 == 0 else "
+                f"({mid} + s[len(s) // 2 + 1]) / 2"
+            )
+            inverse, slots = "remove_oldest(a, b)", "a[0] + len(a) - 1"
+            return Aggregator("U", "[0]", add, merge, lower, inverse, slots)
     raise ValueError(f"unknown aggregation {agg!r}")
 
 
@@ -548,8 +517,8 @@ class PanedWindow:
     (`clear`):
 
     - Subtract-on-Evict: `_order` holds the retained pane indices, oldest
-      first, and `_total` is the summary of every retained pane;
-    - median: `_order` as above;
+      first, and `_total` is the summary of every retained pane; a median
+      value is in its pane's summary and in `_total`;
     - Two-Stacks: the closed panes are aggregated in time order front,
       frozen, back. `_front` holds (pane index, summary of that pane and
       every later front pane) with the oldest pane on top. `_queue` holds
@@ -630,13 +599,10 @@ class PanedWindow:
         so that a caller charging slots need not read it around the call."""
         return self.agg.register(self, value, ts)
 
-    def evict(self, ts) -> None:
-        """Drop every pane whose entire span lies at or before ts - r:
-        (i+1)*z <= ts - r, i.e. i + 1 <= floor((ts - r) / z), exactly."""
-        self.agg.evict(self, ts)
-
     def evaluate(self, ts):
-        """Combine the panes overlapping (ts - r, ts] and lower the result.
+        """Combine the panes overlapping (ts - r, ts] and lower the result,
+        after dropping every pane whose entire span lies at or before ts - r:
+        (i+1)*z <= ts - r, i.e. i + 1 <= floor((ts - r) / z), exactly.
 
         Empty windows yield the aggregation's neutral element when it has one
         (count, sum) and UNDEFINED otherwise.
@@ -644,12 +610,5 @@ class PanedWindow:
         return self.agg.evaluate(self, ts)
 
     @property
-    def pane_count(self) -> int:
-        return len(self.panes)
-
-    @property
     def slot_count(self) -> int:
         return self.slots
-
-    def max_panes(self) -> int:
-        return math.ceil(self.duration / self.pane_width) + 1

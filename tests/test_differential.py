@@ -27,8 +27,8 @@ pane-aligned and the engine's panes cover exactly the reference's
 (ts - r, ts]; real-time offsets of 250 ms to 1.5 s put cutoffs on event
 instants as well as between them. Double inputs are small multiples of 1/2, so window sums are
 exact in any association order, and so are integrals over inputs, whose
-trapezoids are multiples of 1/16. A median sorts the same retained values
-on both sides.
+trapezoids are multiples of 1/16. A median is the middle of the same
+retained values on both sides.
 """
 
 import math
@@ -171,8 +171,12 @@ def _trace(seed):
 
 
 def _same(u, v):
+    """u and v are one value of one type; a float zero has the sign of the
+    other (0.0 == -0.0, but a verdict line prints the sign)."""
     if u != u and v != v:  # both NaN
         return True
+    if type(u) is float and type(v) is float and u == v:
+        return math.copysign(1.0, u) == math.copysign(1.0, v)
     return u == v and type(u) is type(v)
 
 

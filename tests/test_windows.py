@@ -11,11 +11,21 @@ from hypothesis import strategies as st
 
 from streammon import UNDEFINED, OutOfOrderError
 from streammon.ast import AggFn, ValueType
-from streammon.windows import Aggregator, PanedWindow, _span, make_aggregator
+from streammon.windows import _PLACE, Aggregator, PanedWindow, _define, make_aggregator
 
 
 def _window(agg, r, z, ty=ValueType.DOUBLE):
     return PanedWindow(Fraction(r), Fraction(z), make_aggregator(agg, ty))
+
+
+def _max_panes(w):
+    return math.ceil(w.duration / w.pane_width) + 1
+
+
+#: span(w, ts): the pane that holds ts, ceil(ts / z) - 1, and the eviction
+#: horizon floor((ts - r) / z) in window w, by the arithmetic that the window
+#: templates write inline
+_span = _define(f"def span(w, ts):{_PLACE}    return (q if rem else q - 1), kill")["span"]
 
 
 # -- oracle: bucket raw events into the same panes, aggregate directly -------
@@ -23,6 +33,13 @@ def _window(agg, r, z, ty=ValueType.DOUBLE):
 # The oracle does its own bucketing and never calls into streammon.windows.
 # Times, widths and durations (int, float or Fraction) are taken as their
 # exact integer ratios, so every comparison below is exact.
+
+
+def _pane(t, z):
+    """The pane that holds t: the smallest i with t <= (i+1) * z."""
+    zn, zd = z.as_integer_ratio()
+    tn, td = t.as_integer_ratio()
+    return -((-tn * zd) // (td * zn)) - 1
 
 
 def _retained(events, ts, r, z):
@@ -38,8 +55,7 @@ def _retained(events, ts, r, z):
         tn, td = t.as_integer_ratio()
         if tn * sd > sn * td:  # t > ts
             continue
-        idx = -((-tn * zd) // (td * zn)) - 1  # smallest i with t <= (i+1) * z
-        if (idx + 1) * pane_end > lo:
+        if (_pane(t, z) + 1) * pane_end > lo:
             keep.append((t, v))
     return keep
 
@@ -111,7 +127,7 @@ def test_register_folds_into_shared_pane():
     w = _window(AggFn.SUM, 30, 5)
     w.register(2.0, 1)
     w.register(3.0, 4)
-    assert w.pane_count == 1
+    assert len(w.panes) == 1
     assert w.evaluate(4) == 5.0
 
 
@@ -149,21 +165,21 @@ def test_evict_removes_panes_at_or_before_horizon():
     w = _window(AggFn.COUNT, 10, 1, ValueType.INT)
     for t in range(21):
         w.register(1, t)
-    w.evict(20)
+    assert w.evaluate(20) == 10
     assert sorted(w.panes) == list(range(10, 20))
 
 
 def test_evict_on_fresh_window_is_noop():
     w = _window(AggFn.COUNT, 10, 1, ValueType.INT)
-    w.evict(100)
-    assert w.pane_count == 0
+    assert w.evaluate(100) == 0
+    assert len(w.panes) == 0
 
 
 def test_burst_stays_in_one_pane():
     w = _window(AggFn.COUNT, 10, 1, ValueType.INT)
     for _ in range(10**5):
         w.register(1, 3.25)
-    assert w.pane_count == 1
+    assert len(w.panes) == 1
     assert w.panes[3] == 10**5
 
 
@@ -177,7 +193,7 @@ def test_out_of_order_registration_rejected():
 def test_evaluation_before_last_sweep_rejected():
     """An evaluation at 3.5 evicts pane 0, (0, 1], of a 2 s window; one at
     2.5 afterwards would lack the value that pane held, so it is rejected,
-    as are an eviction and a registration there, and nothing changes."""
+    as is a registration there, and nothing changes."""
     for agg in (AggFn.SUM, AggFn.MEDIAN):
         w = _window(agg, 2, 1)
         w.register(1.0, 1.0)
@@ -187,10 +203,10 @@ def test_evaluation_before_last_sweep_rejected():
         fresh.register(1.0, 2.0)
         assert fresh.evaluate(2.5) == 2.0 if agg is AggFn.SUM else 1.0
         assert w.evaluate(3.5) == 1.0
-        for late in (w.evaluate, w.evict, lambda ts: w.register(1.0, ts)):
+        for late in (w.evaluate, lambda ts: w.register(1.0, ts)):
             with pytest.raises(OutOfOrderError):
                 late(2.5)
-        assert w.pane_count == 1 and w.evaluate(3.5) == 1.0
+        assert len(w.panes) == 1 and w.evaluate(3.5) == 1.0
 
 
 def test_evaluation_at_last_sweep_sees_later_registration_rejected():
@@ -279,10 +295,10 @@ def test_integer_retained_equals_fraction_retained(trace):
 def test_paned_equals_bucketing_oracle(trace, agg):
     events, r, z = trace
     w = PanedWindow(r, z, make_aggregator(agg, ValueType.DOUBLE))
-    bound = w.max_panes()
+    bound = _max_panes(w)
     for i, (t, v) in enumerate(events):
         w.register(v, t)
-        assert w.pane_count <= bound
+        assert len(w.panes) <= bound
         if i % 7 == 0:
             got = w.evaluate(t)
             want = _oracle(agg, events[: i + 1], t, r, z)
@@ -292,7 +308,7 @@ def test_paned_equals_bucketing_oracle(trace, agg):
         got = w.evaluate(ts)
         want = _oracle(agg, events, ts, r, z)
         assert _close(got, want), (agg, ts, got, want)
-        assert w.pane_count <= bound
+        assert len(w.panes) <= bound
 
 
 @given(_traces())
@@ -339,12 +355,12 @@ def test_result_independent_of_pane_width(raw, agg):
 def test_pane_bound_invariant_after_any_sequence(trace):
     events, r, z = trace
     w = PanedWindow(r, z, make_aggregator(AggFn.COUNT, ValueType.INT))
-    bound = w.max_panes()
+    bound = _max_panes(w)
     for t, v in events:
         w.register(v, t)
-        assert w.pane_count <= bound
-        w.evict(t)
-        assert w.pane_count <= bound
+        assert len(w.panes) <= bound
+        w.evaluate(t)
+        assert len(w.panes) <= bound
 
 
 def test_evaluation_at_aligned_times_is_exact():
@@ -446,7 +462,7 @@ def _magnitude(agg, kept):
     st.sampled_from([1, 4, 256]),
     st.lists(
         st.tuples(
-            st.sampled_from(["register", "register", "evaluate", "evict"]),
+            st.sampled_from(["register", "register", "evaluate"]),
             _STEP,
             st.integers(-10**6, 10**6),
             st.booleans(),  # at the instant last registered or swept
@@ -472,13 +488,12 @@ def test_two_stacks_equals_left_fold(case, ratio, ops):
             before = w.slot_count
             assert w.register(value, now) == w.slot_count - before
             events.append((now, value))
-        elif op == "evaluate":
-            w.evaluate(now)
         else:
-            w.evict(now)
+            w.evaluate(now)
         got = w.evaluate(now)
-        assert w.pane_count <= w.max_panes()
-        per_pane = [1 if agg_fn.homomorphic else len(s) for s in w.panes.values()]
+        assert len(w.panes) <= _max_panes(w)
+        # a median pane is [NaN count, *sorted values], one slot per value
+        per_pane = [1 if agg_fn.homomorphic else s[0] + len(s) - 1 for s in w.panes.values()]
         assert w.slot_count == sum(per_pane)
         if not w.panes:
             assert got == (0 if agg_fn in (AggFn.COUNT, AggFn.SUM) else UNDEFINED)
@@ -490,6 +505,79 @@ def test_two_stacks_equals_left_fold(case, ratio, ops):
             kept = _retained(events, now, r, z)
             scale = max(1.0, abs(want), _magnitude(agg_fn, kept))
             assert abs(got - want) <= 1e-12 * scale, (op, got, want, scale)
+
+
+#: doubles with both zeros, NaN, both infinities and repeats
+_MEDIAN_DOUBLES = (
+    st.sampled_from([0.0, -0.0, 1.0])
+    | st.sampled_from([math.nan, math.inf, -math.inf])
+    | st.floats()
+)
+
+
+def _median_steps(values):
+    """Steps (op, time step, value, at the instant of the last one)."""
+    op = st.sampled_from(["register", "register", "evaluate"])
+    return st.lists(st.tuples(op, _STEP, values, st.booleans()), min_size=1, max_size=100)
+
+
+@given(
+    st.sampled_from([1, 4, 256, Fraction(5, 2)]),
+    st.tuples(st.just(ValueType.DOUBLE), _median_steps(_MEDIAN_DOUBLES))
+    | st.tuples(st.just(ValueType.INT), _median_steps(st.integers(-2, 2) | st.integers())),
+)
+# equal values stay in arrival order: the middle two are -0.0 and 0.0
+@example(
+    1,
+    (
+        ValueType.DOUBLE,
+        [("register", 0.0, v, True) for v in (-0.0, -0.0, 0.0, 1.0)]
+        + [("evaluate", 0.0, 0.0, True)],
+    ),
+)
+# evicting pane 0's 0.0 keeps pane 1's -0.0
+@example(
+    1,
+    (
+        ValueType.DOUBLE,
+        [("register", 1.0, 0.0, False), ("register", 9.0, -0.0, False)]
+        + [("evaluate", 7.0, 0.0, False)],
+    ),
+)
+@settings(max_examples=200, deadline=None)
+def test_median_is_bit_identical_to_statistics(ratio, case):
+    """Registrations and evaluations of a median window, in any mix: each
+    evaluation's repr, down to the sign of a zero, is that of
+    `statistics.median` (double) or `median_low` (int) of the retained
+    values in arrival order, or NaN if one of them is NaN; and after every
+    step the window's slots are the values its panes hold."""
+    ty, steps = case
+    r = Fraction(8)
+    z = r / ratio
+    w = PanedWindow(r, z, make_aggregator(AggFn.MEDIAN, ty))
+    events, panes = [], []
+    now = 0.0
+    for op, dt, value, stay in steps:
+        if not stay:
+            now += dt
+        if op == "register":
+            w.register(value, now)
+            events.append((now, value))
+            panes.append(_pane(now, z))
+        else:
+            got = w.evaluate(now)
+            kept = [v for _, v in _retained(events, now, r, z)]
+            if not kept:
+                assert got is UNDEFINED
+            else:
+                if any(v != v for v in kept):
+                    want = math.nan
+                elif ty is ValueType.INT:
+                    want = statistics.median_low(kept)
+                else:
+                    want = statistics.median(kept)
+                assert repr(got) == repr(want), (now, kept)
+        assert w.slots == sum(p in w.panes for p in panes), (op, now)
 
 
 # -- evaluation cost does not grow with r/z -----------------------------------
@@ -522,29 +610,65 @@ def _counting(agg):
 
 
 @pytest.mark.parametrize("ratio", [4, 256])
-def test_evaluate_merges_do_not_grow_with_panes(ratio, monkeypatch):
-    """20k events at about 4 per second into 10 s avg and median windows,
-    evaluated after every registration: a re-merge of the retained panes
-    would take about 40 merges per evaluation at r/z = 256. The avg
-    window's code is built with a counter around each merge it performs. A
-    median concatenates its raw panes once and merges no pair of them."""
+def test_evaluate_merges_do_not_grow_with_panes(ratio):
+    """20k events at about 4 per second into a 10 s avg window, evaluated
+    after every registration: a re-merge of the retained panes would take
+    about 40 merges per evaluation at r/z = 256. The window's code is built
+    with a counter around each merge it performs."""
     r = Fraction(10)
     avg, merges = _counting(make_aggregator(AggFn.AVG, ValueType.DOUBLE))
-    median = make_aggregator(AggFn.MEDIAN, ValueType.DOUBLE)
-    median_merges = []
-    monkeypatch.setattr(median, "merge", lambda *args: median_merges.append(args))
-    windows = [PanedWindow(r, r / ratio, agg) for agg in (avg, median)]
+    w = PanedWindow(r, r / ratio, avg)
     rng = random.Random(7)
     t = 0.0
     n = 20_000
     for _ in range(n):
         t += rng.expovariate(4.0)
-        value = rng.uniform(-50.0, 50.0)
-        for w in windows:
-            w.register(value, t)
-            w.evaluate(t)
+        w.register(rng.uniform(-50.0, 50.0), t)
+        w.evaluate(t)
     assert 1 <= merges["merge"] / n <= 5, merges["merge"] / n
-    assert not median_merges, len(median_merges) / n
+
+
+class _Compared(float):
+    """A float that counts the `<` comparisons made on it."""
+
+    count = 0
+
+    def __lt__(self, other):
+        _Compared.count += 1
+        return float.__lt__(self, other)
+
+
+@pytest.mark.parametrize("ratio", [4, 256])
+def test_median_steps_compare_logarithmically(ratio):
+    """30 s of values at 100 Hz, with repeats, both zeros and NaN, into a
+    10 s median window, each registration followed by an evaluation at its
+    instant. Over n retained values a registration makes its 2 inserts in
+    at most bit_length(n) comparisons each, and removes each value it
+    evicts in as many; an evaluation compares no value besides those it
+    evicts. A sort of the retained values per evaluation, as a median
+    without an inverse needs, would make some n log n."""
+    r = Fraction(10)
+    w = PanedWindow(r, r / ratio, make_aggregator(AggFn.MEDIAN, ValueType.DOUBLE))
+    rng = random.Random(11)
+    choices = [0.0, -0.0, math.nan, 1.0, 2.0]
+    compared = 0
+    for k in range(1, 3001):
+        t = k / 100
+        value = _Compared(rng.choice(choices) if k % 3 else rng.uniform(-5.0, 5.0))
+        for step in ("register", "evaluate"):
+            before, _Compared.count = w.slots, 0
+            if step == "register":
+                w.register(value, t)
+                evicted = before + 1 - w.slots
+                inserts = 2
+            else:
+                w.evaluate(t)
+                evicted, inserts = before - w.slots, 0
+            bits = (before + 1).bit_length()
+            assert _Compared.count <= (inserts + evicted) * bits, (k, step, _Compared.count)
+            compared += _Compared.count
+    assert w.slots == 1000  # the values in (20, 30]
+    assert compared > 10 * 3000  # the count sees the comparisons
 
 
 def test_counting_aggregator_counts_every_merge():
@@ -595,7 +719,7 @@ def test_counting_aggregator_counts_every_merge():
 
 
 #: the most merges a registration and an evaluation do, besides two per
-#: pane they evict (windows.py, "worst case"); an eviction does none besides
+#: pane they evict (windows.py, "worst case")
 _C_REGISTER, _C_EVALUATE = 2, 3
 
 
@@ -638,34 +762,33 @@ def test_merges_per_step_are_bounded(ratio):
     it evicts, and no evaluation more than _C_EVALUATE plus two per pane,
     whatever r / z: the Two-Stacks flip that re-merged up to r / z closed
     panes inside one registration is spread over the steps. Each trace
-    registers every event and evicts and evaluates after it: a registration
-    that opens a pane evicts, and after every fourth event the eviction and
-    the evaluation come a little later, either first, and evict instead.
+    registers every event and evaluates after it: a registration that
+    opens a pane evicts, and after every fourth event the evaluation comes
+    a little later and evicts instead.
     With r / z = 5 / 2 (r = 2.5 z) the horizon falls inside panes. Integer
     sums keep the values exact: evaluations equal the left fold of the
     retained panes, and the last one the bucketing oracle. At r / z = 256
     the bounds are reached."""
     agg, merges = _counting(make_aggregator(AggFn.SUM, ValueType.INT))
-    worst = {"register": 0, "evaluate": 0, "evict": 0}
+    worst = {"register": 0, "evaluate": 0}
     for name, r, events in _bound_traces():
         if isinstance(ratio, Fraction):
             r, z = Fraction(5, 2), Fraction(1)
         else:
             z = r / ratio
         w = PanedWindow(r, z, agg)
-        bound = {"register": _C_REGISTER, "evaluate": _C_EVALUATE, "evict": 0}
+        bound = {"register": _C_REGISTER, "evaluate": _C_EVALUATE}
         for k, (t, v) in enumerate(events):
             late = t
             if k % 4 == 3:  # a little later, but not after the next event
                 late = min([t + float(z) / 3] + [e[0] for e in events[k + 1 : k + 2]])
             newest = next(reversed(w.panes), None)
-            after = ["evaluate", "evict"] if k % 8 == 3 else ["evict", "evaluate"]
-            for step, at in [("register", t)] + [(s, late) for s in after]:
+            for step in ("register", "evaluate"):
                 panes, before = len(w.panes), merges["merge"]
                 if step == "register":
                     w.register(v, t)
                 else:
-                    getattr(w, step)(at)
+                    w.evaluate(late)
                 evicted = panes - len(w.panes)
                 if step == "register":
                     evicted += next(reversed(w.panes)) != newest  # it opened one
@@ -701,7 +824,7 @@ def _value(raw, ty):
     st.sampled_from([1, 4, 256, Fraction(5, 2)]),
     st.lists(
         st.tuples(
-            st.sampled_from(["register", "register", "evaluate", "evict"]),
+            st.sampled_from(["register", "register", "evaluate"]),
             _STEP,
             st.integers(-10**6, 10**6),
             st.booleans(),  # at the instant last registered or swept
@@ -741,14 +864,15 @@ def test_subtract_on_evict_equals_two_stacks(case, ratio, ops):
 
 
 def test_subtract_on_evict_merges_nothing():
-    """At r / z = 256 a subtracting window merges no summaries: a
-    registration adds its value to its pane and to the running summary,
-    two adds at most, and each pane a registration, an eviction or an
+    """At r / z = 256 a subtracting window, median's included, merges no
+    summaries: a registration adds its value to its pane and to the running
+    summary, two adds at most, and each pane a registration or an
     evaluation evicts is subtracted once. The steps are those of
     `test_merges_per_step_are_bounded`."""
     traces = list(_bound_traces())
     traces = traces[:10] + traces[-3:]  # ten of criterion 3's and the rest
-    for agg_fn, ty in _SUBTRACTING:
+    medians = [(AggFn.MEDIAN, ValueType.DOUBLE), (AggFn.MEDIAN, ValueType.INT)]
+    for agg_fn, ty in _SUBTRACTING + medians:
         agg, counts = _tallied(make_aggregator(agg_fn, ty).snippets, "add", "merge", "inverse")
         for name, r, events in traces:
             z = r / 256
@@ -758,13 +882,13 @@ def test_subtract_on_evict_merges_nothing():
                 if k % 4 == 3:  # a little later, but not after the next event
                     late = min([t + float(z) / 3] + [e[0] for e in events[k + 1 : k + 2]])
                 newest = next(reversed(w.panes), None)
-                for step, at in [("register", t), ("evict", late), ("evaluate", late)]:
+                for step in ("register", "evaluate"):
                     panes = len(w.panes)
                     counts.clear()
                     if step == "register":
                         w.register(_value(v, ty), t)
                     else:
-                        getattr(w, step)(at)
+                        w.evaluate(late)
                     evicted = panes - len(w.panes)
                     if step == "register":
                         evicted += next(reversed(w.panes)) != newest  # it opened one
@@ -789,7 +913,7 @@ def test_pane_index_and_horizon_from_one_division(ts, r, z):
     """The pane that holds ts is ceil(ts / z) - 1 and the eviction horizon
     floor((ts - r) / z), exactly, both from one divmod, in `_span` and in
     the code that registers and evicts: a fresh window registers ts into
-    that pane, and an eviction at ts drops pane horizon - 1 and keeps the
+    that pane, and an evaluation at ts drops pane horizon - 1 and keeps the
     panes from the horizon on."""
     exact = Fraction(ts)
     pane, horizon = math.ceil(exact / z) - 1, math.floor((exact - r) / z)
@@ -804,7 +928,7 @@ def test_pane_index_and_horizon_from_one_division(ts, r, z):
         instants = [horizon * z, min((horizon + 1) * z, exact), ts]
         for t in instants:
             w.register(1.0, t)
-        w.evict(ts)
+        w.evaluate(ts)
         kept = {pane, horizon} if (horizon + 1) * z <= exact else {pane}
         assert list(w.panes) == sorted(kept)
 
@@ -866,7 +990,7 @@ def test_float_placement_equals_integer_placement(case):
     the pane ceil(ts / z) - 1 and the horizon floor((ts - r) / z) exactly.
     Each window is checked on both paths (the integer one by clearing its
     float constants), through `_span` and through registering at ts and
-    evicting at ts + r."""
+    evaluating at ts + r."""
     z, r, ts = case
     exact = Fraction(ts)
     pane, horizon = math.ceil(exact / z) - 1, math.floor((exact - r) / z)
@@ -882,15 +1006,15 @@ def test_float_placement_equals_integer_placement(case):
             w.register(1.0, ts)
             assert list(w.panes) == [pane]
             if math.isfinite(later) and later >= ts:
-                w.evict(later)
+                w.evaluate(later)
                 kept = pane >= math.floor((Fraction(later) - r) / z)
                 assert list(w.panes) == ([pane] if kept else [])
 
 
-@pytest.mark.parametrize("agg_fn", _HOMOMORPHIC)
+@pytest.mark.parametrize("agg_fn", list(AggFn))
 def test_window_code_calls_no_aggregator_method(agg_fn, monkeypatch):
-    """The summary arithmetic is inline in the window code: registering,
-    evicting and evaluating, flips included, call none of the aggregator's
+    """The summary arithmetic is inline in the window code: registering and
+    evaluating, evictions and flips included, call none of the aggregator's
     reference methods."""
     agg = make_aggregator(agg_fn, ValueType.DOUBLE)
     calls = []
@@ -904,6 +1028,6 @@ def test_window_code_calls_no_aggregator_method(agg_fn, monkeypatch):
         w.evaluate(t)
         w.evaluate(t)
         if k % 9 == 0:
-            w.evict(t + 0.1)
+            w.evaluate(t + 0.1)
     assert w.evaluate(t + 10) in (0, 0.0, UNDEFINED)
     assert calls == []
