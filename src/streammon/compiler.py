@@ -24,17 +24,18 @@ the expression and a name no kernel local uses. A chain, a left-deep run of
 one level's operators (`ast.chain`), is written as one test over its
 operands, `U if (t0 := a) is U or (t1 := b) is U or ... else t0 + t1 ...`,
 with `/` and `%` steps held in temporaries of their own, or as one test
-carrying the value so far for `&` and `|`. Every operand is then two
-parentheses in, so the source nests with the expression's depth, not with
-its length.
+carrying the value so far for `&` and `|`; a constant is never tested.
+Every operand is then two parentheses in, so the source nests with the
+expression's depth, not with its length.
 
 `Compiler._read` writes every stream or window access in one shape: first
 the instance, bound by name when it is pinned (an input's, or a plain
 template's without a terminate clause, which lives for the whole trace) and
-otherwise looked up by its key; then the read, the current value
-inline and a past offset, a real-time offset or a window evaluation as a
-call of one helper each. A window evaluated at the instant it last swept
-evicts nothing, and is evaluated by a direct call instead (`_evaluate`).
+otherwise looked up by its key; then the read: the current value inline, as
+the instance's `value` or a flat entry (EMPTY read as U), and a past offset,
+a real-time offset or a window evaluation as a call of one helper each. A
+window evaluated at the instant it last swept evicts nothing, and is
+evaluated by a direct call instead (`_evaluate`).
 """
 
 from __future__ import annotations
@@ -146,11 +147,14 @@ class Compiler:
         evaluated left to right, is defined; UNDEFINED as soon as one is
         not."""
         temps, checks = zip(*(self._defined(e, names) for e in exprs))
-        return f"(U if {' or '.join(checks)} else {result.format(*temps)})"
+        return _unless(checks, result.format(*temps))
 
-    def _defined(self, expr: Expr, names: dict) -> tuple[str, str]:
+    def _defined(self, expr: Expr, names: dict) -> tuple[str, Optional[str]]:
         """A fresh temporary, and the test that assigns it expr's value and
-        holds when that value is undefined."""
+        holds when that value is undefined; for a constant, which is never
+        undefined, its name and no test."""
+        if isinstance(expr, Const):
+            return self.source(expr, names), None
         t = self._temp()
         return t, f"({t} := {self.source(expr, names)}) is U"
 
@@ -186,7 +190,7 @@ class Compiler:
                 held = self._temp()
                 checks.append(f"({held} := {value}) is U")
                 value = held
-        return f"(U if {' or '.join(checks)} else {value})"
+        return _unless(checks, value)
 
     def _read(self, node: StreamAccess | WindowAccess, names: dict) -> str:
         """The access's value: how to get the instance, then how to read it.
@@ -194,12 +198,8 @@ class Compiler:
         `_key` names, or else by the strict key of the access's arguments."""
         rt = self.streams[node.stream]
         pinned, args = None if node.args else rt.pinned, None
-        match node:
-            case WindowAccess(wkey=wkey) if pinned is not None:
-                return _evaluate(_bind(names, pinned.windows[wkey]))
-            case StreamAccess(offset=DiscreteOffset(steps=0)) if pinned is not None:
-                # its buffer is pruned in place
-                return f"({_bind(names, pinned.buf)} or NO_VALUE)[-1][1]"
+        if isinstance(node, WindowAccess) and pinned is not None:
+            return _evaluate(_bind(names, pinned.windows[node.wkey]))
         if pinned is not None:
             inst = _bind(names, pinned)
         else:
@@ -214,10 +214,11 @@ class Compiler:
                 window = f"({w} := {inst}.windows.get({_bind(names, wkey)}))"
                 read = f"(U if {window} is None else {_evaluate(w)})"
             case StreamAccess(offset=DiscreteOffset(steps=0)) if rt.flat:
-                # the entry is the latest (ts, value); no offset reads it
-                read = f"({get}({key}) or NO_ENTRY)[1]"
+                # the entry is the bare latest value, EMPTY before the first
+                t = self._temp()
+                read = f"(U if ({t} := {get}({key}, EMPTY)) is EMPTY else {t})"
             case StreamAccess(offset=DiscreteOffset(steps=0)):
-                read = f"({inst}.buf or NO_VALUE)[-1][1]"
+                read = f"{inst}.value"
             case StreamAccess(offset=DiscreteOffset(steps=n)):
                 own = "alpha" if node.stream == self.own else "None"
                 read = f"past({inst}, {_bind(names, -n)}, {own})"
@@ -235,6 +236,12 @@ class Compiler:
         if [getattr(a, "name", None) for a in node.args] == [*self.positions]:
             return "alpha"
         return self.keys.get(input_key(node.args, self.streams))
+
+
+def _unless(checks: Iterable[Optional[str]], value: str) -> str:
+    """value, or U as soon as one of the tests `checks` (None: none) holds."""
+    tests = " or ".join(filter(None, checks))
+    return f"(U if {tests} else {value})" if tests else f"({value})"
 
 
 def input_key(items: list[Expr], streams: dict) -> Optional[tuple[str, ...]]:
@@ -362,16 +369,13 @@ def _sqrt(v):
     return math.sqrt(x) if x >= 0 else math.nan
 
 
-#: what a read of a stream, flat entry or instance without a value looks up
-_NO_ENTRY = (None, UNDEFINED)
-_NO_VALUE = (_NO_ENTRY,)
-_NO_INSTANCE = SimpleNamespace(alpha=None, buf=(), windows={})
+#: what a read of a missing instance finds: no value, no history, no window
+_NO_INSTANCE = SimpleNamespace(alpha=None, value=UNDEFINED, buf=(), windows={})
 
 #: what every written expression reads by name, besides what it binds
 NAMES = dict(
     U=UNDEFINED,
-    NO_ENTRY=_NO_ENTRY,
-    NO_VALUE=_NO_VALUE,
+    EMPTY=(),  # a flat entry before its first extension
     NO_INSTANCE=_NO_INSTANCE,
     past=_past,
     at_time=_at_time,

@@ -102,7 +102,7 @@ from .ast import (
 from .compiler import _code
 from .diagnostics import AnalysisRefusal, Diagnostic, EngineError
 from .typecheck import TypedSpec
-from .values import jsonable
+from .values import UNDEFINED, jsonable
 from .windows import PanedWindow, make_aggregator
 
 __all__ = ["Event", "Verdict", "Monitor"]
@@ -147,24 +147,26 @@ class Verdict:
 
 
 class Instance:
-    """Live instance of a stream: bounded value buffer plus the window states
-    of every window expression that targets this stream. A parameterized
-    template keeping one value, no window and no double parameter stores
-    flat entries instead, which the collector does not walk (see
-    `_StreamRT.instances`)."""
+    """Live instance of a stream: its latest value, U before the first; its
+    (ts, value) buffer, which only a stream that an offset reads keeps (else
+    None: a stream of buffer plan `BufferPlan()` holds its one value bare,
+    with no instant); and the states of the windows that target it. A
+    template keeping one value, no window and no double parameter keeps
+    flat entries instead, bare values (see `_StreamRT.instances`)."""
 
-    __slots__ = ("alpha", "buf", "windows")
+    __slots__ = ("alpha", "value", "buf", "windows")
 
-    def __init__(self, alpha, windows: dict[int, PanedWindow]):
+    def __init__(self, alpha, windows: dict[int, PanedWindow], history: bool):
         self.alpha = alpha
-        self.buf: list[tuple] = []  # (ts, value), ascending ts
+        self.value = UNDEFINED
+        self.buf = [] if history else None  # (ts, value), ascending ts
         self.windows = windows
 
 
 @dataclass
 class _Disjunct:
     positions: tuple[int, ...]  # parameter positions bound by this disjunct
-    bufs: tuple[list, ...]  # value buffer of the input bound to each position
+    inputs: tuple[Instance, ...]  # instance of the input bound to each position
     full: bool
 
 
@@ -199,11 +201,12 @@ class _StreamRT:
     buffer_plan: BufferPlan = field(default_factory=BufferPlan)
     #: wkey -> an empty window, of which each instance's is a fresh copy
     window_plans: dict[int, PanedWindow] = field(default_factory=dict)
-    #: key alpha (see `kernel`) -> live instance; when `flat` (one value
-    #: kept, no window), the untracked tuple (ts, value) of its latest
-    #: extension, () before the first
-    instances: dict[object, Instance | tuple] = field(default_factory=dict)
+    #: key alpha (see `kernel`) -> live instance; when `flat` (one value kept,
+    #: no window, no double parameter), its bare latest value, () before the
+    #: first, which the collector does not track
+    instances: dict[object, object] = field(default_factory=dict)
     flat: bool = False
+    history: bool = False  # whether an offset reads it: its instances buffer
     #: parameter positions -> their values -> alphas of live instances
     indexes: dict[tuple, dict] = field(default_factory=dict)
     ext_plan: Optional[_CondPlan] = None
@@ -218,12 +221,12 @@ class _StreamRT:
     def new_instance(self, alpha) -> None:
         plans = self.window_plans
         windows = {k: p.fresh() for k, p in plans.items()} if plans else _NO_WINDOWS
-        self.instances[alpha] = () if self.flat else Instance(alpha, windows)
+        self.instances[alpha] = () if self.flat else Instance(alpha, windows, self.history)
         if self.indexes:
             for subset, index in self.indexes.items():
                 index.setdefault(tuple(alpha[i] for i in subset), set()).add(alpha)
 
-    def drop_instance(self, alpha) -> Instance | tuple:
+    def drop_instance(self, alpha) -> object:
         inst = self.instances.pop(alpha)
         for subset, index in self.indexes.items():
             key = tuple(alpha[i] for i in subset)
@@ -322,11 +325,12 @@ class Monitor:
 
         # inputs and plain outputs exist from the start of the trace
         for rt in self.streams.values():
-            rt.buffer_plan = plans[rt.name]
+            plan = rt.buffer_plan = plans[rt.name]
+            rt.history = plan.count_keep > 1 or plan.time_keep is not None  # not BufferPlan()
             if rt.tpl is None or not rt.tpl.params:
                 rt.new_instance(())
             else:  # an Instance keeps the alpha that a double's lookup names
-                rt.flat = rt.buffer_plan == BufferPlan() and not rt.window_plans
+                rt.flat = not rt.history and not rt.window_plans
                 rt.flat &= all(p.ty is not ValueType.DOUBLE for p in rt.tpl.params)
 
         # invoke table and lifecycle plans
@@ -383,8 +387,8 @@ class Monitor:
             if not bound:
                 return _CondPlan(gate)
             pos = tuple(sorted(bound))
-            bufs = tuple(self.streams[bound[i]].instances[()].buf for i in pos)
-            disjuncts.append(_Disjunct(pos, bufs, len(bound) == k))
+            inputs = tuple(self.streams[bound[i]].instances[()] for i in pos)
+            disjuncts.append(_Disjunct(pos, inputs, len(bound) == k))
         lookup = len(disjuncts) == 1 and disjuncts[0].full
         return _CondPlan(gate, disjuncts, tuple(map(bound.get, range(k))) if lookup else None)
 

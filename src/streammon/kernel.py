@@ -7,7 +7,8 @@ each), a second function the kernel calls by `Monitor.evaluate_triggers`;
 `event_checks`, refusing a bad event before anything changes; `due_ticks`,
 the loop over the ticks due before an event; `feed`, an input's feed;
 `extend`, a stream's extension (coercion, saturation, pruning, window
-registration, slot charge, extension record and invokes); `invoke`, and
+registration, slot charge, the store of v, bare unless an offset reads the
+stream, extension record and invokes); `invoke`, and
 `invokes_after` for an invoke placed after the last of several streams it
 reads; `step`, a template's step (gate, instances by `find`, value);
 `terminate`, a termination.
@@ -26,7 +27,7 @@ A lookup key is the key of the inputs that an extend or terminate plan's
 one full disjunct binds (`_CondPlan.key`), or that an invoke clause lists.
 Each is one local k{n} per step that invokes, finds and reads by those
 inputs share: a key of one input is built in its feed (and in its else
-branch, by its buffer, if a lookup's block is not gated by the feed); any
+branch, by its value, if a lookup's block is not gated by the feed); any
 other before the first block that reads it. A template keeping flat
 entries and no index invokes by a store of () into its map, not by
 `new_instance`: on bind-1e5, where five events in six invoke, that is
@@ -59,7 +60,7 @@ from .ast import StreamAccess, WindowAccess, accesses, chain, operands, walk
 from .compiler import NAMES, Compiler, _bind, bare_key, count_until, input_key, key_format
 from .diagnostics import Diagnostic, EngineError, OutOfOrderError
 from .parser import _expr_str
-from .values import INT64_MAX, INT64_MIN, saturate_i64
+from .values import INT64_MAX, INT64_MIN, UNDEFINED, saturate_i64
 
 _CLASSES = dict(BOOL={bool}, INT={int}, DOUBLE={int, float})
 #: what an event kernel reads for an input the event does not bind
@@ -204,7 +205,7 @@ class KernelWriter:
         return self.keys.get(inputs)
 
     def stored(self, inputs: tuple) -> str:
-        """The key of `inputs` from their buffers, U while one is empty."""
+        """The key of `inputs` from their values, U while one has none."""
         return self.source(TupleExpr(items=[StreamAccess(stream=x) for x in inputs]))
 
     def changed(self, streams: frozenset, record: str = "extended") -> str:
@@ -333,20 +334,16 @@ class KernelWriter:
             warning = bind(f"{rt.name}: integer overflow, value saturated")
             put(depth, "if not MIN <= v <= MAX:", "    v = saturate(v)")
             put(depth, f"    m._warn(ts, {warning})")
-        b = f"b = {inst}.buf"
-        if rt.flat:  # the entry is replaced; its one slot is charged once
-            put(depth, f"g = 0 if {inst} else 1")
-            put(depth, f"{bind(rt.instances)}[{alpha}] = (ts, v)")
-        elif plan.time_keep is not None:  # prune by time
+        b, unset = f"b = {inst}.buf", _unset(rt, inst)
+        if plan.time_keep is not None:  # prune by time
             put(depth, b, "b.append((ts, v))", f"d = expired({bind(plan)}, b, ts)")
             put(depth, "if d > 0:", "    del b[:d]", "g = 1 - max(d, 0)")
-        elif plan.count_keep == 1:  # a single slot, reused in place
-            put(depth, b, "if b:", "    b[0] = (ts, v)", "    g = 0")
-            put(depth, "else:", "    b.append((ts, v))", "    g = 1")
-        else:  # prune by count
+        elif rt.history:  # prune by count
             put(depth, b, "b.append((ts, v))")
             put(depth, f"if len(b) > {bind(plan.count_keep)}:", "    del b[0]")
             put(depth, "    g = 0", "else:", "    g = 1")
+        elif rt.window_plans:  # else the one value, held bare, is charged below
+            put(depth, f"g = 1 if {unset} else 0")
         if rt.pinned is not None:  # its windows are bound by name
             for w in rt.pinned.windows.values():
                 put(depth, f"g += {bind(w)}.register(v, ts)")
@@ -354,8 +351,11 @@ class KernelWriter:
             put(depth, f"w = {inst}.windows")
             for wkey in rt.window_plans:
                 put(depth, f"g += w[{bind(wkey)}].register(v, ts)")
-        put(depth, "if g:", "    s = m.slots = m.slots + g")
+        # g, else the one slot of a bare value that had none
+        test, g = ("g", "g") if rt.history or rt.window_plans else (unset, "1")
+        put(depth, f"if {test}:", f"    s = m.slots = m.slots + {g}")
         put(depth, "    if s > m.peak_slots:", "        m.peak_slots = s")
+        put(depth, f"{bind(rt.instances)}[{alpha}] = v" if rt.flat else f"{inst}.value = v")
         if rt.tpl is None or not rt.tpl.params:  # extends once per step
             put(depth, f"extended[{key}] = PINNED")
         else:
@@ -421,7 +421,7 @@ class KernelWriter:
         """Drops each instance of rt whose terminate condition holds."""
         put = self.put
         depth, _ = self.find(condition, rt, rt.ter_plan, rt.tpl.terminate)
-        refund = "1 if d else 0" if rt.flat else "len(d.buf)"
+        refund = "len(d.buf)" if rt.history else f"0 if {_unset(rt, 'd')} else 1"
         put(depth, f"d = {self.bind(rt.drop_instance)}(alpha)", f"m.slots -= {refund}")
         if rt.window_plans:
             put(depth, "m.slots -= sum(w.slot_count for w in d.windows.values())")
@@ -485,6 +485,11 @@ def _params(rt: engine._StreamRT, alpha: str) -> str:
     return f"({alpha},)" if bare_key(len(rt.tpl.params)) else alpha
 
 
+def _unset(rt: engine._StreamRT, inst: str) -> str:
+    """The test, as source, that `inst`, a live instance of rt, has no value."""
+    return f"{inst} is EMPTY" if rt.flat else f"{inst}.value is U"
+
+
 def _reads_param(node: Expr, own: str) -> bool:
     """Whether node is a parameter or an access to the stream `own`."""
     return isinstance(node, ParamRef) or getattr(node, "stream", None) == own
@@ -515,8 +520,8 @@ def _candidates(rt: engine._StreamRT, plan: engine._CondPlan) -> list:
     indexes without iterating the instance map."""
     found: set[tuple] = set()
     for d in plan.disjuncts:
-        if all(d.bufs):
-            key = tuple(buf[-1][1] for buf in d.bufs)
+        key = tuple(i.value for i in d.inputs)
+        if UNDEFINED not in key:
             if not d.full:  # of two or more parameters
                 found.update(rt.indexes[d.positions].get(key, ()))
                 continue

@@ -7,6 +7,8 @@ sys.path.insert(0, str(Path(__file__).parent))
 
 from streammon import check_types, parse
 from streammon.compiler import bare_key
+from streammon.engine import Instance
+from streammon.values import UNDEFINED
 
 # -- specification corpus ----------------------------------------------------
 
@@ -102,6 +104,15 @@ def alpha(rt, key) -> tuple:
 def live(rt) -> dict:
     """The live instances of stream runtime rt by their parameter tuples."""
     return {alpha(rt, key): entry for key, entry in rt.instances.items()}
+
+
+def latest(entry):
+    """The latest value a live instance of the engine holds, UNDEFINED before
+    its first extension: an Instance's `value`, or a flat entry, which is the
+    bare value itself and () before the first."""
+    if isinstance(entry, Instance):
+        return entry.value
+    return UNDEFINED if entry == () else entry
 
 
 @pytest.fixture

@@ -426,11 +426,11 @@ def test_criterion_7_efficient_binding(monkeypatch):
             ts += 0.01
             monitor.process(Event(ts, {"ID": k % 500, "x": 3.0}))
             if k == 3:
-                extended_at = ts
+                assert monitor._step_extended["f"] == [3]
     finally:
         _NoIterationDict.armed = False
-    # f(3) extended in the armed loop: its flat entry holds that extension
-    assert live(rt)[(3,)] == (extended_at, 3.0)
+    # f(3) extended in the armed loop: its flat entry is that extension's value
+    assert live(rt)[(3,)] == 3.0
 
     # timing half: per-event cost flat within 3x from 1e2 to 1e5 instances
     small, ts_small = _populated_monitor(100)

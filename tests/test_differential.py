@@ -41,11 +41,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import alpha, live
+from conftest import alpha, latest, live
 from oracle import RefMonitor
 from test_stream_bounds import _retained, held
 from streammon import Event, Monitor, TypeCheckError, check_types, parse
-from streammon.engine import Instance
 
 INPUTS = "input double a\ninput double b\ninput int i\ninput int j\ninput bool p\n"
 
@@ -180,13 +179,15 @@ def _same(u, v):
     return u == v and type(u) is type(v)
 
 
-def _extensions(engine, seen=None):
+def _extensions(engine, seen=None, instants=None):
     """Extensions per (stream, parameter tuple) of the engine's live
     instances, counted from each step's record of what it extended; an
     instance that a step drops starts again from zero. The name of each stream that extends is
-    added to the set `seen`, if given."""
+    added to the set `seen`, if given, and the instant of the last step whose
+    record names an instance to the dict `instants`, by the same key."""
     counts = Counter()
     seen = set() if seen is None else seen
+    instants = {} if instants is None else instants
 
     def counting(step):
         def counted(*args, **kwargs):
@@ -194,6 +195,7 @@ def _extensions(engine, seen=None):
             for name, keys in engine._step_extended.items():
                 rt = engine.streams[name]
                 counts.update((name, alpha(rt, key)) for key in keys)
+                instants.update(((name, alpha(rt, key)), engine.clock_ts) for key in keys)
                 seen.add(name)
             alive = {name: live(engine.streams[name]) for name in {n for n, _ in counts}}
             for name, params in list(counts):
@@ -220,8 +222,8 @@ def _check(tspec, events, names=OUTPUTS, **mode):
     # a real-time offset into an input needs unbounded memory
     engine = Monitor(tspec, allow_unbounded=True, **mode)
     ref = RefMonitor(tspec, **mode)
-    seen = set()
-    extensions = _extensions(engine, seen)
+    seen, instants = set(), {}
+    extensions = _extensions(engine, seen, instants)
     bounds = engine.report.per_stream
     got = []
     for ev in events:
@@ -242,11 +244,14 @@ def _check(tspec, events, names=OUTPUTS, **mode):
             for params, entry in got_live.items():
                 history, count = ref_live[params].history, extensions[name, params]
                 assert count == len(history), (name, params, ev)
-                if isinstance(entry, Instance):  # each value held was recorded
-                    assert min(count, 1) <= len(entry.buf) <= count, (name, params, ev)
+                # each value held was recorded
+                assert min(count, 1) <= held(entry) <= count, (name, params, ev)
                 if history:
-                    (t, u), (s, v) = held(entry)[-1], history[-1]
-                    assert t == s and _same(u, v), (name, params, ev, u, v)
+                    (s, v), u = history[-1], latest(entry)
+                    assert _same(u, v), (name, params, ev, u, v)
+                    # the instant is held only in a buffer; the record names it
+                    t = entry.buf[-1][0] if getattr(entry, "buf", None) else s
+                    assert t == s == instants[name, params], (name, params, ev)
     mine = [
         (v.kind, v.ts, v.stream, v.params, v.value) for v in got if v.kind != "warning"
     ]

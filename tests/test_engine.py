@@ -13,11 +13,11 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import CARS_SPEC, FLEET_SPEC, INTRO_SPEC, PID_SPEC, alpha, live, typed
+from conftest import CARS_SPEC, FLEET_SPEC, INTRO_SPEC, PID_SPEC, alpha, latest, live, typed
 from oracle import RefMonitor
 from test_differential import _extensions, _settled
 from test_golden import BIND_SPEC, _fleet_events, _pid_events
-from test_stream_bounds import held
+from test_stream_bounds import _retained, held
 from streammon import (
     AnalysisRefusal,
     EngineError,
@@ -28,7 +28,9 @@ from streammon import (
     analyze,
 )
 from streammon import compiler, engine
+from streammon.analysis import BufferPlan
 from streammon.engine import Instance, _StreamRT
+from streammon.values import UNDEFINED
 
 
 def drain(monitor, events):
@@ -60,11 +62,11 @@ def test_event_on_unused_input_only_extends_that_input():
     t = typed("input int a\ninput int b\noutput int x := a?0")
     m = Monitor(t)
     m.process(Event(1.0, {"a": 5}))
-    assert m.streams["x"].instances[()].buf  # x follows a
-    before = len(m.streams["x"].instances[()].buf)
+    assert latest(m.streams["x"].instances[()]) == 5  # x follows a
     m.process(Event(2.0, {"b": 9}))
-    assert len(m.streams["x"].instances[()].buf) == before
-    assert m.streams["b"].instances[()].buf[-1] == (2.0, 9)
+    assert list(m._step_extended) == ["b"]
+    assert latest(m.streams["b"].instances[()]) == 9
+    assert latest(m.streams["x"].instances[()]) == 5
 
 
 def test_suspicious_fires_after_six_offroad_pickups():
@@ -192,7 +194,8 @@ def test_buffer_discipline_discrete_offsets():
     buf = m.streams["a"].instances[()].buf
     assert len(buf) == 4  # depth 3 needs 4 retained values
     assert [v for _, v in buf] == [96, 97, 98, 99]
-    assert m.streams["x"].instances[()].buf[-1][1] == 96
+    assert latest(m.streams["a"].instances[()]) == 99
+    assert latest(m.streams["x"].instances[()]) == 96
 
 
 def test_buffer_discipline_realtime_offset_fixed_target():
@@ -246,7 +249,7 @@ def test_lola_counter_self_reference():
     for k in range(5):
         m.process(Event(float(k), {"tick": 0}))
     assert extensions["n", ()] == 5
-    assert m.streams["n"].instances[()].buf[-1][1] == 5
+    assert latest(m.streams["n"].instances[()]) == 5
 
 
 @pytest.mark.parametrize("repeats", [6, 7])
@@ -272,9 +275,10 @@ def test_extend_with_many_disjuncts_matches_reference(repeats):
 
 
 def test_flat_instances_are_not_tracked_by_the_collector():
-    """f keeps one value and no window reads it, so each live instance is a
-    tuple of atomic values, which the collector untracks: 10,000 of them
-    leave almost nothing for its passes to walk."""
+    """f keeps one value and no window reads it, so each live instance is its
+    bare value, which the collector does not track: 10,000 of them leave
+    almost nothing for its passes to walk. An instance invoked but not yet
+    extended is (), which leaves the map untracked too."""
     m = Monitor(typed(BIND_SPEC), instance_bounds={"f": 10_000})
     gc.collect()
     before = len(gc.get_objects())
@@ -283,14 +287,24 @@ def test_flat_instances_are_not_tracked_by_the_collector():
     gc.collect()
     assert len(gc.get_objects()) - before < 1000
     f = live(m.streams["f"])
-    assert len(f) == 10_000 and f[(9_999,)] == (0.001 * 9_999, 0.0)
+    assert len(f) == 10_000 and f[(9_999,)] == 0.0 and type(f[(9_999,)]) is float
+    assert all(type(entry) is float for k, entry in f.items() if k != (9_999,))
     assert not any(map(gc.is_tracked, f.values()))
+    assert not gc.is_tracked(m.streams["f"].instances)
+    # without its default, f(1) has no value until x has one
+    m = Monitor(typed(BIND_SPEC.replace("x?0.0", "x")), instance_bounds={"f": 2})
+    m.process(Event(0.0, {"ID": 1}))
+    m.process(Event(1.0, {"ID": 2, "x": 1.5}))
+    gc.collect()
+    assert m.streams["f"].instances == {1: (), 2: 1.5}
+    assert not gc.is_tracked(m.streams["f"].instances)
 
 
 def test_one_parameter_instances_allocate_no_key_tuple():
     """An instance of the one-parameter f is keyed by its id itself: invoking
-    10,000 of them allocates at most 100 bytes each (about 86: its flat
-    entry and its share of the map), and a 1-tuple key would add 48."""
+    10,000 of them allocates at most 40 bytes each (about 30: its flat
+    entry, a bare float, and its share of the map), and a 1-tuple key would
+    add 48."""
     n = 10_000
     m = Monitor(typed(BIND_SPEC), instance_bounds={"f": n + 1})
     events = [Event(0.001 * k, {"ID": k}) for k in range(1, n + 1)]
@@ -305,7 +319,7 @@ def test_one_parameter_instances_allocate_no_key_tuple():
     finally:
         tracemalloc.stop()
     assert len(m.streams["f"].instances) == n + 1
-    assert grown / n <= 100, grown / n
+    assert grown / n <= 40, grown / n
 
 
 _NAMED_SPEC = """
@@ -357,7 +371,7 @@ def test_nan_keyed_instance_reads_its_own_past():
     events += [Event(3.0 + k, {"b": 1.0}) for k in range(3)]
     drain(m, events)
     ref.run(events)
-    got = {repr(k[0]): held(entry) for k, entry in live(m.streams["h"]).items()}
+    got = {repr(k[0]): list(entry.buf) for k, entry in live(m.streams["h"]).items()}
     assert [v for _, v in got["nan"]] == [4.0, 5.0] and [v for _, v in got["0.5"]] == [3.0, 4.0]
     assert got == {repr(k[0]): r.history[-2:] for k, r in ref.live["h"].items()}
 
@@ -407,7 +421,7 @@ def test_fleet_suspicious_is_flat_and_windowed_streams_keep_instances(monkeypatc
     # the retired car's entries, dropped at its retirement
     assert [name for name, _ in dropped] == ["orp", "suspicious"]
     (_, window_instance), (_, entry) = dropped
-    assert type(entry) is tuple and len(entry) == 2 and not gc.is_tracked(entry)
+    assert type(entry) is bool and not gc.is_tracked(entry)
     # orp is read by suspicious's window: its instances keep their windows
     assert isinstance(window_instance, Instance) and not orp.flat
     assert all(isinstance(i, Instance) for i in orp.instances.values())
@@ -469,6 +483,95 @@ def test_pid_streams_keep_instances():
         assert all(isinstance(i, Instance) for i in rt.instances.values())
 
 
+#: one stream of each storage kind: the pinned input x and output o, the
+#: flat entries of f, the windowed instances of w (which c's window reads),
+#: the double-parameter instances of h and the one instance of g, a plain
+#: template that terminates; none has a default, so each has no value
+#: until x has one, and stop terminates every instance but the pinned
+_STORAGE_SPEC = """
+input int ID
+input double D
+input double x
+input bool stop
+
+output double o := x
+output double f<int id>
+  invoke: ID
+  extend: id = ID
+  terminate: stop & (id = ID)
+  := x
+output double w<int id>
+  invoke: ID
+  extend: id = ID
+  terminate: stop & (id = ID)
+  := x
+output double c<int id>
+  invoke: ID
+  extend: id = ID
+  terminate: stop & (id = ID)
+  := w(id)[10s, sum]
+output double h<double d>
+  invoke: D
+  extend: d = D
+  terminate: stop & (d = D)
+  := x
+output double g
+  terminate: stop
+  := x
+"""
+
+#: the storage kinds of _STORAGE_SPEC: stream -> (flat, has windows)
+_KINDS = {"x": (False, False), "o": (False, False), "f": (True, False)}
+_KINDS.update(w=(False, True), h=(False, False), g=(False, False))
+
+
+@pytest.mark.parametrize("mode", [{}, {"mode": "fixed", "frequency": Fraction(1)}])
+def test_every_storage_kind_holds_its_one_value_bare(mode):
+    """Each stream of buffer plan `BufferPlan()` holds its latest value with
+    no instant and no buffer: U before its first extension, one slot after
+    it, the reference's latest value throughout, and its slot refunded when
+    its instance is terminated."""
+    tspec = typed(_STORAGE_SPEC)
+    bounds = {"f": 1, "w": 1, "c": 1, "h": 1}
+    m, ref = Monitor(tspec, instance_bounds=bounds, **mode), RefMonitor(tspec, **mode)
+    for name, (flat, windowed) in _KINDS.items():
+        rt = m.streams[name]
+        assert rt.buffer_plan == BufferPlan() and rt.flat == flat, name
+        assert bool(rt.window_plans) == windowed, name
+    events = [
+        Event(0.5, {"ID": 1, "D": -0.0, "stop": False}),  # invokes, x has no value
+        Event(1.5, {"x": 2.0}),
+        Event(2.5, {"ID": 1, "D": -0.0, "x": 3.0}),
+        Event(3.5, {"ID": 1}),
+        Event(4.5, {"stop": True}),  # terminates, in fixed mode at the tick at 5
+        Event(5.2, {"x": 4.0}),
+        Event(6.5, {"ID": 1, "D": -0.0, "x": 5.0, "stop": False}),  # invokes again
+        Event(7.5, {"ID": 1, "D": -0.0}),
+    ]
+    unset = set()  # the kinds seen without a value before their first extension
+    for ev in events:
+        m.process(ev)
+        ref.run([ev])
+        assert m.slots == sum(_retained(rt) for rt in m.streams.values()), ev
+        for name in _KINDS:
+            got, want = live(m.streams[name]), ref.live[name]
+            assert got.keys() == want.keys(), (name, ev)
+            for params, entry in got.items():
+                history = want[params].history
+                assert isinstance(entry, Instance) != _KINDS[name][0], (name, ev)
+                assert getattr(entry, "buf", None) is None, (name, ev)
+                assert held(entry) == min(len(history), 1), (name, ev)
+                assert latest(entry) == (history[-1][1] if history else UNDEFINED)
+                if not history:
+                    unset.add(name)
+        if ev.ts == 5.2:  # terminated, with their slots refunded
+            assert all(not m.streams[s].instances for s in "fwchg")
+            assert m.slots == 5  # ID, D, x, stop and o
+    assert unset == set(_KINDS)
+    assert [*live(m.streams["f"])] == [(1,)] and [*live(m.streams["h"])] == [(-0.0,)]
+    assert held(m.streams["f"].instances[1]) == 1
+
+
 # -- termination lifecycle -------------------------------------------------------
 
 
@@ -493,8 +596,10 @@ def test_terminated_instance_never_mentioned_again():
     assert mentions_after == []
     assert (1,) in live(m.streams["suspicious"])  # re-invoked fresh at 11.0
     assert extensions == 5
-    # suspicious keeps one value and no window reads it: a flat entry
-    assert live(m.streams["suspicious"])[(1,)] == (15.0, False)
+    # suspicious keeps one value and no window reads it: a flat entry, the
+    # bare value of its extension in the last step
+    assert m._step_extended["suspicious"] == [1]
+    assert live(m.streams["suspicious"])[(1,)] is False
 
 
 @pytest.mark.parametrize("mode", ["variable", "fixed"])
@@ -657,7 +762,8 @@ def test_past_read_of_later_stream_extends_in_the_same_step():
     for ev in events:
         fired += [v.ts for v in m.process(ev) if v.kind == "trigger"]
         # s goes first, so t = s[-1] + 1 = a extends on every event
-        assert m.streams["t"].instances[()].buf == [(ev.ts, ev.bindings["a"])]
+        assert "t" in m._step_extended
+        assert latest(m.streams["t"].instances[()]) == ev.bindings["a"]
     assert fired == [2.5, 3.5]
     ref = RefMonitor(typed(FORWARD_READ))
     ref.run(events)
@@ -693,9 +799,9 @@ def test_instance_invoked_by_later_stream_extends_in_the_same_step():
         # s = a invokes u(s[-1] + 1) = u(a), which k = a then extends to 2a
         k = ev.bindings["a"]
         got = live(m.streams["u"])
-        assert held(got[(k,)]) == [(ev.ts, 2 * k)]
+        assert m._step_extended["u"] == [k] and got[(k,)] == 2 * k
         assert got.keys() == ref.live["u"].keys()
-        assert all(held(got[k]) == ref.live["u"][k].history for k in got)
+        assert all([latest(got[k])] == [v for _, v in ref.live["u"][k].history] for k in got)
 
 
 def test_instance_invoked_at_a_tick_by_later_stream():
@@ -824,8 +930,11 @@ def test_an_event_too_far_ahead_is_refused(hz, monkeypatch):
 
 
 def _state(m):
-    buffers = {
-        name: {alpha: list(inst.buf) for alpha, inst in rt.instances.items()}
+    held = {  # each instance's value, and its buffer if it keeps one
+        name: {
+            alpha: (latest(inst), None if inst.buf is None else list(inst.buf))
+            for alpha, inst in rt.instances.items()
+        }
         for name, rt in m.streams.items()
     }
     windows = {
@@ -835,7 +944,7 @@ def _state(m):
         }
         for name, rt in m.streams.items()
     }
-    return m.clock_ts, m.events_processed, m.slots, m.peak_slots, buffers, windows
+    return m.clock_ts, m.events_processed, m.slots, m.peak_slots, held, windows
 
 
 def test_rejected_event_leaves_state_unchanged():
@@ -851,7 +960,7 @@ def test_rejected_event_leaves_state_unchanged():
     )
     m.process(Event(1.0, {"a": 1, "d": 0.5, "p": False}))
     before = _state(m)
-    assert before[4]["a"][()] == [(1.0, 1)]
+    assert before[4]["a"][()] == (1, None)
     bad = [
         {"a": 7, "zz": 1},  # undeclared name beside a valid one
         {"x": 5},  # an output
@@ -883,12 +992,13 @@ def test_rejected_event_leaves_state_unchanged():
             assert _state(m) == before, ts
     m.process(Event(2.0, {"a": 7, "d": 3, "p": True}))
     assert m.clock_ts == 2.0
-    assert m.streams["a"].instances[()].buf[-1] == (2.0, 7)
-    assert m.streams["x"].instances[()].buf[-1] == (2.0, 7)
+    assert {"a", "x", "d", "s"} <= m._step_extended.keys()
+    assert latest(m.streams["a"].instances[()]) == 7
+    assert latest(m.streams["x"].instances[()]) == 7
     # an int is a valid double, stored as a float
-    d = m.streams["d"].instances[()].buf[-1]
-    assert d == (2.0, 3.0) and type(d[1]) is float
-    assert m.streams["s"].instances[()].buf[-1] == (2.0, 3.5)
+    d = latest(m.streams["d"].instances[()])
+    assert d == 3.0 and type(d) is float
+    assert latest(m.streams["s"].instances[()]) == 3.5
 
 
 class _CountedBindings(dict):
@@ -991,7 +1101,7 @@ def test_unbounded_refusal_and_override():
     m = Monitor(t, allow_unbounded=True)
     m.process(Event(0.0, {"a": 1.0, "b": 2.0}))
     verdicts = m.process(Event(2.0, {"a": 5.0}))
-    assert m.streams["d"].instances[()].buf[-1][1] == pytest.approx(3.0)
+    assert latest(m.streams["d"].instances[()]) == pytest.approx(3.0)
 
 
 def test_int_overflow_saturates_with_warning():
@@ -1000,7 +1110,7 @@ def test_int_overflow_saturates_with_warning():
     verdicts = m.process(Event(0.0, {"a": 2**40}))
     warns = [v for v in verdicts if v.kind == "warning"]
     assert warns and "saturated" in warns[0].message
-    assert m.streams["x"].instances[()].buf[-1][1] == 2**63 - 1
+    assert latest(m.streams["x"].instances[()]) == 2**63 - 1
 
 
 @pytest.mark.parametrize("fn", ["min", "max"])
@@ -1021,7 +1131,7 @@ def test_min_max_functions_propagate_nan_in_either_order(fn):
     for ev in events:
         m.process(ev)
         ref.run([ev])
-        got = [m.streams[s].instances[()].buf[-1][1] for s in "xy"]
+        got = [latest(m.streams[s].instances[()]) for s in "xy"]
         want = [ref.live[s][()].history[-1][1] for s in "xy"]
         if ev.ts < 3.0:
             assert all(math.isnan(v) for v in got + want), (ev, got, want)
@@ -1320,7 +1430,7 @@ def test_long_chain_is_written_flat(family, mode):
     events = [Event(0.5, bound), Event(1.5, bound)]
     verdicts = [(v.kind, v.ts, v.stream, v.params, v.value) for v in drain(m, events)]
     assert verdicts == ref.run(events)
-    assert m.streams["x"].instances[()].buf[-1][1] == ref.live["x"][()].history[-1][1]
+    assert latest(m.streams["x"].instances[()]) == ref.live["x"][()].history[-1][1]
     got = [v[4] for v in verdicts]
     fold = dict(FOLD, **{"/": operator.floordiv if ty == "int" else operator.truediv})
     values = [INPUT_VALUES[ty] if v is None else v for _, v in picked]
@@ -1334,7 +1444,7 @@ def test_long_chain_is_written_flat(family, mode):
         assert got == [want]  # the tick at 1 s
     else:
         assert got == []  # no output verdicts in variable mode
-        assert m.streams["x"].instances[()].buf[-1][1] == want
+        assert latest(m.streams["x"].instances[()]) == want
 
 
 @pytest.mark.parametrize("op", ["&", "|"])
@@ -1351,11 +1461,13 @@ def test_long_extend_condition_builds_a_monitor(op):
     m, ref = Monitor(typed(spec), instance_bounds={"f": 10}), RefMonitor(typed(spec))
     events = [Event(1.0, {"ID": 3, "x": 2.0}), Event(2.0, {"ID": 3, "x": 5.0})]
     events.append(Event(3.0, {"ID": 4, "x": 1.0}))
-    drain(m, events)
+    drain(m, events[:2])
+    assert m._step_extended["f"] == [3]
+    drain(m, events[2:])
     ref.run(events)
-    assert live(m.streams["f"])[(3,)] == (2.0, 5.0)
+    assert live(m.streams["f"])[(3,)] == 5.0
     assert live(m.streams["f"]) == {
-        alpha: inst.history[-1] for alpha, inst in ref.live["f"].items()
+        alpha: inst.history[-1][1] for alpha, inst in ref.live["f"].items()
     }
 
 

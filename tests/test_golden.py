@@ -20,6 +20,8 @@ import pytest
 from conftest import CARS_SPEC, FLEET_SPEC, PID_SPEC, typed
 from test_acceptance import _EFFICIENT_SPEC
 from streammon import Event, Monitor, engine
+from streammon.analysis import BufferPlan
+from streammon.kernel import KernelWriter
 from streammon.scenarios import FleetConfig, PidConfig, generate_fleet, generate_pid
 
 BIND_SPEC = """
@@ -153,30 +155,35 @@ def test_verdict_digest_matches_golden(name):
 #: fleet and bind kernels were recorded again when an instance of a
 #: one-parameter template came to be keyed by its bare value: their keys
 #: are `k0 = v` and `alpha`, their flat templates invoke inline, and only
-#: their verdicts and warnings build (alpha,); the PID kernels did not move
+#: their verdicts and warnings build (alpha,); the PID kernels did not move.
+#: All were recorded again when a stream keeping one value came to hold it
+#: bare: its extension stores v (an Instance's `value`, or a flat entry)
+#: where it stored a (ts, v) pair into a one-item list, its read is
+#: `.value` or a flat entry mapped to U, and a constant operand is no longer
+#: tested for U; verdicts did not move (CASES)
 KERNELS = {
     "pid-variable": (
         PID_SPEC,
         {},
-        ["c7cdd4cf1bce7e8bf459c75e451d1a3e9897791d470748bc8df8150c8e1ab8f8"],
+        ["d1e6d0d9fadc76b40c56dd7cd15e2281ddf4701915818dcab0e65f0968e49c78"],
     ),
     "pid-fixed-1Hz": (
         PID_SPEC,
         {"mode": "fixed", "frequency": Fraction(1)},
         [
-            "e1bb3d24cf7c269aeef6362faab23c6b3a72126d894cf270e886515cd941725b",
-            "b6073b1bf233f970ab65c0d7b9f205821a53732a467a829e94d1e9a5068e8ba8",
+            "ca75750fd0543581ce45a8cac2d8c0e0802a447f6de99d5c2165ee51a996bf67",
+            "d1a7c82c8a7594dd37f2c489e0a281c7249b60291d13ce1ea068ae253598d043",
         ],
     ),
     "fleet-bounded": (
         FLEET_SPEC,
         {"instance_bounds": {"orp": 500, "suspicious": 500}},
-        ["36fcb7fca8a9f78fd155355119b84a67b5683c700dcc18590f01cd89e51df425"],
+        ["3336092b7cb4bff4811503a7b75c9de88f059a62db61b5de22574f0628440a4d"],
     ),
     "bind": (
         _EFFICIENT_SPEC,
         {"instance_bounds": {"f": 100_000}},
-        ["41a6fdc3380252c233ea8daaf99855f08b9f7644b9db2b5e5e60008e7fd04e6e"],
+        ["10a3bd07d294474ff677d9b4d1c70454181bd0a86d14ac66c99c2184fdb5a333"],
     ),
 }
 
@@ -260,38 +267,40 @@ trigger t > 1000.0
 #: `touched` set but branches, whose count trigger reads it; cars shares its
 #: invoke and lookup key, and branches builds its tuple key once and tests
 #: `p` once per step. Cars was recorded again with the bare keys of KERNELS;
-#: branches, whose `f<int a, int b>` keeps its tuple key, did not move
+#: branches, whose `f<int a, int b>` keeps its tuple key, did not move. All
+#: were recorded again with the bare one-value storage of KERNELS; the
+#: buffers of branches' c and x, which offsets read, also keep `value`
 SHAPES = {
     "pid-fixed-2.5Hz": (
         CASES["pid-fixed-2.5Hz"][0],
         CASES["pid-fixed-2.5Hz"][2],
         [
-            "805a65740dfcc45bc0ec28836e5056ade5f4e0037417c9874f517a3eff6aafc8",
-            "b6073b1bf233f970ab65c0d7b9f205821a53732a467a829e94d1e9a5068e8ba8",
+            "552f3b23f4e10edb15f2df5099ecbf3207d5690c80a922250125b3dc2f53757e",
+            "d1a7c82c8a7594dd37f2c489e0a281c7249b60291d13ce1ea068ae253598d043",
         ],
     ),
     "cars-0.1Hz": (
         CASES["cars-0.1Hz"][0],
         CASES["cars-0.1Hz"][2],
         [
-            "1038b6a982018ec65985ac7851699bcb17d0c092ba5957b040e005fe364d315c",
-            "8afeb0074371edf53417e9bc3f31234df455983e48f836aed34c59773359b88c",
+            "527dbd1ac346436e52628c466ff6c74d1a635d38295de11efdcda2a7b7a2aa3e",
+            "75998d872b201c30e39c60eeae199434f6094e20efa9b966a1a2100382ff5620",
         ],
     ),
     "two-clocks": (
         _TWO_CLOCKS_SPEC,
         {},
         [
-            "bad1d154553b2bf9a5b6fe41d3b9d31a571e3d81ce4589d03c4cf69e56a71029",
-            "f17be51db270079de33639980717ed507025c5445f7dfab6f543a3df089aafd8",
+            "48d1b79c3f8dfcef90ed5f6301922090472036038268ea47d092cf1367794e5a",
+            "9a25eb7b71fd1bf18cebd3533854dbb3c2a0225210ed76dab3ab5f2d429987d0",
         ],
     ),
     "branches": (
         _BRANCHES_SPEC,
         {"instance_bounds": {"f": 4}},
         [
-            "def725dc3cef71eba35736417a9184d375dc0f1dbc496e7a86349198ebba97fb",
-            "1ad379ac61e1c6a8771902d4c51bcaf29f87fe472ec3d1daccfb497473730e3b",
+            "7b600d5656bb422fc506f7a2d36bc93dcf1bd2b5c530fae7be9937e0d3d60960",
+            "b8d1294aec6e787804cb2fd849ee32f521ad508bba11bceee8c2e6d577525f9e",
         ],
     ),
 }
@@ -301,6 +310,29 @@ SHAPES = {
 def test_more_kernel_shapes_are_pinned(name, monkeypatch):
     """As test_benchmark_kernel_sources_are_pinned, for SHAPES."""
     _check_kernels(*SHAPES[name], monkeypatch)
+
+
+@pytest.mark.parametrize("name", sorted({**KERNELS, **SHAPES}))
+def test_one_value_streams_store_no_instant(name, monkeypatch):
+    """The pinned kernels store the pair (ts, v) only in the extension of a
+    stream that an offset reads, and in each such extension; a stream of
+    buffer plan `BufferPlan()` stores its bare value."""
+    spec, kwargs, _ = {**KERNELS, **SHAPES}[name]
+    written, extend = [], KernelWriter.extend
+
+    def recording(writer, depth, rt, *args, **kw):
+        start = len(writer.code)
+        extend(writer, depth, rt, *args, **kw)
+        written.append((rt, writer.code[start:]))
+
+    monkeypatch.setattr(KernelWriter, "extend", recording)
+    sources = _sources(spec, kwargs, monkeypatch)
+    pairs = 0
+    for rt, lines in written:
+        stored = sum(line.count("(ts, v)") for line in lines)
+        assert (stored > 0) == (rt.buffer_plan != BufferPlan()), (rt.name, lines)
+        pairs += stored
+    assert sum(source.count("(ts, v)") for source in sources) == pairs
 
 
 @pytest.mark.parametrize("name", ["fleet-bounded", "bind", "cars-0.1Hz"])

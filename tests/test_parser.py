@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import CARS_SPEC, INTRO_SPEC, PHI_SPEC, PID_SPEC, live, typed
+from conftest import CARS_SPEC, INTRO_SPEC, PHI_SPEC, PID_SPEC, latest, live, typed
 from streammon import (
     Event,
     Monitor,
@@ -231,7 +231,7 @@ def test_every_depth_up_to_the_limit_runs(form):
             m = Monitor(tspec, **kwargs)
             for ts in (0.5, 1.5):  # fixed mode ticks at 1 s
                 m.process(Event(ts, {"a": 3.0, "p": True}))
-            assert m.streams["x"].instances[()].buf[-1][1] == value(depth), depth
+            assert latest(m.streams["x"].instances[()]) == value(depth), depth
     with pytest.raises(ParseError) as err:
         parse(f"input double a\ninput bool p\noutput double x := {text(MAX_DEPTH + 1)}")
     (diag,) = err.value.diagnostics

@@ -3,9 +3,9 @@
 `compute_memory` gives every stream a per-instance bound, `per_stream[name]`:
 its value buffer plus one state per window that reads it. The engine must
 never retain more: after every event, the slots a stream holds, summed over
-its live instances as `len(buf)` plus each window's `slot_count` (one slot
-for a flat entry that has extended), are at most that bound times its
-live-instance count, and the sums over all streams equal `Monitor.slots`.
+its live instances as `held` plus each window's `slot_count`, are at most
+that bound times its live-instance count, and the sums over all streams
+equal `Monitor.slots`.
 """
 
 import random
@@ -13,9 +13,11 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import CARS_SPEC, FLEET_SPEC, PID_SPEC, typed
+from conftest import CARS_SPEC, FLEET_SPEC, PID_SPEC, latest, typed
 from streammon import Event, Monitor
+from streammon.analysis import BufferPlan
 from streammon.engine import Instance
+from streammon.values import UNDEFINED
 from streammon.scenarios import FleetConfig, PidConfig, generate_fleet, generate_pid
 
 MEDIAN_SPEC = """
@@ -91,22 +93,28 @@ CASES = {
 }
 
 
-def held(entry) -> list:
-    """The (ts, value) pairs a live instance holds: an Instance's buffer, or
-    a flat entry's one pair, none before its first extension."""
-    if isinstance(entry, Instance):
-        return list(entry.buf)
-    return [entry] if entry else []
+def held(entry) -> int:
+    """The value slots a live instance holds: the (ts, value) pairs of its
+    buffer when an offset reads its stream, else one once it has a value,
+    which it holds bare (an Instance's `value`, or a flat entry itself)."""
+    buf = getattr(entry, "buf", None)
+    return len(buf) if buf is not None else int(latest(entry) is not UNDEFINED)
 
 
 def _retained(rt) -> int:
-    """The slots rt's live instances hold; each has the shape of its stream."""
+    """The slots rt's live instances hold; each has the shape of its stream:
+    a buffer only when an offset reads it, and no tuple as a flat entry but
+    the () of one that has not extended."""
     total = 0
     for entry in rt.instances.values():
-        assert isinstance(entry, tuple) == rt.flat, (rt.name, entry)
-        total += len(held(entry))
-        if not rt.flat:
+        assert isinstance(entry, Instance) != rt.flat, (rt.name, entry)
+        if rt.flat:
+            assert entry.__class__ is not tuple or entry == (), (rt.name, entry)
+        else:
+            history = rt.buffer_plan != BufferPlan()
+            assert (entry.buf is not None) == history, (rt.name, entry.buf)
             total += sum(w.slot_count for w in entry.windows.values())
+        total += held(entry)
     return total
 
 
