@@ -32,8 +32,11 @@ expression's depth, not with its length.
 the instance, bound by name when it is pinned (an input's, or a plain
 template's without a terminate clause, which lives for the whole trace) and
 otherwise looked up by its key; then the read: the current value inline, as
-the instance's `value` or a flat entry (EMPTY read as U), and a past offset,
-a real-time offset or a window evaluation as a call of one helper each. A
+the instance's `value` or a flat entry (EMPTY read as U, except where an
+operand, a `?` default or an `if` condition tests the entry itself against
+EMPTY, once, and where a condition is tested `is True`, which EMPTY fails
+too: `truth`), and a past offset, a real-time offset or a window evaluation
+as a call of one helper each. A
 window evaluated at the instant it last swept evicts nothing, and is
 evaluated by a direct call instead (`_evaluate`).
 """
@@ -116,9 +119,10 @@ class Compiler:
             case StreamAccess() | WindowAccess():
                 return self._read(expr, names)
             case Default(inner=inner, fallback=fallback):
-                value, other = self.source(inner, names), self.source(fallback, names)
+                value, missing = self._tested(inner, names)
+                other = self.source(fallback, names)
                 t = self._temp()
-                return f"({other} if ({t} := {value}) is U else {t})"
+                return f"({other} if ({t} := {value}) is {missing} else {t})"
             case Unary(op=op, operand=operand):
                 return self._strict([operand], names, "not {}" if op == "!" else "-{}")
             case Binary(op="&" | "|"):
@@ -126,9 +130,10 @@ class Compiler:
             case Binary():
                 return self._arithmetic(chain(expr), names)
             case IfThenElse(cond=cond, then_branch=then, else_branch=other):
-                c, a, b = (self.source(e, names) for e in (cond, then, other))
+                c, missing = self._tested(cond, names)
+                a, b = self.source(then, names), self.source(other, names)
                 t = self._temp()
-                return f"(U if ({t} := {c}) is U else {a} if {t} else {b})"
+                return f"(U if ({t} := {c}) is {missing} else {a} if {t} else {b})"
             case FnCall(fn=name, args=args):
                 return self._strict(args, names, _function(name, expr.ty, len(args)))
             case TupleExpr(items=items) if bare_key(len(items)):
@@ -156,7 +161,21 @@ class Compiler:
         if isinstance(expr, Const):
             return self.source(expr, names), None
         t = self._temp()
-        return t, f"({t} := {self.source(expr, names)}) is U"
+        value, missing = self._tested(expr, names)
+        return t, f"({t} := {value}) is {missing}"
+
+    def truth(self, expr: Expr, names: dict) -> str:
+        """expr's source for a test `is True`, which U and a flat entry's
+        EMPTY both fail: a flat entry read bare is not mapped to U."""
+        return self._tested(expr, names)[0]
+
+    def _tested(self, expr: Expr, names: dict) -> tuple[str, str]:
+        """expr's source and what it gives when expr is undefined: EMPTY for
+        a flat entry read bare, which is never U (see `_access`), else U. A
+        caller that tests the source once against it needs no U mapping."""
+        if isinstance(expr, (StreamAccess, WindowAccess)):
+            return self._access(expr, names)
+        return self.source(expr, names), "U"
 
     def _logic(self, run: list[Binary], names: dict) -> str:
         """A chain of `&` or of `|`, d being the value that decides it: `ta`
@@ -193,13 +212,24 @@ class Compiler:
         return _unless(checks, value)
 
     def _read(self, node: StreamAccess | WindowAccess, names: dict) -> str:
-        """The access's value: how to get the instance, then how to read it.
-        A pinned instance is bound by name; any other is looked up by a key
-        `_key` names, or else by the strict key of the access's arguments."""
+        """The access's value (`_access`), a flat entry's EMPTY read as U."""
+        read, missing = self._access(node, names)
+        return read if missing == "U" else self._found(read)
+
+    def _found(self, entry: str) -> str:
+        """The flat entry `entry`, EMPTY read as U."""
+        t = self._temp()
+        return f"(U if ({t} := {entry}) is EMPTY else {t})"
+
+    def _access(self, node: StreamAccess | WindowAccess, names: dict) -> tuple[str, str]:
+        """The access: how to get the instance, then how to read it, and what
+        the read gives when the value is undefined (`_tested`). A pinned
+        instance is bound by name; any other is looked up by a key `_key`
+        names, or else by the strict key of the access's arguments."""
         rt = self.streams[node.stream]
         pinned, args = None if node.args else rt.pinned, None
         if isinstance(node, WindowAccess) and pinned is not None:
-            return _evaluate(_bind(names, pinned.windows[node.wkey]))
+            return _evaluate(_bind(names, pinned.windows[node.wkey])), "U"
         if pinned is not None:
             inst = _bind(names, pinned)
         else:
@@ -215,8 +245,9 @@ class Compiler:
                 read = f"(U if {window} is None else {_evaluate(w)})"
             case StreamAccess(offset=DiscreteOffset(steps=0)) if rt.flat:
                 # the entry is the bare latest value, EMPTY before the first
-                t = self._temp()
-                read = f"(U if ({t} := {get}({key}, EMPTY)) is EMPTY else {t})"
+                if not args:
+                    return f"{get}({key}, EMPTY)", "EMPTY"
+                read = self._found(f"{get}({key}, EMPTY)")
             case StreamAccess(offset=DiscreteOffset(steps=0)):
                 read = f"{inst}.value"
             case StreamAccess(offset=DiscreteOffset(steps=n)):
@@ -225,7 +256,7 @@ class Compiler:
             case StreamAccess(offset=RealTimeOffset(seconds=d)):
                 dn, dd = _bind(names, d.numerator), _bind(names, d.denominator)
                 read = f"at_time({inst}, ts, {dn}, {dd})"
-        return self._strict(args, names, read) if args else read
+        return (self._strict(args, names, read) if args else read), "U"
 
     def _key(self, node: StreamAccess | WindowAccess, rt) -> Optional[str]:
         """What holds the key of node's instance, if anything does: () for a

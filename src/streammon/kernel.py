@@ -194,8 +194,19 @@ class KernelWriter:
     def source(self, expr: Expr, params=(), own=None, scope=None) -> str:
         """expr written inline, reading the kernel's alpha, ts, m and the
         lookup keys built on every path to the block being written."""
+        return self.compiler(params, own, scope).source(expr, self.names)
+
+    def holds(self, expr: Expr, params=(), scope=None) -> str:
+        """The test that the condition expr holds, as `source` writes it:
+        `is True`, which U and a flat entry's EMPTY both fail, so a flat
+        entry read bare is tested as it is (`Compiler.truth`)."""
+        return f"{self.compiler(params, None, scope).truth(expr, self.names)} is True"
+
+    def compiler(self, params=(), own=None, scope=None) -> Compiler:
+        """A compiler over the lookup keys built on every path to the block
+        being written."""
         keys = {k: self.keys[k] for k, c in self.built.items() if c in (None, self.condition)}
-        return Compiler(self.m.streams, params, own, scope, keys).source(expr, self.names)
+        return Compiler(self.m.streams, params, own, scope, keys)
 
     def key(self, inputs: Optional[tuple]) -> Optional[str]:
         """The local of the key of `inputs`, if any, built here if not yet."""
@@ -243,16 +254,16 @@ class KernelWriter:
         if trig.kind is TriggerKind.ANY:  # checked for what its scope extended
             scope = self.m.streams[trig.scope]
             key = bind(scope.name)
-            held = self.source(trig.condition, scope.tpl.params, scope=scope.name)
+            held = self.holds(trig.condition, scope.tpl.params, scope=scope.name)
             if scope.pinned is not None:  # its one instance, () the witness
-                depth, test = self.when(f"{key} in extended"), f"{held} is True"
+                depth, test = self.when(f"{key} in extended"), held
                 fields = f"{key}, (), True"
             else:
                 put(1, f"alphas = extended.get({key})", "if alphas:")
                 alphas = "alphas if len(alphas) == 1 else sorted(set(alphas))"
                 put(2, f"for alpha in {alphas}:")
                 loop, depth = True, 3
-                test = f"alpha in {bind(scope.instances)} and {held} is True"
+                test = f"alpha in {bind(scope.instances)} and {held}"
                 fields = f"{key}, {_params(scope, 'alpha')}, True"
             default = f"any({_expr_str(trig.condition)})"
         elif trig.kind is TriggerKind.COUNT:
@@ -263,7 +274,7 @@ class KernelWriter:
             default = f"count({rt.name}) {trig.count_cmp} {trig.count_value}"
         else:
             depth = self.when(self.fired(reads))
-            test = f"{self.source(trig.condition)} is True"
+            test = self.holds(trig.condition)
             fields, default = "None, None, True", _expr_str(trig.condition)
         message = bind(trig.message or default)
         verdict = f"VERDICT(float(ts), 'trigger', {fields}, {message})"
@@ -455,7 +466,7 @@ class KernelWriter:
         key = self.key(plan and plan.key)  # built before the block if not yet
         depth = self.when(condition)
         if once:
-            tests = " and ".join(f"{self.source(c, params)} is True" for c in once)
+            tests = " and ".join(self.holds(c, params) for c in once)
             put(depth, f"if {tests}:")
             depth += 1
         loop = False
@@ -474,7 +485,7 @@ class KernelWriter:
         if key is not None and any(p.ty is ValueType.DOUBLE for p in params):
             put(depth, "alpha = i.alpha")  # an equal key may be -0.0 for 0.0
         if each is not None:
-            put(depth, f"if {self.source(each, params)} is True:")
+            put(depth, f"if {self.holds(each, params)}:")
             depth += 1
         return depth, loop
 

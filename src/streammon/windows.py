@@ -24,23 +24,26 @@ Journal 2021, for the deamortized Two-Stacks; Okasaki, "Simple and efficient
 purely functional queues and deques", JFP 1995, for the rotation):
 
 - two schemes, picked by whether the summary has an exact inverse
-  (`make_aggregator`): count over any type and sum and avg over int, whose
-  summaries are exact integers, and median, whose summary is a multiset,
-  subtract on evict; float sum and avg, min, max and integral aggregate
-  their panes as a deamortized Two-Stacks. Min and max have no inverse. A
-  float sum less its oldest part is not the float sum of the rest:
-  subtracting would re-associate the additions, so results and the
-  verdict digests would move in their last bits, and the running sum would
-  keep the rounding error of every value that ever passed through it (1e20
-  + 1 - 1e20 is 0). Int `+` and `-` are exact, so both schemes give the
-  same integers.
+  (`make_aggregator`): count over any type, sum and avg, and median, whose
+  summary is a multiset, subtract on evict; min, max and integral aggregate
+  their panes as a deamortized Two-Stacks. Min and max have no inverse, nor
+  has the integral's float area. Int `+` and `-` are exact. A float sum
+  less its oldest part is not the float sum of the rest (1e20 + 1 - 1e20
+  is 0), but every finite double is an integer multiple of 2^-1074, so the
+  values of a window, scaled by a power of two, are integers, and float sum
+  and avg subtract over those (Neal, "Fast exact summation using small and
+  large superaccumulators", arXiv:1505.05571, 2015, for the scaled-integer
+  accumulator). Their value is the correctly rounded sum or mean of the
+  retained values, whatever the grouping of the panes or the order of
+  evictions.
 - Subtract-on-Evict: a window keeps its per-pane summaries, a FIFO of the
   retained pane indices, oldest first, and one running summary of all
   retained panes. `register` adds the value to its pane and to the running
   summary; each evicted pane is subtracted from it once (the inverse
   snippet); `evaluate` lowers the running summary. Worst case, independent
-  of r / z: `register` does 2 adds and no merge, `evaluate` no add and no
-  merge, each plus one inverse per pane it evicts. A step evicts at most
+  of r / z: `register` does 2 adds and no merge, and over doubles one
+  conversion, `evaluate` no add and no merge, each plus one inverse per
+  pane it evicts. A step evicts at most
   the ceil(r / z) + 1 retained panes, and each pane is evicted once, so
   over a run the inverses number at most the panes opened. The oldest pane
   comes from the FIFO, not from the pane dict: finding a dict's first key
@@ -49,6 +52,26 @@ purely functional queues and deques", JFP 1995, for the rotation):
   indices it evicted with one `del` of that prefix, a move of at most
   ceil(r / z) + 1 pointers; a deque would cost some 760 bytes per window,
   more than the list for windows of up to about 90 panes.
+- exact float sum and avg: a window keeps an exponent E, 0 at first, that
+  only grows, with 2^E as an int (`_den`) and, while E <= 1023, as a float
+  (`_scale`, else NaN). Its pane summaries and running total are the sums
+  of its values times 2^E, exact integers, with the count beside them for
+  avg. `register` converts v first, once: y = v * 2^E in floats is exact,
+  and if it is an integer, int(y) is the scaled value; otherwise (`_exact`)
+  a finite v is converted from `v.as_integer_ratio()`, after raising E to
+  v's fraction bits, if it has more, and shifting the running total and
+  every retained pane left by as much. E never exceeds 1074, so a window
+  rescales at most 1074 times over its life, each time shifting at most
+  ceil(r / z) + 2 summaries: a work term bounded per window, not per step.
+  A NaN or an infinity is never added: it is counted, in digits of the
+  integers far above any finite sum (`_DIGIT`), so that the panes and the
+  total count it and eviction subtracts it like any value. `evaluate`
+  lowers the total by one correctly rounded int / int division, S / 2^E
+  for sum and S / (n * 2^E) for avg, rounded once. A counted NaN or
+  infinity puts the quotient past the float range, as does a finite sum
+  past it: the division raises OverflowError, and `_overflowed` reads the
+  counts, giving NaN for a NaN or infinities of both signs, else the
+  infinity counted, else the infinity of the finite sum's sign.
 - median (Gray et al., "Data Cube", DMKD 1997: no pane summary of bounded
   size gives it) summarizes a range by its NaN count and its other values,
   sorted, equal ones in arrival order: a pane holds one slot per value, and
@@ -100,6 +123,14 @@ purely functional queues and deques", JFP 1995, for the rotation):
   opens a pane evicts, and so does an evaluation), so an evaluation at that
   instant skips the arithmetic and the out-of-order check; a registration
   into the open pane clears it.
+- the open-pane bound: a window keeps `_until`, the end of its open pane,
+  set when a pane opens (`_UNTIL`, one rule for every scheme), and a
+  registration at ts <= `_until` goes into the open pane with no division:
+  no later instant precedes that pane. The bound is set only where a float
+  placement put ts, where (idx + 1) * zn / zd is exact, and is -inf
+  elsewhere, which no instant is at or before. A bound left from a pane
+  that eviction has since dropped lies before the evaluation instant that
+  dropped it, and so before every later registration.
 - no call per summary operation or rotation step: each aggregation is
   defined once, as Python source snippets for its empty summary, add,
   merge, lower and, if it has one, inverse (`make_aggregator`).
@@ -107,7 +138,8 @@ purely functional queues and deques", JFP 1995, for the rotation):
   and `lower`, and `_SUBTRACT`, or `_TWO_STACKS` with the rotation steps
   (`_ROTATE`), inline into the aggregation's register and evaluate
   functions; only median's inverse, a loop, is a function call
-  (`_remove_oldest`), one per evicted pane. That code is built once per
+  (`_remove_oldest`), one per evicted pane, and so are the slow paths of
+  the exact float conversion and lowering. That code is built once per
   aggregation and process, and `PanedWindow`'s methods delegate to it in
   one call.
 - slot_count: O(1), kept as a running count. A pane is one slot, except a
@@ -118,6 +150,7 @@ purely functional queues and deques", JFP 1995, for the rotation):
 from __future__ import annotations
 
 import math
+import textwrap
 from bisect import bisect_left, insort
 from fractions import Fraction
 from functools import lru_cache
@@ -175,8 +208,9 @@ _EXACT = 2.0**52
 
 #: the placement of instant ts in window w: q and rem with the pane of ts
 #: `q if rem else q - 1`, and the eviction horizon kill; the panes i with
-#: i + 1 <= kill are expired. `w._float` is (zd, zn, r / z) as floats when the
-#: float form is exact for a float ts, else None
+#: i + 1 <= kill are expired. `w._float` is (zd, zn, r / z, z) as floats when
+#: the float form is exact for a float ts, else None; f is None after an
+#: integer placement
 _PLACE = """
     f = w._float
     if f is not None and ts.__class__ is float and -EXACT < (x := ts * f[0]) < EXACT:
@@ -185,11 +219,18 @@ _PLACE = """
         kill = q - f[2]
     else:
         # ts / z = q + rem / (d * zn) and r / z = k + fr / (rd * zn), exactly
+        f = None
         n, d = ts.as_integer_ratio()
         zn, zd, k, fr, rd = w._horizon
         q, rem = divmod(n * zd, d * zn)
         kill = q - k - (rem * rd < fr * d)
 """
+
+#: the end of the pane idx that a registration placed at ts just opened, the
+#: open-pane bound: exact after a float placement (`(idx + 1) * zn` is an
+#: integer below 2^53 in magnitude, and z is zn / zd with zd a power of two),
+#: and -inf, which no instant is at or before, after an integer one
+_UNTIL = "w._until = -inf if f is None else (idx + 1) * f[3]"
 
 #: the reference functions of every aggregation. In a snippet, s is a
 #: summary, ts and v an instant and a value, and a and b the summaries of two
@@ -220,9 +261,12 @@ def register(w, v, ts):
     if ts < w.last_ts:
         raise late(f'window registration at {{ts}} after {{w.last_ts}}')
     w.last_ts = ts
-    panes = w.panes{place}
-    idx = q if rem else q - 1
+    panes = w.panes
     opened = w._open
+    if ts <= w._until:  # in the open pane
+        idx = opened
+    else:{placed}
+        idx = q if rem else q - 1
     if idx == opened:
         s = panes[idx]
         panes[idx] = {add}
@@ -231,6 +275,7 @@ def register(w, v, ts):
     s = {new}
     panes[idx] = {add}
     w._open = idx
+    {until}
     w.swept = ts
     if opened is None:  # the window was empty
         w.slots += 1
@@ -309,17 +354,21 @@ def evaluate(w, ts):
 _SUBTRACT = """
 def clear(w):
     w._order = []
-    w._total = {new}
+    w._total = {new}{unscaled}
 
 def register(w, v, ts):
     if ts < w.last_ts:
         raise late(f'window registration at {{ts}} after {{w.last_ts}}')
-    w.last_ts = ts
-    panes = w.panes{place}
-    idx = q if rem else q - 1
+    w.last_ts = ts{convert}
+    panes = w.panes
+    opened = w._open
+    if ts <= w._until:  # in the open pane
+        idx = opened
+    else:{placed}
+        idx = q if rem else q - 1
     s = w._total
     w._total = {add}
-    if idx == w._open:
+    if idx == opened:
         s = panes[idx]
         panes[idx] = {add}
         w.swept = None  # an evaluation must check its instant again
@@ -327,6 +376,7 @@ def register(w, v, ts):
     s = {new}
     panes[idx] = {add}
     w._open = idx
+    {until}
     w.swept = ts
     order = w._order
     order.append(idx)
@@ -373,14 +423,81 @@ def evaluate(w, ts):
         w.swept = w.last_ts = ts
     if w._open is None:
         return {empty}
-    s = w._total
-    return {lower}
+    s = w._total{lowering}
 """
 
 #: the slot rule of `_SUBTRACT` where a pane is one slot, and where each
 #: value is one, with the slot count of the running summary a as `held`
 _ONE_SLOT = dict(fold="return 0", held="len(order)")
 _VALUE_SLOT = dict(fold="w.slots += 1\n        return 1")
+
+#: `_PLACE` in `register`, one level in
+_PLACED = textwrap.indent(_PLACE, "    ")
+
+#: what `_SUBTRACT` adds for an exact aggregation over doubles (see the
+#: module docstring): a window starts at the scale 2^0, `register` converts
+#: v to the window's scale first, and `evaluate` lowers the running summary
+#: by the aggregation's `scaled` snippet, or past the float range by
+#: `_overflowed`
+_SCALED = dict(
+    unscaled="\n    w._scale = 1.0\n    w._den = 1",
+    convert="\n    y = v * w._scale\n    v = int(y) if y.is_integer() else exact(w, v)",
+    lowering=(
+        "\n    try:\n        return {}\n"
+        "    except OverflowError:\n        return overflowed(s, w._den)"
+    ),
+)
+
+#: the digit, in bits above a window's scale 2^E, of the count of +inf values
+#: in a scaled sum, and twice it that of -inf; a NaN counts as one of each.
+#: The finite part of a sum of fewer than 2^64 doubles, each below 2^1024 in
+#: magnitude, stays below half of the first digit's unit, so the counts are
+#: read back exactly, and a sum or average that counts one lies past the
+#: float range, where lowering it raises OverflowError
+_DIGIT = 1100
+
+
+def _exact(w, v: float) -> int:
+    """v at window w's scale 2^E, where v * 2^E is no float integer: for a
+    finite v, v * 2^E exactly, E raised first to v's fraction bits if it
+    has more, with the running summary and every pane shifted to it; for a
+    NaN or an infinity, the unit of its count."""
+    den = w._den
+    if v - v == 0.0:  # finite
+        n, d = v.as_integer_ratio()
+        if d > den:  # E <= 1074, so a window is rescaled at most 1074 times
+            k = d.bit_length() - den.bit_length()
+            w._total = _shifted(w._total, k)
+            panes = w.panes
+            for i, s in panes.items():
+                panes[i] = _shifted(s, k)
+            w._den = den = d
+            w._scale = float(d) if d.bit_length() <= 1024 else math.nan
+        return n * (den // d)
+    unit = den << _DIGIT
+    return unit if v > 0.0 else unit << _DIGIT if v < 0.0 else unit + (unit << _DIGIT)
+
+
+def _shifted(s, k: int):
+    """The summary s of scaled values, an int or a tuple whose first item is
+    that int, at a scale 2^k times finer."""
+    return s << k if s.__class__ is int else (s[0] << k, *s[1:])
+
+
+def _overflowed(s, den: int) -> float:
+    """The value of the summary s of scaled values at scale den whose
+    lowering left the float range: NaN if it counts a NaN or infinities of
+    both signs, the infinity it counts, and else the infinity of the finite
+    sum's sign."""
+    t = s if s.__class__ is int else s[0]
+    unit = den << _DIGIT
+    counts = (t + (unit >> 1)) // unit  # the finite part is gone
+    pos, neg = counts & ((1 << _DIGIT) - 1), counts >> _DIGIT
+    if pos and neg:
+        return math.nan
+    if pos or neg:
+        return math.inf if pos else -math.inf
+    return math.inf if t > 0 else -math.inf
 
 
 def _late(message: str) -> OutOfOrderError:
@@ -400,6 +517,9 @@ def _define(source: str, **names) -> dict:
         insort=insort,
         setitem=setitem,
         remove_oldest=_remove_oldest,
+        exact=_exact,
+        overflowed=_overflowed,
+        inf=math.inf,
         EXACT=_EXACT,
     )
     exec(_code(source), scope)
@@ -415,7 +535,12 @@ class Aggregator:
     summary (`_SUBTRACT`); without one, they aggregate the panes as a
     Two-Stacks (`_TWO_STACKS`). A pane is one slot, unless a subtracting
     aggregation gives `slots`, the slot count of a summary a: then each
-    value is one. `names` are objects the snippets read."""
+    value is one. A subtracting aggregation over doubles that gives
+    `scaled`, the lowering of a summary s of values scaled by `w._den`, is
+    exact: its windows add each value as an integer at their scale and lower
+    by `scaled` (see the module docstring). A Two-Stacks built from the
+    same snippets without the inverse has no scale and adds the values as
+    they come. `names` are objects the snippets read."""
 
     def __init__(
         self,
@@ -426,19 +551,25 @@ class Aggregator:
         lower: str,
         inverse: str | None = None,
         slots: str | None = None,
+        scaled: str | None = None,
         **names,
     ):
         self.snippets = dict(empty=empty, new=new, add=add, merge=merge, lower=lower)
+        place = dict(place=_PLACE, placed=_PLACED, until=_UNTIL)
         if inverse is None:
             rotate = _ROTATE.format(**self.snippets)
-            window = _TWO_STACKS.format(rotate=rotate, place=_PLACE, **self.snippets)
+            window = _TWO_STACKS.format(rotate=rotate, **place, **self.snippets)
         else:
             self.snippets["inverse"] = inverse
             rule = _ONE_SLOT
             if slots is not None:
                 self.snippets["slots"] = slots
                 rule = dict(_VALUE_SLOT, held=slots)
-            window = _SUBTRACT.format(place=_PLACE, **rule, **self.snippets)
+            exact = dict(unscaled="", convert="", lowering=f"\n    return {lower}")
+            if scaled is not None:
+                self.snippets["scaled"] = scaled
+                exact = dict(_SCALED, lowering=_SCALED["lowering"].format(scaled))
+            window = _SUBTRACT.format(**place, **rule, **exact, **self.snippets)
         scope = _define(_FUNCTIONS.format(**self.snippets) + window, **names)
         for name in ("new", "add", "merge", "lower", "clear", "register", "evaluate"):
             setattr(self, name, scope[name])
@@ -467,25 +598,26 @@ _TRAPEZOIDS = (
 @lru_cache(maxsize=None)
 def make_aggregator(agg: AggFn, target_ty: ValueType) -> Aggregator:
     """The aggregator of `agg` over `target_ty` values. Those whose
-    summaries have an exact inverse, count over any type, sum and avg over
-    int and median, get an inverse snippet and so subtract on eviction; the
-    others aggregate their panes as a Two-Stacks (see the module docstring).
+    summaries have an exact inverse, count over any type, sum and avg, over
+    doubles as scaled integers, and median, get an inverse snippet and so
+    subtract on eviction; the others aggregate their panes as a Two-Stacks
+    (see the module docstring).
     Aggregators hold no state, so each is built once per process and shared
     by every window."""
     integer = target_ty is ValueType.INT
     match agg:
         case AggFn.COUNT:
             return Aggregator("0", "0", "s + 1", "a + b", "s", "a - b")
-        case AggFn.SUM if integer:
-            return Aggregator("0", "0", "s + v", "a + b", "s", "a - b")
         case AggFn.SUM:
-            return Aggregator("0.0", "0.0", "s + v", "a + b", "s")
+            empty, scaled = ("0", None) if integer else ("0.0", "s / w._den")
+            return Aggregator(empty, "0", "s + v", "a + b", "s", "a - b", scaled=scaled)
         case AggFn.AVG:
-            pair = "(s[0] + v, s[1] + 1)", "(a[0] + b[0], a[1] + b[1])"
+            snippets = "(0, 0)", "(s[0] + v, s[1] + 1)", "(a[0] + b[0], a[1] + b[1])"
+            inverse = "(a[0] - b[0], a[1] - b[1])"
             if integer:
-                inverse = "(a[0] - b[0], a[1] - b[1])"
-                return Aggregator("U", "(0, 0)", *pair, "s[0] // s[1]", inverse)
-            return Aggregator("U", "(0, 0)", *pair, "s[0] / s[1]")
+                return Aggregator("U", *snippets, "s[0] // s[1]", inverse)
+            scaled = "s[0] / (s[1] * w._den)"
+            return Aggregator("U", *snippets, "s[0] / s[1]", inverse, scaled=scaled)
         case AggFn.MIN | AggFn.MAX:
             pick = "nan_max" if agg is AggFn.MAX else "nan_min"
             add = f"v if s is None else {pick}(s, v)"
@@ -518,7 +650,9 @@ class PanedWindow:
 
     - Subtract-on-Evict: `_order` holds the retained pane indices, oldest
       first, and `_total` is the summary of every retained pane; a median
-      value is in its pane's summary and in `_total`;
+      value is in its pane's summary and in `_total`. Over doubles, the
+      sums of a float sum or avg are scaled by `_den`, 2^E, which is
+      `_scale` as a float while it has one and NaN after;
     - Two-Stacks: the closed panes are aggregated in time order front,
       frozen, back. `_front` holds (pane index, summary of that pane and
       every later front pane) with the oldest pane on top. `_queue` holds
@@ -533,7 +667,10 @@ class PanedWindow:
     `last_ts` is the latest instant any operation saw, and an operation at
     an earlier one is rejected; `swept` is the instant of the last
     eviction, at which an evaluation evicts nothing, or None once a value
-    was folded into the open pane after it. `slots` is the running
+    was folded into the open pane after it. `_until` is the end of the
+    newest pane where a float placement opened it, and -inf otherwise: once
+    eviction has dropped that pane, it lies before `last_ts` (see the
+    module docstring). `slots` is the running
     count that `slot_count` reports, an attribute that a caller charging an
     evaluation's evictions reads around the call.
 
@@ -560,6 +697,9 @@ class PanedWindow:
         "_due",
         "_order",
         "_total",
+        "_scale",
+        "_den",
+        "_until",
         "slots",
     )
 
@@ -572,13 +712,14 @@ class PanedWindow:
         k, fr = divmod(duration.numerator * zd, duration.denominator * zn)
         self._horizon = (zn, zd, k, fr, duration.denominator)
         dyadic = zd & (zd - 1) == 0 and fr == 0 and max(zn, zd, k) <= _EXACT
-        self._float = (float(zd), float(zn), float(k)) if dyadic else None
+        self._float = (float(zd), float(zn), float(k), zn / zd) if dyadic else None
         self._empty()
 
     def _empty(self) -> None:
         self.panes: dict[int, object] = {}  # index -> summary, ascending
         self.last_ts = self.swept = -math.inf
         self._open: int | None = None  # index of the newest pane
+        self._until = -math.inf
         self.slots = 0
         self.agg.clear(self)
 

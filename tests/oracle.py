@@ -420,6 +420,25 @@ def _binop(op, a, b, ty):
     raise AssertionError(op)
 
 
+def exact_sum(values, mean=False) -> float:
+    """The sum of doubles, or with `mean` their mean, as one correctly
+    rounded result: NaN if one of them is NaN or two are infinities of
+    opposite signs, else an infinity among them, else the exact rational
+    sum or mean rounded once, an infinity of its sign past the float range."""
+    infinities = {v for v in values if math.isinf(v)}
+    if any(v != v for v in values) or len(infinities) > 1:
+        return math.nan
+    if infinities:
+        return infinities.pop()
+    exact = sum(map(Fraction, values), Fraction(0))
+    if mean:
+        exact /= len(values)
+    try:
+        return float(exact)
+    except OverflowError:
+        return math.inf if exact > 0 else -math.inf
+
+
 def _aggregate(agg, samples, out_ty):
     values = [v for _, v in samples]
     if agg is AggFn.COUNT:
@@ -427,12 +446,13 @@ def _aggregate(agg, samples, out_ty):
     if agg is AggFn.SUM:
         if not values:
             return 0 if out_ty is ValueType.INT else 0.0
-        return sum(values)
+        return sum(values) if out_ty is ValueType.INT else exact_sum(values)
     if not values:
         return UNDEF
     if agg is AggFn.AVG:
-        total = sum(values)
-        return total // len(values) if out_ty is ValueType.INT else total / len(values)
+        if out_ty is ValueType.INT:
+            return sum(values) // len(values)
+        return exact_sum(values, mean=True)
     if agg in (AggFn.MIN, AggFn.MAX):
         if any(v != v for v in values):
             return float("nan")  # NaN anywhere in the window wins

@@ -25,9 +25,12 @@ The trace keeps both sides exact. Timestamps are multiples of 1/4 s and
 windows last 500 ms, 1 s or 2 s, so every evaluation instant is
 pane-aligned and the engine's panes cover exactly the reference's
 (ts - r, ts]; real-time offsets of 250 ms to 1.5 s put cutoffs on event
-instants as well as between them. Double inputs are small multiples of 1/2, so window sums are
-exact in any association order, and so are integrals over inputs, whose
-trapezoids are multiples of 1/16. A median is the middle of the same
+instants as well as between them. Window sums and averages over doubles
+are exact on both sides, the correctly rounded sum or mean of the retained
+values, so the generated properties draw doubles of mixed magnitudes (0.1,
+1e-300, 1e300, ...: `MIXED`) for them; only where an integral reads the
+inputs are they small multiples of 1/2, whose trapezoids are multiples of
+1/16 and so exact in any order. A median is the middle of the same
 retained values on both sides.
 """
 
@@ -149,17 +152,26 @@ def _spec(exprs, order=tuple(OUTPUTS)):
         return None
 
 
-def _trace(seed):
+#: doubles of mixed magnitudes, whose float sums depend on the order of the
+#: additions: tenths, thirds, a subnormal, values near the float range's
+#: ends, whose products overflow and whose sums cancel
+MIXED = [0.1, -0.1, 1 / 3, 2.5, -0.0, 5e-324, 1e-300, 1e300, -1e300, 1.7e308]
+
+
+def _trace(seed, mixed=False):
     """40 events binding one to three inputs each, so that accesses stay
     undefined for a while; zeros are frequent, so that divisions by zero
-    and NaN (0.0 / 0.0) occur."""
+    and NaN (0.0 / 0.0) occur. Doubles are multiples of 1/2, and with
+    `mixed` half of them are drawn from MIXED."""
     rng = random.Random(seed)
     events, ts = [], 0.0
     for _ in range(40):
         ts += rng.randint(1, 8) / 4
         bindings = {}
         for name in rng.sample("abijp", rng.randint(1, 3)):
-            if name in "ab":
+            if name in "ab" and mixed and rng.random() < 0.5:
+                bindings[name] = rng.choice(MIXED)
+            elif name in "ab":
                 bindings[name] = rng.randint(-2, 3) / 2
             elif name in "ij":
                 bindings[name] = rng.randint(-2, 2)
@@ -167,6 +179,14 @@ def _trace(seed):
                 bindings[name] = rng.random() < 0.5
         events.append(Event(ts, bindings))
     return events
+
+
+def _mixed(*sources):
+    """Whether a trace may draw MIXED doubles for the expressions `sources`:
+    unless an integral reads them, whose trapezoids round, both sides
+    compute the same floats. Sums and averages are exact, correctly rounded
+    once, and a minimum, maximum or median picks retained values."""
+    return not any("integral" in source for source in sources)
 
 
 def _same(u, v):
@@ -282,7 +302,7 @@ def test_compiled_expressions_match_reference(exprs, order, seed):
     tspec = _spec(exprs, order)
     if tspec is None:
         return  # ill-typed; the type checker's business
-    events = _trace(seed)
+    events = _trace(seed, _mixed(*exprs.values()))
     _check(tspec, events)
     _check(tspec, events, mode="fixed", frequency=Fraction(1))
 
@@ -318,7 +338,7 @@ def test_non_dyadic_clocks_match_reference(clocked, seed):
     tspec = _spec(exprs)
     if tspec is None:
         return
-    _check(tspec, _trace(seed), mode="fixed", frequency=hz)
+    _check(tspec, _trace(seed, _mixed(*exprs.values())), mode="fixed", frequency=hz)
 
 
 #: the later outputs each output may read, through past offsets only
@@ -339,7 +359,7 @@ def test_past_reads_of_later_outputs_match_reference(exprs, seed):
     tspec = _spec(exprs)
     if tspec is None:
         return
-    events = _trace(seed)
+    events = _trace(seed, _mixed(*exprs.values()))
     _check(tspec, events)
     _check(tspec, events, mode="fixed", frequency=Fraction(1))
 
@@ -410,7 +430,7 @@ def test_parameterized_family_matches_reference(src, seed):
         tspec = check_types(parse(src))
     except TypeCheckError:
         return
-    _check(tspec, _trace(seed), names="fg")
+    _check(tspec, _trace(seed, _mixed(src)), names="fg")
 
 
 #: extend and terminate conditions of `f<int k, int l>`: one disjunct binds
@@ -459,7 +479,7 @@ def test_tuple_invoke_over_two_inputs_matches_reference(src, seed):
         tspec = check_types(parse(src))
     except TypeCheckError:
         return
-    _check(tspec, _trace(seed), names="f")
+    _check(tspec, _trace(seed, _mixed(src)), names="f")
 
 
 #: templates that read the time input, which every event step feeds: in

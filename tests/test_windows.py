@@ -9,6 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from oracle import exact_sum
 from streammon import UNDEFINED, OutOfOrderError
 from streammon.ast import AggFn, ValueType
 from streammon.windows import _PLACE, Aggregator, PanedWindow, _define, make_aggregator
@@ -415,19 +416,22 @@ def test_extremum_nan_wins_wherever_it_arrives(trace, agg, data):
 
 # -- window code against a left-fold re-merge ---------------------------------
 
-#: (aggregation, value type, exact): exact results must match the left fold
-#: bit for bit; the others only reassociate float additions
+#: (aggregation, value type, check): "fold" results must match the left
+#: fold of the retained panes bit for bit; "exact" ones, float sum and avg,
+#: whose panes hold scaled integers, the correctly rounded sum or mean of the
+#: retained values (`oracle.exact_sum`); the integral's, "close", the left
+#: fold up to reassociated float additions
 _DIFFERENTIAL = [
-    (AggFn.COUNT, ValueType.INT, True),
-    (AggFn.SUM, ValueType.INT, True),
-    (AggFn.SUM, ValueType.DOUBLE, False),
-    (AggFn.AVG, ValueType.INT, True),
-    (AggFn.AVG, ValueType.DOUBLE, False),
-    (AggFn.MIN, ValueType.DOUBLE, True),
-    (AggFn.MAX, ValueType.DOUBLE, True),
-    (AggFn.INTEGRAL, ValueType.DOUBLE, False),
-    (AggFn.MEDIAN, ValueType.DOUBLE, True),
-    (AggFn.MEDIAN, ValueType.INT, True),
+    (AggFn.COUNT, ValueType.INT, "fold"),
+    (AggFn.SUM, ValueType.INT, "fold"),
+    (AggFn.SUM, ValueType.DOUBLE, "exact"),
+    (AggFn.AVG, ValueType.INT, "fold"),
+    (AggFn.AVG, ValueType.DOUBLE, "exact"),
+    (AggFn.MIN, ValueType.DOUBLE, "fold"),
+    (AggFn.MAX, ValueType.DOUBLE, "fold"),
+    (AggFn.INTEGRAL, ValueType.DOUBLE, "close"),
+    (AggFn.MEDIAN, ValueType.DOUBLE, "fold"),
+    (AggFn.MEDIAN, ValueType.INT, "fold"),
 ]
 
 _STEP = st.one_of(
@@ -445,16 +449,12 @@ def _left_fold(agg, summaries):
     return combined
 
 
-def _magnitude(agg, kept):
-    """The aggregate of the absolute values: float reassociation error is
+def _magnitude(kept):
+    """The integral of the absolute values: float reassociation error is
     relative to this, not to a result that cancellation can bring near 0."""
-    if agg is AggFn.INTEGRAL:
-        return sum(
-            (t1 - t0) * (abs(v0) + abs(v1)) / 2.0
-            for (t0, v0), (t1, v1) in zip(kept, kept[1:])
-        )
-    total = sum(abs(v) for _, v in kept)
-    return total / len(kept) if agg is AggFn.AVG else total
+    return sum(
+        (t1 - t0) * (abs(v0) + abs(v1)) / 2.0 for (t0, v0), (t1, v1) in zip(kept, kept[1:])
+    )
 
 
 @given(
@@ -473,7 +473,7 @@ def _magnitude(agg, kept):
 )
 @settings(max_examples=300, deadline=None)
 def test_two_stacks_equals_left_fold(case, ratio, ops):
-    agg_fn, ty, exact = case
+    agg_fn, ty, check = case
     r = Fraction(8)
     z = r / ratio
     agg = make_aggregator(agg_fn, ty)
@@ -498,12 +498,16 @@ def test_two_stacks_equals_left_fold(case, ratio, ops):
         if not w.panes:
             assert got == (0 if agg_fn in (AggFn.COUNT, AggFn.SUM) else UNDEFINED)
             continue
+        kept = _retained(events, now, r, z)
+        if check == "exact":
+            want = exact_sum([v for _, v in kept], mean=agg_fn is AggFn.AVG)
+            assert repr(got) == repr(want), (op, got, want)
+            continue
         want = agg.lower(_left_fold(agg, w.panes.values()))
-        if exact:
+        if check == "fold":
             assert got == want and type(got) is type(want), (op, got, want)
         else:
-            kept = _retained(events, now, r, z)
-            scale = max(1.0, abs(want), _magnitude(agg_fn, kept))
+            scale = max(1.0, abs(want), _magnitude(kept))
             assert abs(got - want) <= 1e-12 * scale, (op, got, want, scale)
 
 
@@ -578,6 +582,165 @@ def test_median_is_bit_identical_to_statistics(ratio, case):
                     want = statistics.median(kept)
                 assert repr(got) == repr(want), (now, kept)
         assert w.slots == sum(p in w.panes for p in panes), (op, now)
+
+
+# -- exact float sum and avg ---------------------------------------------------
+
+#: doubles with both zeros, subnormals, values whose sums leave the float
+#: range, NaN and both infinities
+_EXACT_DOUBLES = (
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-310, 1e-300, 0.1, 1e308, -1e308])
+    | st.sampled_from([math.nan, math.inf, -math.inf])
+    | st.floats(allow_nan=False, allow_infinity=False)
+    | st.floats(-1e3, 1e3)
+)
+
+
+@given(
+    st.sampled_from([AggFn.SUM, AggFn.AVG]),
+    st.sampled_from([1, 4, 256, Fraction(5, 2)]),
+    _median_steps(_EXACT_DOUBLES),
+)
+# 5e-324 needs 2^1074, past the float scale, after 0.1 and 3.0 are retained
+@example(
+    AggFn.SUM,
+    4,
+    [("register", 1.0, v, False) for v in (3.0, 0.1, 5e-324, 0.25)]
+    + [("evaluate", 2.5, 0.0, False)],
+)
+# two values of 1e308 overflow their sum, not their mean; an infinity and a
+# NaN are evicted again
+@example(
+    AggFn.AVG,
+    1,
+    [("register", 0.0, v, True) for v in (1e308, 1e308, math.inf)]
+    + [("register", 9.0, v, False) for v in (math.nan, -math.inf, 2.0)]
+    + [("evaluate", 20.0, 0.0, False)],
+)
+@settings(max_examples=300, deadline=None)
+def test_float_sum_and_avg_are_exact(agg_fn, ratio, steps):
+    """Registrations and evaluations of a float sum or avg window, in any
+    mix: after every step its value, down to the sign of a zero, is the
+    correctly rounded sum or mean of the retained values in `repr`, NaN
+    with a NaN or infinities of both signs among them, an infinity among
+    them, or an infinity past the float range; its slots are its panes."""
+    r = Fraction(8)
+    z = r / ratio
+    w = PanedWindow(r, z, make_aggregator(agg_fn, ValueType.DOUBLE))
+    events = []
+    now = 0.0
+    for op, dt, value, stay in steps:
+        if not stay:
+            now += dt
+        if op == "register":
+            w.register(value, now)
+            events.append((now, value))
+        got = w.evaluate(now)
+        kept = [v for _, v in _retained(events, now, r, z)]
+        if kept:
+            want = exact_sum(kept, mean=agg_fn is AggFn.AVG)
+        else:
+            want = 0.0 if agg_fn is AggFn.SUM else UNDEFINED
+        assert repr(got) == repr(want), (op, now, kept)
+        assert w.slots == len(w.panes)
+
+
+def test_scale_only_grows():
+    """A value with more fraction bits than the window's scale raises the
+    scale of the retained panes too; evicting it leaves the scale, and the
+    sums stay exact, 0.1 + 0.2 + 3.0 where floats give 3.3000000000000003."""
+    w = _window(AggFn.SUM, 2, 1)
+    values = [(0.5, 3.0), (0.7, 0.2), (1.5, 0.1), (2.5, 2.0**-1074)]
+    for t, v in values:
+        w.register(v, t)
+    assert w._den == 2**1074
+    assert w.evaluate(2.5) == float(sum(Fraction(v) for _, v in values))
+    assert w.evaluate(3.5) == float(Fraction(0.1) + Fraction(2.0**-1074)) == 0.1
+    assert w.evaluate(4.5) == 2.0**-1074
+    assert w._den == 2**1074
+    w = _window(AggFn.SUM, 2, 1)
+    for t, v in [(0.5, 3.0), (0.6, 0.1), (1.5, 0.2)]:
+        w.register(v, t)
+    assert w.evaluate(1.5) == 3.3 != 3.0 + 0.1 + 0.2
+
+
+# -- the open-pane bound ---------------------------------------------------------
+
+#: an aggregation of each scheme: Subtract-on-Evict over ints, over scaled
+#: doubles and over a sorted multiset (median), and the Two-Stacks
+_SCHEMES = [
+    (AggFn.COUNT, ValueType.INT),
+    (AggFn.SUM, ValueType.DOUBLE),
+    (AggFn.MEDIAN, ValueType.DOUBLE),
+    (AggFn.MIN, ValueType.DOUBLE),
+]
+
+#: (z, r, steps) per case: registrations at an instant, or evaluations
+#: ("evaluate", instant)
+_BOUND_CASES = {
+    "pane end": (
+        Fraction(1, 4),
+        Fraction(1),
+        [0.1, 0.25, math.nextafter(0.25, 1.0), 0.5, 0.5, 0.75, math.nextafter(0.75, 1.0)],
+    ),
+    "int and Fraction": (
+        Fraction(1, 4),
+        Fraction(1),
+        [0.6, Fraction(3, 4), 0.8, 1, Fraction(9, 8), 1.2, 2, Fraction(5, 2), 2.5, 2.6],
+    ),
+    "non-dyadic": (
+        Fraction(3, 10),
+        Fraction(3, 2),
+        [0.1, 0.3, Fraction(3, 10), 0.30000000000000004, 0.6, Fraction(7, 10), 0.9],
+    ),
+    "past 2^52": (
+        Fraction(1, 4),
+        Fraction(1),
+        [2.0**50 - 0.5, 2.0**50 - 0.375, 2.0**50 - 0.25, 2.0**50 - 0.125, 2.0**50]
+        + [2.0**50 + 0.125, 2.0**50 + 0.25, 2.0**50 + 0.375],
+    ),
+    "emptied": (
+        Fraction(1, 4),
+        Fraction(1),
+        [0.1, ("evaluate", 3.0), 3.0, 3.1, ("evaluate", 9.0), 9.25, 9.3],
+    ),
+}
+
+
+@pytest.mark.parametrize("agg_fn, ty", _SCHEMES)
+@pytest.mark.parametrize("case", sorted(_BOUND_CASES))
+def test_open_pane_bound_places_as_the_integer_division(case, agg_fn, ty):
+    """A registration at or before the open pane's end, `_until`, goes into
+    the open pane without a division. After every registration and
+    evaluation the window's panes are those of the retained values, placed
+    by integer arithmetic (`_retained`), and its value is the reference's.
+    `_until` is the exact end of the open pane where a float instant on a
+    dyadic width was placed in floats, and -inf after any other placement:
+    an int or Fraction instant, |ts * zd| >= 2^52, the width 3/10."""
+    z, r, steps = _BOUND_CASES[case]
+    w = PanedWindow(r, z, make_aggregator(agg_fn, ty))
+    events = []
+    for step in steps:
+        if isinstance(step, tuple):
+            ts = step[1]
+        else:
+            ts = step
+            value = len(events) % 3 if ty is ValueType.INT else len(events) / 4.0
+            opens = not events or _pane(ts, z) != _pane(events[-1][0], z)
+            w.register(value, ts)
+            events.append((ts, value))
+            if opens:
+                floats = w._float is not None and ts.__class__ is float
+                end = -math.inf
+                if floats and abs(ts * z.denominator) < 2**52:
+                    end = (_pane(ts, z) + 1) * z
+            assert w._until == end, (ts, w._until, end)
+        got = w.evaluate(ts)
+        kept = _retained(events, ts, r, z)
+        assert list(w.panes) == sorted({_pane(t, z) for t, _ in kept}), (ts, list(w.panes))
+        assert _close(got, _aggregate(agg_fn, kept)), (ts, got)
+        if not isinstance(step, tuple) and opens:
+            assert w._until == end
 
 
 # -- evaluation cost does not grow with r/z -----------------------------------
