@@ -90,9 +90,9 @@ def cmd_monitor(args) -> int:
         instance_bounds=_instance_bounds(args.max_instances),
         allow_unbounded=args.allow_unbounded,
     )
-    out = sys.stdout
+    out, encode = sys.stdout, json.JSONEncoder(sort_keys=True).encode
     for verdict in monitor.run(trace.read_trace(args.trace, tspec)):
-        out.write(json.dumps(verdict.to_json_dict(), sort_keys=True))
+        out.write(encode(verdict.to_json_dict()))
         out.write("\n")
     print(
         f"events={monitor.events_processed} "

@@ -135,13 +135,20 @@ class Verdict:
     message: Optional[str] = None
 
     def to_json_dict(self) -> dict:
-        """The verdict's fields as strict JSON values (see `jsonable`)."""
+        """The verdict's fields as strict JSON values (see `jsonable`), which
+        only a non-empty params tuple, a tuple value or a NaN or infinite
+        float value goes through: the common cases are written inline."""
+        params, value = self.params, self.value
+        if params is not None:
+            params = jsonable(params) if params else []
+        if value.__class__ is float and value - value != 0.0 or value.__class__ is tuple:
+            value = jsonable(value)  # a NaN or infinity, or a tuple
         return {
             "ts": self.ts,
             "kind": self.kind,
             "stream": self.stream,
-            "params": jsonable(self.params),
-            "value": jsonable(self.value),
+            "params": params,
+            "value": value,
             "message": self.message,
         }
 

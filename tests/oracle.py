@@ -9,6 +9,7 @@ a precomputed evaluation order.
 
 from __future__ import annotations
 
+import csv
 import math
 import statistics
 from bisect import bisect_right
@@ -470,3 +471,82 @@ def _aggregate(agg, samples, out_ty):
         return area
     raise AssertionError(agg)
 
+
+
+# -- reference CSV reader ----------------------------------------------------------
+
+_REF_BOOLS = {"true": True, "false": False, "1": True, "0": False}
+
+
+def _ref_bool(cell: str) -> bool:
+    value = _REF_BOOLS.get(cell.lower())
+    if value is None:
+        raise ValueError(cell)
+    return value
+
+
+_REF_PARSERS = {ValueType.BOOL: _ref_bool, ValueType.INT: int, ValueType.DOUBLE: float}
+
+
+def ref_read_trace(path: str, tspec):
+    """The trace reader as a per-cell loop over every row: the events of the
+    CSV trace at path, or its TraceError, by the rules `trace.read_trace`
+    compiles into a row loop per header."""
+    from streammon import TraceError
+    from streammon.diagnostics import Diagnostic
+    from streammon.engine import Event
+
+    def error(message, row):
+        return TraceError([Diagnostic(f"row {row}: {message}")])
+
+    with open(path, newline="", encoding="utf-8") as handle:
+        reader = csv.reader(handle)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise TraceError([Diagnostic("empty trace file: missing header")])
+        header = [h.strip() for h in header]
+        declared = [d.name for d in tspec.spec.inputs if not d.is_time]
+        if header[:1] != ["time"]:
+            raise error("first column must be 'time'", 1)
+        if sorted(header[1:]) != sorted(declared):
+            raise error(
+                f"header names {header[1:]} do not match declared inputs {declared}", 1
+            )
+        types = {d.name: d.ty for d in tspec.spec.inputs}
+        columns = [(name, _REF_PARSERS[types[name]], types[name]) for name in header[1:]]
+        width, last_ts = len(header), 0.0
+        for lineno, row in enumerate(reader, start=2):
+            try:
+                ts = float(row[0])
+            except (IndexError, ValueError):
+                if not any(cell.strip() for cell in row):
+                    continue
+                ts = None
+            if len(row) != width:
+                raise error(f"expected {width} cells, got {len(row)}", lineno)
+            if ts is None:
+                raise error(f"bad timestamp {row[0]!r}", lineno)
+            if not last_ts <= ts < math.inf:
+                if not math.isfinite(ts):
+                    message = f"non-finite timestamp {row[0]!r}"
+                elif ts < 0:
+                    message = f"negative timestamp {ts}"
+                else:
+                    message = f"timestamp {ts} decreases below {last_ts}"
+                raise error(message, lineno)
+            last_ts = ts
+            bindings = {}
+            for (name, parse, ty), cell in zip(columns, row[1:]):
+                if cell:
+                    try:
+                        bindings[name] = parse(cell)
+                    except ValueError:
+                        if not (cell := cell.strip()):
+                            continue
+                        try:
+                            bindings[name] = parse(cell)
+                        except ValueError:
+                            what = "bool" if ty is ValueType.BOOL else f"{ty} value"
+                            raise error(f"bad {what} {cell!r} for '{name}'", lineno)
+            yield Event(ts, bindings)

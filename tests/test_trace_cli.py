@@ -9,10 +9,11 @@ import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import FLEET_SPEC, PHI_PPRIME_SPEC, PHI_PRIME_SPEC, PID_SPEC, typed
+from oracle import ref_read_trace
 from test_analysis import ARGS_SPEC
 from streammon import TraceError, Verdict
 from streammon.cli import main
@@ -26,6 +27,7 @@ from streammon.scenarios import (
     generate_pid,
 )
 from streammon.trace import read_trace, write_trace
+from streammon.values import jsonable
 
 
 def run_cli(*argv, cwd=None, timeout=None):
@@ -149,6 +151,174 @@ def test_trace_round_trip(tmp_path, fleet_tspec):
     events = list(read_trace(str(path), fleet_tspec))
     assert events[0].bindings == {"CID": 7, "offRoad": True}
     assert events[1].bindings == {"CID": 3, "pickUp": True, "retire": False}
+
+
+def test_read_trace_skips_a_byte_order_mark(tmp_path):
+    text = "time,n,x,p\n1,2,2.5,true\n3,,,FALSE\n"
+    plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+    plain.write_bytes(text.encode())
+    marked.write_bytes(b"\xef\xbb\xbf" + text.encode())
+    tspec = typed(READER_SPEC)
+    events = [(e.ts, e.bindings) for e in read_trace(str(plain), tspec)]
+    assert events == [(1.0, {"n": 2, "x": 2.5, "p": True}), (3.0, {"p": False})]
+    assert [(e.ts, e.bindings) for e in read_trace(str(marked), tspec)] == events
+
+
+def test_read_trace_names_the_record_of_an_oversized_cell(tmp_path, pid_tspec):
+    """A cell beyond the csv module's field size limit is a diagnostic of
+    the record being read, counted in records: row 2's quoted cell spans
+    two lines."""
+    path = tmp_path / "t.csv"
+    huge = "1" * 200_000
+    path.write_text(f'time,temperature,reference\n1.0,"2.5\n",\n2.0,"{huge}",\n')
+    with pytest.raises(TraceError) as err:
+        list(read_trace(str(path), pid_tspec))
+    assert [d.message for d in err.value.diagnostics] == [
+        "row 3: field larger than field limit (131072)"
+    ]
+    path.write_text(f"time,{huge}\n")
+    with pytest.raises(TraceError) as err:
+        list(read_trace(str(path), pid_tspec))
+    assert [d.message for d in err.value.diagnostics] == [
+        "row 1: field larger than field limit (131072)"
+    ]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        spec = tmp_path / "pid.spec"
+        spec.write_text(PID_SPEC)
+        code = main(["monitor", str(spec), str(path), "--mode", "variable"])
+    assert code == 1 and "row 1: field larger than field limit" in err.getvalue()
+
+
+_CELLS = {
+    "bool": st.sampled_from(["true", "false", "1", "0", "TRUE", "False", "tRuE"]),
+    "int": st.integers(-(10**20), 10**20).map(str),
+    "double": st.one_of(
+        st.floats(allow_nan=True, allow_infinity=True).map(repr),
+        st.integers(-1000, 1000).map(str),
+        st.sampled_from(["nan", "-inf", "1e400", "1_0", ".5"]),
+    ),
+}
+_BAD_CELLS = {"bool": ["yes", "2"], "int": ["2.5", "1e3", "x"], "double": ["abc", "1..5"]}
+
+
+@st.composite
+def _cell(draw, ty):
+    """One cell of a column of type ty: empty, whitespace, or a value of it
+    or not, maybe padded or quoted."""
+    kind = draw(st.sampled_from(["value"] * 6 + ["empty", "blank", "bad"]))
+    if kind == "empty":
+        return ""
+    if kind == "blank":
+        return draw(st.sampled_from([" ", "\t", "  "]))
+    cell = draw(_CELLS[ty] if kind == "value" else st.sampled_from(_BAD_CELLS[ty]))
+    if draw(st.booleans()):
+        cell = draw(st.sampled_from([" ", "\t", ""])) + cell + draw(st.sampled_from([" ", ""]))
+    return f'"{cell}"' if draw(st.integers(0, 4)) == 0 else cell
+
+
+@st.composite
+def _time_cell(draw, last: list):
+    """A time cell after the latest time drawn, last[0]: mostly later, else
+    equal (maybe padded), earlier, or not a valid time at all."""
+    kind = draw(st.sampled_from(["later"] * 6 + ["equal", "earlier", "earlier", "odd"]))
+    if kind == "odd":
+        return draw(st.sampled_from(["nan", "inf", " inf", "-inf", "-1.5", "", " ", "x"]))
+    if kind == "later":
+        last[0] += draw(st.floats(0.0, 10.0))
+    elif kind == "earlier":
+        return repr(max(last[0] - draw(st.floats(0.001, 5.0)), 0.0))
+    return draw(st.sampled_from(["", " "])) + repr(last[0])
+
+
+@st.composite
+def _trace_text(draw):
+    """A READER_SPEC-like spec over drawn bool, int and double inputs and a
+    CSV trace of its columns in a drawn order: rows of every cell kind,
+    blank rows, rows of a wrong width, any line ending."""
+    types = draw(st.lists(st.sampled_from(["bool", "int", "double"]), max_size=3))
+    spec = "".join(f"input {ty} s{k}\n" for k, ty in enumerate(types)) + "output int c := 1"
+    order = draw(st.permutations(range(len(types))))
+    lines, last = [",".join(["time"] + [f"s{k}" for k in order])], [0.0]
+    for _ in range(draw(st.integers(0, 12))):
+        kind = draw(st.sampled_from(["row"] * 6 + ["blank", "narrow", "wide"]))
+        if kind == "blank":
+            lines.append(draw(st.sampled_from(["", " ", ",".join([" "] * (len(types) + 1))])))
+            continue
+        cells = [draw(_time_cell(last))] + [draw(_cell(types[k])) for k in order]
+        if kind == "narrow":
+            cells = cells[: draw(st.integers(0, len(cells) - 1))]
+        elif kind == "wide":
+            cells.append(draw(_cell("double")))
+        lines.append(",".join(cells))
+    end = draw(st.sampled_from(["\n", "\r\n"]))
+    return spec, end.join(lines) + end
+
+
+def _read_all(reader, path, tspec):
+    """The (ts, bindings, value classes) of each event read, and the
+    diagnostics that ended the read, if any."""
+    events = []
+    try:
+        for e in reader(path, tspec):
+            events.append((e.ts, e.bindings, [type(v) for v in e.bindings.values()]))
+    except TraceError as exc:
+        return events, [d.message for d in exc.diagnostics]
+    return events, None
+
+
+_BOOL_SPEC = "input bool p\ninput double x\noutput int c := 1"
+
+
+@given(_trace_text())
+@example(("output int c := 1", "time\n1\n\n1\ninf\n"))
+# a row the slow path reads sets the time the next row is checked against
+@example((_BOOL_SPEC, "time,p,x\n1,1,\n2, true ,\t\n1.5,0,2\n"))
+@example((_BOOL_SPEC, 'time,x,p\r\n1,"-0.0",\r\n 1 , 1e400 ,FALSE\r\n2,1,2\r\n'))
+@settings(max_examples=200, deadline=None)
+def test_read_trace_equals_the_reference_reader(tmp_path_factory, case):
+    """The compiled row loop reads every drawn trace as the per-cell
+    reference reader does: the same events, values of the same classes,
+    and the same diagnostic at the same row."""
+    spec, text = case
+    path = tmp_path_factory.mktemp("reader") / "t.csv"
+    path.write_bytes(text.encode())
+    tspec = typed(spec)
+    got = _read_all(read_trace, str(path), tspec)
+    want = _read_all(ref_read_trace, str(path), tspec)
+    assert repr(got) == repr(want)
+
+
+_FLOATS = st.sampled_from([0.0, -0.0, 5e-324, 1e300, 2.5, math.nan, math.inf, -math.inf])
+_PARAM = st.one_of(st.integers(-(2**63), 2**63 - 1), st.booleans(), _FLOATS)
+
+
+@given(
+    st.builds(
+        Verdict,
+        st.floats(0, 1e9),
+        st.sampled_from(["output", "trigger", "warning"]),
+        st.one_of(st.none(), st.sampled_from(["f", "error"])),
+        st.one_of(st.none(), st.just(()), st.lists(_PARAM, min_size=1, max_size=3).map(tuple)),
+        st.one_of(st.none(), st.integers(-(2**63), 2**63 - 1), st.booleans(), _FLOATS),
+        st.one_of(st.none(), st.text(), st.sampled_from(['say "hi"', "température ≥ 5", "\\"])),
+    )
+)
+@settings(max_examples=300, deadline=None)
+def test_to_json_dict_equals_the_per_field_form(verdict):
+    """The inline cases of `to_json_dict` give the dict, and the JSON bytes
+    of it, that `jsonable` gives field by field."""
+    want = {
+        "ts": verdict.ts,
+        "kind": verdict.kind,
+        "stream": verdict.stream,
+        "params": jsonable(verdict.params),
+        "value": jsonable(verdict.value),
+        "message": verdict.message,
+    }
+    got = verdict.to_json_dict()
+    assert got == want and repr(got) == repr(want)
+    assert json.dumps(got, sort_keys=True) == json.dumps(want, sort_keys=True)
 
 
 # -- analyze -----------------------------------------------------------------------
