@@ -35,6 +35,8 @@ from streammon.ast import (
     accesses,
     chain,
 )
+from streammon.diagnostics import Diagnostic, TraceError
+from streammon.engine import Event
 
 UNDEF = object()
 
@@ -492,10 +494,6 @@ def ref_read_trace(path: str, tspec):
     """The trace reader as a per-cell loop over every row: the events of the
     CSV trace at path, or its TraceError, by the rules `trace.read_trace`
     compiles into a row loop per header."""
-    from streammon import TraceError
-    from streammon.diagnostics import Diagnostic
-    from streammon.engine import Event
-
     def error(message, row):
         return TraceError([Diagnostic(f"row {row}: {message}")])
 
